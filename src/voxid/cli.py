@@ -9,6 +9,7 @@ error, 64 usage/config error. All randomness flows from --seed
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -16,14 +17,20 @@ import numpy as np
 from . import store
 from .audio import read_wav
 from .errors import (
-    InvalidExperimentConfig,
     VoxidDataError,
     VoxidDomainError,
     VoxidError,
     VoxidUsageError,
 )
-from .evaluation import RegistryEntry, SpeakerRegistry, Trial, identify, report_to_csv
-from .experiment import parse_experiment_config, run_experiment
+from .evaluation import (
+    RegistryEntry,
+    SpeakerRegistry,
+    Trial,
+    identify,
+    report_to_csv,
+    summarize,
+)
+from .experiment import EXPERIMENT_KEYS, ExperimentConfig, read_settings, run_experiment
 from .features import MfccConfig, extract_mfcc
 from .gmm import GmmTrainingConfig, em_fit_detailed
 from .scoring import DecisionPolicy
@@ -58,47 +65,11 @@ _CONFIG_KEYS = {
 }
 
 
-def load_config_file(path) -> dict:
-    values = {}
+def _config_from(cls, settings: dict, **fixed):
+    """Build the config dataclass `cls` from the settings that name its fields."""
+    names = {f.name for f in dataclasses.fields(cls)}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise VoxidUsageError(f"cannot read config {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise VoxidUsageError(f"{path}:{lineno}: expected key = value")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise VoxidUsageError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = _CONFIG_KEYS[key](value.strip())
-        except ValueError as exc:
-            raise VoxidUsageError(f"{path}:{lineno}: {exc}") from exc
-    return values
-
-
-def _mfcc_config(settings: dict) -> MfccConfig:
-    fields = (
-        "pre_emphasis_alpha", "frame_length_ms", "frame_shift_ms",
-        "dft_size", "num_mel_filters", "num_cepstra", "apply_cmvn",
-    )
-    kwargs = {k: settings[k] for k in fields if k in settings}
-    try:
-        return MfccConfig(**kwargs)
-    except ValueError as exc:
-        raise VoxidUsageError(str(exc)) from exc
-
-
-def _gmm_config(settings: dict, seed: int) -> GmmTrainingConfig:
-    fields = ("num_components", "max_iterations", "convergence_tol", "variance_floor")
-    kwargs = {k: settings[k] for k in fields if k in settings}
-    try:
-        return GmmTrainingConfig(rng_seed=seed, **kwargs)
+        return cls(**{k: v for k, v in settings.items() if k in names}, **fixed)
     except ValueError as exc:
         raise VoxidUsageError(str(exc)) from exc
 
@@ -160,7 +131,7 @@ def _write_text(path, text: str):
 def cmd_features(args, settings):
     if not args.inputs:
         raise VoxidUsageError("no input audio files given")
-    config = _mfcc_config(settings)
+    config = _config_from(MfccConfig, settings)
     failures = 0
     for path in args.inputs:
         try:
@@ -188,7 +159,7 @@ def _derive_output(path, out_dir, suffix):
 def cmd_train_ubm(args, settings):
     if not args.inputs:
         raise VoxidUsageError("no feature files given")
-    config = _gmm_config(settings, args.seed)
+    config = _config_from(GmmTrainingConfig, settings, rng_seed=args.seed)
     mats = [store.load(p, "features") for p in args.inputs]
     pooled = np.vstack([fm.frames for fm in mats])
     from .features import FeatureMatrix
@@ -266,30 +237,26 @@ def cmd_identify(args, settings):
     policy = DecisionPolicy(threshold=threshold, mode=mode)
 
     if mode == "cosine":
-        test_iv = store.load(args.test, "ivector")
-        trial = Trial(trial_id="cli", test_ivector=test_iv)
-        result = identify(trial, registry, policy)
+        ubm = None
+        trial = Trial(trial_id="cli", test_ivector=store.load(args.test, "ivector"))
     else:
-        ubm = store.load(args.ubm, "ubm") if args.ubm else None
-        if ubm is None:
+        if not args.ubm:
             raise VoxidUsageError("--ubm is required in LLR mode")
-        feats = store.load(args.test, "features")
-        trial = Trial(trial_id="cli", test_features=feats)
-        result = identify(trial, registry, policy, ubm=ubm)
+        ubm = store.load(args.ubm, "ubm")
+        trial = Trial(trial_id="cli", test_features=store.load(args.test, "features"))
+    result = identify(trial, registry, policy, ubm=ubm)
 
     print(f"{'speaker':<12} {'raw':>14} {'score':>10} decision")
     for sid, raw, norm, accepted in result.ranked:
         verdict = "accept" if accepted else "reject"
         print(f"{sid:<12} {raw:>14.4f} {norm:>10.4f} {verdict}")
 
-    if args.json:
-        from .evaluation import summarize
-
-        store.save(summarize([result], threshold, mode), "report", args.json)
-    if args.csv:
-        from .evaluation import summarize
-
-        _write_text(args.csv, report_to_csv(summarize([result], threshold, mode)))
+    if args.json or args.csv:
+        report = summarize([result], threshold, mode)
+        if args.json:
+            store.save(report, "report", args.json)
+        if args.csv:
+            _write_text(args.csv, report_to_csv(report))
     if args.svg:
         labels = [sid for sid, _, _, _ in result.ranked]
         scores = [norm for _, _, norm, _ in result.ranked]
@@ -298,12 +265,7 @@ def cmd_identify(args, settings):
 
 
 def cmd_evaluate(args, settings):
-    try:
-        with open(args.config_file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InvalidExperimentConfig(f"cannot read {args.config_file}: {exc}") from exc
-    config = parse_experiment_config(text)
+    config = ExperimentConfig(**read_settings(args.config_file, EXPERIMENT_KEYS))
     reports = run_experiment(config)
     for report in reports:
         tag = f"{report.threshold:g}".replace(".", "_")
@@ -319,31 +281,24 @@ def cmd_evaluate(args, settings):
 
 
 def cmd_inspect(args, settings):
-    for kind in store.KINDS:
-        try:
-            artifact = store.load(args.path, kind)
-        except VoxidError:
-            continue
-        print(f"kind: {kind}")
-        if kind == "features":
-            print(f"frames: {artifact.count_L} x {artifact.dim_k}")
-        elif kind in ("gmm", "ubm", "speaker_model"):
-            gmm = artifact.gmm if hasattr(artifact, "gmm") else artifact
-            print(f"components: {gmm.num_components}, dim: {gmm.dim_k}")
-        elif kind == "tv_model":
-            print(f"rank: {artifact.rank_R}, supervector: {artifact.m.size}")
-        elif kind == "ivector":
-            print(f"rank: {artifact.w.size}")
-        elif kind == "registry":
-            for e in artifact.entries:
-                flag = " (impostor)" if e.is_impostor else ""
-                print(f"  {e.speaker_id} cluster={e.cluster_id}{flag}")
-        elif kind == "report":
-            print(
-                f"trials: {len(artifact.per_trial)}, top1: {artifact.top1_accuracy:.3f}"
-            )
-        return EXIT_OK
-    raise VoxidDataError(f"{args.path} is not a recognized artifact")
+    kind, artifact = store.load_any(args.path)
+    print(f"kind: {kind}")
+    if kind == "features":
+        print(f"frames: {artifact.count_L} x {artifact.dim_k}")
+    elif kind in ("gmm", "ubm", "speaker_model"):
+        gmm = artifact.gmm if hasattr(artifact, "gmm") else artifact
+        print(f"components: {gmm.num_components}, dim: {gmm.dim_k}")
+    elif kind == "tv_model":
+        print(f"rank: {artifact.rank_R}, supervector: {artifact.m.size}")
+    elif kind == "ivector":
+        print(f"rank: {artifact.w.size}")
+    elif kind == "registry":
+        for e in artifact.entries:
+            flag = " (impostor)" if e.is_impostor else ""
+            print(f"  {e.speaker_id} cluster={e.cluster_id}{flag}")
+    elif kind == "report":
+        print(f"trials: {len(artifact.per_trial)}, top1: {artifact.top1_accuracy:.3f}")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,7 +373,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        settings = load_config_file(args.config) if args.config else {}
+        settings = read_settings(args.config, _CONFIG_KEYS) if args.config else {}
         return args.func(args, settings)
     except VoxidUsageError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

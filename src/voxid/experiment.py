@@ -4,27 +4,29 @@ Stage 1: enrolled speaker models in clusters with planted impostors,
 identification by cohort-normalized log-likelihood ratio at one or more
 thresholds. Stage 2: the same synthetic speakers pushed through the
 total-variability front-end and scored by cosine against a small target
-list containing both true speakers and impostors.
+list containing both true speakers and impostors. Experiment files and
+the CLI's --config share the flat "key = value" parser defined here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidExperimentConfig
+from .errors import InvalidExperimentConfig, VoxidUsageError
 from .evaluation import (
     EvalReport,
     RegistryEntry,
     SpeakerRegistry,
     Trial,
+    TrialResult,
     identify,
     summarize,
 )
 from .features import FeatureMatrix
 from .gmm import DiagonalGmm, GmmTrainingConfig
-from .scoring import DecisionPolicy
+from .scoring import DecisionPolicy, decide
 from .speaker_models import accumulate_stats, map_adapt, train_ubm
 from .total_variability import extract_ivector, init_tv, train_tv
 
@@ -64,54 +66,57 @@ class ExperimentConfig:
                 raise InvalidExperimentConfig("not enough impostors for target list")
 
 
-_CONFIG_TYPES = {
-    "mode": str,
-    "seed": int,
-    "num_true_speakers": int,
-    "num_impostors": int,
-    "num_clusters": int,
-    "feature_dim": int,
-    "ubm_components": int,
-    "ubm_frames": int,
-    "enroll_frames": int,
-    "test_frames": int,
-    "speaker_spread": float,
-    "relevance": float,
-    "thresholds": "floats",
-    "tv_rank": int,
-    "tv_iterations": int,
-    "tv_chunk_frames": int,
-    "cosine_target_true": int,
-    "cosine_target_impostors": int,
-}
+def parse_settings(text: str, converters: dict, source: str = "<string>",
+                   error: type = VoxidUsageError) -> dict:
+    """Parse flat `key = value` lines, converting each value by its key.
 
-
-def parse_experiment_config(text: str) -> ExperimentConfig:
-    """Parse the flat "key = value" experiment description."""
+    Blank lines and `#` comments are skipped. A line without `=`, a key
+    missing from `converters` or a failed conversion raises `error`
+    naming `source` and the line number.
+    """
     values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
-            raise InvalidExperimentConfig(f"line {lineno}: expected key = value")
-        key, _, value = stripped.partition("=")
+        key, sep, value = stripped.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_TYPES:
-            raise InvalidExperimentConfig(f"line {lineno}: unknown key {key!r}")
-        kind = _CONFIG_TYPES[key]
+        if not sep:
+            raise error(f"{source}:{lineno}: expected key = value")
+        if key not in converters:
+            raise error(f"{source}:{lineno}: unknown key {key!r}")
         try:
-            if kind == "floats":
-                values[key] = tuple(float(v) for v in value.split(","))
-            else:
-                values[key] = kind(value)
+            values[key] = converters[key](value.strip())
         except ValueError as exc:
-            raise InvalidExperimentConfig(f"line {lineno}: {exc}") from exc
+            raise error(f"{source}:{lineno}: {exc}") from exc
+    return values
+
+
+def read_settings(path, converters: dict) -> dict:
+    """Read a `key = value` settings file; see `parse_settings`."""
     try:
-        return ExperimentConfig(**values)
-    except TypeError as exc:
-        raise InvalidExperimentConfig(str(exc)) from exc
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise VoxidUsageError(f"cannot read config {path}: {exc}") from exc
+    return parse_settings(text, converters, str(path))
+
+
+def _floats(value: str) -> tuple:
+    return tuple(float(v) for v in value.split(","))
+
+
+# Each key converts like its default: str, int, float or a tuple of floats.
+EXPERIMENT_KEYS = {
+    f.name: _floats if isinstance(f.default, tuple) else type(f.default)
+    for f in fields(ExperimentConfig)
+}
+
+
+def parse_experiment_config(text: str) -> ExperimentConfig:
+    """Parse the flat "key = value" experiment description."""
+    values = parse_settings(text, EXPERIMENT_KEYS, error=InvalidExperimentConfig)
+    return ExperimentConfig(**values)
 
 
 def _random_gmm(rng: np.random.Generator, components: int, dim: int) -> DiagonalGmm:
@@ -206,9 +211,6 @@ def attach_ivectors(world: SyntheticWorld) -> SyntheticWorld:
 
 
 def _redecide(results, policy: DecisionPolicy):
-    from .evaluation import TrialResult
-    from .scoring import decide
-
     out = []
     for res in results:
         ranked = [
@@ -223,45 +225,30 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
     world = build_world(config)
 
     if config.mode == "llr":
-        policy = DecisionPolicy(threshold=config.thresholds[0], mode="llr-normalized")
-        results = []
-        for sid in sorted(world.test_sets):
-            trial = Trial(
-                trial_id=f"trial-{sid}",
-                test_features=world.test_sets[sid],
-                true_speaker_id=sid,
-            )
-            results.append(identify(trial, world.registry, policy, ubm=world.ubm))
-        reports = []
-        for threshold in config.thresholds:
-            policy = DecisionPolicy(threshold=threshold, mode="llr-normalized")
-            reports.append(
-                summarize(_redecide(results, policy), threshold, "llr-normalized")
-            )
-        return reports
+        mode, targets = "llr-normalized", world.registry
+        trials = [
+            Trial(trial_id=f"trial-{sid}", test_features=world.test_sets[sid],
+                  true_speaker_id=sid)
+            for sid in sorted(world.test_sets)
+        ]
+    else:
+        mode, world = "cosine", attach_ivectors(world)
+        true_ids = sorted(world.test_sets)[: config.cosine_target_true]
+        imp_ids = sorted(
+            e.speaker_id for e in world.registry.entries if e.is_impostor
+        )[: config.cosine_target_impostors]
+        targets = SpeakerRegistry()
+        for sid in true_ids + imp_ids:
+            targets.add(world.registry.get(sid))
+        trials = []
+        for sid in true_ids:
+            stats = accumulate_stats(world.test_sets[sid], world.ubm)
+            trials.append(Trial(trial_id=f"trial-{sid}", true_speaker_id=sid,
+                                test_ivector=extract_ivector(stats, world.tv_model)))
 
-    world = attach_ivectors(world)
-    true_ids = sorted(world.test_sets)[: config.cosine_target_true]
-    imp_ids = sorted(
-        e.speaker_id for e in world.registry.entries if e.is_impostor
-    )[: config.cosine_target_impostors]
-    targets = SpeakerRegistry()
-    for sid in true_ids + imp_ids:
-        targets.add(world.registry.get(sid))
-
-    results = []
-    for sid in true_ids:
-        stats = accumulate_stats(world.test_sets[sid], world.ubm)
-        trial = Trial(
-            trial_id=f"trial-{sid}",
-            test_ivector=extract_ivector(stats, world.tv_model),
-            true_speaker_id=sid,
-        )
-        policy = DecisionPolicy(threshold=config.thresholds[0], mode="cosine")
-        results.append(identify(trial, targets, policy))
-    reports = []
-    for threshold in config.thresholds:
-        policy = DecisionPolicy(threshold=threshold, mode="cosine")
-        reports.append(_redecide(results, policy))
-        reports[-1] = summarize(reports[-1], threshold, "cosine")
-    return reports
+    policy = DecisionPolicy(threshold=config.thresholds[0], mode=mode)
+    results = [identify(trial, targets, policy, ubm=world.ubm) for trial in trials]
+    return [
+        summarize(_redecide(results, DecisionPolicy(threshold=t, mode=mode)), t, mode)
+        for t in config.thresholds
+    ]

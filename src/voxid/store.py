@@ -10,6 +10,7 @@ LE values row-major. All writes are atomic (temp file + rename).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -47,14 +48,20 @@ _MAGIC = b"VOXF1"
 
 def _atomic_write(path, data: bytes):
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".voxid-")
         try:
-            os.write(fd, data)
+            view = memoryview(data)
+            while view:  # os.write may write fewer bytes than asked
+                view = view[os.write(fd, view):]
         finally:
             os.close(fd)
         os.replace(tmp, path)
     except OSError as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
@@ -93,18 +100,11 @@ def write_features(feats: FeatureMatrix, path):
     _atomic_write(path, header + body)
 
 
-def read_features(path) -> FeatureMatrix:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if len(data) < 13 or data[:5] != _MAGIC:
-        raise CorruptArtifact(f"{path} is not a VOXF1 feature file")
+def _features_from_bytes(data: bytes) -> FeatureMatrix:
     dim_k, count_l = struct.unpack_from("<II", data, 5)
     expected = 13 + 4 * dim_k * count_l
     if len(data) != expected:
-        raise CorruptArtifact(f"{path}: expected {expected} bytes, found {len(data)}")
+        raise ValueError(f"expected {expected} bytes, found {len(data)}")
     frames = np.frombuffer(data, dtype="<f4", offset=13).astype(np.float64)
     return FeatureMatrix(frames.reshape(count_l, dim_k))
 
@@ -120,16 +120,11 @@ def _gmm_payload(gmm: DiagonalGmm) -> dict:
 
 
 def _gmm_from_payload(payload) -> DiagonalGmm:
-    try:
-        return DiagonalGmm(
-            weights=_dec_vec(payload["weights"]),
-            means=_dec_mat(payload["means"]),
-            variances=_dec_mat(payload["variances"]),
-        )
-    except (KeyError, Exception) as exc:
-        if isinstance(exc, CorruptArtifact):
-            raise
-        raise CorruptArtifact(f"invalid GMM payload: {exc}") from exc
+    return DiagonalGmm(
+        weights=_dec_vec(payload["weights"]),
+        means=_dec_mat(payload["means"]),
+        variances=_dec_mat(payload["variances"]),
+    )
 
 
 def _speaker_payload(model: SpeakerModel) -> dict:
@@ -156,18 +151,13 @@ def _tv_payload(tv: TotalVariabilityModel) -> dict:
 
 
 def _tv_from_payload(payload) -> TotalVariabilityModel:
-    try:
-        return TotalVariabilityModel(
-            m=_dec_vec(payload["m"]),
-            sigma=_dec_vec(payload["sigma"]),
-            t_matrix=_dec_mat(payload["t_matrix"]),
-            num_components=int(payload["num_components"]),
-            dim_k=int(payload["dim_k"]),
-        )
-    except (KeyError, Exception) as exc:
-        if isinstance(exc, CorruptArtifact):
-            raise
-        raise CorruptArtifact(f"invalid TV payload: {exc}") from exc
+    return TotalVariabilityModel(
+        m=_dec_vec(payload["m"]),
+        sigma=_dec_vec(payload["sigma"]),
+        t_matrix=_dec_mat(payload["t_matrix"]),
+        num_components=int(payload["num_components"]),
+        dim_k=int(payload["dim_k"]),
+    )
 
 
 def _registry_payload(registry: SpeakerRegistry) -> dict:
@@ -188,25 +178,20 @@ def _registry_payload(registry: SpeakerRegistry) -> dict:
 
 def _registry_from_payload(payload) -> SpeakerRegistry:
     registry = SpeakerRegistry()
-    try:
-        for entry in payload["entries"]:
-            ivec = None
-            if "ivector" in entry:
-                ivec = IVector(w=_dec_vec(entry["ivector"]))
-            registry.add(
-                RegistryEntry(
-                    speaker_id=str(entry["speaker_id"]),
-                    cluster_id=str(entry["cluster_id"]),
-                    model=_speaker_from_payload(entry["model"]),
-                    ivector=ivec,
-                    language_tag=str(entry.get("language_tag", "")),
-                    is_impostor=bool(entry.get("is_impostor", False)),
-                )
+    for entry in payload["entries"]:
+        ivec = None
+        if "ivector" in entry:
+            ivec = IVector(w=_dec_vec(entry["ivector"]))
+        registry.add(
+            RegistryEntry(
+                speaker_id=str(entry["speaker_id"]),
+                cluster_id=str(entry["cluster_id"]),
+                model=_speaker_from_payload(entry["model"]),
+                ivector=ivec,
+                language_tag=str(entry.get("language_tag", "")),
+                is_impostor=bool(entry.get("is_impostor", False)),
             )
-    except (KeyError, TypeError, Exception) as exc:
-        if isinstance(exc, CorruptArtifact):
-            raise
-        raise CorruptArtifact(f"invalid registry payload: {exc}") from exc
+        )
     return registry
 
 
@@ -233,29 +218,26 @@ def _report_payload(report: EvalReport) -> dict:
 
 
 def _report_from_payload(payload) -> EvalReport:
-    try:
-        trials = [
-            TrialResult(
-                trial_id=str(t["trial_id"]),
-                true_speaker_id=t.get("true_speaker_id"),
-                ranked=[
-                    (str(sid), float(raw), float(norm), bool(accepted))
-                    for sid, raw, norm, accepted in t["ranked"]
-                ],
-            )
-            for t in payload["per_trial"]
-        ]
-        return EvalReport(
-            per_trial=trials,
-            threshold=float(payload["threshold"]),
-            mode=str(payload["mode"]),
-            false_accepts=int(payload["false_accepts"]),
-            false_rejects=int(payload["false_rejects"]),
-            eer=float(payload["eer"]),
-            top1_accuracy=float(payload["top1_accuracy"]),
+    trials = [
+        TrialResult(
+            trial_id=str(t["trial_id"]),
+            true_speaker_id=t.get("true_speaker_id"),
+            ranked=[
+                (str(sid), float(raw), float(norm), bool(accepted))
+                for sid, raw, norm, accepted in t["ranked"]
+            ],
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptArtifact(f"invalid report payload: {exc}") from exc
+        for t in payload["per_trial"]
+    ]
+    return EvalReport(
+        per_trial=trials,
+        threshold=float(payload["threshold"]),
+        mode=str(payload["mode"]),
+        false_accepts=int(payload["false_accepts"]),
+        false_rejects=int(payload["false_rejects"]),
+        eer=float(payload["eer"]),
+        top1_accuracy=float(payload["top1_accuracy"]),
+    )
 
 
 _ENCODERS = {
@@ -295,34 +277,53 @@ def save(obj, kind: str, path):
     _atomic_write(path, text.encode("utf-8"))
 
 
-def load(path, expected_kind: str):
-    """Load, version-check and invariant-check an artifact."""
-    if expected_kind not in KINDS:
-        raise WrongKind(f"unknown artifact kind {expected_kind!r}")
-    if expected_kind == "features":
-        return read_features(path)
+def _read_artifact(path):
+    """The kind a file holds, and its body: the bytes of a VOXF1 feature
+    file, or else the parsed JSON envelope."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    if raw.startswith(_MAGIC):
+        return "features", raw
     try:
         document = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptArtifact(f"{path} is not a JSON artifact: {exc}") from exc
     if not isinstance(document, dict) or "kind" not in document:
         raise CorruptArtifact(f"{path} lacks an artifact envelope")
-    if document["kind"] != expected_kind:
-        raise WrongKind(
-            f"{path} holds {document['kind']!r}, expected {expected_kind!r}"
-        )
-    if document.get("format_version") != FORMAT_VERSION:
-        raise UnsupportedVersion(
-            f"format_version {document.get('format_version')!r} unsupported"
-        )
+    return document["kind"], document
+
+
+def _decode(path, kind: str, body):
+    if kind == "features":
+        decoder, payload = _features_from_bytes, body
+    else:
+        if body.get("format_version") != FORMAT_VERSION:
+            raise UnsupportedVersion(
+                f"format_version {body.get('format_version')!r} unsupported"
+            )
+        decoder, payload = _DECODERS[kind], body.get("payload", {})
     try:
-        return _DECODERS[expected_kind](document.get("payload", {}))
-    except CorruptArtifact:
-        raise
+        return decoder(payload)
     except Exception as exc:
-        raise CorruptArtifact(f"{path}: invariant violation on load: {exc}") from exc
+        raise CorruptArtifact(f"{path}: invalid {kind} artifact: {exc}") from exc
+
+
+def load(path, expected_kind: str):
+    """Load, version-check and invariant-check an artifact."""
+    if expected_kind not in KINDS:
+        raise WrongKind(f"unknown artifact kind {expected_kind!r}")
+    kind, body = _read_artifact(path)
+    if kind != expected_kind:
+        raise WrongKind(f"{path} holds {kind!r}, expected {expected_kind!r}")
+    return _decode(path, kind, body)
+
+
+def load_any(path) -> tuple[str, object]:
+    """Load an artifact of whatever kind the file holds; returns (kind, artifact)."""
+    kind, body = _read_artifact(path)
+    if kind not in KINDS:
+        raise WrongKind(f"{path} holds unknown kind {kind!r}")
+    return kind, _decode(path, kind, body)

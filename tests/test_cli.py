@@ -197,6 +197,21 @@ class TestEvaluate:
         assert run("evaluate", config, "--output-prefix", tmp_path / "r") == EXIT_USAGE
 
 
+@pytest.mark.parametrize("line", ["relevance 16", "bogus = 1", "relevance = lots"],
+                         ids=["no-equals", "unknown-key", "bad-number"])
+@pytest.mark.parametrize("command", ["--config", "evaluate"])
+def test_bad_config_line(tmp_path, capsys, command, line):
+    config = tmp_path / "bad.conf"
+    config.write_text(f"# comment\n\n{line}\n")
+    if command == "--config":
+        argv = ("--config", config, "train-ubm", tmp_path / "none.feat", "--output",
+                tmp_path / "ubm.json")
+    else:
+        argv = ("evaluate", config, "--output-prefix", tmp_path / "r")
+    assert run(*argv) == EXIT_USAGE
+    assert f"{config}:3:" in capsys.readouterr().err
+
+
 def test_usage_error_on_unknown_command():
     assert run("frobnicate") == EXIT_USAGE
 
@@ -205,3 +220,21 @@ def test_inspect_unknown_file(tmp_path):
     junk = tmp_path / "junk"
     junk.write_bytes(b"not an artifact")
     assert run("inspect", junk) == EXIT_DATA
+
+
+def test_inspect_names_missing_registry_field(workspace, capsys):
+    import json
+
+    _, _, _, registry = workspace
+    document = json.loads(registry.read_text())
+    del document["payload"]["entries"][1]["cluster_id"]
+    registry.write_text(json.dumps(document))
+    assert run("inspect", registry) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "CorruptArtifact" in err and "cluster_id" in err
+
+
+def test_train_ubm_on_non_finite_features(tmp_path):
+    feat = tmp_path / "nan.feat"
+    feat.write_bytes(b"VOXF1" + struct.pack("<II4f", 2, 2, 1.0, float("nan"), 2.0, 3.0))
+    assert run("train-ubm", feat, "--output", tmp_path / "ubm.json") == EXIT_DATA

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,8 @@ from voxid.gmm import DiagonalGmm
 from voxid.scoring import DecisionPolicy
 from voxid.speaker_models import SpeakerModel, Ubm
 from voxid.total_variability import IVector
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def brute_force_eer(targets, nontargets):
@@ -221,6 +225,23 @@ class TestExperiment:
         )
         assert cfg.mode == "cosine" and cfg.seed == 3
         assert cfg.thresholds == (0.5, 0.7)
+
+        common = dict(
+            seed=0, num_true_speakers=12, num_impostors=3, num_clusters=3,
+            feature_dim=8, ubm_components=16, ubm_frames=8000, enroll_frames=3000,
+            test_frames=1000, speaker_spread=1.0,
+        )
+        expected = {
+            "stage1": ExperimentConfig(mode="llr", relevance=16.0, thresholds=(1.0, 1.5),
+                                       **common),
+            "stage2": ExperimentConfig(mode="cosine", thresholds=(0.5,), tv_rank=8,
+                                       tv_iterations=5, tv_chunk_frames=300,
+                                       cosine_target_true=4, cosine_target_impostors=3,
+                                       **common),
+        }
+        for stage, config in expected.items():
+            path = DEMOS / f"experiment-{stage}.conf"
+            assert parse_experiment_config(path.read_text()) == config
 
     def test_malformed_config(self):
         with pytest.raises(InvalidExperimentConfig):

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -181,3 +182,31 @@ def test_truncated_features(tmp_path):
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(CorruptArtifact):
         store.load(path, "features")
+
+
+def test_non_finite_features(tmp_path):
+    path = tmp_path / "nan.feat"
+    store.save(FeatureMatrix(np.ones((2, 2))), "features", path)
+    data = bytearray(path.read_bytes())
+    data[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptArtifact):
+        store.load(path, "features")
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    rng = np.random.default_rng(24)
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(IoFailure):
+        store.save(random_gmm(rng), "gmm", tmp_path / "taken")
+    assert not list(tmp_path.glob(".voxid-*"))
+
+
+def test_short_writes_are_completed(tmp_path, monkeypatch):
+    rng = np.random.default_rng(25)
+    gmm = random_gmm(rng)
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, bytes(data[:7])))
+    store.save(gmm, "gmm", tmp_path / "g.json")
+    monkeypatch.undo()
+    assert_equal_artifact("gmm", gmm, store.load(tmp_path / "g.json", "gmm"))
