@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -31,7 +32,7 @@ from .evaluation import (
     summarize,
 )
 from .experiment import EXPERIMENT_KEYS, ExperimentConfig, read_settings, run_experiment
-from .features import MfccConfig, extract_mfcc
+from .features import FeatureMatrix, MfccConfig, extract_mfcc
 from .gmm import GmmTrainingConfig, em_fit_detailed
 from .scoring import DecisionPolicy
 from .speaker_models import DEFAULT_RELEVANCE, Ubm, accumulate_stats, map_adapt
@@ -45,6 +46,13 @@ EXIT_USAGE = 64
 
 # --- flat key = value config files -------------------------------------------
 
+def _flag(value: str) -> bool:
+    word = value.lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {value!r}")
+    return word in ("1", "true", "yes", "on")
+
+
 _CONFIG_KEYS = {
     "pre_emphasis_alpha": float,
     "frame_length_ms": float,
@@ -52,7 +60,7 @@ _CONFIG_KEYS = {
     "dft_size": int,
     "num_mel_filters": int,
     "num_cepstra": int,
-    "apply_cmvn": lambda v: v.lower() in ("1", "true", "yes", "on"),
+    "apply_cmvn": _flag,
     "num_components": int,
     "max_iterations": int,
     "convergence_tol": float,
@@ -149,8 +157,6 @@ def cmd_features(args, settings):
 
 
 def _derive_output(path, out_dir, suffix):
-    import os
-
     stem = os.path.splitext(os.path.basename(path))[0]
     directory = out_dir or os.path.dirname(path) or "."
     return os.path.join(directory, stem + suffix)
@@ -162,8 +168,6 @@ def cmd_train_ubm(args, settings):
     config = _config_from(GmmTrainingConfig, settings, rng_seed=args.seed)
     mats = [store.load(p, "features") for p in args.inputs]
     pooled = np.vstack([fm.frames for fm in mats])
-    from .features import FeatureMatrix
-
     gmm, history = em_fit_detailed(FeatureMatrix(pooled), config)
     for i, ll in enumerate(history):
         print(f"iteration {i}: log-likelihood {ll:.6f}")
@@ -179,9 +183,6 @@ def cmd_enroll(args, settings):
     stats = accumulate_stats(feats, ubm)
     relevance = settings.get("relevance", DEFAULT_RELEVANCE)
     model = map_adapt(stats, ubm, relevance=relevance, speaker_id=args.speaker_id)
-
-    import os
-
     if os.path.exists(args.registry):
         registry = store.load(args.registry, "registry")
     else:

@@ -17,13 +17,13 @@ from .errors import (
     ModeMismatch,
 )
 from .features import FeatureMatrix
+from .gmm import sequence_log_likelihood
 from .scoring import (
     CohortStats,
     DecisionPolicy,
     cohort_from_scores,
     cosine_score,
     decide,
-    llr_score,
     normalize_score,
 )
 from .speaker_models import SpeakerModel, Ubm
@@ -103,8 +103,10 @@ def identify(trial: Trial, registry: SpeakerRegistry, policy: DecisionPolicy,
     if policy.mode == "llr-normalized":
         if trial.test_features is None or ubm is None:
             raise ModeMismatch("LLR mode needs test features and a UBM")
+        # llr_score per entry, with the UBM term computed once per trial
+        ubm_ll = sequence_log_likelihood(trial.test_features, ubm.gmm)
         raw = [
-            (e.speaker_id, llr_score(trial.test_features, e.model, ubm))
+            (e.speaker_id, sequence_log_likelihood(trial.test_features, e.model.gmm) - ubm_ll)
             for e in registry.entries
         ]
         stats = cohort if cohort is not None else cohort_from_scores(
@@ -133,13 +135,15 @@ def identify(trial: Trial, registry: SpeakerRegistry, policy: DecisionPolicy,
 
 
 def _error_rates(target, nontarget):
-    targets = np.asarray(list(target), dtype=np.float64)
-    nontargets = np.asarray(list(nontarget), dtype=np.float64)
+    targets = np.sort(np.asarray(list(target), dtype=np.float64))
+    nontargets = np.sort(np.asarray(list(nontarget), dtype=np.float64))
     if targets.size == 0 or nontargets.size == 0:
         raise EmptyScoreSet("need both target and nontarget scores")
     thresholds = np.unique(np.concatenate([targets, nontargets]))
-    far = np.array([(nontargets > t).mean() for t in thresholds])
-    frr = np.array([(targets <= t).mean() for t in thresholds])
+    # count / size is exactly (nontargets > t).mean() and (targets <= t).mean()
+    above = nontargets.size - np.searchsorted(nontargets, thresholds, side="right")
+    far = above / nontargets.size
+    frr = np.searchsorted(targets, thresholds, side="right") / targets.size
     return thresholds, far, frr
 
 

@@ -31,6 +31,14 @@ from .speaker_models import accumulate_stats, map_adapt, train_ubm
 from .total_variability import extract_ivector, init_tv, train_tv
 
 
+# Smallest allowed value of each count, size and rank.
+_MINIMUM = dict.fromkeys(
+    ("num_impostors", "tv_iterations", "cosine_target_true", "cosine_target_impostors"), 0
+) | dict.fromkeys(("num_true_speakers", "num_clusters", "feature_dim", "ubm_components",
+                   "ubm_frames", "enroll_frames", "test_frames", "tv_rank",
+                   "tv_chunk_frames"), 1)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str = "llr"             # "llr" | "cosine"
@@ -55,10 +63,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("llr", "cosine"):
             raise InvalidExperimentConfig(f"unknown mode {self.mode!r}")
-        if self.num_true_speakers < 1 or self.num_clusters < 1:
-            raise InvalidExperimentConfig("need at least one speaker and cluster")
+        for name, low in _MINIMUM.items():
+            if getattr(self, name) < low:
+                raise InvalidExperimentConfig(f"{name} must be >= {low}")
         if not self.thresholds:
             raise InvalidExperimentConfig("need at least one threshold")
+        if not all(np.isfinite(self.thresholds)):
+            raise InvalidExperimentConfig("thresholds must be finite")
         if self.mode == "cosine":
             if self.cosine_target_true > self.num_true_speakers:
                 raise InvalidExperimentConfig("target list larger than speaker pool")

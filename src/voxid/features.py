@@ -1,4 +1,4 @@
-"""MFCC front-end: pre-emphasis, framing, Hamming window, radix-2 FFT,
+"""MFCC front-end: pre-emphasis, framing, Hamming window, FFT,
 mel filter bank, log, DCT and per-utterance mean/variance normalization.
 """
 
@@ -123,42 +123,17 @@ def hamming_window(frame) -> np.ndarray:
 
 
 def fft_radix2(x) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time FFT of a power-of-two signal."""
+    """FFT along the last axis of a power-of-two-length signal (numpy's FFT)."""
     a = np.asarray(x, dtype=np.complex128)
     n = a.shape[-1]
     if not _is_pow2(n):
         raise InvalidDftSize(f"length {n} is not a power of two")
-    if n == 1:
-        return a.copy()
-
-    # bit-reversal permutation
-    levels = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(levels):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    a = a[..., rev]
-
-    a = np.ascontiguousarray(a)
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / size)
-        blocks = a.reshape(-1, n // size, size)  # view; butterflies act in place
-        even = blocks[..., :half].copy()
-        odd = blocks[..., half:] * tw
-        blocks[..., :half] = even + odd
-        blocks[..., half:] = even - odd
-        size *= 2
-    return a
+    return np.fft.fft(a)
 
 
 def magnitude_spectrum(frame, dft_size: int) -> np.ndarray:
     """One-sided magnitude spectrum (dft_size/2 + 1 bins) of a zero-padded frame."""
     x = np.asarray(frame, dtype=np.float64)
-    if not _is_pow2(dft_size):
-        raise InvalidDftSize(f"dft_size {dft_size} is not a power of two")
     if x.shape[-1] > dft_size:
         raise InvalidDftSize("dft_size smaller than frame length")
     pad = dft_size - x.shape[-1]

@@ -72,16 +72,24 @@ def component_log_density(x, mean, variance) -> float:
 
 
 def frame_component_log_densities(frames: np.ndarray, gmm: DiagonalGmm) -> np.ndarray:
-    """Per-frame, per-component log densities; shape (L, l)."""
+    """Per-frame, per-component log densities; shape (L, l).
+
+    Expanded form x^2 @ (1/var)^T - 2 x @ (mu/var)^T + sum(mu^2/var), so memory
+    grows with L * l, not L * l * k. Frames and means are first shifted by the
+    mean of the means, which keeps cancellation small far from zero.
+    """
     if frames.shape[1] != gmm.dim_k:
         raise DimensionMismatch(
             f"frames have dim {frames.shape[1]}, model expects {gmm.dim_k}"
         )
-    # (L, l, k) broadcast collapsed over k
-    diff = frames[:, None, :] - gmm.means[None, :, :]
-    quad = np.sum(diff * diff / gmm.variances[None, :, :], axis=2)
-    logdet = np.sum(np.log(gmm.variances), axis=1)
-    return -0.5 * (gmm.dim_k * _LOG_2PI + logdet[None, :] + quad)
+    ref = gmm.means.mean(axis=0)
+    x, mu = frames - ref, gmm.means - ref
+    precision = 1.0 / gmm.variances
+    quad = (x * x) @ precision.T
+    quad += x @ (-2.0 * mu * precision).T
+    quad += gmm.dim_k * _LOG_2PI + np.sum(np.log(gmm.variances) + mu * mu * precision, axis=1)
+    quad *= -0.5
+    return quad
 
 
 def mixture_log_likelihood(x, gmm: DiagonalGmm) -> float:
@@ -129,9 +137,14 @@ def _kmeans_pp(frames: np.ndarray, n_clusters: int, rng: np.random.Generator):
             centers[c] = frames[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, np.sum((frames - centers[c]) ** 2, axis=1))
 
+    # Lloyd distances ||c||^2 - 2 x.c about the frames' mean; ||x||^2 leaves the argmin.
+    ref = frames.mean(axis=0)
+    shifted = frames - ref
     labels = np.zeros(n, dtype=np.intp)
     for _ in range(25):
-        dists = np.sum((frames[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        centred = centers - ref
+        dists = shifted @ (-2.0 * centred).T
+        dists += np.sum(centred * centred, axis=1)
         new_labels = np.argmin(dists, axis=1)
         if np.array_equal(new_labels, labels) and _ > 0:
             break
@@ -145,21 +158,16 @@ def _kmeans_pp(frames: np.ndarray, n_clusters: int, rng: np.random.Generator):
 
 def _initial_model(frames: np.ndarray, config: GmmTrainingConfig) -> DiagonalGmm:
     rng = np.random.default_rng(config.rng_seed)
-    n, k = frames.shape
+    n = frames.shape[0]
     labels, centers = _kmeans_pp(frames, config.num_components, rng)
     global_var = np.maximum(frames.var(axis=0), config.variance_floor)
 
-    weights = np.empty(config.num_components)
-    variances = np.empty((config.num_components, k))
-    for c in range(config.num_components):
-        mask = labels == c
-        count = int(mask.sum())
-        weights[c] = max(count, 1) / n
-        if count >= 2:
-            variances[c] = np.maximum(frames[mask].var(axis=0), config.variance_floor)
-        else:
-            variances[c] = global_var
+    counts = np.bincount(labels, minlength=config.num_components)
+    weights = np.maximum(counts, 1) / n
     weights /= weights.sum()
+    variances = np.tile(global_var, (config.num_components, 1))
+    for c in np.flatnonzero(counts >= 2):
+        variances[c] = np.maximum(frames[labels == c].var(axis=0), config.variance_floor)
     return DiagonalGmm(weights=weights, means=centers, variances=variances)
 
 

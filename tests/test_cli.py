@@ -1,8 +1,10 @@
 import struct
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
+from voxid import store
 from voxid.cli import EXIT_DATA, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 
 
@@ -197,8 +199,9 @@ class TestEvaluate:
         assert run("evaluate", config, "--output-prefix", tmp_path / "r") == EXIT_USAGE
 
 
-@pytest.mark.parametrize("line", ["relevance 16", "bogus = 1", "relevance = lots"],
-                         ids=["no-equals", "unknown-key", "bad-number"])
+@pytest.mark.parametrize("line", ["relevance 16", "bogus = 1", "relevance = lots",
+                                  "apply_cmvn = ture"],
+                         ids=["no-equals", "unknown-key", "bad-number", "bad-flag"])
 @pytest.mark.parametrize("command", ["--config", "evaluate"])
 def test_bad_config_line(tmp_path, capsys, command, line):
     config = tmp_path / "bad.conf"
@@ -210,6 +213,36 @@ def test_bad_config_line(tmp_path, capsys, command, line):
         argv = ("evaluate", config, "--output-prefix", tmp_path / "r")
     assert run(*argv) == EXIT_USAGE
     assert f"{config}:3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("word, normalised", [("on", True), ("Yes", True), ("1", True),
+                                              ("OFF", False), ("no", False), ("0", False)])
+def test_apply_cmvn_words(tmp_path, make_clip_wav, word, normalised):
+    wav = make_clip_wav("a.wav", seconds=1.0)
+    config = tmp_path / "c.conf"
+    config.write_text(f"apply_cmvn = {word}\n")
+    assert run("--config", config, "features", wav, "--out-dir", tmp_path) == EXIT_OK
+    means = store.load(tmp_path / "a.feat", "features").frames.mean(axis=0)
+    assert bool(np.all(np.abs(means) < 1e-6)) == normalised
+
+
+@pytest.mark.parametrize("line, name", [
+    ("num_impostors = -1", "num_impostors"),
+    ("ubm_frames = 0", "ubm_frames"),
+    ("thresholds = nan", "thresholds"),
+    ("thresholds = 0.5, inf", "thresholds"),
+    ("feature_dim = 0", "feature_dim"),
+    ("ubm_components = 0", "ubm_components"),
+    ("tv_rank = 0", "tv_rank"),
+    ("tv_iterations = -2", "tv_iterations"),
+    ("cosine_target_impostors = -1", "cosine_target_impostors"),
+])
+def test_evaluate_rejects_bad_counts_and_sizes(tmp_path, capsys, line, name):
+    config = tmp_path / "bad.conf"
+    config.write_text(f"ubm_frames = 200\nenroll_frames = 100\ntest_frames = 50\n{line}\n")
+    assert run("evaluate", config, "--output-prefix", tmp_path / "r") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "InvalidExperimentConfig" in err and name in err
 
 
 def test_usage_error_on_unknown_command():

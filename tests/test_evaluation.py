@@ -73,6 +73,15 @@ class TestEer:
                 targets, nontargets
             )
 
+    def test_matches_brute_force_with_ties(self):
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            targets = np.round(rng.normal(1, 1, int(rng.integers(1, 50))))
+            nontargets = np.round(rng.normal(0, 1, int(rng.integers(1, 50))))
+            assert compute_eer(targets, nontargets) == brute_force_eer(
+                targets, nontargets
+            )
+
     def test_empty_scores(self):
         with pytest.raises(EmptyScoreSet):
             compute_eer([], [1.0])

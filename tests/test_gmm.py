@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,11 @@ from voxid.features import FeatureMatrix
 from voxid.gmm import (
     DiagonalGmm,
     GmmTrainingConfig,
+    _kmeans_pp,
     component_log_density,
     em_fit,
     em_fit_detailed,
+    frame_component_log_densities,
     mixture_log_likelihood,
     responsibilities,
     sequence_log_likelihood,
@@ -32,6 +36,14 @@ def naive_mixture_ll(x, gmm):
         logd = component_log_density(x, mu, var)
         total += np.longdouble(w) * np.exp(np.longdouble(logd))
     return float(np.log(total))
+
+
+def difference_form(frames, gmm):
+    """(L, l, k) broadcast of the per-frame, per-component log densities."""
+    diff = frames[:, None, :] - gmm.means[None, :, :]
+    quad = np.sum(diff * diff / gmm.variances[None, :, :], axis=2)
+    logdet = np.sum(np.log(gmm.variances), axis=1)
+    return -0.5 * (gmm.dim_k * np.log(2.0 * np.pi) + logdet[None, :] + quad)
 
 
 class TestDensities:
@@ -207,3 +219,45 @@ def test_gmm_invariant_gates():
         DiagonalGmm(weights=[0.6, 0.6], means=[[0.0], [1.0]], variances=[[1.0], [1.0]])
     with pytest.raises(DimensionMismatch):
         DiagonalGmm(weights=[1.0], means=[[0.0]], variances=[[0.0]])
+
+
+class TestExpandedKernel:
+    @pytest.mark.parametrize("offset", [0.0, 100.0, 1000.0])
+    def test_matches_difference_form(self, offset):
+        rng = np.random.default_rng(31)
+        weights = rng.uniform(0.1, 1.0, 64)
+        gmm = DiagonalGmm(weights=weights / weights.sum(),
+                          means=offset + rng.normal(0, 2, (64, 20)),
+                          variances=rng.uniform(0.5, 1.5, (64, 20)))
+        frames = offset + rng.normal(0, 3, (500, 20))
+        error = np.abs(frame_component_log_densities(frames, gmm)
+                       - difference_form(frames, gmm))
+        assert error.max() < 1e-9
+
+    def test_memory_grows_with_frames_times_components(self):
+        frames_l, components, dim = 20_000, 64, 39
+        rng = np.random.default_rng(32)
+        gmm = DiagonalGmm(weights=np.full(components, 1.0 / components),
+                          means=rng.normal(0, 1, (components, dim)),
+                          variances=rng.uniform(0.5, 1.5, (components, dim)))
+        frames = rng.normal(0, 1, (frames_l, dim))
+        tracemalloc.start()
+        try:
+            frame_component_log_densities(frames, gmm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the (L, l, k) broadcast alone needs L * l * k * 8 bytes
+        assert peak < 4 * frames_l * components * 8
+
+    def test_kmeans_labels_match_difference_form(self):
+        rng = np.random.default_rng(33)
+        centers = rng.normal(0, 20, (6, 5)) + 500.0
+        planted = rng.integers(0, 6, 3000)
+        frames = centers[planted] + rng.standard_normal((3000, 5))
+        labels, found = _kmeans_pp(frames, 6, np.random.default_rng(0))
+        dists = np.sum((frames[:, None, :] - found[None, :, :]) ** 2, axis=2)
+        assert np.array_equal(labels, np.argmin(dists, axis=1))
+        # one found cluster per planted one
+        pairs = set(zip(planted.tolist(), labels.tolist()))
+        assert len(pairs) == len({p for p, _ in pairs}) == len({lab for _, lab in pairs}) == 6
