@@ -31,9 +31,10 @@ from .speaker_models import accumulate_stats, map_adapt, train_ubm
 from .total_variability import extract_ivector, init_tv, train_tv
 
 
-# Smallest allowed value of each count, size and rank.
+# Smallest allowed value of each count, size, rank and scale; all must be finite.
 _MINIMUM = dict.fromkeys(
-    ("num_impostors", "tv_iterations", "cosine_target_true", "cosine_target_impostors"), 0
+    ("num_impostors", "tv_iterations", "cosine_target_true", "cosine_target_impostors",
+     "speaker_spread", "relevance"), 0
 ) | dict.fromkeys(("num_true_speakers", "num_clusters", "feature_dim", "ubm_components",
                    "ubm_frames", "enroll_frames", "test_frames", "tv_rank",
                    "tv_chunk_frames"), 1)
@@ -64,8 +65,8 @@ class ExperimentConfig:
         if self.mode not in ("llr", "cosine"):
             raise InvalidExperimentConfig(f"unknown mode {self.mode!r}")
         for name, low in _MINIMUM.items():
-            if getattr(self, name) < low:
-                raise InvalidExperimentConfig(f"{name} must be >= {low}")
+            if not low <= getattr(self, name) < np.inf:
+                raise InvalidExperimentConfig(f"{name} must be finite and >= {low}")
         if not self.thresholds:
             raise InvalidExperimentConfig("need at least one threshold")
         if not all(np.isfinite(self.thresholds)):

@@ -28,6 +28,8 @@ class DiagonalGmm:
         var = np.asarray(self.variances, dtype=np.float64)
         if mu.ndim != 2 or var.shape != mu.shape or w.shape != (mu.shape[0],):
             raise DimensionMismatch("inconsistent GMM parameter shapes")
+        if not all(np.isfinite(a).all() for a in (w, mu, var)):
+            raise DimensionMismatch("GMM parameters must be finite")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL or np.any(w <= 0.0):
             raise DimensionMismatch("weights must be positive and sum to 1")
         if np.any(var <= 0.0):

@@ -96,8 +96,8 @@ def map_adapt(stats: BaumWelchStats, ubm: Ubm, relevance: float = DEFAULT_RELEVA
     interpolates between the data mean F/N and the UBM mean. Components
     with no data keep the UBM mean.
     """
-    if relevance < 0.0:
-        raise NegativeRelevance(f"relevance {relevance} < 0")
+    if not relevance >= 0.0:
+        raise NegativeRelevance(f"relevance {relevance} is not >= 0")
     gmm = ubm.gmm
     if stats.first.shape != gmm.means.shape:
         raise DimensionMismatch("stats not dimensioned against this UBM")

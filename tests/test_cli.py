@@ -86,6 +86,17 @@ class TestEnroll:
                    "--ubm", ubm, feats[0])
         assert code == EXIT_DOMAIN
 
+    def test_nan_relevance_enrolls_nobody(self, workspace, capsys):
+        tmp, feats, ubm, registry = workspace
+        before = registry.read_bytes()
+        config = tmp / "nan.conf"
+        config.write_text("relevance = nan\n")
+        code = run("--config", config, "enroll", "--speaker-id", "spk9", "--registry",
+                   registry, "--ubm", ubm, feats[0])
+        assert code == EXIT_DOMAIN
+        assert "NegativeRelevance" in capsys.readouterr().err
+        assert registry.read_bytes() == before
+
     def test_listed_after_enroll(self, workspace, capsys):
         _, _, _, registry = workspace
         assert run("inspect", registry) == EXIT_OK
@@ -236,6 +247,11 @@ def test_apply_cmvn_words(tmp_path, make_clip_wav, word, normalised):
     ("tv_rank = 0", "tv_rank"),
     ("tv_iterations = -2", "tv_iterations"),
     ("cosine_target_impostors = -1", "cosine_target_impostors"),
+    ("speaker_spread = -1", "speaker_spread"),
+    ("speaker_spread = nan", "speaker_spread"),
+    ("relevance = -1", "relevance"),
+    ("relevance = nan", "relevance"),
+    ("relevance = inf", "relevance"),
 ])
 def test_evaluate_rejects_bad_counts_and_sizes(tmp_path, capsys, line, name):
     config = tmp_path / "bad.conf"

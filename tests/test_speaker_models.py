@@ -151,6 +151,11 @@ class TestMapAdapt:
         with pytest.raises(NegativeRelevance):
             map_adapt(stats, ubm, relevance=-1.0)
 
+    def test_nan_relevance(self):
+        stats = BaumWelchStats(np.ones(2), np.ones((2, 2)))
+        with pytest.raises(NegativeRelevance):
+            map_adapt(stats, simple_ubm(), relevance=float("nan"))
+
     def test_wrong_shape(self):
         ubm = simple_ubm()
         with pytest.raises(DimensionMismatch):

@@ -194,6 +194,22 @@ def test_non_finite_features(tmp_path):
         store.load(path, "features")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("kind, field", [
+    ("ubm", "weights"), ("ubm", "means"), ("ubm", "variances"),
+    ("tv_model", "m"), ("tv_model", "sigma"),
+])
+def test_non_finite_model_parameters(kind, field, value, tmp_path):
+    path = tmp_path / "model.json"
+    store.save(random_artifact(kind, np.random.default_rng(25)), kind, path)
+    document = json.loads(path.read_text())
+    values = document["payload"][field]
+    (values[0] if isinstance(values[0], list) else values)[0] = value
+    path.write_text(json.dumps(document))
+    with pytest.raises(CorruptArtifact):
+        store.load(path, kind)
+
+
 def test_failed_write_leaves_no_temp_file(tmp_path):
     rng = np.random.default_rng(24)
     (tmp_path / "taken").mkdir()

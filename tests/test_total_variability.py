@@ -1,7 +1,9 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
-from voxid.errors import DimensionMismatch, RankTooLarge
+from voxid.errors import DimensionMismatch, NumericalFailure, RankTooLarge
 from voxid.gmm import DiagonalGmm
 from voxid.speaker_models import BaumWelchStats, Ubm, build_supervector
 from voxid.total_variability import (
@@ -46,6 +48,18 @@ class TestInit:
         ubm = make_ubm()
         tv = init_tv(ubm, 2)
         assert np.array_equal(tv.m, build_supervector(ubm).values)
+
+
+def test_precision_blocks_are_derived():
+    tv = init_tv(make_ubm(components=4, dim=3, seed=14), 2, rng_seed=15)
+    for c in range(4):
+        t_c = tv.t_matrix[3 * c:3 * (c + 1)]
+        dense = t_c.T @ np.diag(1.0 / tv.sigma[3 * c:3 * (c + 1)]) @ t_c
+        assert np.max(np.abs(tv.precision_blocks[c] - dense)) < 1e-12
+    with pytest.raises(FrozenInstanceError):
+        tv.precision_blocks = np.zeros((4, 2, 2))
+    with pytest.raises(ValueError):
+        tv.precision_blocks[0, 0, 0] = 1.0
 
 
 class TestExtraction:
@@ -204,3 +218,37 @@ class TestTraining:
         a = train_tv(stats_set, tv, iterations=3)
         b = train_tv(stats_set, tv, iterations=3)
         assert np.array_equal(a.t_matrix, b.t_matrix)
+
+    def test_dead_component_fails_m_step(self):
+        ubm = make_ubm(components=4, dim=3, seed=26)
+        rng = np.random.default_rng(27)
+        counts = rng.uniform(1, 10, (5, 4))
+        counts[:, 2] = 0.0  # component 2 sees no frame in any utterance
+        stats_set = [BaumWelchStats(n, rng.normal(0, 1, (4, 3)) * n[:, None]) for n in counts]
+        with pytest.raises(NumericalFailure):
+            train_tv(stats_set, init_tv(ubm, 2, rng_seed=28), iterations=1)
+
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_dense_em_oracle(self, iterations):
+        c, k, r = 6, 4, 3
+        ubm = make_ubm(components=c, dim=k, seed=30)
+        rng = np.random.default_rng(31)
+        counts = rng.uniform(0.5, 20, (8, c))
+        stats_set = [BaumWelchStats(n, rng.normal(0, 2, (c, k)) * n[:, None]) for n in counts]
+        tv = init_tv(ubm, r, rng_seed=32)
+        # reference EM: dense posterior per utterance, per-component dense solve
+        t = tv.t_matrix
+        for _ in range(iterations):
+            a = np.zeros((c, r, r))
+            b = np.zeros((c * k, r))
+            for stats in stats_set:
+                n_exp = np.repeat(stats.zeroth, k)
+                f_centered = stats.first.reshape(-1) - n_exp * tv.m
+                cov = np.linalg.inv(np.eye(r) + t.T @ np.diag(n_exp / tv.sigma) @ t)
+                w = cov @ t.T @ (f_centered / tv.sigma)
+                a += stats.zeroth[:, None, None] * (cov + np.outer(w, w))
+                b += np.outer(f_centered, w)
+            t = np.vstack([np.linalg.solve(a[j], b[j * k:(j + 1) * k].T).T
+                           for j in range(c)])
+        trained = train_tv(stats_set, tv, iterations=iterations)
+        assert np.max(np.abs(trained.t_matrix - t)) < 1e-10 * np.max(np.abs(t))
