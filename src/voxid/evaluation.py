@@ -11,18 +11,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     DuplicateSpeakerId,
     EmptyRegistry,
     EmptyScoreSet,
     ModeMismatch,
+    ZeroVector,
 )
 from .features import FeatureMatrix
-from .gmm import sequence_log_likelihood
+from .gmm import sequence_log_likelihoods
 from .scoring import (
     CohortStats,
     DecisionPolicy,
     cohort_from_scores,
-    cosine_score,
     decide,
     normalize_score,
 )
@@ -103,28 +104,29 @@ def identify(trial: Trial, registry: SpeakerRegistry, policy: DecisionPolicy,
     if policy.mode == "llr-normalized":
         if trial.test_features is None or ubm is None:
             raise ModeMismatch("LLR mode needs test features and a UBM")
-        # llr_score per entry, with the UBM term computed once per trial
-        ubm_ll = sequence_log_likelihood(trial.test_features, ubm.gmm)
-        raw = [
-            (e.speaker_id, sequence_log_likelihood(trial.test_features, e.model.gmm) - ubm_ll)
-            for e in registry.entries
-        ]
-        stats = cohort if cohort is not None else cohort_from_scores(
-            [score for _, score in raw]
+        # llr_score per entry: the UBM and every speaker model in one stacked pass
+        ll = sequence_log_likelihoods(
+            trial.test_features, [ubm.gmm, *(e.model.gmm for e in registry.entries)]
         )
-        scored = [
-            (sid, score, normalize_score(score, stats)) for sid, score in raw
-        ]
+        raw = (ll[1:] - ll[0]).tolist()
+        stats = cohort if cohort is not None else cohort_from_scores(raw)
+        decision = [normalize_score(score, stats) for score in raw]
     else:
         if trial.test_ivector is None:
             raise ModeMismatch("cosine mode needs a test i-vector")
         if any(e.ivector is None for e in registry.entries):
             raise ModeMismatch("registry entries lack i-vectors")
-        scored = []
-        for e in registry.entries:
-            score = cosine_score(e.ivector, trial.test_ivector)
-            scored.append((e.speaker_id, score, score))
-
+        # cosine_score against every entry at once
+        test = trial.test_ivector.w
+        if any(e.ivector.w.shape != test.shape for e in registry.entries):
+            raise DimensionMismatch("i-vector lengths differ")
+        targets = np.stack([e.ivector.w for e in registry.entries])
+        norms, test_norm = np.linalg.norm(targets, axis=1), np.linalg.norm(test)
+        if test_norm == 0.0 or np.any(norms == 0.0):
+            raise ZeroVector("cosine undefined for a zero vector")
+        raw = decision = np.clip(targets @ test / (norms * test_norm), -1.0, 1.0).tolist()
+    scored = [(e.speaker_id, score, norm_s)
+              for e, score, norm_s in zip(registry.entries, raw, decision)]
     scored.sort(key=lambda item: (-item[2], item[0]))
     ranked = [
         (sid, raw_s, norm_s, decide(norm_s, policy)) for sid, raw_s, norm_s in scored

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.sparse import csr_array
 
 from .errors import DimensionMismatch, EmptyFeatureMatrix, TooFewFrames
 from .features import FeatureMatrix
@@ -14,6 +14,8 @@ _LOG_2PI = np.log(2.0 * np.pi)
 
 WEIGHT_SUM_TOL = 1e-12
 DEGENERATE_MASS = 1e-8
+# Bounds sequence_log_likelihoods' buffer at L * STACK_COMPONENTS doubles.
+STACK_COMPONENTS = 2048
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,9 @@ class GmmTrainingConfig:
     def __post_init__(self):
         if self.num_components < 1:
             raise ValueError("num_components must be >= 1")
-        if self.convergence_tol <= 0.0 or self.variance_floor <= 0.0:
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if not (self.convergence_tol > 0.0 and self.variance_floor > 0.0):
             raise ValueError("convergence_tol and variance_floor must be positive")
 
 
@@ -73,43 +77,100 @@ def component_log_density(x, mean, variance) -> float:
     return float(-0.5 * np.sum(_LOG_2PI + np.log(variance) + diff * diff / variance))
 
 
-def frame_component_log_densities(frames: np.ndarray, gmm: DiagonalGmm) -> np.ndarray:
-    """Per-frame, per-component log densities; shape (L, l).
-
-    Expanded form x^2 @ (1/var)^T - 2 x @ (mu/var)^T + sum(mu^2/var), so memory
-    grows with L * l, not L * l * k. Frames and means are first shifted by the
-    mean of the means, which keeps cancellation small far from zero.
+def _logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """log(sum(exp(a))) along axis, as scipy.special.logsumexp computes it: shifted
+    by the peak (by 0 where it is not finite), with the peak's own term left out
+    of the sum and added back by log1p, so the order of the other terms matters less.
     """
+    top = np.expand_dims(np.argmax(a, axis=axis), axis)
+    peak = np.take_along_axis(a, top, axis=axis)
+    shifted = a - np.where(np.isfinite(peak), peak, 0.0)
+    np.exp(shifted, out=shifted)
+    np.put_along_axis(shifted, top, 0.0, axis=axis)
+    total = np.log1p(np.sum(shifted, axis=axis, keepdims=True))
+    total += peak
+    return total if keepdims else np.squeeze(total, axis=axis)
+
+
+def _centre(means: np.ndarray) -> np.ndarray:
+    """The kernel's reference point; unlike the mean, independent of component order."""
+    return 0.5 * (means.min(axis=0) + means.max(axis=0))
+
+
+def _require_dim(frames: np.ndarray, gmm: DiagonalGmm):
     if frames.shape[1] != gmm.dim_k:
         raise DimensionMismatch(
             f"frames have dim {frames.shape[1]}, model expects {gmm.dim_k}"
         )
-    ref = gmm.means.mean(axis=0)
-    x, mu = frames - ref, gmm.means - ref
-    precision = 1.0 / gmm.variances
-    quad = (x * x) @ precision.T
-    quad += x @ (-2.0 * mu * precision).T
-    quad += gmm.dim_k * _LOG_2PI + np.sum(np.log(gmm.variances) + mu * mu * precision, axis=1)
-    quad *= -0.5
-    return quad
+
+
+def _log_densities(frames, means, variances, log_weights, ref) -> np.ndarray:
+    """log w_c + log N(x_t; mu_c, var_c) for stacked components; shape (L, l).
+
+    One GEMM of [x^2, x, 1] against [-1/(2 var), mu/var, const], so memory grows
+    with L * l, not L * l * k. Shifting frames and means by ref keeps
+    cancellation small far from zero.
+    """
+    x, mu = frames - ref, means - ref
+    precision = 1.0 / variances
+    const = log_weights - 0.5 * (
+        frames.shape[1] * _LOG_2PI + np.sum(np.log(variances) + mu * mu * precision, axis=1)
+    )
+    terms = np.hstack([x * x, x, np.ones((x.shape[0], 1))])
+    return terms @ np.hstack([-0.5 * precision, mu * precision, const[:, None]]).T
+
+
+def frame_component_log_densities(frames: np.ndarray, gmm: DiagonalGmm) -> np.ndarray:
+    """Per-frame, per-component log densities; shape (L, l)."""
+    _require_dim(frames, gmm)
+    return _log_densities(frames, gmm.means, gmm.variances, 0.0, _centre(gmm.means))
 
 
 def mixture_log_likelihood(x, gmm: DiagonalGmm) -> float:
     """log sum_i w_i N(x; mu_i, var_i), via log-sum-exp."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     logs = frame_component_log_densities(x, gmm) + np.log(gmm.weights)[None, :]
-    return float(logsumexp(logs, axis=1)[0])
+    return float(_logsumexp(logs, axis=1)[0])
 
 
-def frame_log_likelihoods(feats: FeatureMatrix, gmm: DiagonalGmm) -> np.ndarray:
-    logs = frame_component_log_densities(feats.frames, gmm)
-    return logsumexp(logs + np.log(gmm.weights)[None, :], axis=1)
+def sequence_log_likelihoods(feats: FeatureMatrix, gmms) -> np.ndarray:
+    """Sequence log-likelihood of one utterance under each mixture; shape (N,).
+
+    Scores the stacked components of all models in one kernel pass per block of
+    at most STACK_COMPONENTS components (a larger model is its own block), about
+    the first model's centre, then reduces each model's segment of the stack, so
+    the models may differ in component count. Frames are treated as independent.
+    """
+    feats.require_nonempty()
+    frames = feats.frames
+    for gmm in gmms:
+        _require_dim(frames, gmm)
+    ref = _centre(gmms[0].means)
+    sizes = np.array([gmm.num_components for gmm in gmms])
+    totals = np.empty(len(gmms))
+    start = 0
+    while start < len(gmms):
+        ends = np.cumsum(sizes[start:])
+        stop = start + max(1, int(np.searchsorted(ends, STACK_COMPONENTS, side="right")))
+        block = gmms[start:stop]
+        logs = _log_densities(frames, np.concatenate([g.means for g in block]),
+                              np.concatenate([g.variances for g in block]),
+                              np.log(np.concatenate([g.weights for g in block])), ref)
+        starts = ends[: stop - start] - sizes[start:stop]
+        shift = np.maximum.reduceat(logs, starts, axis=1)
+        shift[~np.isfinite(shift)] = 0.0
+        logs -= np.repeat(shift, sizes[start:stop], axis=1)
+        np.exp(logs, out=logs)
+        frame_ll = np.log(np.add.reduceat(logs, starts, axis=1)) + shift
+        # numpy sums pairwise only along a contiguous axis
+        totals[start:stop] = np.ascontiguousarray(frame_ll.T).sum(axis=1)
+        start = stop
+    return totals
 
 
 def sequence_log_likelihood(feats: FeatureMatrix, gmm: DiagonalGmm) -> float:
     """Sum of per-frame mixture log-likelihoods (frames treated as independent)."""
-    feats.require_nonempty()
-    return float(np.sum(frame_log_likelihoods(feats, gmm)))
+    return float(sequence_log_likelihoods(feats, [gmm])[0])
 
 
 def responsibilities(x, gmm: DiagonalGmm) -> np.ndarray:
@@ -121,8 +182,8 @@ def responsibilities(x, gmm: DiagonalGmm) -> np.ndarray:
 def frame_responsibilities(frames: np.ndarray, gmm: DiagonalGmm) -> np.ndarray:
     """Posterior matrix of shape (L, l); rows sum to 1."""
     logs = frame_component_log_densities(frames, gmm) + np.log(gmm.weights)[None, :]
-    logs -= logsumexp(logs, axis=1, keepdims=True)
-    return np.exp(logs)
+    logs -= _logsumexp(logs, axis=1, keepdims=True)
+    return np.exp(logs, out=logs)
 
 
 def _kmeans_pp(frames: np.ndarray, n_clusters: int, rng: np.random.Generator):
@@ -151,10 +212,11 @@ def _kmeans_pp(frames: np.ndarray, n_clusters: int, rng: np.random.Generator):
         if np.array_equal(new_labels, labels) and _ > 0:
             break
         labels = new_labels
-        for c in range(n_clusters):
-            mask = labels == c
-            if mask.any():
-                centers[c] = frames[mask].mean(axis=0)
+        # one-hot (cluster, frame) product: per-cluster sums in frame order
+        sums = csr_array((np.ones(n), (labels, np.arange(n))), shape=(n_clusters, n)) @ frames
+        counts = np.bincount(labels, minlength=n_clusters)
+        filled = counts > 0  # an empty cluster keeps its centre
+        centers[filled] = sums[filled] / counts[filled, None]
     return labels, centers
 
 
@@ -189,8 +251,9 @@ def em_fit_detailed(feats: FeatureMatrix, config: GmmTrainingConfig):
     for _ in range(config.max_iterations):
         logs = frame_component_log_densities(frames, model)
         logs += np.log(model.weights)[None, :]
-        frame_ll = logsumexp(logs, axis=1)
-        gamma = np.exp(logs - frame_ll[:, None])
+        frame_ll = _logsumexp(logs, axis=1)
+        logs -= frame_ll[:, None]
+        gamma = np.exp(logs, out=logs)
         ll = float(frame_ll.sum())
 
         counts = gamma.sum(axis=0)

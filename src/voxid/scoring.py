@@ -45,7 +45,6 @@ class DecisionPolicy:
 
 def llr_score(feats: FeatureMatrix, speaker: SpeakerModel, ubm: Ubm) -> float:
     """Log-likelihood of the utterance under the speaker model minus the UBM."""
-    feats.require_nonempty()
     return sequence_log_likelihood(feats, speaker.gmm) - sequence_log_likelihood(
         feats, ubm.gmm
     )

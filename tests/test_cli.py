@@ -6,6 +6,7 @@ import pytest
 
 from voxid import store
 from voxid.cli import EXIT_DATA, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
+from voxid.features import FeatureMatrix
 
 
 def run(*argv):
@@ -259,6 +260,19 @@ def test_evaluate_rejects_bad_counts_and_sizes(tmp_path, capsys, line, name):
     assert run("evaluate", config, "--output-prefix", tmp_path / "r") == EXIT_USAGE
     err = capsys.readouterr().err
     assert "InvalidExperimentConfig" in err and name in err
+
+
+@pytest.mark.parametrize("line", ["variance_floor = nan", "convergence_tol = nan",
+                                  "max_iterations = -3"])
+def test_train_ubm_rejects_bad_training_config(tmp_path, capsys, line):
+    feat = tmp_path / "a.feat"
+    store.save(FeatureMatrix(np.random.default_rng(0).normal(size=(400, 5))), "features", feat)
+    config = tmp_path / "c.conf"
+    config.write_text(f"num_components = 4\n{line}\n")
+    ubm = tmp_path / "ubm.json"
+    assert run("--config", config, "train-ubm", feat, "--output", ubm) == EXIT_USAGE
+    assert not ubm.exists()
+    assert line.split()[0] in capsys.readouterr().err
 
 
 def test_usage_error_on_unknown_command():

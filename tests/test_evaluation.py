@@ -1,14 +1,17 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from voxid.errors import (
+    DimensionMismatch,
     DuplicateSpeakerId,
     EmptyRegistry,
     EmptyScoreSet,
     InvalidExperimentConfig,
     ModeMismatch,
+    ZeroVector,
 )
 from voxid.evaluation import (
     RegistryEntry,
@@ -28,8 +31,8 @@ from voxid.experiment import (
     sample_from_gmm,
 )
 from voxid.features import FeatureMatrix
-from voxid.gmm import DiagonalGmm
-from voxid.scoring import DecisionPolicy
+from voxid.gmm import STACK_COMPONENTS, DiagonalGmm, sequence_log_likelihood
+from voxid.scoring import DecisionPolicy, cosine_score
 from voxid.speaker_models import SpeakerModel, Ubm
 from voxid.total_variability import IVector
 
@@ -183,6 +186,82 @@ class TestIdentify:
         registry = registry_of([0.0])
         with pytest.raises(DuplicateSpeakerId):
             registry.add(registry.entries[0])
+
+    def test_llr_matches_per_model_passes(self):
+        rng = np.random.default_rng(14)
+        ubm, registry = adapted_registry(rng, speakers=12, components=16, dim=6)
+        feats = FeatureMatrix(rng.normal(0, 1, (200, 6)))
+        policy = DecisionPolicy(threshold=1.0, mode="llr-normalized")
+        result = identify(Trial(trial_id="t", test_features=feats), registry, policy, ubm=ubm)
+        ubm_ll = sequence_log_likelihood(feats, ubm.gmm)
+        for sid, raw, _, _ in result.ranked:
+            expected = sequence_log_likelihood(feats, registry.get(sid).model.gmm) - ubm_ll
+            assert abs(raw - expected) <= 1e-9 * abs(ubm_ll)
+
+    def test_llr_entry_of_other_dimension(self):
+        registry = registry_of([0.0, 1.0])
+        registry.add(RegistryEntry(speaker_id="wide", cluster_id="c0", model=SpeakerModel(
+            speaker_id="wide", gmm=DiagonalGmm(weights=[1.0], means=[[0.0, 0.0]],
+                                               variances=[[1.0, 1.0]]))))
+        policy = DecisionPolicy(threshold=1.0, mode="llr-normalized")
+        with pytest.raises(DimensionMismatch):
+            identify(Trial(trial_id="t", test_features=FeatureMatrix(np.zeros((4, 1)))),
+                     registry, policy, ubm=Ubm(gmm=tiny_gmm(0.0)))
+
+    def test_llr_memory_is_bounded_by_the_stack(self):
+        frames_l, components, speakers = 2_000, 64, 200
+        rng = np.random.default_rng(15)
+        ubm, registry = adapted_registry(rng, speakers=speakers, components=components, dim=20)
+        feats = FeatureMatrix(rng.normal(0, 1, (frames_l, 20)))
+        policy = DecisionPolicy(threshold=1.0, mode="llr-normalized")
+        tracemalloc.start()
+        try:
+            identify(Trial(trial_id="t", test_features=feats), registry, policy, ubm=ubm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one (L, N * l) stack of every model would need L * 12 864 * 8 bytes
+        assert peak < 4 * frames_l * STACK_COMPONENTS * 8
+
+    def test_cosine_matches_cosine_score(self):
+        rng = np.random.default_rng(16)
+        vectors = rng.normal(0, 1, (9, 5)).tolist()
+        registry = registry_of([0.0] * 9, ivectors=vectors)
+        test = IVector(rng.normal(0, 1, 5))
+        policy = DecisionPolicy(threshold=0.2, mode="cosine")
+        result = identify(Trial(trial_id="t", test_ivector=test), registry, policy)
+        for sid, raw, norm, _ in result.ranked:
+            assert raw == norm
+            assert abs(raw - cosine_score(registry.get(sid).ivector, test)) < 1e-15
+
+    @pytest.mark.parametrize("zero", ["test", "target"])
+    def test_cosine_zero_vector(self, zero):
+        vectors = [[1.0, 0.0], [0.0, 0.0] if zero == "target" else [0.5, 0.5]]
+        registry = registry_of([0.0, 1.0], ivectors=vectors)
+        test = IVector(np.zeros(2) if zero == "test" else np.ones(2))
+        policy = DecisionPolicy(threshold=0.5, mode="cosine")
+        with pytest.raises(ZeroVector):
+            identify(Trial(trial_id="t", test_ivector=test), registry, policy)
+
+    def test_cosine_length_mismatch(self):
+        registry = registry_of([0.0, 1.0], ivectors=[[1.0, 0.0], [0.0, 1.0]])
+        policy = DecisionPolicy(threshold=0.5, mode="cosine")
+        with pytest.raises(DimensionMismatch):
+            identify(Trial(trial_id="t", test_ivector=IVector(np.ones(3))), registry, policy)
+
+
+def adapted_registry(rng, speakers, components, dim):
+    """A UBM and speakers whose means are offset from it, sharing its weights and variances."""
+    weights = rng.uniform(0.1, 1.0, components)
+    ubm = DiagonalGmm(weights=weights / weights.sum(), means=rng.normal(0, 0.5, (components, dim)),
+                      variances=rng.uniform(0.5, 1.5, (components, dim)))
+    registry = SpeakerRegistry()
+    for i in range(speakers):
+        gmm = DiagonalGmm(weights=ubm.weights, variances=ubm.variances,
+                          means=ubm.means + rng.normal(0, 0.2, ubm.means.shape))
+        registry.add(RegistryEntry(speaker_id=f"s{i:03d}", cluster_id="c0",
+                                   model=SpeakerModel(speaker_id=f"s{i:03d}", gmm=gmm)))
+    return Ubm(gmm=ubm), registry
 
 
 class TestSummarize:

@@ -2,13 +2,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+from voxid import gmm as gmm_module
 from voxid.errors import DimensionMismatch, TooFewFrames
 from voxid.features import FeatureMatrix
 from voxid.gmm import (
     DiagonalGmm,
     GmmTrainingConfig,
     _kmeans_pp,
+    _logsumexp,
     component_log_density,
     em_fit,
     em_fit_detailed,
@@ -16,6 +19,7 @@ from voxid.gmm import (
     mixture_log_likelihood,
     responsibilities,
     sequence_log_likelihood,
+    sequence_log_likelihoods,
 )
 
 
@@ -261,3 +265,110 @@ class TestExpandedKernel:
         # one found cluster per planted one
         pairs = set(zip(planted.tolist(), labels.tolist()))
         assert len(pairs) == len({p for p, _ in pairs}) == len({lab for _, lab in pairs}) == 6
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_matches_scipy(self, axis, keepdims):
+        rng = np.random.default_rng(34)
+        a = rng.normal(0, 1, (40, 30)) * 1e3
+        a[3, :5] = -np.inf      # a row holding -inf
+        a[7, :] = -np.inf       # a row of -inf only
+        a[:, 11] = a[:, 12]     # tied peaks
+        ours = _logsumexp(a, axis=axis, keepdims=keepdims)
+        oracle = logsumexp(a, axis=axis, keepdims=keepdims)
+        assert ours.shape == oracle.shape
+        finite = np.isfinite(oracle)
+        assert np.array_equal(np.isfinite(ours), finite)
+        assert np.all(ours[~finite] == oracle[~finite])
+        assert np.allclose(ours[finite], oracle[finite], rtol=1e-14, atol=0.0)
+
+    def test_leaves_input_unchanged(self):
+        a = np.random.default_rng(35).normal(0, 5, (6, 4))
+        before = a.copy()
+        _logsumexp(a, axis=1)
+        assert np.array_equal(a, before)
+
+
+def kmeans_with_loop_update(frames, n_clusters, rng):
+    """_kmeans_pp with the centre update as one masked mean per cluster."""
+    n = frames.shape[0]
+    centers = np.empty((n_clusters, frames.shape[1]))
+    centers[0] = frames[rng.integers(n)]
+    d2 = np.sum((frames - centers[0]) ** 2, axis=1)
+    for c in range(1, n_clusters):
+        total = d2.sum()
+        if total <= 0.0:
+            centers[c] = frames[rng.integers(n)]
+        else:
+            centers[c] = frames[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((frames - centers[c]) ** 2, axis=1))
+    ref = frames.mean(axis=0)
+    shifted = frames - ref
+    labels = np.zeros(n, dtype=np.intp)
+    for step in range(25):
+        centred = centers - ref
+        dists = shifted @ (-2.0 * centred).T
+        dists += np.sum(centred * centred, axis=1)
+        new_labels = np.argmin(dists, axis=1)
+        if np.array_equal(new_labels, labels) and step > 0:
+            break
+        labels = new_labels
+        for c in range(n_clusters):
+            mask = labels == c
+            if mask.any():
+                centers[c] = frames[mask].mean(axis=0)
+    return labels, centers
+
+
+def test_kmeans_update_matches_loop():
+    rng = np.random.default_rng(36)
+    base = random_gmm(rng, components=64, dim=20)
+    picks = rng.choice(64, 15_000, p=base.weights)
+    frames = base.means[picks] + rng.standard_normal((15_000, 20)) * np.sqrt(
+        base.variances[picks])
+    labels, centers = _kmeans_pp(frames, 64, np.random.default_rng(0))
+    loop_labels, loop_centers = kmeans_with_loop_update(frames, 64, np.random.default_rng(0))
+    assert np.array_equal(labels, loop_labels)
+    assert np.abs(centers - loop_centers).max() < 1e-12
+
+
+def test_kmeans_empty_cluster_keeps_centre():
+    # five distinct points, six clusters: k-means++ seeds a duplicate centre
+    # that loses every frame to its twin and must stay where it was seeded
+    frames = np.repeat(np.arange(5.0)[:, None], 10, axis=0)
+    labels, centers = _kmeans_pp(frames, 6, np.random.default_rng(0))
+    assert np.all(np.isfinite(centers))
+    assert len(np.unique(labels)) == 5
+    assert set(centers[:, 0].tolist()) == set(range(5))
+
+
+class TestSequenceLogLikelihoods:
+    @pytest.fixture
+    def mixed_models(self):
+        rng = np.random.default_rng(37)
+        return [random_gmm(rng, components=c, dim=3) for c in (4, 1, 6, 2, 6)]
+
+    @pytest.mark.parametrize("stack", [2048, 7, 1])
+    def test_matches_naive_per_component_sums(self, mixed_models, monkeypatch, stack):
+        # stack 7 splits the list into blocks; 1 gives every model its own block
+        monkeypatch.setattr(gmm_module, "STACK_COMPONENTS", stack)
+        frames = np.random.default_rng(38).normal(0, 2, (40, 3))
+        scores = sequence_log_likelihoods(FeatureMatrix(frames), mixed_models)
+        assert scores.shape == (len(mixed_models),)
+        for score, model in zip(scores, mixed_models):
+            naive = sum(naive_mixture_ll(x, model) for x in frames)
+            assert abs(score - naive) <= 1e-9 * abs(naive)
+
+    def test_single_model_is_sequence_log_likelihood(self, mixed_models):
+        feats = FeatureMatrix(np.random.default_rng(39).normal(0, 2, (25, 3)))
+        for model in mixed_models:
+            assert sequence_log_likelihood(feats, model) == sequence_log_likelihoods(
+                feats, [model])[0]
+
+    def test_dimension_mismatch(self, mixed_models):
+        feats = FeatureMatrix(np.zeros((5, 3)))
+        with pytest.raises(DimensionMismatch):
+            sequence_log_likelihoods(feats, [*mixed_models, random_gmm(
+                np.random.default_rng(40), components=2, dim=4)])
