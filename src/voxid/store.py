@@ -3,9 +3,14 @@
 Models, registries and reports are JSON documents with a top-level
 {kind, format_version, payload} envelope; every real number is encoded
 as a full-precision decimal string (repr of the float) so round-trips
-are bit-exact. Feature matrices use the binary VOXF1 layout: magic
-"VOXF1", dim_k and count_L as uint32 LE, then count_L * dim_k float32
-LE values row-major. All writes are atomic (temp file + rename).
+are bit-exact. A registry (format_version 2; other kinds are 1) holds the
+first entry's weights and variances once, as "shared"; each entry's model
+holds its means, plus weights or variances only where they differ from
+"shared". A field an entry lacks comes from "shared", so version 1
+registries, whose entries carry every field, load through the same code.
+Feature matrices use the binary VOXF1 layout: magic "VOXF1", dim_k and
+count_L as uint32 LE, then count_L * dim_k float32 LE values row-major.
+All writes are atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from .speaker_models import SpeakerModel, Ubm
 from .total_variability import IVector, TotalVariabilityModel
 
 FORMAT_VERSION = 1
+_VERSIONS = {"registry": (1, 2)}  # versions a kind reads; it writes the last
+_GMM_NDIM = {"weights": 1, "means": 2, "variances": 2}
 
 KINDS = (
     "features",
@@ -78,18 +85,15 @@ def _enc(value):
     return value
 
 
-def _dec_vec(data) -> np.ndarray:
+def _dec(data, ndim: int) -> np.ndarray:
+    """A whole (nested) list of decimal strings as one float64 array."""
     try:
-        return np.array([float(v) for v in data], dtype=np.float64)
+        array = np.array(data, dtype=np.float64)
     except (TypeError, ValueError) as exc:
-        raise CorruptArtifact(f"bad numeric vector: {exc}") from exc
-
-
-def _dec_mat(data) -> np.ndarray:
-    try:
-        return np.array([[float(v) for v in row] for row in data], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise CorruptArtifact(f"bad numeric matrix: {exc}") from exc
+        raise CorruptArtifact(f"bad numeric array: {exc}") from exc
+    if array.ndim != ndim:
+        raise CorruptArtifact(f"expected a {ndim}-D numeric array, found {array.ndim}-D")
+    return array
 
 
 # --- feature matrices (binary) ----------------------------------------------
@@ -119,12 +123,14 @@ def _gmm_payload(gmm: DiagonalGmm) -> dict:
     }
 
 
-def _gmm_from_payload(payload) -> DiagonalGmm:
-    return DiagonalGmm(
-        weights=_dec_vec(payload["weights"]),
-        means=_dec_mat(payload["means"]),
-        variances=_dec_mat(payload["variances"]),
-    )
+def _gmm_from_payload(payload, shared=None) -> DiagonalGmm:
+    """A field the payload lacks is taken from `shared`, already decoded."""
+    fields = dict(shared or {})
+    fields.update((name, _dec(payload[name], ndim))
+                  for name, ndim in _GMM_NDIM.items() if name in payload)
+    if fields.keys() != _GMM_NDIM.keys():
+        raise CorruptArtifact(f"model lacks {sorted(_GMM_NDIM.keys() - fields)}, no shared block")
+    return DiagonalGmm(**fields)
 
 
 def _speaker_payload(model: SpeakerModel) -> dict:
@@ -133,10 +139,10 @@ def _speaker_payload(model: SpeakerModel) -> dict:
     return payload
 
 
-def _speaker_from_payload(payload) -> SpeakerModel:
+def _speaker_from_payload(payload, shared=None) -> SpeakerModel:
     return SpeakerModel(
         speaker_id=str(payload.get("speaker_id", "")),
-        gmm=_gmm_from_payload(payload),
+        gmm=_gmm_from_payload(payload, shared),
     )
 
 
@@ -152,41 +158,50 @@ def _tv_payload(tv: TotalVariabilityModel) -> dict:
 
 def _tv_from_payload(payload) -> TotalVariabilityModel:
     return TotalVariabilityModel(
-        m=_dec_vec(payload["m"]),
-        sigma=_dec_vec(payload["sigma"]),
-        t_matrix=_dec_mat(payload["t_matrix"]),
+        m=_dec(payload["m"], 1),
+        sigma=_dec(payload["sigma"], 1),
+        t_matrix=_dec(payload["t_matrix"], 2),
         num_components=int(payload["num_components"]),
         dim_k=int(payload["dim_k"]),
     )
 
 
 def _registry_payload(registry: SpeakerRegistry) -> dict:
-    entries = []
+    entries, shared = [], {}
+    if registry.entries:
+        first = registry.entries[0].model.gmm
+        shared = {"weights": first.weights, "variances": first.variances}
     for e in registry.entries:
+        model = {"speaker_id": e.model.speaker_id, "means": _enc(e.model.gmm.means)}
+        for name, array in shared.items():
+            own = getattr(e.model.gmm, name)
+            if not np.array_equal(own, array):  # shape and every value
+                model[name] = _enc(own)
         entry = {
             "speaker_id": e.speaker_id,
             "cluster_id": e.cluster_id,
-            "model": _speaker_payload(e.model),
+            "model": model,
             "language_tag": e.language_tag,
             "is_impostor": e.is_impostor,
         }
         if e.ivector is not None:
             entry["ivector"] = _enc(e.ivector.w)
         entries.append(entry)
-    return {"entries": entries}
+    return {"entries": entries, "shared": {name: _enc(a) for name, a in shared.items()}}
 
 
 def _registry_from_payload(payload) -> SpeakerRegistry:
+    shared = {name: _dec(data, _GMM_NDIM[name]) for name, data in payload.get("shared", {}).items()}
     registry = SpeakerRegistry()
     for entry in payload["entries"]:
         ivec = None
         if "ivector" in entry:
-            ivec = IVector(w=_dec_vec(entry["ivector"]))
+            ivec = IVector(w=_dec(entry["ivector"], 1))
         registry.add(
             RegistryEntry(
                 speaker_id=str(entry["speaker_id"]),
                 cluster_id=str(entry["cluster_id"]),
-                model=_speaker_from_payload(entry["model"]),
+                model=_speaker_from_payload(entry["model"], shared),
                 ivector=ivec,
                 language_tag=str(entry.get("language_tag", "")),
                 is_impostor=bool(entry.get("is_impostor", False)),
@@ -255,7 +270,7 @@ _DECODERS = {
     "ubm": lambda payload: Ubm(gmm=_gmm_from_payload(payload)),
     "speaker_model": _speaker_from_payload,
     "tv_model": _tv_from_payload,
-    "ivector": lambda payload: IVector(w=_dec_vec(payload["w"])),
+    "ivector": lambda payload: IVector(w=_dec(payload["w"], 1)),
     "registry": _registry_from_payload,
     "report": _report_from_payload,
 }
@@ -270,7 +285,7 @@ def save(obj, kind: str, path):
         return
     document = {
         "kind": kind,
-        "format_version": FORMAT_VERSION,
+        "format_version": _VERSIONS.get(kind, (FORMAT_VERSION,))[-1],
         "payload": _ENCODERS[kind](obj),
     }
     text = json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
@@ -300,7 +315,7 @@ def _decode(path, kind: str, body):
     if kind == "features":
         decoder, payload = _features_from_bytes, body
     else:
-        if body.get("format_version") != FORMAT_VERSION:
+        if body.get("format_version") not in _VERSIONS.get(kind, (FORMAT_VERSION,)):
             raise UnsupportedVersion(
                 f"format_version {body.get('format_version')!r} unsupported"
             )

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from voxid import store
+from voxid.cli import EXIT_OK
+from voxid.cli import main as cli_main
 from voxid.errors import CorruptArtifact, IoFailure, UnsupportedVersion, WrongKind
 from voxid.evaluation import (
     EvalReport,
@@ -14,7 +16,7 @@ from voxid.evaluation import (
 )
 from voxid.features import FeatureMatrix
 from voxid.gmm import DiagonalGmm
-from voxid.speaker_models import SpeakerModel, Ubm
+from voxid.speaker_models import BaumWelchStats, SpeakerModel, Ubm, map_adapt
 from voxid.total_variability import IVector, TotalVariabilityModel
 
 
@@ -94,7 +96,10 @@ def assert_equal_artifact(kind, a, b):
             assert ea.cluster_id == eb.cluster_id
             assert ea.language_tag == eb.language_tag
             assert ea.is_impostor == eb.is_impostor
+            assert ea.model.speaker_id == eb.model.speaker_id
+            assert np.array_equal(ea.model.gmm.weights, eb.model.gmm.weights)
             assert np.array_equal(ea.model.gmm.means, eb.model.gmm.means)
+            assert np.array_equal(ea.model.gmm.variances, eb.model.gmm.variances)
             if ea.ivector is None:
                 assert eb.ivector is None
             else:
@@ -226,3 +231,215 @@ def test_short_writes_are_completed(tmp_path, monkeypatch):
     store.save(gmm, "gmm", tmp_path / "g.json")
     monkeypatch.undo()
     assert_equal_artifact("gmm", gmm, store.load(tmp_path / "g.json", "gmm"))
+
+
+# --- registry format v2: entries over one shared block -----------------------
+
+def registry_of(*gmms):
+    registry = SpeakerRegistry()
+    for i, gmm in enumerate(gmms):
+        sid = f"s{i}"
+        registry.add(RegistryEntry(speaker_id=sid, cluster_id="c",
+                                   model=SpeakerModel(speaker_id=sid, gmm=gmm)))
+    return registry
+
+
+def adapted_registry(ubm, rng, count):
+    """Speakers MAP-adapted from `ubm`, so they share its weights and variances."""
+    registry = SpeakerRegistry()
+    c, k = ubm.gmm.means.shape
+    for i in range(count):
+        stats = BaumWelchStats(rng.uniform(0.0, 20.0, c), rng.normal(0, 5, (c, k)))
+        model = map_adapt(stats, ubm, speaker_id=f"old{i}")
+        registry.add(RegistryEntry(speaker_id=f"old{i}", cluster_id=f"c{i}", model=model,
+                                   ivector=IVector(rng.normal(0, 1, 3)), language_tag="Hindi",
+                                   is_impostor=bool(i % 2)))
+    return registry
+
+
+def v1_registry_document(registry):
+    """A registry as version 1 writes it: every entry carries its whole mixture."""
+    def enc(array):
+        return [enc(row) for row in array] if array.ndim == 2 else [repr(v) for v in array.tolist()]
+    entries = []
+    for e in registry.entries:
+        gmm = e.model.gmm
+        entry = {
+            "speaker_id": e.speaker_id, "cluster_id": e.cluster_id,
+            "language_tag": e.language_tag, "is_impostor": e.is_impostor,
+            "model": {"speaker_id": e.model.speaker_id, "weights": enc(gmm.weights),
+                      "means": enc(gmm.means), "variances": enc(gmm.variances)},
+        }
+        if e.ivector is not None:
+            entry["ivector"] = enc(e.ivector.w)
+        entries.append(entry)
+    return {"kind": "registry", "format_version": 1, "payload": {"entries": entries}}
+
+
+def count_keys(node, key):
+    if isinstance(node, dict):
+        return sum((k == key) + count_keys(v, key) for k, v in node.items())
+    if isinstance(node, list):
+        return sum(count_keys(v, key) for v in node)
+    return 0
+
+
+def cli_world(tmp_path, rng, components=4, dim=3):
+    """A UBM file and one small feature file for `voxid enroll`."""
+    ubm = Ubm(gmm=random_gmm(rng, components, dim))
+    store.save(ubm, "ubm", tmp_path / "ubm.json")
+    store.save(FeatureMatrix(rng.normal(0, 2, (60, dim))), "features", tmp_path / "x.feat")
+    return ubm, tmp_path / "ubm.json", tmp_path / "x.feat"
+
+
+@pytest.mark.parametrize("gmms", [
+    lambda rng: [random_gmm(rng, 3, 2), random_gmm(rng, 5, 2), random_gmm(rng, 2, 2)],
+    lambda rng: [random_gmm(rng, 4, 3)] * 3,
+    lambda rng: [],
+], ids=["different-component-counts", "equal-to-shared", "empty"])
+def test_registry_round_trip(gmms, tmp_path):
+    registry = registry_of(*gmms(np.random.default_rng(30)))
+    path = tmp_path / "r.json"
+    store.save(registry, "registry", path)
+    assert json.loads(path.read_text())["format_version"] == 2
+    assert_equal_artifact("registry", registry, store.load(path, "registry"))
+
+
+def test_registry_entries_share_the_shared_arrays(tmp_path):
+    rng = np.random.default_rng(31)
+    registry = adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 3)
+    store.save(registry, "registry", tmp_path / "r.json")
+    document = json.loads((tmp_path / "r.json").read_text())
+    assert all(set(e["model"]) == {"speaker_id", "means"} for e in document["payload"]["entries"])
+    loaded = [e.model.gmm for e in store.load(tmp_path / "r.json", "registry").entries]
+    assert all(g.weights is loaded[0].weights for g in loaded)
+    assert all(g.variances is loaded[0].variances for g in loaded)
+
+
+def test_registry_field_missing_without_shared_block(tmp_path):
+    path = tmp_path / "r.json"
+    store.save(registry_of(random_gmm(np.random.default_rng(32))), "registry", path)
+    document = json.loads(path.read_text())
+    del document["payload"]["shared"]
+    path.write_text(json.dumps(document))
+    with pytest.raises(CorruptArtifact):
+        store.load(path, "registry")
+
+
+def test_other_kinds_stay_at_version_1(tmp_path):
+    rng = np.random.default_rng(33)
+    for kind in store.KINDS:
+        if kind not in ("features", "registry"):
+            store.save(random_artifact(kind, rng), kind, tmp_path / kind)
+            assert json.loads((tmp_path / kind).read_text())["format_version"] == 1
+
+
+def test_v1_registry_loads_bit_identical(tmp_path):
+    rng = np.random.default_rng(34)
+    registry = adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 3)
+    registry.add(RegistryEntry(speaker_id="other", cluster_id="c",
+                               model=SpeakerModel(speaker_id="other", gmm=random_gmm(rng, 2, 3))))
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(v1_registry_document(registry)))
+    assert_equal_artifact("registry", registry, store.load(path, "registry"))
+
+
+def test_enroll_rewrites_v1_registry_as_v2(tmp_path):
+    rng = np.random.default_rng(35)
+    ubm, ubm_path, feat_path = cli_world(tmp_path, rng)
+    old = adapted_registry(ubm, rng, 3)
+    path = tmp_path / "reg.json"
+    path.write_text(json.dumps(v1_registry_document(old)))
+    assert cli_main(["enroll", "--speaker-id", "new", "--registry", str(path),
+                     "--ubm", str(ubm_path), str(feat_path)]) == EXIT_OK
+    assert json.loads(path.read_text())["format_version"] == 2
+    loaded = store.load(path, "registry")
+    assert [e.speaker_id for e in loaded.entries] == ["old0", "old1", "old2", "new"]
+    old.entries.append(loaded.entries[-1])
+    assert_equal_artifact("registry", old, loaded)
+
+
+def test_registry_version_3_unsupported(tmp_path):
+    path = tmp_path / "r.json"
+    store.save(registry_of(random_gmm(np.random.default_rng(36))), "registry", path)
+    document = json.loads(path.read_text())
+    document["format_version"] = 3
+    path.write_text(json.dumps(document))
+    with pytest.raises(UnsupportedVersion):
+        store.load(path, "registry")
+
+
+def test_shared_block_written_once(tmp_path):
+    rng = np.random.default_rng(37)
+    _, ubm_path, feat_path = cli_world(tmp_path, rng)
+    path = tmp_path / "reg.json"
+    for i in range(20):
+        assert cli_main(["enroll", "--speaker-id", f"s{i}", "--registry", str(path),
+                         "--ubm", str(ubm_path), str(feat_path)]) == EXIT_OK
+    document = json.loads(path.read_text())
+    assert len(document["payload"]["entries"]) == 20
+    assert count_keys(document, "weights") == 1
+    assert count_keys(document, "variances") == 1
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("gmm", "means"), ("tv_model", "m"), ("tv_model", "t_matrix"), ("ivector", "w"),
+    ("registry", "means"), ("registry", "ivector"),
+])
+def test_digit_string_is_not_an_array(kind, field, tmp_path):
+    """A JSON string in place of a vector (or of a matrix row) must not be
+    read one character per element: "0512" is not [0, 5, 1, 2]."""
+    path = tmp_path / "a.json"
+    store.save(random_artifact(kind, np.random.default_rng(38)), kind, path)
+    document = json.loads(path.read_text())
+    node = document["payload"]
+    if kind == "registry":
+        node = node["entries"][0]
+        node = node["model"] if field == "means" else node
+
+    def digits(values):
+        return "".join(str(i % 10) for i in range(len(values)))
+    value = node[field]
+    node[field] = [digits(row) for row in value] if isinstance(value[0], list) else digits(value)
+    path.write_text(json.dumps(document))
+    with pytest.raises(CorruptArtifact):
+        store.load(path, kind)
+
+
+def test_decode_matches_float_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(39)
+    special = [5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, -0.0, 0.0, 0.1, 1e16, 1e-5]
+    values = rng.standard_normal(5000) * 10.0 ** rng.integers(-300, 300, 5000)
+    text = [repr(v) for v in special + values.tolist()]
+    path = tmp_path / "iv.json"
+    store.save(IVector(np.zeros(1)), "ivector", path)
+    document = json.loads(path.read_text())
+    document["payload"]["w"] = text
+    path.write_text(json.dumps(document))
+    loaded = store.load(path, "ivector").w
+    expected = np.array([float(v) for v in text], dtype=np.float64)
+    assert np.array_equal(loaded.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("where", ["shared-weights", "entry-means", "registry-ivector", "ivector"])
+def test_json_null_is_corrupt(where, tmp_path):
+    kind = "ivector" if where == "ivector" else "registry"
+    rng = np.random.default_rng(40)
+    artifact = (random_artifact(kind, rng) if kind == "ivector"
+                else adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 2))
+    path = tmp_path / "a.json"
+    store.save(artifact, kind, path)
+    document = json.loads(path.read_text())
+    payload = document["payload"]
+    if where == "shared-weights":
+        payload["shared"]["weights"][1] = None
+    elif where == "entry-means":
+        payload["entries"][1]["model"]["means"][0][2] = None
+    elif where == "registry-ivector":
+        payload["entries"][0]["ivector"][0] = None
+    else:
+        payload["w"][0] = None
+    path.write_text(json.dumps(document))
+    with pytest.raises(CorruptArtifact):
+        store.load(path, kind)
