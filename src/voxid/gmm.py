@@ -16,6 +16,7 @@ WEIGHT_SUM_TOL = 1e-12
 DEGENERATE_MASS = 1e-8
 # Bounds sequence_log_likelihoods' buffer at L * STACK_COMPONENTS doubles.
 STACK_COMPONENTS = 2048
+KMEANS_FRAMES_PER_COMPONENT = 64  # UBM k-means runs on at most this many frames per component
 
 
 @dataclass(frozen=True)
@@ -186,6 +187,14 @@ def frame_responsibilities(frames: np.ndarray, gmm: DiagonalGmm) -> np.ndarray:
     return np.exp(logs, out=logs)
 
 
+def _nearest(frames: np.ndarray, centers: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Nearest-centre labels by ||c||^2 - 2 x.c about ref; ||x||^2 drops out."""
+    centred = centers - ref
+    dists = (frames - ref) @ (-2.0 * centred).T
+    dists += np.sum(centred * centred, axis=1)
+    return np.argmin(dists, axis=1)
+
+
 def _kmeans_pp(frames: np.ndarray, n_clusters: int, rng: np.random.Generator):
     """k-means++ seeding followed by Lloyd iterations; returns labels, centers."""
     n = frames.shape[0]
@@ -200,15 +209,10 @@ def _kmeans_pp(frames: np.ndarray, n_clusters: int, rng: np.random.Generator):
             centers[c] = frames[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, np.sum((frames - centers[c]) ** 2, axis=1))
 
-    # Lloyd distances ||c||^2 - 2 x.c about the frames' mean; ||x||^2 leaves the argmin.
-    ref = frames.mean(axis=0)
-    shifted = frames - ref
+    ref = frames.mean(axis=0)  # Lloyd's distances are taken about the frames' mean
     labels = np.zeros(n, dtype=np.intp)
     for _ in range(25):
-        centred = centers - ref
-        dists = shifted @ (-2.0 * centred).T
-        dists += np.sum(centred * centred, axis=1)
-        new_labels = np.argmin(dists, axis=1)
+        new_labels = _nearest(frames, centers, ref)
         if np.array_equal(new_labels, labels) and _ > 0:
             break
         labels = new_labels
@@ -220,19 +224,26 @@ def _kmeans_pp(frames: np.ndarray, n_clusters: int, rng: np.random.Generator):
     return labels, centers
 
 
-def _initial_model(frames: np.ndarray, config: GmmTrainingConfig) -> DiagonalGmm:
+def _initial_model(frames: np.ndarray, config: GmmTrainingConfig, global_var) -> DiagonalGmm:
+    """k-means on a seeded in-order frame sample, then one nearest-centre pass over all frames."""
     rng = np.random.default_rng(config.rng_seed)
-    n = frames.shape[0]
-    labels, centers = _kmeans_pp(frames, config.num_components, rng)
-    global_var = np.maximum(frames.var(axis=0), config.variance_floor)
-
-    counts = np.bincount(labels, minlength=config.num_components)
-    weights = np.maximum(counts, 1) / n
+    n, n_clusters = frames.shape[0], config.num_components
+    if n > KMEANS_FRAMES_PER_COMPONENT * n_clusters:
+        sample = np.sort(rng.choice(n, KMEANS_FRAMES_PER_COMPONENT * n_clusters, replace=False))
+        _, centers = _kmeans_pp(frames[sample], n_clusters, rng)
+        labels = _nearest(frames, centers, frames.mean(axis=0))
+    else:
+        labels, centers = _kmeans_pp(frames, n_clusters, rng)
+    counts = np.bincount(labels, minlength=n_clusters)
+    sizes = np.maximum(counts, 1)[:, None]
+    weights = sizes[:, 0] / n
     weights /= weights.sum()
-    variances = np.tile(global_var, (config.num_components, 1))
-    for c in np.flatnonzero(counts >= 2):
-        variances[c] = np.maximum(frames[labels == c].var(axis=0), config.variance_floor)
-    return DiagonalGmm(weights=weights, means=centers, variances=variances)
+    one_hot = csr_array((np.ones(n), (labels, np.arange(n))), shape=(n_clusters, n))
+    means = np.where((counts > 0)[:, None], (one_hot @ frames) / sizes, centers)
+    deviations = frames - means[labels]  # np.var's two passes, each in frame order
+    variances = np.where((counts >= 2)[:, None], np.maximum(
+        (one_hot @ (deviations * deviations)) / sizes, config.variance_floor), global_var)
+    return DiagonalGmm(weights=weights, means=means, variances=variances)
 
 
 def em_fit_detailed(feats: FeatureMatrix, config: GmmTrainingConfig):
@@ -244,8 +255,10 @@ def em_fit_detailed(feats: FeatureMatrix, config: GmmTrainingConfig):
             f"{frames.shape[0]} frames < {config.num_components} components"
         )
 
-    model = _initial_model(frames, config)
-    n = frames.shape[0]
+    global_var = np.maximum(frames.var(axis=0), config.variance_floor)
+    model = _initial_model(frames, config, global_var)
+    n, k = frames.shape
+    powers = np.hstack([frames, frames * frames])  # gamma^T [X, X^2] in one GEMM
     history: list[float] = []
     prev_ll = None
     for _ in range(config.max_iterations):
@@ -264,22 +277,19 @@ def em_fit_detailed(feats: FeatureMatrix, config: GmmTrainingConfig):
             means = model.means.copy()
             variances = model.variances.copy()
             weights = model.weights.copy()
-            global_var = np.maximum(frames.var(axis=0), config.variance_floor)
-            for c, t in zip(degenerate, worst):
-                means[c] = frames[t]
-                variances[c] = global_var
-                weights[c] = 1.0 / n
+            means[degenerate] = frames[worst]
+            variances[degenerate] = global_var
+            weights[degenerate] = 1.0 / n
             weights /= weights.sum()
             model = DiagonalGmm(weights=weights, means=means, variances=variances)
             prev_ll = None
             continue
         history.append(ll)
 
-        means = (gamma.T @ frames) / counts[:, None]
-        second = (gamma.T @ (frames * frames)) / counts[:, None]
+        moments = (gamma.T @ powers) / counts[:, None]
+        means, second = moments[:, :k], moments[:, k:]
         variances = np.maximum(second - means * means, config.variance_floor)
-        weights = counts / n
-        weights = np.maximum(weights, 1e-12)
+        weights = np.maximum(counts / n, 1e-12)
         weights /= weights.sum()
         model = DiagonalGmm(weights=weights, means=means, variances=variances)
 

@@ -6,6 +6,7 @@ from scipy.special import logsumexp
 
 from voxid import gmm as gmm_module
 from voxid.errors import DimensionMismatch, TooFewFrames
+from voxid.experiment import sample_from_gmm
 from voxid.features import FeatureMatrix
 from voxid.gmm import (
     DiagonalGmm,
@@ -16,6 +17,7 @@ from voxid.gmm import (
     em_fit,
     em_fit_detailed,
     frame_component_log_densities,
+    frame_responsibilities,
     mixture_log_likelihood,
     responsibilities,
     sequence_log_likelihood,
@@ -372,3 +374,144 @@ class TestSequenceLogLikelihoods:
         with pytest.raises(DimensionMismatch):
             sequence_log_likelihoods(feats, [*mixed_models, random_gmm(
                 np.random.default_rng(40), components=2, dim=4)])
+
+
+def masked_variances(frames, labels, n_clusters, variance_floor):
+    """Per-cluster variances as one masked np.var per cluster with 2 or more frames."""
+    variances = np.tile(np.maximum(frames.var(axis=0), variance_floor), (n_clusters, 1))
+    for c in range(n_clusters):
+        if np.count_nonzero(labels == c) >= 2:
+            variances[c] = np.maximum(frames[labels == c].var(axis=0), variance_floor)
+    return variances
+
+
+def loop_initial_model(frames, config):
+    """The initial model built from k-means over every frame and masked variances."""
+    labels, centers = _kmeans_pp(frames, config.num_components,
+                                 np.random.default_rng(config.rng_seed))
+    counts = np.bincount(labels, minlength=config.num_components)
+    weights = np.maximum(counts, 1) / frames.shape[0]
+    weights /= weights.sum()
+    return DiagonalGmm(weights=weights, means=centers, variances=masked_variances(
+        frames, labels, config.num_components, config.variance_floor))
+
+
+def overlapping_mixture(seed, components, dim):
+    """A base GMM whose components overlap, as cepstra do: means ~ N(0, 0.5^2)."""
+    rng = np.random.default_rng(seed)
+    weights = rng.gamma(5.0, size=components)
+    return DiagonalGmm(weights=weights / weights.sum(),
+                       means=rng.normal(0.0, 0.5, (components, dim)),
+                       variances=rng.uniform(0.5, 1.5, (components, dim)))
+
+
+def overlapping_frames(seed, frames_l, components, dim):
+    base = overlapping_mixture(seed, components, dim)
+    return sample_from_gmm(base, frames_l, np.random.default_rng(seed + 1)).frames
+
+
+def initial_model(frames, config):
+    global_var = np.maximum(frames.var(axis=0), config.variance_floor)
+    return gmm_module._initial_model(frames, config, global_var)
+
+
+class TestSubsampledInitialisation:
+    """UBM k-means runs on KMEANS_FRAMES_PER_COMPONENT * C frames when L is larger."""
+
+    def test_kmeans_sees_seeded_ordered_sample(self, monkeypatch):
+        frames = overlapping_frames(41, 2000, 8, 5)
+        seen = []
+
+        def spy(sample, n_clusters, rng):
+            seen.append(sample)
+            return _kmeans_pp(sample, n_clusters, rng)
+
+        monkeypatch.setattr(gmm_module, "_kmeans_pp", spy)
+        initial_model(frames, GmmTrainingConfig(num_components=8, rng_seed=5))
+        assert len(seen) == 1 and seen[0].shape == (64 * 8, 5)
+        rows = {row.tobytes(): t for t, row in enumerate(frames)}
+        picked = np.array([rows[row.tobytes()] for row in seen[0]])
+        assert np.all(np.diff(picked) > 0)
+        # drawn from the config's rng before k-means++ takes from it
+        expected = np.sort(np.random.default_rng(5).choice(2000, 64 * 8, replace=False))
+        assert np.array_equal(picked, expected)
+
+    def test_one_seed_is_bit_identical(self):
+        feats = FeatureMatrix(overlapping_frames(42, 3000, 16, 6))
+        config = GmmTrainingConfig(num_components=16, max_iterations=4, rng_seed=11)
+        a, b = em_fit(feats, config), em_fit(feats, config)
+        for name in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_every_frame_gets_its_nearest_centre(self, monkeypatch):
+        frames = overlapping_frames(43, 6000, 16, 8)
+        config = GmmTrainingConfig(num_components=16, rng_seed=2)
+        nearest, calls = gmm_module._nearest, []
+
+        def spy(frames, centers, ref):
+            calls.append((centers.copy(), nearest(frames, centers, ref)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(gmm_module, "_nearest", spy)
+        model = initial_model(frames, config)
+        centers, labels = calls[-1]
+        dists = np.sum((frames[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        assert np.array_equal(labels, np.argmin(dists, axis=1))
+        # the model is the full-frame clusters' weights, means and variances
+        weights = np.maximum(np.bincount(labels, minlength=16), 1) / 6000
+        assert np.array_equal(model.weights, weights / weights.sum())
+        for c in range(16):
+            expected = frames[labels == c].mean(axis=0) if np.any(labels == c) else centers[c]
+            assert np.abs(model.means[c] - expected).max() < 1e-12
+        loop = masked_variances(frames, labels, 16, config.variance_floor)
+        assert np.abs(model.variances - loop).max() < 1e-12
+
+    @pytest.mark.parametrize("frames_l, components", [(300, 8), (1024, 16), (64, 64)])
+    def test_small_input_matches_full_kmeans(self, frames_l, components):
+        frames = overlapping_frames(44, frames_l, components, 5)
+        config = GmmTrainingConfig(num_components=components, rng_seed=3)
+        model, oracle = initial_model(frames, config), loop_initial_model(frames, config)
+        for name in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(model, name), getattr(oracle, name))
+
+    def test_fit_quality_close_to_full_kmeans(self, monkeypatch):
+        base = overlapping_mixture(45, 64, 20)
+        rng = np.random.default_rng(46)
+        pooled, held_out = sample_from_gmm(base, 15_000, rng), sample_from_gmm(base, 5_000, rng)
+        config = GmmTrainingConfig(num_components=64, max_iterations=8,
+                                   convergence_tol=1e-12, rng_seed=7)
+        subsampled = sequence_log_likelihood(held_out, em_fit(pooled, config)) / 5_000
+        monkeypatch.setattr(gmm_module, "KMEANS_FRAMES_PER_COMPONENT", 15_000)
+        full = sequence_log_likelihood(held_out, em_fit(pooled, config)) / 5_000
+        assert abs(subsampled - full) < 0.05
+
+
+class TestMStep:
+    def test_one_step_matches_weighted_moments(self):
+        frames = overlapping_frames(47, 800, 6, 4) + 3.0
+        config = GmmTrainingConfig(num_components=6, max_iterations=1, rng_seed=4)
+        gamma = frame_responsibilities(frames, initial_model(frames, config))
+        model = em_fit(FeatureMatrix(frames), config)
+        for c in range(6):
+            mass = gamma[:, c].sum()
+            mean = (gamma[:, c, None] * frames).sum(axis=0) / mass
+            var = (gamma[:, c, None] * (frames - mean) ** 2).sum(axis=0) / mass
+            assert np.allclose(model.means[c], mean, rtol=0, atol=1e-12)
+            assert np.allclose(model.variances[c], np.maximum(var, config.variance_floor),
+                               rtol=0, atol=1e-11)
+        assert np.allclose(model.weights, gamma.sum(axis=0) / 800, rtol=1e-12, atol=0)
+
+    def test_dead_component_reseeded_at_worst_frame(self, monkeypatch):
+        frames = overlapping_frames(48, 500, 3, 2)
+        config = GmmTrainingConfig(num_components=3, max_iterations=1, rng_seed=0)
+        stranded = DiagonalGmm(weights=np.full(3, 1 / 3),
+                               means=np.array([[0.0, 0.0], [0.5, 0.5], [1e3, 1e3]]),
+                               variances=np.full((3, 2), 0.01))
+        monkeypatch.setattr(gmm_module, "_initial_model", lambda *args: stranded)
+        model, history = em_fit_detailed(FeatureMatrix(frames), config)
+        assert history == []
+        frame_ll = _logsumexp(frame_component_log_densities(frames, stranded)
+                              + np.log(stranded.weights), axis=1)
+        assert np.array_equal(model.means[2], frames[np.argmin(frame_ll)])
+        assert np.array_equal(model.variances[2], np.maximum(frames.var(axis=0), 1e-3))
+        assert np.array_equal(model.means[:2], stranded.means[:2])
