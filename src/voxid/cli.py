@@ -89,12 +89,13 @@ def score_bar_svg(labels, scores, threshold: float) -> str:
     width, height, margin = 640, 360, 40
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
     lo = min(0.0, min(scores), threshold)
-    hi = max(max(scores), threshold, lo + 1e-9)
+    hi = max(0.0, max(scores), threshold, lo + 1e-9)
     span = hi - lo
 
     def y_of(value):
         return margin + plot_h * (1.0 - (value - lo) / span)
 
+    zero_y = y_of(0.0)
     bar_w = plot_w / max(len(scores), 1)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
@@ -102,19 +103,18 @@ def score_bar_svg(labels, scores, threshold: float) -> str:
     ]
     for i, (label, score) in enumerate(zip(labels, scores)):
         x = margin + i * bar_w
-        top = y_of(max(score, 0.0))
-        base = y_of(max(lo, 0.0)) if lo < 0 else y_of(lo)
-        bar_h = abs(y_of(score) - y_of(max(min(0.0, hi), lo)))
+        score_y = y_of(score)
+        top = min(score_y, zero_y)
         parts.append(
-            f'<rect x="{x + 0.1 * bar_w:.2f}" y="{min(top, base):.2f}" '
-            f'width="{0.8 * bar_w:.2f}" height="{max(bar_h, 0.5):.2f}" fill="steelblue"/>'
+            f'<rect x="{x + 0.1 * bar_w:.2f}" y="{top:.2f}" width="{0.8 * bar_w:.2f}" '
+            f'height="{max(abs(score_y - zero_y), 0.5):.2f}" fill="steelblue"/>'
         )
         parts.append(
             f'<text x="{x + 0.5 * bar_w:.2f}" y="{height - margin + 16}" '
             f'font-size="11" text-anchor="middle">{label}</text>'
         )
         parts.append(
-            f'<text x="{x + 0.5 * bar_w:.2f}" y="{min(top, base) - 4:.2f}" '
+            f'<text x="{x + 0.5 * bar_w:.2f}" y="{top - 4:.2f}" '
             f'font-size="10" text-anchor="middle">{score:.3g}</text>'
         )
     ty = y_of(threshold)
@@ -208,9 +208,11 @@ def cmd_enroll(args, settings):
 
 
 def cmd_train_tv(args, settings):
-    ubm = store.load(args.ubm, "ubm")
     rank = settings.get("tv_rank", args.rank)
     iterations = settings.get("tv_iterations", args.iterations)
+    if rank < 1 or iterations < 0:
+        raise VoxidUsageError(f"need rank >= 1 and iterations >= 0, got {rank} and {iterations}")
+    ubm = store.load(args.ubm, "ubm")
     tv = init_tv(ubm, rank, rng_seed=args.seed)
     stats_set = [
         accumulate_stats(store.load(p, "features"), ubm) for p in args.inputs

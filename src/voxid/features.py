@@ -33,8 +33,8 @@ class MfccConfig:
     def __post_init__(self):
         if not 0.0 <= self.pre_emphasis_alpha < 1.0:
             raise ValueError("pre_emphasis_alpha must be in [0, 1)")
-        if self.frame_shift_ms > self.frame_length_ms:
-            raise ValueError("frame shift must not exceed frame length")
+        if not 0.0 < self.frame_shift_ms <= self.frame_length_ms < np.inf:
+            raise ValueError("need 0 < frame_shift_ms <= frame_length_ms < inf")
         if not 1 <= self.num_cepstra <= self.num_mel_filters:
             raise ValueError("need 1 <= num_cepstra <= num_mel_filters")
         if self.dft_size is not None and not _is_pow2(self.dft_size):
@@ -44,16 +44,17 @@ class MfccConfig:
         return int(round(self.frame_length_ms * rate / 1000.0))
 
     def frame_shift_samples(self, rate: int) -> int:
-        return int(round(self.frame_shift_ms * rate / 1000.0))
+        shift = int(round(self.frame_shift_ms * rate / 1000.0))
+        if shift < 1:
+            raise ValueError(
+                f"frame_shift_ms = {self.frame_shift_ms:g} is under one sample at {rate} Hz"
+            )
+        return shift
 
     def effective_dft_size(self, rate: int) -> int:
         if self.dft_size is not None:
             return self.dft_size
-        n = self.frame_length_samples(rate)
-        size = 1
-        while size < n:
-            size *= 2
-        return size
+        return 1 << max(self.frame_length_samples(rate) - 1, 0).bit_length()
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,7 @@ def frame_signal(signal, config: MfccConfig, rate: int) -> np.ndarray:
     shift = config.frame_shift_samples(rate)
     if x.size < flen:
         raise SignalTooShort(f"{x.size} samples < one {flen}-sample frame")
-    n_frames = (x.size - flen) // shift + 1
-    starts = np.arange(n_frames) * shift
-    return np.stack([x[s:s + flen] for s in starts])
+    return np.lib.stride_tricks.sliding_window_view(x, flen)[::shift].copy()
 
 
 def hamming_window(frame) -> np.ndarray:
@@ -136,11 +135,9 @@ def magnitude_spectrum(frame, dft_size: int) -> np.ndarray:
     x = np.asarray(frame, dtype=np.float64)
     if x.shape[-1] > dft_size:
         raise InvalidDftSize("dft_size smaller than frame length")
-    pad = dft_size - x.shape[-1]
-    if pad:
-        x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, pad)])
-    spec = fft_radix2(x)
-    return np.abs(spec[..., : dft_size // 2 + 1])
+    if not _is_pow2(dft_size):
+        raise InvalidDftSize(f"dft_size {dft_size} is not a power of two")
+    return np.abs(np.fft.rfft(x, n=dft_size))
 
 
 def hz_to_mel(f):
@@ -159,14 +156,10 @@ def mel_filterbank(num_filters: int, dft_size: int, rate: int) -> np.ndarray:
     edges_mel = np.linspace(hz_to_mel(0.0), hz_to_mel(rate / 2.0), num_filters + 2)
     edges_hz = mel_to_hz(edges_mel)
     bin_freqs = np.arange(dft_size // 2 + 1) * rate / dft_size
-
-    bank = np.zeros((num_filters, bin_freqs.size))
-    for j in range(num_filters):
-        lo, mid, hi = edges_hz[j], edges_hz[j + 1], edges_hz[j + 2]
-        rising = (bin_freqs - lo) / (mid - lo)
-        falling = (hi - bin_freqs) / (hi - mid)
-        bank[j] = np.maximum(0.0, np.minimum(rising, falling))
-    return bank
+    lo, mid, hi = edges_hz[:-2, None], edges_hz[1:-1, None], edges_hz[2:, None]
+    rising = (bin_freqs - lo) / (mid - lo)
+    falling = (hi - bin_freqs) / (hi - mid)
+    return np.maximum(0.0, np.minimum(rising, falling))
 
 
 def apply_mel_filterbank(spectrum, bank: np.ndarray) -> np.ndarray:

@@ -39,6 +39,8 @@ class DecisionPolicy:
     def __post_init__(self):
         if self.mode not in ("llr-normalized", "cosine"):
             raise ValueError(f"unknown scoring mode {self.mode!r}")
+        if not np.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
         if self.mode == "cosine" and not -1.0 <= self.threshold <= 1.0:
             raise ValueError("cosine threshold must lie in [-1, 1]")
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from voxid import store
-from voxid.cli import EXIT_DATA, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
+from voxid.cli import EXIT_DATA, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main, score_bar_svg
 from voxid.features import FeatureMatrix
 
 
@@ -50,6 +50,19 @@ class TestFeatures:
 
     def test_empty_input_list(self):
         assert run("features") == EXIT_USAGE
+
+    @pytest.mark.parametrize("lines, needle", [
+        ("frame_shift_ms = 0\n", "frame_shift_ms"),
+        ("frame_shift_ms = 0.01\n", "16000 Hz"),
+        ("frame_length_ms = -5\nframe_shift_ms = -10\n", "frame_shift_ms"),
+    ], ids=["zero-shift", "sub-sample-shift", "negative-length"])
+    def test_bad_frame_timing(self, tmp_path, make_clip_wav, capsys, lines, needle):
+        wav = make_clip_wav("a.wav", rate=16000)
+        config = tmp_path / "c.conf"
+        config.write_text(lines)
+        assert run("--config", config, "features", wav, "--out-dir", tmp_path) == EXIT_USAGE
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "a.feat").exists()
 
 
 class TestTrainUbm:
@@ -125,6 +138,15 @@ class TestTvAndIvector:
         assert run("train-tv", *feats, "--ubm", ubm, "--rank", 1000,
                    "--output", tv) == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("flags", [("--rank", 0), ("--rank", -1), ("--iterations", -2)],
+                             ids=["rank-0", "rank-negative", "iterations-negative"])
+    def test_bad_rank_or_iterations(self, workspace, tmp_path, capsys, flags):
+        _, feats, ubm, _ = workspace
+        tv = tmp_path / "tv.json"
+        assert run("train-tv", *feats, "--ubm", ubm, *flags, "--output", tv) == EXIT_USAGE
+        assert "VoxidUsageError" in capsys.readouterr().err
+        assert not tv.exists()
+
     def test_zero_t_gives_zero_ivector(self, workspace, tmp_path):
         import json
 
@@ -173,6 +195,14 @@ class TestIdentify:
         assert root.tag.endswith("svg")
         rects = [el for el in root.iter() if el.tag.endswith("rect")]
         assert len(rects) == 3 + 1  # one per speaker plus background
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold(self, workspace, capsys, threshold):
+        _, feats, ubm, registry = workspace
+        code = run("identify", feats[0], "--registry", registry, "--ubm", ubm,
+                   f"--threshold={threshold}")
+        assert code == EXIT_USAGE
+        assert "threshold must be finite" in capsys.readouterr().err
 
     def test_outputs_deterministic(self, workspace, tmp_path):
         _, feats, ubm, registry = workspace
@@ -301,3 +331,34 @@ def test_train_ubm_on_non_finite_features(tmp_path):
     feat = tmp_path / "nan.feat"
     feat.write_bytes(b"VOXF1" + struct.pack("<II4f", 2, 2, 1.0, float("nan"), 2.0, 3.0))
     assert run("train-ubm", feat, "--output", tmp_path / "ubm.json") == EXIT_DATA
+
+
+def test_svg_bars_stay_on_canvas_when_all_scores_negative():
+    root = ET.fromstring(score_bar_svg(["a", "b"], [-3.0, -1.0], -2.0))
+    width, height = float(root.get("width")), float(root.get("height"))
+    for rect in (el for el in root.iter() if el.tag.endswith("rect")):
+        x, y = float(rect.get("x")), float(rect.get("y"))
+        assert 0.0 <= x and x + float(rect.get("width")) <= width
+        assert 0.0 <= y and y + float(rect.get("height")) <= height
+
+
+def test_svg_mixed_sign_bytes():
+    svg = score_bar_svg(["spk0", "spk1", "spk2"], [2.5, -1.0, 0.75], 0.5)
+    assert svg == (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="360">\n'
+        '<rect x="0" y="0" width="640" height="360" fill="white"/>\n'
+        '<rect x="58.67" y="40.00" width="149.33" height="200.00" fill="steelblue"/>\n'
+        '<text x="133.33" y="336" font-size="11" text-anchor="middle">spk0</text>\n'
+        '<text x="133.33" y="36.00" font-size="10" text-anchor="middle">2.5</text>\n'
+        '<rect x="245.33" y="240.00" width="149.33" height="80.00" fill="steelblue"/>\n'
+        '<text x="320.00" y="336" font-size="11" text-anchor="middle">spk1</text>\n'
+        '<text x="320.00" y="236.00" font-size="10" text-anchor="middle">-1</text>\n'
+        '<rect x="432.00" y="180.00" width="149.33" height="60.00" fill="steelblue"/>\n'
+        '<text x="506.67" y="336" font-size="11" text-anchor="middle">spk2</text>\n'
+        '<text x="506.67" y="176.00" font-size="10" text-anchor="middle">0.75</text>\n'
+        '<line x1="40" y1="200.00" x2="600" y2="200.00" stroke="crimson" '
+        'stroke-dasharray="6,3"/>\n'
+        '<text x="600" y="195.00" font-size="11" text-anchor="end" '
+        'fill="crimson">threshold 0.5</text>\n'
+        "</svg>\n"
+    )

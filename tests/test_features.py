@@ -13,6 +13,7 @@ from voxid.features import (
     FeatureMatrix,
     MfccConfig,
     apply_mel_filterbank,
+    cmvn,
     dct_cepstra,
     dct_matrix,
     extract_mfcc,
@@ -22,6 +23,7 @@ from voxid.features import (
     hz_to_mel,
     magnitude_spectrum,
     mel_filterbank,
+    mel_to_hz,
     pre_emphasize,
 )
 
@@ -214,3 +216,80 @@ def test_feature_matrix_invariants():
         FeatureMatrix(np.array([1.0, 2.0]))
     with pytest.raises(DimensionMismatch):
         FeatureMatrix(np.array([[np.inf, 0.0]]))
+
+
+class TestFrontEndOracle:
+    """The front-end against a loop-by-loop reference chain."""
+
+    @staticmethod
+    def ref_frames(x, flen, shift):
+        return np.array([x[s:s + flen] for s in range(0, x.size - flen + 1, shift)])
+
+    @staticmethod
+    def ref_spectrum(frames, dft_size):
+        pad = [(0, 0)] * (frames.ndim - 1) + [(0, dft_size - frames.shape[-1])]
+        padded = np.pad(frames, pad).reshape(-1, dft_size)
+        half = [np.abs(direct_dft(row))[: dft_size // 2 + 1] for row in padded]
+        return np.array(half).reshape(frames.shape[:-1] + (dft_size // 2 + 1,))
+
+    @staticmethod
+    def ref_bank(num_filters, dft_size, rate):
+        edges_mel = np.linspace(hz_to_mel(0.0), hz_to_mel(rate / 2.0), num_filters + 2)
+        edges = mel_to_hz(edges_mel)
+        freqs = np.arange(dft_size // 2 + 1) * rate / dft_size
+        bank = np.zeros((num_filters, freqs.size))
+        for j in range(num_filters):
+            lo, mid, hi = edges[j], edges[j + 1], edges[j + 2]
+            rising = (freqs - lo) / (mid - lo)
+            falling = (hi - freqs) / (hi - mid)
+            bank[j] = np.maximum(0.0, np.minimum(rising, falling))
+        return bank
+
+    @pytest.mark.parametrize("rate", [4000, 8000, 16000, 22050])
+    @pytest.mark.parametrize("length_ms, shift_ms", [(25, 10), (20, 20), (32, 7.5)])
+    def test_frames_bit_identical(self, rate, length_ms, shift_ms):
+        config = MfccConfig(frame_length_ms=length_ms, frame_shift_ms=shift_ms)
+        flen, shift = config.frame_length_samples(rate), config.frame_shift_samples(rate)
+        for n in (flen, flen + shift - 1, flen + shift, rate + 7):
+            x = np.random.default_rng(n).standard_normal(n)
+            frames = frame_signal(x, config, rate)
+            assert np.array_equal(frames, self.ref_frames(x, flen, shift))
+            frames[0, 0] = 1e9  # a new writable array, not a view of x
+            assert x[0] != 1e9
+
+    @pytest.mark.parametrize("rate", [4000, 8000, 16000, 22050])
+    @pytest.mark.parametrize("num_filters, dft_size", [(1, 64), (20, 256), (26, 512), (40, 512)])
+    def test_bank_bit_identical(self, rate, num_filters, dft_size):
+        bank = mel_filterbank(num_filters, dft_size, rate)
+        assert np.array_equal(bank, self.ref_bank(num_filters, dft_size, rate))
+
+    def test_dft_size_is_next_power_of_two(self):
+        for length_ms in (0.1, 0.125, 1.0, 16.0, 25.0, 32.0, 32.1, 64.0):
+            config = MfccConfig(frame_length_ms=length_ms, frame_shift_ms=0.1)
+            for rate in (4000, 8000, 16000, 22050):
+                size = 1
+                while size < config.frame_length_samples(rate):
+                    size *= 2
+                assert config.effective_dft_size(rate) == size
+
+    @pytest.mark.parametrize("frame_len, dft_size", [(64, 64), (50, 64), (100, 128), (1, 8)])
+    def test_batched_spectrum(self, frame_len, dft_size):
+        frames = np.random.default_rng(frame_len).standard_normal((2, 3, frame_len))
+        spec = magnitude_spectrum(frames, dft_size)
+        assert spec.shape == (2, 3, dft_size // 2 + 1)
+        assert np.max(np.abs(spec - self.ref_spectrum(frames, dft_size))) < 1e-12
+
+    @pytest.mark.parametrize("rate", [4000, 8000, 16000])
+    def test_extract_mfcc(self, rate):
+        config = MfccConfig()
+        samples = np.random.default_rng(rate).uniform(-0.5, 0.5, rate // 2)
+        feats = extract_mfcc(AudioClip(samples=samples, sample_rate_hz=rate), config)
+
+        dft_size = config.effective_dft_size(rate)
+        x = pre_emphasize(samples, config.pre_emphasis_alpha)
+        flen, shift = config.frame_length_samples(rate), config.frame_shift_samples(rate)
+        spec = self.ref_spectrum(hamming_window(self.ref_frames(x, flen, shift)), dft_size)
+        energies = spec ** 2 @ self.ref_bank(config.num_mel_filters, dft_size, rate).T
+        log_energies = np.log(np.maximum(energies, LOG_ENERGY_FLOOR))
+        ref = cmvn(dct_cepstra(log_energies, config.num_cepstra))
+        assert np.max(np.abs(feats.frames - ref)) <= 1e-12 * np.max(np.abs(ref))
