@@ -13,8 +13,6 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from . import store
 from .audio import read_wav
 from .errors import (
@@ -32,10 +30,10 @@ from .evaluation import (
     summarize,
 )
 from .experiment import EXPERIMENT_KEYS, ExperimentConfig, read_settings, run_experiment
-from .features import FeatureMatrix, MfccConfig, extract_mfcc
+from .features import MfccConfig, extract_mfcc
 from .gmm import GmmTrainingConfig, em_fit_detailed
 from .scoring import DecisionPolicy
-from .speaker_models import DEFAULT_RELEVANCE, Ubm, accumulate_stats, map_adapt
+from .speaker_models import DEFAULT_RELEVANCE, Ubm, accumulate_stats, map_adapt, pool_features
 from .total_variability import extract_ivector, init_tv, train_tv
 
 EXIT_OK = 0
@@ -166,9 +164,8 @@ def cmd_train_ubm(args, settings):
     if not args.inputs:
         raise VoxidUsageError("no feature files given")
     config = _config_from(GmmTrainingConfig, settings, rng_seed=args.seed)
-    mats = [store.load(p, "features") for p in args.inputs]
-    pooled = np.vstack([fm.frames for fm in mats])
-    gmm, history = em_fit_detailed(FeatureMatrix(pooled), config)
+    pooled = pool_features([store.load(p, "features") for p in args.inputs])
+    gmm, history = em_fit_detailed(pooled, config)
     for i, ll in enumerate(history):
         print(f"iteration {i}: log-likelihood {ll:.6f}")
     store.save(Ubm(gmm=gmm), "ubm", args.output)
@@ -177,9 +174,7 @@ def cmd_train_ubm(args, settings):
 
 def cmd_enroll(args, settings):
     ubm = store.load(args.ubm, "ubm")
-    feats = store.load(args.features[0], "features")
-    for extra in args.features[1:]:
-        feats = feats.concat(store.load(extra, "features"))
+    feats = pool_features([store.load(p, "features") for p in args.features])
     stats = accumulate_stats(feats, ubm)
     relevance = settings.get("relevance", DEFAULT_RELEVANCE)
     model = map_adapt(stats, ubm, relevance=relevance, speaker_id=args.speaker_id)

@@ -155,6 +155,7 @@ class SyntheticWorld:
     registry: SpeakerRegistry
     test_sets: dict  # speaker_id -> FeatureMatrix
     enroll_sets: dict  # speaker_id -> FeatureMatrix
+    enroll_stats: dict  # speaker_id -> BaumWelchStats of enroll_sets against the UBM
     tv_model: object = None
 
 
@@ -171,6 +172,7 @@ def build_world(config: ExperimentConfig) -> SyntheticWorld:
     registry = SpeakerRegistry()
     test_sets = {}
     enroll_sets = {}
+    enroll_stats = {}
     total = config.num_true_speakers + config.num_impostors
     for idx in range(total):
         is_impostor = idx >= config.num_true_speakers
@@ -191,11 +193,12 @@ def build_world(config: ExperimentConfig) -> SyntheticWorld:
             )
         )
         enroll_sets[sid] = enroll
+        enroll_stats[sid] = stats
         if not is_impostor:
             test_sets[sid] = sample_from_gmm(truth, config.test_frames, rng)
     return SyntheticWorld(
         config=config, ubm=ubm, registry=registry,
-        test_sets=test_sets, enroll_sets=enroll_sets,
+        test_sets=test_sets, enroll_sets=enroll_sets, enroll_stats=enroll_stats,
     )
 
 
@@ -216,8 +219,7 @@ def attach_ivectors(world: SyntheticWorld) -> SyntheticWorld:
     tv = init_tv(world.ubm, config.tv_rank, rng_seed=config.seed)
     tv = train_tv(stats_set, tv, iterations=config.tv_iterations)
     for entry in world.registry.entries:
-        stats = accumulate_stats(world.enroll_sets[entry.speaker_id], world.ubm)
-        entry.ivector = extract_ivector(stats, tv)
+        entry.ivector = extract_ivector(world.enroll_stats[entry.speaker_id], tv)
     world.tv_model = tv
     return world
 

@@ -14,8 +14,9 @@ _LOG_2PI = np.log(2.0 * np.pi)
 
 WEIGHT_SUM_TOL = 1e-12
 DEGENERATE_MASS = 1e-8
-# Bounds sequence_log_likelihoods' buffer at L * STACK_COMPONENTS doubles.
-STACK_COMPONENTS = 2048
+# sequence_log_likelihoods stacks at most BLOCK components, and an E-step takes
+# BLOCK frames at a time, so neither holds more than L * BLOCK or BLOCK * l doubles.
+BLOCK = 2048
 KMEANS_FRAMES_PER_COMPONENT = 64  # UBM k-means runs on at most this many frames per component
 
 
@@ -127,18 +128,39 @@ def frame_component_log_densities(frames: np.ndarray, gmm: DiagonalGmm) -> np.nd
     return _log_densities(frames, gmm.means, gmm.variances, 0.0, _centre(gmm.means))
 
 
+def _posteriors(frames: np.ndarray, gmm: DiagonalGmm):
+    """Responsibilities (L, l), rows summing to 1, and per-frame mixture log-likelihoods (L,)."""
+    _require_dim(frames, gmm)
+    logs = _log_densities(frames, gmm.means, gmm.variances, np.log(gmm.weights),
+                          _centre(gmm.means))
+    frame_ll = _logsumexp(logs, axis=1)
+    logs -= frame_ll[:, None]
+    return np.exp(logs, out=logs), frame_ll
+
+
+def posterior_sums(frames: np.ndarray, gmm: DiagonalGmm, data: np.ndarray):
+    """Soft counts (l,), gamma^T data and frame log-likelihoods (L,), BLOCK frames at a time."""
+    counts = np.zeros(gmm.num_components)
+    sums = np.zeros((gmm.num_components, data.shape[1]))
+    frame_ll = np.empty(frames.shape[0])
+    for start in range(0, frames.shape[0], BLOCK):
+        gamma, frame_ll[start:start + BLOCK] = _posteriors(frames[start:start + BLOCK], gmm)
+        counts += gamma.sum(axis=0)
+        sums += gamma.T @ data[start:start + BLOCK]
+        del gamma  # freed before the next block's posteriors are built
+    return counts, sums, frame_ll
+
+
 def mixture_log_likelihood(x, gmm: DiagonalGmm) -> float:
     """log sum_i w_i N(x; mu_i, var_i), via log-sum-exp."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    logs = frame_component_log_densities(x, gmm) + np.log(gmm.weights)[None, :]
-    return float(_logsumexp(logs, axis=1)[0])
+    return float(_posteriors(np.atleast_2d(np.asarray(x, dtype=np.float64)), gmm)[1][0])
 
 
 def sequence_log_likelihoods(feats: FeatureMatrix, gmms) -> np.ndarray:
     """Sequence log-likelihood of one utterance under each mixture; shape (N,).
 
     Scores the stacked components of all models in one kernel pass per block of
-    at most STACK_COMPONENTS components (a larger model is its own block), about
+    at most BLOCK components (a larger model is its own block), about
     the first model's centre, then reduces each model's segment of the stack, so
     the models may differ in component count. Frames are treated as independent.
     """
@@ -152,7 +174,7 @@ def sequence_log_likelihoods(feats: FeatureMatrix, gmms) -> np.ndarray:
     start = 0
     while start < len(gmms):
         ends = np.cumsum(sizes[start:])
-        stop = start + max(1, int(np.searchsorted(ends, STACK_COMPONENTS, side="right")))
+        stop = start + max(1, int(np.searchsorted(ends, BLOCK, side="right")))
         block = gmms[start:stop]
         logs = _log_densities(frames, np.concatenate([g.means for g in block]),
                               np.concatenate([g.variances for g in block]),
@@ -182,17 +204,16 @@ def responsibilities(x, gmm: DiagonalGmm) -> np.ndarray:
 
 def frame_responsibilities(frames: np.ndarray, gmm: DiagonalGmm) -> np.ndarray:
     """Posterior matrix of shape (L, l); rows sum to 1."""
-    logs = frame_component_log_densities(frames, gmm) + np.log(gmm.weights)[None, :]
-    logs -= _logsumexp(logs, axis=1, keepdims=True)
-    return np.exp(logs, out=logs)
+    return _posteriors(frames, gmm)[0]
 
 
 def _nearest(frames: np.ndarray, centers: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Nearest-centre labels by ||c||^2 - 2 x.c about ref; ||x||^2 drops out."""
+    """Nearest-centre labels by ||c||^2 - 2 x.c about ref (||x||^2 drops out), BLOCK frames
+    at a time."""
     centred = centers - ref
-    dists = (frames - ref) @ (-2.0 * centred).T
-    dists += np.sum(centred * centred, axis=1)
-    return np.argmin(dists, axis=1)
+    scale, norms = -2.0 * centred.T, np.sum(centred * centred, axis=1)
+    return np.concatenate([np.argmin((frames[start:start + BLOCK] - ref) @ scale + norms, axis=1)
+                           for start in range(0, frames.shape[0], BLOCK)])
 
 
 def _kmeans_pp(frames: np.ndarray, n_clusters: int, rng: np.random.Generator):
@@ -262,14 +283,8 @@ def em_fit_detailed(feats: FeatureMatrix, config: GmmTrainingConfig):
     history: list[float] = []
     prev_ll = None
     for _ in range(config.max_iterations):
-        logs = frame_component_log_densities(frames, model)
-        logs += np.log(model.weights)[None, :]
-        frame_ll = _logsumexp(logs, axis=1)
-        logs -= frame_ll[:, None]
-        gamma = np.exp(logs, out=logs)
+        counts, moments, frame_ll = posterior_sums(frames, model, powers)
         ll = float(frame_ll.sum())
-
-        counts = gamma.sum(axis=0)
         degenerate = np.flatnonzero(counts < DEGENERATE_MASS)
         if degenerate.size:
             # re-seed dead components at the worst-modelled frames
@@ -286,7 +301,7 @@ def em_fit_detailed(feats: FeatureMatrix, config: GmmTrainingConfig):
             continue
         history.append(ll)
 
-        moments = (gamma.T @ powers) / counts[:, None]
+        moments /= counts[:, None]
         means, second = moments[:, :k], moments[:, k:]
         variances = np.maximum(second - means * means, config.variance_floor)
         weights = np.maximum(counts / n, 1e-12)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NegativeRelevance
 from .features import FeatureMatrix
-from .gmm import DiagonalGmm, GmmTrainingConfig, em_fit, frame_responsibilities
+from .gmm import DiagonalGmm, GmmTrainingConfig, em_fit, posterior_sums
 
 DEFAULT_RELEVANCE = 16.0
 
@@ -63,8 +63,8 @@ class Supervector:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
 
 
-def train_ubm(pooled, config: GmmTrainingConfig) -> Ubm:
-    """Fit the background model on feature matrices pooled over speakers.
+def pool_features(pooled) -> FeatureMatrix:
+    """Concatenate feature matrices of one dimension into one.
 
     `pooled` is either a sequence of FeatureMatrix (concatenated in the
     given order) or a mapping of utterance id -> FeatureMatrix, in which
@@ -77,15 +77,22 @@ def train_ubm(pooled, config: GmmTrainingConfig) -> Ubm:
         items = list(pooled)
     if not items:
         raise DimensionMismatch("no utterances supplied")
-    frames = np.vstack([fm.frames for fm in items])
-    return Ubm(gmm=em_fit(FeatureMatrix(frames), config))
+    dims = sorted({fm.dim_k for fm in items})
+    if len(dims) > 1:
+        raise DimensionMismatch(f"feature dimensions differ: {dims}")
+    return FeatureMatrix(np.vstack([fm.frames for fm in items]))
+
+
+def train_ubm(pooled, config: GmmTrainingConfig) -> Ubm:
+    """Fit the background model on feature matrices pooled over speakers (see pool_features)."""
+    return Ubm(gmm=em_fit(pool_features(pooled), config))
 
 
 def accumulate_stats(feats: FeatureMatrix, ubm: Ubm) -> BaumWelchStats:
     """Zeroth/first-order statistics of an utterance against the UBM."""
     feats.require_nonempty()
-    gamma = frame_responsibilities(feats.frames, ubm.gmm)
-    return BaumWelchStats(zeroth=gamma.sum(axis=0), first=gamma.T @ feats.frames)
+    zeroth, first, _ = posterior_sums(feats.frames, ubm.gmm, feats.frames)
+    return BaumWelchStats(zeroth=zeroth, first=first)
 
 
 def map_adapt(stats: BaumWelchStats, ubm: Ubm, relevance: float = DEFAULT_RELEVANCE,

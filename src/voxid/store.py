@@ -18,8 +18,9 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import secrets
+import stat
 import struct
-import tempfile
 
 import numpy as np
 
@@ -53,12 +54,22 @@ KINDS = (
 _MAGIC = b"VOXF1"
 
 
+def _open_temp(directory):
+    """Create a new temp file as open() would: mode 0666 less the umask."""
+    while True:
+        tmp = os.path.join(directory, f".voxid-{secrets.token_hex(8)}")
+        with contextlib.suppress(FileExistsError):
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+
+
 def _atomic_write(path, data: bytes):
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".voxid-")
+        fd, tmp = _open_temp(directory)
         try:
+            with contextlib.suppress(FileNotFoundError):  # a rewrite keeps the old mode
+                os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
             view = memoryview(data)
             while view:  # os.write may write fewer bytes than asked
                 view = view[os.write(fd, view):]

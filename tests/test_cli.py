@@ -1,3 +1,4 @@
+import os
 import struct
 import xml.etree.ElementTree as ET
 
@@ -325,6 +326,38 @@ def test_inspect_names_missing_registry_field(workspace, capsys):
     assert run("inspect", registry) == EXIT_DATA
     err = capsys.readouterr().err
     assert "CorruptArtifact" in err and "cluster_id" in err
+
+
+def test_mixed_feature_dimensions_are_a_domain_error_in_every_command(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    wide, narrow = tmp_path / "a.feat", tmp_path / "b.feat"
+    store.save(FeatureMatrix(rng.normal(size=(200, 13))), "features", wide)
+    store.save(FeatureMatrix(rng.normal(size=(200, 12))), "features", narrow)
+    config = tmp_path / "c.conf"
+    config.write_text("num_components = 2\n")
+    ubm = tmp_path / "ubm.json"
+    assert run("--config", config, "train-ubm", wide, narrow, "--output", ubm) == EXIT_DOMAIN
+    assert not ubm.exists()
+    assert "DimensionMismatch" in capsys.readouterr().err
+    assert run("--config", config, "train-ubm", wide, "--output", ubm) == EXIT_OK
+    assert run("enroll", "--speaker-id", "s", "--registry", tmp_path / "r.json", "--ubm", ubm,
+               wide, narrow) == EXIT_DOMAIN
+    assert run("train-tv", "--ubm", ubm, wide, narrow, "--rank", "2",
+               "--output", tmp_path / "tv.json") == EXIT_DOMAIN
+    assert capsys.readouterr().err.count("DimensionMismatch") == 2
+
+
+def test_enroll_keeps_an_owner_only_registry_private(workspace):
+    tmp_path, feat_paths, ubm, registry = workspace
+    os.chmod(registry, 0o600)
+    old = os.umask(0o022)
+    try:
+        code = run("enroll", "--speaker-id", "extra", "--registry", registry, "--ubm", ubm,
+                   feat_paths[0])
+    finally:
+        os.umask(old)
+    assert code == EXIT_OK
+    assert os.stat(registry).st_mode & 0o777 == 0o600
 
 
 def test_train_ubm_on_non_finite_features(tmp_path):

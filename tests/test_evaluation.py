@@ -31,9 +31,9 @@ from voxid.experiment import (
     sample_from_gmm,
 )
 from voxid.features import FeatureMatrix
-from voxid.gmm import STACK_COMPONENTS, DiagonalGmm, sequence_log_likelihood
+from voxid.gmm import BLOCK, DiagonalGmm, sequence_log_likelihood
 from voxid.scoring import DecisionPolicy, cosine_score
-from voxid.speaker_models import SpeakerModel, Ubm
+from voxid.speaker_models import SpeakerModel, Ubm, accumulate_stats
 from voxid.total_variability import IVector
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
@@ -221,7 +221,7 @@ class TestIdentify:
         finally:
             tracemalloc.stop()
         # one (L, N * l) stack of every model would need L * 12 864 * 8 bytes
-        assert peak < 4 * frames_l * STACK_COMPONENTS * 8
+        assert peak < 4 * frames_l * BLOCK * 8
 
     def test_cosine_matches_cosine_score(self):
         rng = np.random.default_rng(16)
@@ -358,6 +358,31 @@ class TestExperiment:
         )
         report = run_experiment(cfg)[0]
         assert report.top1_accuracy == 1.0
+
+    def test_cosine_stage_accumulates_each_utterance_once(self, monkeypatch):
+        import voxid.experiment as experiment_module
+
+        calls = []
+
+        def counting(feats, ubm):
+            calls.append(feats.count_L)
+            return accumulate_stats(feats, ubm)
+
+        monkeypatch.setattr(experiment_module, "accumulate_stats", counting)
+        cfg = ExperimentConfig(
+            mode="cosine", num_true_speakers=4, num_impostors=2, ubm_components=4,
+            ubm_frames=800, enroll_frames=300, test_frames=100, tv_rank=2,
+            tv_iterations=1, tv_chunk_frames=100, cosine_target_true=3,
+            cosine_target_impostors=1,
+        )
+        run_experiment(cfg)
+        # one MAP pass per enrollment, 3 TV chunks each, one pass per trial
+        assert sorted(calls) == sorted([300] * 6 + [100] * 18 + [100] * 3)
+        world = build_world(cfg)
+        for sid, stats in world.enroll_stats.items():
+            again = accumulate_stats(world.enroll_sets[sid], world.ubm)
+            assert np.array_equal(stats.zeroth, again.zeroth)
+            assert np.array_equal(stats.first, again.first)
 
     def test_world_cluster_assignment(self):
         cfg = ExperimentConfig(

@@ -355,7 +355,7 @@ class TestSequenceLogLikelihoods:
     @pytest.mark.parametrize("stack", [2048, 7, 1])
     def test_matches_naive_per_component_sums(self, mixed_models, monkeypatch, stack):
         # stack 7 splits the list into blocks; 1 gives every model its own block
-        monkeypatch.setattr(gmm_module, "STACK_COMPONENTS", stack)
+        monkeypatch.setattr(gmm_module, "BLOCK", stack)
         frames = np.random.default_rng(38).normal(0, 2, (40, 3))
         scores = sequence_log_likelihoods(FeatureMatrix(frames), mixed_models)
         assert scores.shape == (len(mixed_models),)
@@ -484,6 +484,60 @@ class TestSubsampledInitialisation:
         monkeypatch.setattr(gmm_module, "KMEANS_FRAMES_PER_COMPONENT", 15_000)
         full = sequence_log_likelihood(held_out, em_fit(pooled, config)) / 5_000
         assert abs(subsampled - full) < 0.05
+
+
+class TestBlockedEStep:
+    """EM and the Baum-Welch sums take BLOCK frames at a time."""
+
+    # L below BLOCK, a multiple of it, and neither
+    @pytest.mark.parametrize("block, frames_l", [
+        (1, 20), (7, 5), (7, 21), (7, 23), (2048, 300), (2048, 4096), (2048, 2100)])
+    def test_one_em_iteration_does_not_depend_on_the_block(self, monkeypatch, block, frames_l):
+        feats = FeatureMatrix(overlapping_frames(49, frames_l, 3, 4) + 2.0)
+        config = GmmTrainingConfig(num_components=3, max_iterations=1, rng_seed=1)
+        monkeypatch.setattr(gmm_module, "BLOCK", frames_l)
+        whole = em_fit(feats, config)
+        monkeypatch.setattr(gmm_module, "BLOCK", block)
+        blocked = em_fit(feats, config)
+        for name in ("weights", "means", "variances"):
+            ours, reference = getattr(blocked, name), getattr(whole, name)
+            assert np.abs(ours - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_dead_component_reseeded_at_worst_frame_of_a_later_block(self, monkeypatch):
+        frames = overlapping_frames(48, 500, 3, 2)
+        frames[400] = [30.0, -30.0]
+        config = GmmTrainingConfig(num_components=3, max_iterations=1, rng_seed=0)
+        stranded = DiagonalGmm(weights=np.full(3, 1 / 3),
+                               means=np.array([[0.0, 0.0], [0.5, 0.5], [1e3, 1e3]]),
+                               variances=np.full((3, 2), 0.01))
+        monkeypatch.setattr(gmm_module, "_initial_model", lambda *args: stranded)
+        monkeypatch.setattr(gmm_module, "BLOCK", 7)
+        model, history = em_fit_detailed(FeatureMatrix(frames), config)
+        assert history == []
+        assert np.array_equal(model.means[2], frames[400])
+        assert np.array_equal(model.means[:2], stranded.means[:2])
+
+    def test_memory_is_bounded_by_the_block(self, monkeypatch):
+        # an (L, C) array of doubles alone would be 10 * BLOCK * C * 8 bytes
+        frames_l, components = 10 * gmm_module.BLOCK, 128
+        frames = np.random.default_rng(50).normal(0, 1, (frames_l, 2))
+        rng = np.random.default_rng(51)
+        model = DiagonalGmm(weights=np.full(components, 1 / components),
+                            means=rng.normal(0, 1, (components, 2)),
+                            variances=rng.uniform(0.5, 1.5, (components, 2)))
+        monkeypatch.setattr(gmm_module, "_initial_model", lambda *args: model)
+        feats = FeatureMatrix(frames)
+        config = GmmTrainingConfig(num_components=components, max_iterations=1)
+        bound = 4 * gmm_module.BLOCK * components * 8
+        for call in (lambda: gmm_module.posterior_sums(frames, model, frames),
+                     lambda: em_fit(feats, config)):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
 
 class TestMStep:

@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
 
+from voxid import gmm as gmm_module
 from voxid.errors import DimensionMismatch, NegativeRelevance
 from voxid.features import FeatureMatrix
-from voxid.gmm import DiagonalGmm, GmmTrainingConfig, em_fit, responsibilities
+from voxid.gmm import (
+    DiagonalGmm,
+    GmmTrainingConfig,
+    em_fit,
+    frame_responsibilities,
+    responsibilities,
+)
 from voxid.speaker_models import (
     BaumWelchStats,
     Ubm,
     accumulate_stats,
     build_supervector,
     map_adapt,
+    pool_features,
     train_ubm,
     variance_supervector,
 )
@@ -53,6 +61,21 @@ class TestTrainUbm:
         means = np.sort(ubm.gmm.means[:, 0])
         assert abs(means[0] + 6) < 0.3 and abs(means[1] - 6) < 0.3
 
+    def test_mixed_dimensions_rejected(self):
+        rng = np.random.default_rng(4)
+        mixed = [FeatureMatrix(rng.normal(0, 1, (50, k))) for k in (13, 12)]
+        with pytest.raises(DimensionMismatch, match="differ"):
+            train_ubm(mixed, GmmTrainingConfig(num_components=2))
+        with pytest.raises(DimensionMismatch, match="differ"):
+            pool_features(dict(zip("ab", mixed)))
+
+    def test_pool_keeps_sequence_order(self):
+        parts = [FeatureMatrix(np.full((i + 1, 2), float(i))) for i in range(3)]
+        assert np.array_equal(pool_features(parts).frames,
+                              np.vstack([p.frames for p in parts]))
+        with pytest.raises(DimensionMismatch):
+            pool_features([])
+
 
 class TestAccumulateStats:
     def test_single_frame_mass(self):
@@ -78,6 +101,18 @@ class TestAccumulateStats:
         assert stats.zeroth[1] == pytest.approx(gamma[1], abs=1e-12)
         assert stats.zeroth[1] > 0.999
         assert stats.first[1, 0] == pytest.approx(10.0, rel=1e-6)
+
+    # L below BLOCK, a multiple of it, and neither
+    @pytest.mark.parametrize("block, frames_l", [
+        (1, 20), (7, 5), (7, 21), (7, 23), (2048, 300), (2048, 4096), (2048, 2100)])
+    def test_blocked_sums_match_one_dense_pass(self, monkeypatch, block, frames_l):
+        ubm = simple_ubm(components=5, dim=3, seed=6)
+        frames = np.random.default_rng(7).normal(0, 3, (frames_l, 3))
+        gamma = frame_responsibilities(frames, ubm.gmm)
+        monkeypatch.setattr(gmm_module, "BLOCK", block)
+        stats = accumulate_stats(FeatureMatrix(frames), ubm)
+        for ours, dense in ((stats.zeroth, gamma.sum(axis=0)), (stats.first, gamma.T @ frames)):
+            assert np.abs(ours - dense).max() <= 1e-12 * np.abs(dense).max()
 
     def test_additivity_under_concatenation(self):
         # floating-point summation order makes bitwise equality unattainable;

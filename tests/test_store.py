@@ -223,6 +223,33 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
     assert not list(tmp_path.glob(".voxid-*"))
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)
+def test_new_artifacts_take_the_umask_mode(umask, tmp_path, monkeypatch):
+    # as open() would create them, not mkstemp's owner-only 0600
+    path = tmp_path / "f.feat"
+    old = os.umask(umask)
+    try:
+        monkeypatch.setattr(os, "umask", None)  # the process-wide umask is left alone
+        store.save(random_artifact("features", np.random.default_rng(0)), "features", path)
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o644, 0o640], ids=oct)
+def test_rewritten_artifacts_keep_their_mode(mode, tmp_path):
+    path = tmp_path / "f.feat"
+    store.save(random_artifact("features", np.random.default_rng(0)), "features", path)
+    os.chmod(path, mode)
+    old = os.umask(0o022)
+    try:
+        store.save(random_artifact("features", np.random.default_rng(1)), "features", path)
+    finally:
+        os.umask(old)
+    assert os.stat(path).st_mode & 0o777 == mode
+
+
 def test_short_writes_are_completed(tmp_path, monkeypatch):
     rng = np.random.default_rng(25)
     gmm = random_gmm(rng)
