@@ -40,7 +40,7 @@ class BaumWelchStats:
         first = np.asarray(self.first, dtype=np.float64)
         if zeroth.ndim != 1 or first.ndim != 2 or first.shape[0] != zeroth.shape[0]:
             raise DimensionMismatch("inconsistent statistic shapes")
-        if np.any(zeroth < 0.0) or not np.all(np.isfinite(first)):
+        if not (np.all(zeroth >= 0.0) and np.isfinite(zeroth).all() and np.isfinite(first).all()):
             raise DimensionMismatch("invalid statistic values")
         object.__setattr__(self, "zeroth", zeroth)
         object.__setattr__(self, "first", first)

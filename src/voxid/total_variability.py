@@ -5,7 +5,9 @@ mean of w given one utterance's statistics.
 
 A model caches its precision blocks U_c = T_c^T Sigma_c^-1 T_c (T_c: the
 k rows of component c), so a posterior precision is I + sum_c N_c U_c
-(Glembek et al., ICASSP 2011); the M-step is one batched solve over c.
+(Glembek et al., ICASSP 2011): the E-step gets BLOCK utterances' precisions
+from one product of their counts with the blocks. LAPACK's dpotrf gives
+every Cholesky factor: E-step, M-step and extraction.
 """
 
 from __future__ import annotations
@@ -14,11 +16,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .errors import DimensionMismatch, NumericalFailure, RankTooLarge
 from .speaker_models import BaumWelchStats, Ubm, build_supervector, variance_supervector
+
+# Utterances per E-step block, which holds BLOCK * R^2 doubles whatever their number.
+BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -83,25 +88,29 @@ def init_tv(ubm: Ubm, rank_R: int, rng_seed: int = 0) -> TotalVariabilityModel:
     )
 
 
+def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor from a's lower triangle; an F-ordered a is factored in place."""
+    if not np.isfinite(a).all():
+        raise NumericalFailure(f"{what} is not finite")
+    factor, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise NumericalFailure(f"{what} is not positive definite (LAPACK info {info})")
+    return factor
+
+
 def _posterior(stats: BaumWelchStats, tv: TotalVariabilityModel):
-    """Cholesky factor of w's posterior precision, its mean, and F~ = F - N m."""
+    """Posterior mean of w: a Cholesky solve against I + sum_c N_c U_c."""
     if stats.first.shape != (tv.num_components, tv.dim_k):
         raise DimensionMismatch("stats not dimensioned against this model")
     f_centered = stats.first.reshape(-1) - np.repeat(stats.zeroth, tv.dim_k) * tv.m
-    # cho_factor reads only the lower triangle, so the precision is taken as symmetric
     precision = np.eye(tv.rank_R) + np.tensordot(stats.zeroth, tv.precision_blocks, axes=1)
-    try:
-        factor = cho_factor(precision, lower=True)
-    except (LinAlgError, ValueError) as exc:
-        raise NumericalFailure(f"posterior precision not SPD: {exc}") from exc
-    mean = cho_solve(factor, tv.t_matrix.T @ (f_centered / tv.sigma))
-    return factor, mean, f_centered
+    factor = _cholesky(precision, "posterior precision")
+    return dpotrs(factor, tv.t_matrix.T @ (f_centered / tv.sigma), lower=1)[0]
 
 
 def extract_ivector(stats: BaumWelchStats, tv: TotalVariabilityModel) -> IVector:
     """Posterior-mean latent factor for one utterance's statistics."""
-    _, mean, _ = _posterior(stats, tv)
-    return IVector(w=mean)
+    return IVector(w=_posterior(stats, tv))
 
 
 def train_tv(stats_set, tv: TotalVariabilityModel, iterations: int = 10
@@ -109,31 +118,42 @@ def train_tv(stats_set, tv: TotalVariabilityModel, iterations: int = 10
     """EM re-estimation of the variability matrix; m and sigma stay fixed.
 
     The E-step accumulates A_c = sum_u N_c(u) (L_u^-1 + w_u w_u^T) for each
-    component c and B = F~^T W; the M-step solves T_c A_c = B_c for all c at once.
+    component c, BLOCK utterances at a time, and B = F~^T W; the M-step
+    solves T_c A_c = B_c for each c.
     """
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     stats_list = list(stats_set)
-    if not stats_list:
-        raise DimensionMismatch("empty stats collection")
     c, k, r = tv.num_components, tv.dim_k, tv.rank_R
+    if not stats_list or any(stats.first.shape != (c, k) for stats in stats_list):
+        raise DimensionMismatch("stats collection empty or not dimensioned against this model")
+    counts = np.array([stats.zeroth for stats in stats_list])  # (U, C)
+    f_centered = np.array([stats.first.reshape(-1) for stats in stats_list])  # (U, C*k)
+    f_centered -= np.repeat(counts, k, axis=1) * tv.m
 
     model = TotalVariabilityModel(tv.m, tv.sigma, tv.t_matrix, c, k)  # leaves tv uncached
-    acc = np.empty((r * r, c), order="F")  # column c is A_c flattened, updated in place
-    f_centered = np.empty((len(stats_list), c * k))
-    w = np.empty((len(stats_list), r))
+    # Only lower triangles (column-major) are exact: LAPACK reads and writes no other.
+    moments = np.empty((BLOCK, r * r))  # row j: posterior precision, then second moment
+    acc = np.empty((r * r, c), order="F")  # column c is A_c
+    w = np.empty((counts.shape[0], r))
     for _ in range(iterations):
         acc[:] = 0.0
-        for u, stats in enumerate(stats_list):
-            factor, w[u], f_centered[u] = _posterior(stats, model)
-            cov = cho_solve(factor, np.eye(r))
-            second_moment = 0.5 * (cov + cov.T) + np.outer(w[u], w[u])  # exactly symmetric
-            acc = dger(1.0, second_moment.ravel(), stats.zeroth, a=acc, overwrite_a=True)
-        del model  # frees its precision blocks before the M-step
-        a = acc.T.reshape(c, r, r)  # a view; symmetric as every second moment is
-        b = (f_centered.T @ w).reshape(c, k, r)
-        try:
-            np.linalg.cholesky(a)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"M-step: some A_c is not positive definite: {exc}") from exc
-        t = np.linalg.solve(a, b.transpose(0, 2, 1)).transpose(0, 2, 1).reshape(c * k, r)
+        blocks = model.precision_blocks.reshape(c, r * r)
+        for start in range(0, counts.shape[0], BLOCK):
+            n = counts[start:start + BLOCK]
+            block = np.matmul(n, blocks, out=moments[:n.shape[0]])
+            block[:, ::r + 1] += 1.0
+            rhs = (f_centered[start:start + BLOCK] / model.sigma) @ model.t_matrix
+            for j, u in enumerate(range(start, start + n.shape[0])):
+                factor = _cholesky(block[j].reshape(r, r, order="F"), "posterior precision")
+                w[u] = dpotrs(factor, rhs[j], lower=1)[0]
+                dpotri(factor, lower=1, overwrite_c=1)  # block[j] now holds L_u^-1
+                factor += np.outer(w[u], w[u])
+            acc = dgemm(1.0, block.T, n.T, beta=1.0, c=acc, trans_b=1, overwrite_c=1)
+        del model, blocks  # frees the precision blocks before the M-step
+        t = f_centered.T @ w  # B, solved into T component by component
+        for j in range(c):
+            factor = _cholesky(acc[:, j].reshape(r, r, order="F"), f"M-step A_{j}")
+            t[j * k:(j + 1) * k] = dpotrs(factor, t[j * k:(j + 1) * k].T, lower=1)[0].T
         model = TotalVariabilityModel(tv.m, tv.sigma, t, c, k)
     return model

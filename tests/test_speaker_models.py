@@ -126,6 +126,11 @@ class TestAccumulateStats:
         np.testing.assert_allclose(merged.zeroth, summed.zeroth, rtol=1e-13)
         np.testing.assert_allclose(merged.first, summed.first, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("count", [-1.0, np.nan, np.inf])
+    def test_invalid_counts_rejected(self, count):
+        with pytest.raises(DimensionMismatch):
+            BaumWelchStats(np.array([1.0, count]), np.ones((2, 2)))
+
 
 class TestMapAdapt:
     def test_zero_stats_keeps_ubm_means(self):

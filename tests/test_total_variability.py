@@ -1,12 +1,15 @@
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from voxid.errors import DimensionMismatch, NumericalFailure, RankTooLarge
 from voxid.gmm import DiagonalGmm
 from voxid.speaker_models import BaumWelchStats, Ubm, build_supervector
 from voxid.total_variability import (
+    BLOCK,
     TotalVariabilityModel,
     extract_ivector,
     init_tv,
@@ -151,6 +154,31 @@ class TestExtraction:
         np.linalg.cholesky(precision)  # raises if not SPD
         extract_ivector(BaumWelchStats(counts, first), tv)
 
+    def test_matches_scipy_cholesky_solve_bit_for_bit(self):
+        ubm = make_ubm(components=16, dim=3, seed=16)
+        tv = init_tv(ubm, 10, rng_seed=17)
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            counts = rng.uniform(0, 50, 16)
+            first = rng.normal(0, 2, (16, 3)) * counts[:, None]
+            precision = np.eye(10) + np.tensordot(counts, tv.precision_blocks, axes=1)
+            f_centered = first.reshape(-1) - np.repeat(counts, 3) * tv.m
+            rhs = tv.t_matrix.T @ (f_centered / tv.sigma)
+            oracle = cho_solve(cho_factor(precision, lower=True), rhs)
+            assert np.array_equal(extract_ivector(BaumWelchStats(counts, first), tv).w, oracle)
+
+    def test_overflowing_precision_is_a_numerical_failure(self):
+        ubm = make_ubm()
+        base = init_tv(ubm, 2)
+        tv = TotalVariabilityModel(m=base.m, sigma=base.sigma, t_matrix=1e3 * base.t_matrix,
+                                   num_components=4, dim_k=3)
+        stats = BaumWelchStats(np.full(4, 1e308), np.ones((4, 3)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure):
+                extract_ivector(stats, tv)
+            with pytest.raises(NumericalFailure):
+                train_tv([stats], tv, iterations=1)
+
     def test_dimension_mismatch(self):
         ubm = make_ubm()
         tv = init_tv(ubm, 2)
@@ -228,6 +256,19 @@ class TestTraining:
         with pytest.raises(NumericalFailure):
             train_tv(stats_set, init_tv(ubm, 2, rng_seed=28), iterations=1)
 
+    def test_negative_iterations_rejected(self):
+        tv = init_tv(make_ubm(), 2)
+        with pytest.raises(ValueError):
+            train_tv([BaumWelchStats(np.ones(4), np.ones((4, 3)))], tv, iterations=-1)
+
+    def test_stats_checked_before_any_work(self):
+        # the last element is dimensioned for another model, and no iteration runs
+        tv = init_tv(make_ubm(), 2)
+        good = BaumWelchStats(np.ones(4), np.ones((4, 3)))
+        bad = BaumWelchStats(np.ones(4), np.ones((4, 2)))
+        with pytest.raises(DimensionMismatch):
+            train_tv([good] * 5 + [bad], tv, iterations=0)
+
     @pytest.mark.parametrize("iterations", [1, 3])
     def test_dense_em_oracle(self, iterations):
         c, k, r = 6, 4, 3
@@ -236,19 +277,56 @@ class TestTraining:
         counts = rng.uniform(0.5, 20, (8, c))
         stats_set = [BaumWelchStats(n, rng.normal(0, 2, (c, k)) * n[:, None]) for n in counts]
         tv = init_tv(ubm, r, rng_seed=32)
-        # reference EM: dense posterior per utterance, per-component dense solve
-        t = tv.t_matrix
-        for _ in range(iterations):
-            a = np.zeros((c, r, r))
-            b = np.zeros((c * k, r))
-            for stats in stats_set:
-                n_exp = np.repeat(stats.zeroth, k)
-                f_centered = stats.first.reshape(-1) - n_exp * tv.m
-                cov = np.linalg.inv(np.eye(r) + t.T @ np.diag(n_exp / tv.sigma) @ t)
-                w = cov @ t.T @ (f_centered / tv.sigma)
-                a += stats.zeroth[:, None, None] * (cov + np.outer(w, w))
-                b += np.outer(f_centered, w)
-            t = np.vstack([np.linalg.solve(a[j], b[j * k:(j + 1) * k].T).T
-                           for j in range(c)])
+        t = dense_em(stats_set, tv, iterations)
         trained = train_tv(stats_set, tv, iterations=iterations)
         assert np.max(np.abs(trained.t_matrix - t)) < 1e-10 * np.max(np.abs(t))
+
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_dense_em_oracle_across_blocks(self, iterations):
+        c, k, r = 6, 4, 3
+        ubm = make_ubm(components=c, dim=k, seed=33)
+        rng = np.random.default_rng(34)
+        counts = rng.uniform(0.5, 20, (2 * BLOCK + 3, c))
+        counts[BLOCK + 1] = 0.0  # an utterance with no frames, inside the second block
+        stats_set = [BaumWelchStats(n, rng.normal(0, 2, (c, k)) * n[:, None]) for n in counts]
+        tv = init_tv(ubm, r, rng_seed=35)
+        t = dense_em(stats_set, tv, iterations)
+        trained = train_tv((stats for stats in stats_set), tv, iterations=iterations)
+        assert np.max(np.abs(trained.t_matrix - t)) < 1e-10 * np.max(np.abs(t))
+
+    def test_memory_grows_only_with_per_utterance_arrays(self):
+        c, k, r = 64, 4, 100
+        tv = init_tv(make_ubm(components=c, dim=k, seed=36), r, rng_seed=37)
+        rng = np.random.default_rng(38)
+        counts = rng.uniform(1, 20, (4 * BLOCK, c))
+        stats_set = [BaumWelchStats(n, rng.normal(0, 1, (c, k)) * n[:, None]) for n in counts]
+        peaks = []
+        for utterances in (BLOCK, 4 * BLOCK):
+            tracemalloc.start()
+            try:
+                train_tv(stats_set[:utterances], tv, iterations=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # (U, C), (U, C*k) and (U, R) arrays of doubles; the E-step's (BLOCK, R^2)
+        # moments, (R^2, C) accumulator and (C, R, R) precision blocks are fixed
+        assert peaks[1] - peaks[0] < 2 * 3 * BLOCK * (c * k + r) * 8
+        assert peaks[0] < 3 * c * r * r * 8
+
+
+def dense_em(stats_set, tv, iterations):
+    """Reference EM: dense posterior per utterance, per-component dense solve."""
+    c, k, r = tv.num_components, tv.dim_k, tv.rank_R
+    t = tv.t_matrix
+    for _ in range(iterations):
+        a = np.zeros((c, r, r))
+        b = np.zeros((c * k, r))
+        for stats in stats_set:
+            n_exp = np.repeat(stats.zeroth, k)
+            f_centered = stats.first.reshape(-1) - n_exp * tv.m
+            cov = np.linalg.inv(np.eye(r) + t.T @ np.diag(n_exp / tv.sigma) @ t)
+            w = cov @ t.T @ (f_centered / tv.sigma)
+            a += stats.zeroth[:, None, None] * (cov + np.outer(w, w))
+            b += np.outer(f_centered, w)
+        t = np.vstack([np.linalg.solve(a[j], b[j * k:(j + 1) * k].T).T for j in range(c)])
+    return t
