@@ -12,7 +12,7 @@ from voxid.experiment import sample_from_gmm
 from voxid.gmm import DiagonalGmm, GmmTrainingConfig
 from voxid.scoring import cosine_score
 from voxid.speaker_models import accumulate_stats, train_ubm
-from voxid.total_variability import extract_ivector, init_tv, train_tv
+from voxid.total_variability import extract_ivector, extract_ivectors, init_tv, train_tv
 
 rng = np.random.default_rng(11)
 DIM, COMPONENTS, RANK, N_SPEAKERS = 6, 8, 6, 4
@@ -48,10 +48,9 @@ for i in range(N_SPEAKERS):
 tv = train_tv(chunks, init_tv(ubm, rank_R=RANK, rng_seed=0), iterations=5)
 print(f"total-variability model: rank {RANK}, {len(chunks)} training chunks")
 
-enrolled = {
-    sid: extract_ivector(accumulate_stats(sample_from_gmm(g, 2400, rng), ubm), tv)
-    for sid, g in speakers.items()
-}
+# Every enrollment's i-vector comes from one batched extraction.
+enroll_stats = [accumulate_stats(sample_from_gmm(g, 2400, rng), ubm) for g in speakers.values()]
+enrolled = dict(zip(speakers, extract_ivectors(enroll_stats, tv)))
 
 # Target list: every true speaker once, plus impostors never enrolled.
 print("\ncosine scores against each enrolled i-vector "

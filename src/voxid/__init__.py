@@ -25,6 +25,7 @@ from .total_variability import (
     IVector,
     TotalVariabilityModel,
     extract_ivector,
+    extract_ivectors,
     init_tv,
     train_tv,
 )

@@ -28,7 +28,7 @@ from .features import FeatureMatrix
 from .gmm import DiagonalGmm, GmmTrainingConfig
 from .scoring import DecisionPolicy, decide
 from .speaker_models import accumulate_stats, map_adapt, train_ubm
-from .total_variability import extract_ivector, init_tv, train_tv
+from .total_variability import extract_ivectors, init_tv, train_tv
 
 
 # Smallest allowed value of each count, size, rank and scale; all must be finite.
@@ -156,6 +156,7 @@ class SyntheticWorld:
     test_sets: dict  # speaker_id -> FeatureMatrix
     enroll_sets: dict  # speaker_id -> FeatureMatrix
     enroll_stats: dict  # speaker_id -> BaumWelchStats of enroll_sets against the UBM
+    enroll_pieces: dict  # speaker_id -> [BaumWelchStats] of its pieces, summing to enroll_stats
     tv_model: object = None
 
 
@@ -173,6 +174,9 @@ def build_world(config: ExperimentConfig) -> SyntheticWorld:
     test_sets = {}
     enroll_sets = {}
     enroll_stats = {}
+    enroll_pieces = {}
+    # Cosine mode's TV training pieces also sum to the MAP statistics: one UBM pass a frame.
+    piece = config.tv_chunk_frames if config.mode == "cosine" else config.enroll_frames
     total = config.num_true_speakers + config.num_impostors
     for idx in range(total):
         is_impostor = idx >= config.num_true_speakers
@@ -182,7 +186,9 @@ def build_world(config: ExperimentConfig) -> SyntheticWorld:
             weights=base.weights, means=base.means + offset, variances=base.variances
         )
         enroll = sample_from_gmm(truth, config.enroll_frames, rng)
-        stats = accumulate_stats(enroll, ubm)
+        pieces = [accumulate_stats(FeatureMatrix(enroll.frames[start:start + piece]), ubm)
+                  for start in range(0, config.enroll_frames, piece)]
+        stats = sum(pieces[1:], pieces[0])
         model = map_adapt(stats, ubm, relevance=config.relevance, speaker_id=sid)
         registry.add(
             RegistryEntry(
@@ -194,32 +200,28 @@ def build_world(config: ExperimentConfig) -> SyntheticWorld:
         )
         enroll_sets[sid] = enroll
         enroll_stats[sid] = stats
+        enroll_pieces[sid] = pieces
         if not is_impostor:
             test_sets[sid] = sample_from_gmm(truth, config.test_frames, rng)
     return SyntheticWorld(
         config=config, ubm=ubm, registry=registry,
         test_sets=test_sets, enroll_sets=enroll_sets, enroll_stats=enroll_stats,
+        enroll_pieces=enroll_pieces,
     )
 
 
-def _chunk_stats(feats: FeatureMatrix, ubm, chunk: int):
-    frames = feats.frames
-    return [
-        accumulate_stats(FeatureMatrix(frames[start:start + chunk]), ubm)
-        for start in range(0, frames.shape[0] - chunk + 1, chunk)
-    ]
-
-
 def attach_ivectors(world: SyntheticWorld) -> SyntheticWorld:
-    """Train the variability model on enrollment chunks, set registry i-vectors."""
+    """Train the variability model on full-length enrollment pieces, set registry i-vectors."""
     config = world.config
-    stats_set = []
-    for sid in sorted(world.enroll_sets):
-        stats_set.extend(_chunk_stats(world.enroll_sets[sid], world.ubm, config.tv_chunk_frames))
+    full = config.enroll_frames // config.tv_chunk_frames  # the short last piece trains no T
+    stats_set = [stats for sid in sorted(world.enroll_pieces)
+                 for stats in world.enroll_pieces[sid][:full]]
     tv = init_tv(world.ubm, config.tv_rank, rng_seed=config.seed)
     tv = train_tv(stats_set, tv, iterations=config.tv_iterations)
-    for entry in world.registry.entries:
-        entry.ivector = extract_ivector(world.enroll_stats[entry.speaker_id], tv)
+    entries = world.registry.entries
+    ivectors = extract_ivectors([world.enroll_stats[e.speaker_id] for e in entries], tv)
+    for entry, ivector in zip(entries, ivectors):
+        entry.ivector = ivector
     world.tv_model = tv
     return world
 
@@ -254,11 +256,9 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
         targets = SpeakerRegistry()
         for sid in true_ids + imp_ids:
             targets.add(world.registry.get(sid))
-        trials = []
-        for sid in true_ids:
-            stats = accumulate_stats(world.test_sets[sid], world.ubm)
-            trials.append(Trial(trial_id=f"trial-{sid}", true_speaker_id=sid,
-                                test_ivector=extract_ivector(stats, world.tv_model)))
+        tests = (accumulate_stats(world.test_sets[sid], world.ubm) for sid in true_ids)
+        trials = [Trial(trial_id=f"trial-{sid}", true_speaker_id=sid, test_ivector=ivector)
+                  for sid, ivector in zip(true_ids, extract_ivectors(tests, world.tv_model))]
 
     policy = DecisionPolicy(threshold=config.thresholds[0], mode=mode)
     results = [identify(trial, targets, policy, ubm=world.ubm) for trial in trials]

@@ -1,13 +1,13 @@
 """Low-rank total-variability model: the mean supervector is offset by
 T @ w where w is a standard-normal latent factor per utterance. Training
 is EM over a set of utterance statistics; extraction is the posterior
-mean of w given one utterance's statistics.
+mean of w given each utterance's statistics.
 
 A model caches its precision blocks U_c = T_c^T Sigma_c^-1 T_c (T_c: the
 k rows of component c), so a posterior precision is I + sum_c N_c U_c
-(Glembek et al., ICASSP 2011): the E-step gets BLOCK utterances' precisions
-from one product of their counts with the blocks. LAPACK's dpotrf gives
-every Cholesky factor: E-step, M-step and extraction.
+(Glembek et al., ICASSP 2011). Training and extraction share one E-step,
+which gets BLOCK utterances' precisions from one product of their counts
+with the blocks; LAPACK's dpotrf gives every Cholesky factor.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ class TotalVariabilityModel:
     def precision_blocks(self) -> np.ndarray:
         """(C, R, R) stack of U_c = T_c^T Sigma_c^-1 T_c; computed once, not serialised."""
         t = self.t_matrix.reshape(self.num_components, self.dim_k, self.rank_R)
-        blocks = t.transpose(0, 2, 1) @ (t / self.sigma.reshape(t.shape[:2] + (1,)))
+        scaled = t / np.sqrt(self.sigma).reshape(t.shape[:2] + (1,))
+        blocks = scaled.transpose(0, 2, 1) @ scaled  # S^T S: exactly symmetric
         blocks.flags.writeable = False  # shared by every caller of this model
         return blocks
 
@@ -98,19 +99,45 @@ def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
     return factor
 
 
-def _posterior(stats: BaumWelchStats, tv: TotalVariabilityModel):
-    """Posterior mean of w: a Cholesky solve against I + sum_c N_c U_c."""
-    if stats.first.shape != (tv.num_components, tv.dim_k):
-        raise DimensionMismatch("stats not dimensioned against this model")
-    f_centered = stats.first.reshape(-1) - np.repeat(stats.zeroth, tv.dim_k) * tv.m
-    precision = np.eye(tv.rank_R) + np.tensordot(stats.zeroth, tv.precision_blocks, axes=1)
-    factor = _cholesky(precision, "posterior precision")
-    return dpotrs(factor, tv.t_matrix.T @ (f_centered / tv.sigma), lower=1)[0]
+def _stacked(stats_set, tv: TotalVariabilityModel):
+    """Counts (U, C) and centred first-order statistics F - N m (U, C*k), checked first."""
+    stats_list = list(stats_set)
+    shape = (tv.num_components, tv.dim_k)
+    if not stats_list or any(stats.first.shape != shape for stats in stats_list):
+        raise DimensionMismatch("stats collection empty or not dimensioned against this model")
+    counts = np.array([stats.zeroth for stats in stats_list])
+    f_centered = np.array([stats.first.reshape(-1) for stats in stats_list])
+    f_centered -= np.repeat(counts, tv.dim_k, axis=1) * tv.m
+    return counts, f_centered
+
+
+def _e_step(counts: np.ndarray, f_centered: np.ndarray, tv: TotalVariabilityModel):
+    """Posteriors of w, yielded as (counts, block, factors, w) for each BLOCK utterances:
+    factors[j] is the Cholesky factor of utterance j's posterior precision I + sum_c N_c U_c,
+    in the lower triangle (column-major) of block's row j, which the next block reuses, and
+    w[j] is its posterior mean."""
+    r = tv.rank_R
+    blocks = tv.precision_blocks.reshape(tv.num_components, r * r)
+    moments = np.empty((min(BLOCK, counts.shape[0]), r * r))
+    for start in range(0, counts.shape[0], BLOCK):
+        n = counts[start:start + BLOCK]
+        block = np.matmul(n, blocks, out=moments[:n.shape[0]])
+        block[:, ::r + 1] += 1.0
+        w = (f_centered[start:start + BLOCK] / tv.sigma) @ tv.t_matrix
+        factors = [_cholesky(row.reshape(r, r, order="F"), "posterior precision") for row in block]
+        for j, factor in enumerate(factors):
+            w[j] = dpotrs(factor, w[j], lower=1)[0]
+        yield n, block, factors, w
+
+
+def extract_ivectors(stats_set, tv: TotalVariabilityModel) -> list[IVector]:
+    """Posterior-mean latent factors for a collection of utterances' statistics, in order."""
+    return [IVector(w=w_u) for *_, w in _e_step(*_stacked(stats_set, tv), tv) for w_u in w]
 
 
 def extract_ivector(stats: BaumWelchStats, tv: TotalVariabilityModel) -> IVector:
     """Posterior-mean latent factor for one utterance's statistics."""
-    return IVector(w=_posterior(stats, tv))
+    return extract_ivectors([stats], tv)[0]
 
 
 def train_tv(stats_set, tv: TotalVariabilityModel, iterations: int = 10
@@ -123,35 +150,21 @@ def train_tv(stats_set, tv: TotalVariabilityModel, iterations: int = 10
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    stats_list = list(stats_set)
+    counts, f_centered = _stacked(stats_set, tv)
     c, k, r = tv.num_components, tv.dim_k, tv.rank_R
-    if not stats_list or any(stats.first.shape != (c, k) for stats in stats_list):
-        raise DimensionMismatch("stats collection empty or not dimensioned against this model")
-    counts = np.array([stats.zeroth for stats in stats_list])  # (U, C)
-    f_centered = np.array([stats.first.reshape(-1) for stats in stats_list])  # (U, C*k)
-    f_centered -= np.repeat(counts, k, axis=1) * tv.m
-
     model = TotalVariabilityModel(tv.m, tv.sigma, tv.t_matrix, c, k)  # leaves tv uncached
-    # Only lower triangles (column-major) are exact: LAPACK reads and writes no other.
-    moments = np.empty((BLOCK, r * r))  # row j: posterior precision, then second moment
     acc = np.empty((r * r, c), order="F")  # column c is A_c
-    w = np.empty((counts.shape[0], r))
     for _ in range(iterations):
         acc[:] = 0.0
-        blocks = model.precision_blocks.reshape(c, r * r)
-        for start in range(0, counts.shape[0], BLOCK):
-            n = counts[start:start + BLOCK]
-            block = np.matmul(n, blocks, out=moments[:n.shape[0]])
-            block[:, ::r + 1] += 1.0
-            rhs = (f_centered[start:start + BLOCK] / model.sigma) @ model.t_matrix
-            for j, u in enumerate(range(start, start + n.shape[0])):
-                factor = _cholesky(block[j].reshape(r, r, order="F"), "posterior precision")
-                w[u] = dpotrs(factor, rhs[j], lower=1)[0]
-                dpotri(factor, lower=1, overwrite_c=1)  # block[j] now holds L_u^-1
-                factor += np.outer(w[u], w[u])
+        ws = []
+        for n, block, factors, w in _e_step(counts, f_centered, model):
+            for factor, w_u in zip(factors, w):
+                dpotri(factor, lower=1, overwrite_c=1)  # factor now holds L_u^-1
+                factor += np.outer(w_u, w_u)
             acc = dgemm(1.0, block.T, n.T, beta=1.0, c=acc, trans_b=1, overwrite_c=1)
-        del model, blocks  # frees the precision blocks before the M-step
-        t = f_centered.T @ w  # B, solved into T component by component
+            ws.append(w)
+        del model  # frees the precision blocks before the M-step
+        t = f_centered.T @ np.concatenate(ws)  # B, solved into T component by component
         for j in range(c):
             factor = _cholesky(acc[:, j].reshape(r, r, order="F"), f"M-step A_{j}")
             t[j * k:(j + 1) * k] = dpotrs(factor, t[j * k:(j + 1) * k].T, lower=1)[0].T

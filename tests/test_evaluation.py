@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from voxid.evaluation import (
 )
 from voxid.experiment import (
     ExperimentConfig,
+    attach_ivectors,
     build_world,
     parse_experiment_config,
     run_experiment,
@@ -34,7 +36,7 @@ from voxid.features import FeatureMatrix
 from voxid.gmm import BLOCK, DiagonalGmm, sequence_log_likelihood
 from voxid.scoring import DecisionPolicy, cosine_score
 from voxid.speaker_models import SpeakerModel, Ubm, accumulate_stats
-from voxid.total_variability import IVector
+from voxid.total_variability import IVector, train_tv
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -376,13 +378,46 @@ class TestExperiment:
             cosine_target_impostors=1,
         )
         run_experiment(cfg)
-        # one MAP pass per enrollment, 3 TV chunks each, one pass per trial
-        assert sorted(calls) == sorted([300] * 6 + [100] * 18 + [100] * 3)
+        # one pass per 100-frame enrollment piece, 3 per enrollment, and one per trial
+        assert sorted(calls) == [100] * 21
         world = build_world(cfg)
         for sid, stats in world.enroll_stats.items():
-            again = accumulate_stats(world.enroll_sets[sid], world.ubm)
-            assert np.array_equal(stats.zeroth, again.zeroth)
-            assert np.array_equal(stats.first, again.first)
+            frames = world.enroll_sets[sid].frames
+            pieces = [accumulate_stats(FeatureMatrix(frames[start:start + 100]), world.ubm)
+                      for start in (0, 100, 200)]
+            assert np.array_equal(stats.zeroth, sum(piece.zeroth for piece in pieces))
+            assert np.array_equal(stats.first, sum(piece.first for piece in pieces))
+            whole = accumulate_stats(world.enroll_sets[sid], world.ubm)
+            assert np.max(np.abs(stats.zeroth - whole.zeroth)) < 1e-12
+            assert np.max(np.abs(stats.first - whole.first)) < 1e-12
+        # in LLR mode the whole enrollment is the one piece
+        world = build_world(replace(cfg, mode="llr"))
+        for sid, stats in world.enroll_stats.items():
+            whole = accumulate_stats(world.enroll_sets[sid], world.ubm)
+            assert np.array_equal(stats.zeroth, whole.zeroth)
+            assert np.array_equal(stats.first, whole.first)
+
+    def test_short_last_piece_enrolls_but_trains_no_tv(self, monkeypatch):
+        import voxid.experiment as experiment_module
+
+        trained_on = []
+
+        def recording(stats_set, tv, iterations):
+            trained_on.extend(float(stats.zeroth.sum()) for stats in stats_set)
+            return train_tv(stats_set, tv, iterations)
+
+        monkeypatch.setattr(experiment_module, "train_tv", recording)
+        cfg = ExperimentConfig(
+            mode="cosine", num_true_speakers=4, num_impostors=2, ubm_components=4,
+            ubm_frames=800, enroll_frames=250, test_frames=100, tv_rank=2,
+            tv_iterations=1, tv_chunk_frames=100, cosine_target_true=3,
+            cosine_target_impostors=1,
+        )
+        world = attach_ivectors(build_world(cfg))
+        for sid, pieces in world.enroll_pieces.items():
+            assert [p.zeroth.sum() for p in pieces] == pytest.approx([100.0, 100.0, 50.0])
+            assert world.enroll_stats[sid].zeroth.sum() == pytest.approx(250.0)
+        assert trained_on == pytest.approx([100.0] * 2 * 6)
 
     def test_world_cluster_assignment(self):
         cfg = ExperimentConfig(

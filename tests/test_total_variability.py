@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+import voxid.total_variability as total_variability
 from voxid.errors import DimensionMismatch, NumericalFailure, RankTooLarge
 from voxid.gmm import DiagonalGmm
 from voxid.speaker_models import BaumWelchStats, Ubm, build_supervector
@@ -12,6 +13,7 @@ from voxid.total_variability import (
     BLOCK,
     TotalVariabilityModel,
     extract_ivector,
+    extract_ivectors,
     init_tv,
     train_tv,
 )
@@ -63,6 +65,13 @@ def test_precision_blocks_are_derived():
         tv.precision_blocks = np.zeros((4, 2, 2))
     with pytest.raises(ValueError):
         tv.precision_blocks[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("c, k, r", [(4, 3, 2), (16, 8, 8), (64, 20, 100)])
+def test_precision_blocks_are_exactly_symmetric(c, k, r):
+    # the E-step reads the lower triangle of each block's column-major view
+    b = init_tv(make_ubm(components=c, dim=k, seed=c), r, rng_seed=r).precision_blocks
+    assert np.array_equal(b, b.transpose(0, 2, 1))
 
 
 class TestExtraction:
@@ -184,6 +193,57 @@ class TestExtraction:
         tv = init_tv(ubm, 2)
         with pytest.raises(DimensionMismatch):
             extract_ivector(BaumWelchStats(np.ones(3), np.ones((3, 3))), tv)
+
+
+class TestBatchExtraction:
+    def test_matches_one_at_a_time_and_dense_solve(self):
+        c, k, r = 6, 4, 3
+        tv = init_tv(make_ubm(components=c, dim=k, seed=40), r, rng_seed=41)
+        rng = np.random.default_rng(42)
+        counts = rng.uniform(0.5, 20, (2 * BLOCK + 3, c))
+        counts[BLOCK + 1] = 0.0  # an utterance with no frames, inside the second block
+        stats_set = [BaumWelchStats(n, rng.normal(0, 2, (c, k)) * n[:, None]) for n in counts]
+        batch = extract_ivectors((stats for stats in stats_set), tv)
+        assert len(batch) == len(stats_set)
+        assert np.array_equal(batch[BLOCK + 1].w, np.zeros(r))
+        for stats, ivector in zip(stats_set, batch):
+            assert np.max(np.abs(ivector.w - extract_ivector(stats, tv).w)) < 1e-12
+            n_exp = np.repeat(stats.zeroth, k)
+            f_centered = stats.first.reshape(-1) - n_exp * tv.m
+            precision = np.eye(r) + tv.t_matrix.T @ np.diag(n_exp / tv.sigma) @ tv.t_matrix
+            oracle = np.linalg.solve(precision, tv.t_matrix.T @ (f_centered / tv.sigma))
+            assert np.max(np.abs(ivector.w - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_stats_checked_before_any_factorisation(self, monkeypatch):
+        def unreachable(a, what):
+            raise AssertionError(f"factored {what} before the stats were checked")
+
+        tv = init_tv(make_ubm(), 2)
+        good = BaumWelchStats(np.ones(4), np.ones((4, 3)))
+        bad = BaumWelchStats(np.ones(4), np.ones((4, 2)))
+        monkeypatch.setattr(total_variability, "_cholesky", unreachable)
+        for stats_set in ([], [good] * 5 + [bad]):
+            with pytest.raises(DimensionMismatch):
+                extract_ivectors(iter(stats_set), tv)
+
+    def test_memory_grows_only_with_per_utterance_arrays(self):
+        c, k, r = 64, 4, 100
+        tv = init_tv(make_ubm(components=c, dim=k, seed=43), r, rng_seed=44)
+        tv.precision_blocks  # cached once, outside the measurement
+        rng = np.random.default_rng(45)
+        counts = rng.uniform(1, 20, (4 * BLOCK, c))
+        stats_set = [BaumWelchStats(n, rng.normal(0, 1, (c, k)) * n[:, None]) for n in counts]
+        peaks = []
+        for utterances in (BLOCK, 4 * BLOCK):
+            tracemalloc.start()
+            try:
+                extract_ivectors(stats_set[:utterances], tv)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # (U, C), (U, C*k) and (U, R) arrays of doubles; the (BLOCK, R^2) precisions are fixed
+        assert peaks[1] - peaks[0] < 2 * 3 * BLOCK * (c * k + r) * 8
+        assert peaks[0] < 2 * BLOCK * r * r * 8
 
 
 def principal_angle_deg(a, b):
