@@ -10,7 +10,7 @@ import numpy as np
 
 from voxid.experiment import sample_from_gmm
 from voxid.gmm import DiagonalGmm, GmmTrainingConfig
-from voxid.scoring import cosine_score
+from voxid.scoring import cosine_scores
 from voxid.speaker_models import accumulate_stats, train_ubm
 from voxid.total_variability import extract_ivector, extract_ivectors, init_tv, train_tv
 
@@ -64,11 +64,11 @@ for j in range(3):
     )
     trials.append((f"imp{j}", ghost, False))
 
+ids = sorted(enrolled)
 for name, truth, is_true in trials:
     test_iv = extract_ivector(accumulate_stats(sample_from_gmm(truth, 800, rng), ubm), tv)
     row = []
-    for sid, model_iv in sorted(enrolled.items()):
-        score = cosine_score(model_iv, test_iv)
+    for sid, score in zip(ids, cosine_scores([enrolled[sid] for sid in ids], test_iv)):
         tag = "*" if is_true and sid == name else (">" if score > 0.5 else " ")
         row.append(f"{sid}:{score:6.3f}{tag}")
     print(f"  {name:<5} " + "  ".join(row))

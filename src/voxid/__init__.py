@@ -35,8 +35,10 @@ from .scoring import (
     bhattacharyya_coefficient,
     cohort_from_scores,
     cosine_score,
+    cosine_scores,
     decide,
     llr_score,
+    llr_scores,
     normalize_score,
 )
 from .evaluation import (

@@ -10,21 +10,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DuplicateSpeakerId,
-    EmptyRegistry,
-    EmptyScoreSet,
-    ModeMismatch,
-    ZeroVector,
-)
+from .errors import DuplicateSpeakerId, EmptyRegistry, EmptyScoreSet, ModeMismatch
 from .features import FeatureMatrix
-from .gmm import sequence_log_likelihoods
 from .scoring import (
     CohortStats,
     DecisionPolicy,
     cohort_from_scores,
+    cosine_scores,
     decide,
+    llr_scores,
     normalize_score,
 )
 from .speaker_models import SpeakerModel, Ubm
@@ -104,33 +98,20 @@ def identify(trial: Trial, registry: SpeakerRegistry, policy: DecisionPolicy,
     if policy.mode == "llr-normalized":
         if trial.test_features is None or ubm is None:
             raise ModeMismatch("LLR mode needs test features and a UBM")
-        # llr_score per entry: the UBM and every speaker model in one stacked pass
-        ll = sequence_log_likelihoods(
-            trial.test_features, [ubm.gmm, *(e.model.gmm for e in registry.entries)]
-        )
-        raw = (ll[1:] - ll[0]).tolist()
-        stats = cohort if cohort is not None else cohort_from_scores(raw)
-        decision = [normalize_score(score, stats) for score in raw]
+        raw = llr_scores(trial.test_features, [e.model for e in registry.entries], ubm)
+        decision = normalize_score(raw, cohort if cohort is not None else cohort_from_scores(raw))
     else:
         if trial.test_ivector is None:
             raise ModeMismatch("cosine mode needs a test i-vector")
         if any(e.ivector is None for e in registry.entries):
             raise ModeMismatch("registry entries lack i-vectors")
-        # cosine_score against every entry at once
-        test = trial.test_ivector.w
-        if any(e.ivector.w.shape != test.shape for e in registry.entries):
-            raise DimensionMismatch("i-vector lengths differ")
-        targets = np.stack([e.ivector.w for e in registry.entries])
-        norms, test_norm = np.linalg.norm(targets, axis=1), np.linalg.norm(test)
-        if test_norm == 0.0 or np.any(norms == 0.0):
-            raise ZeroVector("cosine undefined for a zero vector")
-        raw = decision = np.clip(targets @ test / (norms * test_norm), -1.0, 1.0).tolist()
-    scored = [(e.speaker_id, score, norm_s)
-              for e, score, norm_s in zip(registry.entries, raw, decision)]
-    scored.sort(key=lambda item: (-item[2], item[0]))
-    ranked = [
-        (sid, raw_s, norm_s, decide(norm_s, policy)) for sid, raw_s, norm_s in scored
-    ]
+        raw = decision = cosine_scores([e.ivector for e in registry.entries], trial.test_ivector)
+    # plain str, float and bool, so reports encode as JSON and repr as Python floats;
+    # a cosine score is its own decision score, and one float object serves both fields
+    raw_s = raw.tolist()
+    norm_s = raw_s if decision is raw else decision.tolist()
+    ranked = sorted(zip([e.speaker_id for e in registry.entries], raw_s, norm_s,
+                        decide(decision, policy).tolist()), key=lambda item: (-item[2], item[0]))
     return TrialResult(
         trial_id=trial.trial_id, true_speaker_id=trial.true_speaker_id, ranked=ranked
     )
@@ -216,34 +197,12 @@ def summarize(results: list[TrialResult], threshold: float, mode: str) -> EvalRe
     )
 
 
-def report_rows(report: EvalReport) -> list[dict]:
-    """Flatten a report to one row per trial x speaker."""
-    rows = []
-    for res in report.per_trial:
-        for sid, raw_s, norm_s, accepted in res.ranked:
-            rows.append(
-                {
-                    "trial_id": res.trial_id,
-                    "speaker_id": sid,
-                    "raw_score": raw_s,
-                    "normalized_score": norm_s,
-                    "decision": "accept" if accepted else "reject",
-                }
-            )
-    return rows
-
-
 def report_to_csv(report: EvalReport) -> str:
+    """One row per trial x speaker, scores written with repr."""
     buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf,
-        fieldnames=["trial_id", "speaker_id", "raw_score", "normalized_score", "decision"],
-        lineterminator="\n",
-    )
-    writer.writeheader()
-    for row in report_rows(report):
-        formatted = dict(row)
-        formatted["raw_score"] = repr(row["raw_score"])
-        formatted["normalized_score"] = repr(row["normalized_score"])
-        writer.writerow(formatted)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["trial_id", "speaker_id", "raw_score", "normalized_score", "decision"])
+    writer.writerows((res.trial_id, sid, repr(raw_s), repr(norm_s),
+                      "accept" if accepted else "reject")
+                     for res in report.per_trial for sid, raw_s, norm_s, accepted in res.ranked)
     return buf.getvalue()

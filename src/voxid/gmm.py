@@ -138,15 +138,17 @@ def _posteriors(frames: np.ndarray, gmm: DiagonalGmm):
     return np.exp(logs, out=logs), frame_ll
 
 
-def posterior_sums(frames: np.ndarray, gmm: DiagonalGmm, data: np.ndarray):
-    """Soft counts (l,), gamma^T data and frame log-likelihoods (L,), BLOCK frames at a time."""
+def posterior_sums(frames: np.ndarray, gmm: DiagonalGmm, squares: bool = False):
+    """Soft counts (l,), gamma^T X (gamma^T [X, X^2] with squares) and frame
+    log-likelihoods (L,), BLOCK frames at a time."""
     counts = np.zeros(gmm.num_components)
-    sums = np.zeros((gmm.num_components, data.shape[1]))
+    sums = np.zeros((gmm.num_components, frames.shape[1] * (2 if squares else 1)))
     frame_ll = np.empty(frames.shape[0])
     for start in range(0, frames.shape[0], BLOCK):
-        gamma, frame_ll[start:start + BLOCK] = _posteriors(frames[start:start + BLOCK], gmm)
+        block = frames[start:start + BLOCK]
+        gamma, frame_ll[start:start + BLOCK] = _posteriors(block, gmm)
         counts += gamma.sum(axis=0)
-        sums += gamma.T @ data[start:start + BLOCK]
+        sums += gamma.T @ (np.hstack([block, block * block]) if squares else block)
         del gamma  # freed before the next block's posteriors are built
     return counts, sums, frame_ll
 
@@ -279,11 +281,10 @@ def em_fit_detailed(feats: FeatureMatrix, config: GmmTrainingConfig):
     global_var = np.maximum(frames.var(axis=0), config.variance_floor)
     model = _initial_model(frames, config, global_var)
     n, k = frames.shape
-    powers = np.hstack([frames, frames * frames])  # gamma^T [X, X^2] in one GEMM
     history: list[float] = []
     prev_ll = None
     for _ in range(config.max_iterations):
-        counts, moments, frame_ll = posterior_sums(frames, model, powers)
+        counts, moments, frame_ll = posterior_sums(frames, model, squares=True)
         ll = float(frame_ll.sum())
         degenerate = np.flatnonzero(counts < DEGENERATE_MASS)
         if degenerate.size:

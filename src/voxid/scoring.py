@@ -16,7 +16,7 @@ from .errors import (
     ZeroVector,
 )
 from .features import FeatureMatrix
-from .gmm import sequence_log_likelihood
+from .gmm import sequence_log_likelihoods
 from .speaker_models import SpeakerModel, Ubm
 from .total_variability import IVector
 
@@ -45,14 +45,21 @@ class DecisionPolicy:
             raise ValueError("cosine threshold must lie in [-1, 1]")
 
 
+def llr_scores(feats: FeatureMatrix, speakers, ubm: Ubm) -> np.ndarray:
+    """Log-likelihood of the utterance under each speaker model minus the UBM's;
+    shape (N,). The UBM and every speaker model are scored in one stacked pass.
+    """
+    ll = sequence_log_likelihoods(feats, [ubm.gmm, *(s.gmm for s in speakers)])
+    return ll[1:] - ll[0]
+
+
 def llr_score(feats: FeatureMatrix, speaker: SpeakerModel, ubm: Ubm) -> float:
     """Log-likelihood of the utterance under the speaker model minus the UBM."""
-    return sequence_log_likelihood(feats, speaker.gmm) - sequence_log_likelihood(
-        feats, ubm.gmm
-    )
+    return float(llr_scores(feats, [speaker], ubm)[0])
 
 
-def normalize_score(raw: float, cohort: CohortStats) -> float:
+def normalize_score(raw, cohort: CohortStats):
+    """(raw - mu) / sigma, for one score or an array of them."""
     return (raw - cohort.mean_mu) / cohort.std_sigma
 
 
@@ -67,15 +74,21 @@ def cohort_from_scores(scores) -> CohortStats:
     return CohortStats(mean_mu=float(values.mean()), std_sigma=std)
 
 
+def cosine_scores(targets, test: IVector) -> np.ndarray:
+    """Cosine of the test vector against each target vector, in [-1, 1]; shape (N,)."""
+    if any(t.w.shape != test.w.shape for t in targets):
+        raise DimensionMismatch("i-vector lengths differ")
+    # one norm computation for targets and test alike keeps cosine_score symmetric
+    stacked = np.stack([*(t.w for t in targets), test.w])
+    norms = np.linalg.norm(stacked, axis=1)
+    if np.any(norms == 0.0):
+        raise ZeroVector("cosine undefined for a zero vector")
+    return np.clip(stacked[:-1] @ test.w / (norms[:-1] * norms[-1]), -1.0, 1.0)
+
+
 def cosine_score(target: IVector, test: IVector) -> float:
     """Cosine of the angle between two latent-factor vectors, in [-1, 1]."""
-    u, v = target.w, test.w
-    if u.shape != v.shape:
-        raise DimensionMismatch("i-vector lengths differ")
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ZeroVector("cosine undefined for a zero vector")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+    return float(cosine_scores([target], test)[0])
 
 
 def bhattacharyya_coefficient(p, q) -> float:
@@ -93,6 +106,7 @@ def bhattacharyya_coefficient(p, q) -> float:
     return float(np.sum(np.sqrt(p * q)))
 
 
-def decide(score: float, policy: DecisionPolicy) -> bool:
-    """Accept iff the score strictly exceeds the threshold (ties reject)."""
+def decide(score, policy: DecisionPolicy):
+    """Accept iff the score strictly exceeds the threshold (ties reject); elementwise
+    on an array of scores."""
     return score > policy.threshold

@@ -91,7 +91,7 @@ def train_ubm(pooled, config: GmmTrainingConfig) -> Ubm:
 def accumulate_stats(feats: FeatureMatrix, ubm: Ubm) -> BaumWelchStats:
     """Zeroth/first-order statistics of an utterance against the UBM."""
     feats.require_nonempty()
-    zeroth, first, _ = posterior_sums(feats.frames, ubm.gmm, feats.frames)
+    zeroth, first, _ = posterior_sums(feats.frames, ubm.gmm)
     return BaumWelchStats(zeroth=zeroth, first=first)
 
 
@@ -103,8 +103,8 @@ def map_adapt(stats: BaumWelchStats, ubm: Ubm, relevance: float = DEFAULT_RELEVA
     interpolates between the data mean F/N and the UBM mean. Components
     with no data keep the UBM mean.
     """
-    if not relevance >= 0.0:
-        raise NegativeRelevance(f"relevance {relevance} is not >= 0")
+    if not 0.0 <= relevance < np.inf:
+        raise NegativeRelevance(f"relevance must be finite and >= 0, got {relevance}")
     gmm = ubm.gmm
     if stats.first.shape != gmm.means.shape:
         raise DimensionMismatch("stats not dimensioned against this UBM")

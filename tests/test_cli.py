@@ -101,11 +101,12 @@ class TestEnroll:
                    "--ubm", ubm, feats[0])
         assert code == EXIT_DOMAIN
 
-    def test_nan_relevance_enrolls_nobody(self, workspace, capsys):
+    @pytest.mark.parametrize("relevance", ["nan", "inf"])
+    def test_non_finite_relevance_enrolls_nobody(self, workspace, capsys, relevance):
         tmp, feats, ubm, registry = workspace
         before = registry.read_bytes()
-        config = tmp / "nan.conf"
-        config.write_text("relevance = nan\n")
+        config = tmp / f"{relevance}.conf"
+        config.write_text(f"relevance = {relevance}\n")
         code = run("--config", config, "enroll", "--speaker-id", "spk9", "--registry",
                    registry, "--ubm", ubm, feats[0])
         assert code == EXIT_DOMAIN

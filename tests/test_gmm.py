@@ -518,26 +518,29 @@ class TestBlockedEStep:
         assert np.array_equal(model.means[:2], stranded.means[:2])
 
     def test_memory_is_bounded_by_the_block(self, monkeypatch):
-        # an (L, C) array of doubles alone would be 10 * BLOCK * C * 8 bytes
-        frames_l, components = 10 * gmm_module.BLOCK, 128
-        frames = np.random.default_rng(50).normal(0, 1, (frames_l, 2))
+        frames_l, block = 10 * gmm_module.BLOCK, gmm_module.BLOCK
         rng = np.random.default_rng(51)
-        model = DiagonalGmm(weights=np.full(components, 1 / components),
-                            means=rng.normal(0, 1, (components, 2)),
-                            variances=rng.uniform(0.5, 1.5, (components, 2)))
-        monkeypatch.setattr(gmm_module, "_initial_model", lambda *args: model)
-        feats = FeatureMatrix(frames)
-        config = GmmTrainingConfig(num_components=components, max_iterations=1)
-        bound = 4 * gmm_module.BLOCK * components * 8
-        for call in (lambda: gmm_module.posterior_sums(frames, model, frames),
-                     lambda: em_fit(feats, config)):
-            tracemalloc.start()
-            try:
-                call()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < bound
+        # (C, k, bound): an (L, C) array of doubles alone would be 10 * BLOCK * C * 8 bytes;
+        # for wide frames, np.var's (L, k) temporary plus a few blocks of [gamma, X, X^2, 1]
+        cases = [(50, 128, 2, 4 * block * 128 * 8),
+                 (52, 8, 64, frames_l * 64 * 8 + 4 * block * (8 + 2 * 64 + 1) * 8)]
+        for seed, components, dim, bound in cases:
+            frames = np.random.default_rng(seed).normal(0, 1, (frames_l, dim))
+            model = DiagonalGmm(weights=np.full(components, 1 / components),
+                                means=rng.normal(0, 1, (components, dim)),
+                                variances=rng.uniform(0.5, 1.5, (components, dim)))
+            monkeypatch.setattr(gmm_module, "_initial_model", lambda *args: model)
+            feats = FeatureMatrix(frames)
+            config = GmmTrainingConfig(num_components=components, max_iterations=1)
+            for call in (lambda: gmm_module.posterior_sums(frames, model),
+                         lambda: em_fit(feats, config)):
+                tracemalloc.start()
+                try:
+                    call()
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < bound
 
 
 class TestMStep:

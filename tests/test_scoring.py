@@ -8,15 +8,17 @@ from voxid.errors import (
     ZeroVector,
 )
 from voxid.features import FeatureMatrix
-from voxid.gmm import DiagonalGmm
+from voxid.gmm import DiagonalGmm, sequence_log_likelihood
 from voxid.scoring import (
     CohortStats,
     DecisionPolicy,
     bhattacharyya_coefficient,
     cohort_from_scores,
     cosine_score,
+    cosine_scores,
     decide,
     llr_score,
+    llr_scores,
     normalize_score,
 )
 from voxid.speaker_models import SpeakerModel, Ubm, accumulate_stats, map_adapt
@@ -146,6 +148,48 @@ class TestCosine:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             cosine_score(IVector(np.ones(3)), IVector(np.ones(4)))
+
+
+
+def random_model(rng, components, dim):
+    weights = rng.uniform(0.1, 1.0, components)
+    return DiagonalGmm(weights=weights / weights.sum(), means=rng.normal(0, 1, (components, dim)),
+                       variances=rng.uniform(0.5, 1.5, (components, dim)))
+
+
+class TestBatchedKernels:
+    def test_llr_scores_match_per_model_differences(self):
+        rng = np.random.default_rng(9)
+        ubm = Ubm(gmm=random_model(rng, 8, 3))
+        speakers = [SpeakerModel(speaker_id=f"s{i}", gmm=random_model(rng, c, 3))
+                    for i, c in enumerate([8, 1, 5, 13, 8])]
+        feats = FeatureMatrix(rng.normal(0, 1.5, (150, 3)))
+        scores = llr_scores(feats, speakers, ubm)
+        ubm_ll = sequence_log_likelihood(feats, ubm.gmm)
+        assert scores.shape == (len(speakers),)
+        for score, speaker in zip(scores, speakers):
+            expected = sequence_log_likelihood(feats, speaker.gmm) - ubm_ll
+            assert abs(score - expected) <= 1e-9 * abs(ubm_ll)
+
+    def test_cosine_scores_match_per_pair(self):
+        rng = np.random.default_rng(10)
+        targets = [IVector(w) for w in rng.normal(0, 1, (12, 7))]
+        test = IVector(rng.normal(0, 1, 7))
+        scores = cosine_scores(targets, test)
+        assert scores.shape == (12,)
+        for score, target in zip(scores, targets):
+            # a row of a matrix-vector product may differ from the one-row product in the last bit
+            assert abs(score - cosine_score(target, test)) < 1e-15
+
+    def test_cosine_scores_length_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            cosine_scores([IVector(np.ones(3)), IVector(np.ones(4))], IVector(np.ones(3)))
+
+    @pytest.mark.parametrize("zero", ["target", "test"])
+    def test_cosine_scores_zero_vector(self, zero):
+        targets = [IVector(np.ones(3)), IVector(np.zeros(3) if zero == "target" else np.ones(3))]
+        with pytest.raises(ZeroVector):
+            cosine_scores(targets, IVector(np.zeros(3) if zero == "test" else np.ones(3)))
 
 
 class TestBhattacharyya:

@@ -196,6 +196,12 @@ class TestMapAdapt:
         with pytest.raises(NegativeRelevance):
             map_adapt(stats, simple_ubm(), relevance=float("nan"))
 
+    def test_infinite_relevance(self):
+        # alpha = 0 would register a speaker whose means are the UBM's
+        stats = BaumWelchStats(np.ones(2), np.ones((2, 2)))
+        with pytest.raises(NegativeRelevance):
+            map_adapt(stats, simple_ubm(), relevance=float("inf"))
+
     def test_wrong_shape(self):
         ubm = simple_ubm()
         with pytest.raises(DimensionMismatch):
