@@ -13,6 +13,8 @@ import dataclasses
 import os
 import sys
 
+import numpy as np
+
 from . import store
 from .audio import read_wav
 from .errors import (
@@ -64,10 +66,6 @@ _CONFIG_KEYS = {
     "convergence_tol": float,
     "variance_floor": float,
     "relevance": float,
-    "tv_rank": int,
-    "tv_iterations": int,
-    "threshold": float,
-    "mode": str,
 }
 
 
@@ -203,8 +201,7 @@ def cmd_enroll(args, settings):
 
 
 def cmd_train_tv(args, settings):
-    rank = settings.get("tv_rank", args.rank)
-    iterations = settings.get("tv_iterations", args.iterations)
+    rank, iterations = args.rank, args.iterations
     if rank < 1 or iterations < 0:
         raise VoxidUsageError(f"need rank >= 1 and iterations >= 0, got {rank} and {iterations}")
     ubm = store.load(args.ubm, "ubm")
@@ -228,11 +225,8 @@ def cmd_ivector(args, settings):
 
 def cmd_identify(args, settings):
     registry = store.load(args.registry, "registry")
-    mode = settings.get("mode", args.mode)
-    threshold = settings.get("threshold", args.threshold)
-    if mode == "llr":
-        mode = "llr-normalized"
-    policy = DecisionPolicy(threshold=threshold, mode=mode)
+    mode = "llr-normalized" if args.mode == "llr" else args.mode
+    policy = DecisionPolicy(threshold=args.threshold, mode=mode)
 
     if mode == "cosine":
         ubm = None
@@ -250,7 +244,7 @@ def cmd_identify(args, settings):
         print(f"{sid:<12} {raw:>14.4f} {norm:>10.4f} {verdict}")
 
     if args.json or args.csv:
-        report = summarize([result], threshold, mode)
+        report = summarize([result], args.threshold, mode)
         if args.json:
             store.save(report, "report", args.json)
         if args.csv:
@@ -258,7 +252,7 @@ def cmd_identify(args, settings):
     if args.svg:
         labels = [sid for sid, _, _, _ in result.ranked]
         scores = [norm for _, _, norm, _ in result.ranked]
-        _write_text(args.svg, score_bar_svg(labels, scores, threshold))
+        _write_text(args.svg, score_bar_svg(labels, scores, args.threshold))
     return EXIT_OK
 
 
@@ -266,13 +260,12 @@ def cmd_evaluate(args, settings):
     config = ExperimentConfig(**read_settings(args.config_file, EXPERIMENT_KEYS))
     reports = run_experiment(config)
     for report in reports:
-        tag = f"{report.threshold:g}".replace(".", "_")
-        json_path = f"{args.output_prefix}-t{tag}.json"
-        csv_path = f"{args.output_prefix}-t{tag}.csv"
-        store.save(report, "report", json_path)
-        _write_text(csv_path, report_to_csv(report))
+        digits = np.format_float_positional(report.threshold, trim="-")  # shortest round trip
+        path = f"{args.output_prefix}-t{digits.replace('.', '_')}"
+        store.save(report, "report", f"{path}.json")
+        _write_text(f"{path}.csv", report_to_csv(report))
         print(
-            f"threshold {report.threshold:g}: top1={report.top1_accuracy:.3f} "
+            f"threshold {digits}: top1={report.top1_accuracy:.3f} "
             f"FA={report.false_accepts} FR={report.false_rejects} eer={report.eer:.3f}"
         )
     return EXIT_OK

@@ -69,9 +69,16 @@ class ExperimentConfig:
                 raise InvalidExperimentConfig(f"{name} must be finite and >= {low}")
         if not self.thresholds:
             raise InvalidExperimentConfig("need at least one threshold")
-        if not all(np.isfinite(self.thresholds)):
-            raise InvalidExperimentConfig("thresholds must be finite")
+        mode = "llr-normalized" if self.mode == "llr" else "cosine"
+        for t in self.thresholds:
+            try:
+                DecisionPolicy(threshold=t, mode=mode)
+            except ValueError as exc:
+                raise InvalidExperimentConfig(f"thresholds: {exc}") from exc
         if self.mode == "cosine":
+            if self.enroll_frames < self.tv_chunk_frames:
+                raise InvalidExperimentConfig("tv_chunk_frames exceeds enroll_frames: "
+                                              "no full piece to train the TV model on")
             if self.cosine_target_true > self.num_true_speakers:
                 raise InvalidExperimentConfig("target list larger than speaker pool")
             if self.cosine_target_impostors > self.num_impostors:

@@ -79,21 +79,6 @@ def component_log_density(x, mean, variance) -> float:
     return float(-0.5 * np.sum(_LOG_2PI + np.log(variance) + diff * diff / variance))
 
 
-def _logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
-    """log(sum(exp(a))) along axis, as scipy.special.logsumexp computes it: shifted
-    by the peak (by 0 where it is not finite), with the peak's own term left out
-    of the sum and added back by log1p, so the order of the other terms matters less.
-    """
-    top = np.expand_dims(np.argmax(a, axis=axis), axis)
-    peak = np.take_along_axis(a, top, axis=axis)
-    shifted = a - np.where(np.isfinite(peak), peak, 0.0)
-    np.exp(shifted, out=shifted)
-    np.put_along_axis(shifted, top, 0.0, axis=axis)
-    total = np.log1p(np.sum(shifted, axis=axis, keepdims=True))
-    total += peak
-    return total if keepdims else np.squeeze(total, axis=axis)
-
-
 def _centre(means: np.ndarray) -> np.ndarray:
     """The kernel's reference point; unlike the mean, independent of component order."""
     return 0.5 * (means.min(axis=0) + means.max(axis=0))
@@ -128,14 +113,31 @@ def frame_component_log_densities(frames: np.ndarray, gmm: DiagonalGmm) -> np.nd
     return _log_densities(frames, gmm.means, gmm.variances, 0.0, _centre(gmm.means))
 
 
+def _mixture_pass(frames: np.ndarray, gmms, ref):
+    """Frame log-likelihoods (L, N) under N mixtures, with the shifted exponentials
+    (L, sum l) and their per-model sums (L, N): one kernel call on the stacked
+    components, then a log-sum-exp over each model's segment, shifted by its peak
+    (by 0 where not finite). The exponentials overwrite the kernel's output."""
+    sizes = [g.num_components for g in gmms]
+    starts = np.cumsum([0, *sizes[:-1]])
+    logs = _log_densities(frames, np.concatenate([g.means for g in gmms]),
+                          np.concatenate([g.variances for g in gmms]),
+                          np.log(np.concatenate([g.weights for g in gmms])), ref)
+    shift = np.maximum.reduceat(logs, starts, axis=1)
+    shift[~np.isfinite(shift)] = 0.0
+    logs -= np.repeat(shift, sizes, axis=1)
+    np.exp(logs, out=logs)
+    sums = np.add.reduceat(logs, starts, axis=1)
+    with np.errstate(divide="ignore"):  # a segment of -inf only gives -inf
+        return np.log(sums) + shift, logs, sums
+
+
 def _posteriors(frames: np.ndarray, gmm: DiagonalGmm):
     """Responsibilities (L, l), rows summing to 1, and per-frame mixture log-likelihoods (L,)."""
     _require_dim(frames, gmm)
-    logs = _log_densities(frames, gmm.means, gmm.variances, np.log(gmm.weights),
-                          _centre(gmm.means))
-    frame_ll = _logsumexp(logs, axis=1)
-    logs -= frame_ll[:, None]
-    return np.exp(logs, out=logs), frame_ll
+    frame_ll, gamma, sums = _mixture_pass(frames, [gmm], _centre(gmm.means))
+    gamma /= sums
+    return gamma, frame_ll[:, 0]
 
 
 def posterior_sums(frames: np.ndarray, gmm: DiagonalGmm, squares: bool = False):
@@ -161,10 +163,9 @@ def mixture_log_likelihood(x, gmm: DiagonalGmm) -> float:
 def sequence_log_likelihoods(feats: FeatureMatrix, gmms) -> np.ndarray:
     """Sequence log-likelihood of one utterance under each mixture; shape (N,).
 
-    Scores the stacked components of all models in one kernel pass per block of
-    at most BLOCK components (a larger model is its own block), about
-    the first model's centre, then reduces each model's segment of the stack, so
-    the models may differ in component count. Frames are treated as independent.
+    One _mixture_pass per block of at most BLOCK stacked components (a larger
+    model is its own block), about the first model's centre, so the models may
+    differ in component count. Frames are treated as independent.
     """
     feats.require_nonempty()
     frames = feats.frames
@@ -177,16 +178,7 @@ def sequence_log_likelihoods(feats: FeatureMatrix, gmms) -> np.ndarray:
     while start < len(gmms):
         ends = np.cumsum(sizes[start:])
         stop = start + max(1, int(np.searchsorted(ends, BLOCK, side="right")))
-        block = gmms[start:stop]
-        logs = _log_densities(frames, np.concatenate([g.means for g in block]),
-                              np.concatenate([g.variances for g in block]),
-                              np.log(np.concatenate([g.weights for g in block])), ref)
-        starts = ends[: stop - start] - sizes[start:stop]
-        shift = np.maximum.reduceat(logs, starts, axis=1)
-        shift[~np.isfinite(shift)] = 0.0
-        logs -= np.repeat(shift, sizes[start:stop], axis=1)
-        np.exp(logs, out=logs)
-        frame_ll = np.log(np.add.reduceat(logs, starts, axis=1)) + shift
+        frame_ll = _mixture_pass(frames, gmms[start:stop], ref)[0]
         # numpy sums pairwise only along a contiguous axis
         totals[start:stop] = np.ascontiguousarray(frame_ll.T).sum(axis=1)
         start = stop

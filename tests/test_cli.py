@@ -242,6 +242,16 @@ class TestEvaluate:
         config.write_text("mode = llr\nbogus_key = 1\n")
         assert run("evaluate", config, "--output-prefix", tmp_path / "r") == EXIT_USAGE
 
+    def test_close_thresholds_write_separate_reports(self, tmp_path, capsys):
+        config = tmp_path / "exp.conf"
+        config.write_text(self.CONFIG.replace("1.0", "0.1234567, 0.1234568"))
+        assert run("evaluate", config, "--output-prefix", tmp_path / "r") == EXIT_OK
+        for suffix in ("json", "csv"):
+            assert sorted(p.name for p in tmp_path.glob(f"r-t*.{suffix}")) == [
+                f"r-t0_1234567.{suffix}", f"r-t0_1234568.{suffix}"]
+        out = capsys.readouterr().out
+        assert "threshold 0.1234567:" in out and "threshold 0.1234568:" in out
+
 
 @pytest.mark.parametrize("line", ["relevance 16", "bogus = 1", "relevance = lots",
                                   "apply_cmvn = ture"],
@@ -257,6 +267,18 @@ def test_bad_config_line(tmp_path, capsys, command, line):
         argv = ("evaluate", config, "--output-prefix", tmp_path / "r")
     assert run(*argv) == EXIT_USAGE
     assert f"{config}:3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["tv_rank = 4", "tv_iterations = 2", "threshold = 0.5",
+                                  "mode = cosine"])
+def test_config_does_not_repeat_command_flags(tmp_path, capsys, line):
+    # --rank, --iterations, --threshold and --mode are the only source of these settings
+    config = tmp_path / "c.conf"
+    config.write_text(f"{line}\n")
+    assert run("--config", config, "identify", tmp_path / "t.feat",
+               "--registry", tmp_path / "r.json") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unknown key" in err and f"{config}:1:" in err
 
 
 @pytest.mark.parametrize("word, normalised", [("on", True), ("Yes", True), ("1", True),
@@ -285,6 +307,8 @@ def test_apply_cmvn_words(tmp_path, make_clip_wav, word, normalised):
     ("relevance = -1", "relevance"),
     ("relevance = nan", "relevance"),
     ("relevance = inf", "relevance"),
+    ("mode = cosine\ntv_chunk_frames = 50\nthresholds = 1.5", "thresholds"),
+    ("mode = cosine", "tv_chunk_frames"),
 ])
 def test_evaluate_rejects_bad_counts_and_sizes(tmp_path, capsys, line, name):
     config = tmp_path / "bad.conf"

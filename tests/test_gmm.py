@@ -12,7 +12,7 @@ from voxid.gmm import (
     DiagonalGmm,
     GmmTrainingConfig,
     _kmeans_pp,
-    _logsumexp,
+    _mixture_pass,
     component_log_density,
     em_fit,
     em_fit_detailed,
@@ -270,27 +270,25 @@ class TestExpandedKernel:
 
 
 class TestLogSumExp:
-    @pytest.mark.parametrize("axis", [0, 1])
-    @pytest.mark.parametrize("keepdims", [False, True])
-    def test_matches_scipy(self, axis, keepdims):
+    def test_matches_scipy(self, monkeypatch):
         rng = np.random.default_rng(34)
         a = rng.normal(0, 1, (40, 30)) * 1e3
-        a[3, :5] = -np.inf      # a row holding -inf
+        a[3, :5] = -np.inf      # a segment of -inf only, and one holding -inf
         a[7, :] = -np.inf       # a row of -inf only
         a[:, 11] = a[:, 12]     # tied peaks
-        ours = _logsumexp(a, axis=axis, keepdims=keepdims)
-        oracle = logsumexp(a, axis=axis, keepdims=keepdims)
-        assert ours.shape == oracle.shape
-        finite = np.isfinite(oracle)
-        assert np.array_equal(np.isfinite(ours), finite)
-        assert np.all(ours[~finite] == oracle[~finite])
-        assert np.allclose(ours[finite], oracle[finite], rtol=1e-14, atol=0.0)
-
-    def test_leaves_input_unchanged(self):
-        a = np.random.default_rng(35).normal(0, 5, (6, 4))
-        before = a.copy()
-        _logsumexp(a, axis=1)
-        assert np.array_equal(a, before)
+        sizes = (3, 8, 5, 1, 13)  # segments [0, 3), [3, 11), [11, 16), [16, 17), [17, 30)
+        models = [random_gmm(rng, components=c) for c in sizes]
+        monkeypatch.setattr(gmm_module, "_log_densities", lambda *args: a.copy())
+        frame_ll, exps, sums = _mixture_pass(np.zeros((40, 2)), models, np.zeros(2))
+        assert frame_ll.shape == sums.shape == (40, len(sizes)) and exps.shape == a.shape
+        bounds = np.cumsum((0, *sizes))
+        for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            oracle = logsumexp(a[:, lo:hi], axis=1)
+            finite = np.isfinite(oracle)
+            assert np.array_equal(np.isfinite(frame_ll[:, j]), finite)
+            assert np.all(frame_ll[~finite, j] == oracle[~finite])
+            assert np.allclose(frame_ll[finite, j], oracle[finite], rtol=1e-14, atol=0.0)
+        assert np.array_equal(np.add.reduceat(exps, bounds[:-1], axis=1), sums)
 
 
 def kmeans_with_loop_update(frames, n_clusters, rng):
@@ -368,6 +366,16 @@ class TestSequenceLogLikelihoods:
         for model in mixed_models:
             assert sequence_log_likelihood(feats, model) == sequence_log_likelihoods(
                 feats, [model])[0]
+
+    # one block of frames, and more frames than BLOCK
+    @pytest.mark.parametrize("frames_l", [300, 5000])
+    def test_equals_the_e_step_frame_sum_bit_for_bit(self, frames_l):
+        rng = np.random.default_rng(frames_l)
+        for _ in range(20):
+            model = random_gmm(rng, components=int(rng.integers(1, 33)), dim=4)
+            frames = rng.normal(0, 3, (frames_l, 4))
+            assert sequence_log_likelihood(FeatureMatrix(frames), model) == (
+                gmm_module.posterior_sums(frames, model)[2].sum())
 
     def test_dimension_mismatch(self, mixed_models):
         feats = FeatureMatrix(np.zeros((5, 3)))
@@ -567,8 +575,8 @@ class TestMStep:
         monkeypatch.setattr(gmm_module, "_initial_model", lambda *args: stranded)
         model, history = em_fit_detailed(FeatureMatrix(frames), config)
         assert history == []
-        frame_ll = _logsumexp(frame_component_log_densities(frames, stranded)
-                              + np.log(stranded.weights), axis=1)
+        frame_ll = logsumexp(frame_component_log_densities(frames, stranded)
+                             + np.log(stranded.weights), axis=1)
         assert np.array_equal(model.means[2], frames[np.argmin(frame_ll)])
         assert np.array_equal(model.variances[2], np.maximum(frames.var(axis=0), 1e-3))
         assert np.array_equal(model.means[:2], stranded.means[:2])
