@@ -270,24 +270,37 @@ class TestExpandedKernel:
 
 
 class TestLogSumExp:
-    def test_matches_scipy(self, monkeypatch):
+    # _mixture_pass reduces over axis 1 of the kernel output, so axis 0 feeds it a.T.
+    # keepdims runs one model over the whole axis, as _posteriors does, against
+    # scipy's kept column; otherwise models split the axis into segments.
+    SEGMENTS = {0: (3, 4, 1, 5, 27),    # [7, 8) is -inf only, [3, 7) holds -inf
+                1: (3, 8, 5, 1, 13)}    # [0, 3) is -inf only in row 3, [3, 11) holds -inf
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_matches_scipy(self, monkeypatch, axis, keepdims):
         rng = np.random.default_rng(34)
         a = rng.normal(0, 1, (40, 30)) * 1e3
-        a[3, :5] = -np.inf      # a segment of -inf only, and one holding -inf
+        a[3, :5] = -np.inf      # a row holding -inf
         a[7, :] = -np.inf       # a row of -inf only
         a[:, 11] = a[:, 12]     # tied peaks
-        sizes = (3, 8, 5, 1, 13)  # segments [0, 3), [3, 11), [11, 16), [16, 17), [17, 30)
-        models = [random_gmm(rng, components=c) for c in sizes]
-        monkeypatch.setattr(gmm_module, "_log_densities", lambda *args: a.copy())
-        frame_ll, exps, sums = _mixture_pass(np.zeros((40, 2)), models, np.zeros(2))
-        assert frame_ll.shape == sums.shape == (40, len(sizes)) and exps.shape == a.shape
+        logs = a if axis == 1 else a.T
+        sizes = (logs.shape[1],) if keepdims else self.SEGMENTS[axis]
         bounds = np.cumsum((0, *sizes))
-        for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            oracle = logsumexp(a[:, lo:hi], axis=1)
-            finite = np.isfinite(oracle)
-            assert np.array_equal(np.isfinite(frame_ll[:, j]), finite)
-            assert np.all(frame_ll[~finite, j] == oracle[~finite])
-            assert np.allclose(frame_ll[finite, j], oracle[finite], rtol=1e-14, atol=0.0)
+        if keepdims:
+            oracle = logsumexp(a, axis=axis, keepdims=True)
+            oracle = oracle if axis == 1 else oracle.T
+        else:
+            oracle = np.column_stack([logsumexp(logs[:, lo:hi], axis=1)
+                                      for lo, hi in zip(bounds[:-1], bounds[1:])])
+        models = [random_gmm(rng, components=c) for c in sizes]
+        monkeypatch.setattr(gmm_module, "_log_densities", lambda *args: logs.copy())
+        frame_ll, exps, sums = _mixture_pass(np.zeros((logs.shape[0], 2)), models, np.zeros(2))
+        assert frame_ll.shape == sums.shape == oracle.shape and exps.shape == logs.shape
+        finite = np.isfinite(oracle)
+        assert np.array_equal(np.isfinite(frame_ll), finite)
+        assert np.all(frame_ll[~finite] == oracle[~finite])
+        assert np.allclose(frame_ll[finite], oracle[finite], rtol=1e-14, atol=0.0)
         assert np.array_equal(np.add.reduceat(exps, bounds[:-1], axis=1), sums)
 
 
