@@ -80,6 +80,10 @@ def _config_from(cls, settings: dict, **fixed):
 
 # --- SVG bar chart ------------------------------------------------------------
 
+# XML text escapes; xml.sax.saxutils.escape would import urllib, http and ssl
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
+
 def score_bar_svg(labels, scores, threshold: float) -> str:
     """Minimal bar chart: one rect per speaker, threshold as a horizontal line."""
     width, height, margin = 640, 360, 40
@@ -107,7 +111,7 @@ def score_bar_svg(labels, scores, threshold: float) -> str:
         )
         parts.append(
             f'<text x="{x + 0.5 * bar_w:.2f}" y="{height - margin + 16}" '
-            f'font-size="11" text-anchor="middle">{label}</text>'
+            f'font-size="11" text-anchor="middle">{str(label).translate(_XML_TEXT)}</text>'
         )
         parts.append(
             f'<text x="{x + 0.5 * bar_w:.2f}" y="{top - 4:.2f}" '
@@ -176,25 +180,25 @@ def cmd_enroll(args, settings):
     stats = accumulate_stats(feats, ubm)
     relevance = settings.get("relevance", DEFAULT_RELEVANCE)
     model = map_adapt(stats, ubm, relevance=relevance, speaker_id=args.speaker_id)
-    if os.path.exists(args.registry):
-        registry = store.load(args.registry, "registry")
-    else:
-        registry = SpeakerRegistry()
     ivector = None
     if args.tv:
         tv = store.load(args.tv, "tv_model")
         ivector = extract_ivector(stats, tv)
-    registry.add(
-        RegistryEntry(
-            speaker_id=args.speaker_id,
-            cluster_id=args.cluster,
-            model=model,
-            ivector=ivector,
-            language_tag=args.language,
-            is_impostor=args.impostor,
-        )
+    entry = RegistryEntry(
+        speaker_id=args.speaker_id,
+        cluster_id=args.cluster,
+        model=model,
+        ivector=ivector,
+        language_tag=args.language,
+        is_impostor=args.impostor,
     )
-    store.save(registry, "registry", args.registry)
+    with store.locked(args.registry):  # concurrent enrolls must not lose entries
+        if os.path.exists(args.registry):
+            registry = store.load(args.registry, "registry")
+        else:
+            registry = SpeakerRegistry()
+        registry.add(entry)
+        store.save(registry, "registry", args.registry)
     if args.verbose:
         print(f"enrolled {args.speaker_id} in {args.cluster}")
     return EXIT_OK
@@ -272,8 +276,10 @@ def cmd_evaluate(args, settings):
 
 
 def cmd_inspect(args, settings):
-    kind, artifact = store.load_any(args.path)
+    kind, version, artifact = store.load_any(args.path)
     print(f"kind: {kind}")
+    if version is not None:
+        print(f"format_version: {version}")
     if kind == "features":
         print(f"frames: {artifact.count_L} x {artifact.dim_k}")
     elif kind in ("gmm", "ubm", "speaker_model"):

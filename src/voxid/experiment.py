@@ -69,6 +69,8 @@ class ExperimentConfig:
                 raise InvalidExperimentConfig(f"{name} must be finite and >= {low}")
         if not self.thresholds:
             raise InvalidExperimentConfig("need at least one threshold")
+        if len(set(self.thresholds)) != len(self.thresholds):
+            raise InvalidExperimentConfig(f"thresholds repeat a value: {self.thresholds}")
         mode = "llr-normalized" if self.mode == "llr" else "cosine"
         for t in self.thresholds:
             try:

@@ -1,13 +1,21 @@
 """Versioned on-disk artifacts.
 
 Models, registries and reports are JSON documents with a top-level
-{kind, format_version, payload} envelope; every real number is encoded
-as a full-precision decimal string (repr of the float) so round-trips
-are bit-exact. A registry (format_version 2; other kinds are 1) holds the
-first entry's weights and variances once, as "shared"; each entry's model
-holds its means, plus weights or variances only where they differ from
-"shared". A field an entry lacks comes from "shared", so version 1
-registries, whose entries carry every field, load through the same code.
+{kind, format_version, payload} envelope. Every kind but the registry is
+at format_version 1 and encodes each real number as a full-precision
+decimal string (repr of the float), so round-trips are bit-exact.
+
+A registry (format_version 3) holds the first entry's weights and
+variances once, as "shared"; each entry's model holds its means, plus
+weights or variances only where they differ from "shared". Every array it
+holds, i-vectors included, is one record {"shape": [...], "f8": base64 of
+the C-order little-endian float64 bytes}, so it round-trips bit for bit
+and decodes without parsing a number. Versions 1 and 2 store the same
+arrays as decimal strings and still load: a field an entry lacks comes
+from "shared", so version 1 registries, whose entries carry every field,
+load through the same code. `locked` serialises the read-modify-write of
+one registry across processes.
+
 Feature matrices use the binary VOXF1 layout: magic "VOXF1", dim_k and
 count_L as uint32 LE, then count_L * dim_k float32 LE values row-major.
 All writes are atomic (temp file + rename).
@@ -15,8 +23,12 @@ All writes are atomic (temp file + rename).
 
 from __future__ import annotations
 
+import base64
 import contextlib
+import fcntl
+import functools
 import json
+import math
 import os
 import secrets
 import stat
@@ -37,7 +49,7 @@ from .speaker_models import SpeakerModel, Ubm
 from .total_variability import IVector, TotalVariabilityModel
 
 FORMAT_VERSION = 1
-_VERSIONS = {"registry": (1, 2)}  # versions a kind reads; it writes the last
+_VERSIONS = {"registry": (1, 2, 3)}  # versions a kind reads; it writes the last
 _GMM_NDIM = {"weights": 1, "means": 2, "variances": 2}
 
 KINDS = (
@@ -107,6 +119,28 @@ def _dec(data, ndim: int) -> np.ndarray:
     return array
 
 
+def _f8(array) -> dict:
+    """One array as a record: its shape and the base64 of its float64 bytes."""
+    array = np.asarray(array, dtype="<f8")
+    return {"shape": list(array.shape), "f8": base64.b64encode(array.tobytes()).decode("ascii")}
+
+
+def _dec_f8(record, ndim: int) -> np.ndarray:
+    """A {shape, f8} record as one (read-only) float64 array, bit for bit."""
+    if not isinstance(record, dict):
+        raise CorruptArtifact(f"expected a {{shape, f8}} record, found {type(record).__name__}")
+    missing = {"shape", "f8"} - record.keys()
+    if missing:
+        raise CorruptArtifact(f"record lacks {sorted(missing)}")
+    shape, data = record["shape"], base64.b64decode(record["f8"], validate=True)
+    if not (isinstance(shape, list) and len(shape) == ndim
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise CorruptArtifact(f"expected a {ndim}-D shape, found {shape!r}")
+    if len(data) != 8 * math.prod(shape):
+        raise CorruptArtifact(f"shape {shape} needs {8 * math.prod(shape)} bytes, found {len(data)}")
+    return np.frombuffer(data, dtype="<f8").reshape(shape)
+
+
 # --- feature matrices (binary) ----------------------------------------------
 
 def write_features(feats: FeatureMatrix, path):
@@ -134,10 +168,11 @@ def _gmm_payload(gmm: DiagonalGmm) -> dict:
     }
 
 
-def _gmm_from_payload(payload, shared=None) -> DiagonalGmm:
-    """A field the payload lacks is taken from `shared`, already decoded."""
+def _gmm_from_payload(payload, shared=None, array=_dec) -> DiagonalGmm:
+    """A field the payload lacks is taken from `shared`, already decoded;
+    `array` decodes one stored array."""
     fields = dict(shared or {})
-    fields.update((name, _dec(payload[name], ndim))
+    fields.update((name, array(payload[name], ndim))
                   for name, ndim in _GMM_NDIM.items() if name in payload)
     if fields.keys() != _GMM_NDIM.keys():
         raise CorruptArtifact(f"model lacks {sorted(_GMM_NDIM.keys() - fields)}, no shared block")
@@ -150,10 +185,10 @@ def _speaker_payload(model: SpeakerModel) -> dict:
     return payload
 
 
-def _speaker_from_payload(payload, shared=None) -> SpeakerModel:
+def _speaker_from_payload(payload, shared=None, array=_dec) -> SpeakerModel:
     return SpeakerModel(
         speaker_id=str(payload.get("speaker_id", "")),
-        gmm=_gmm_from_payload(payload, shared),
+        gmm=_gmm_from_payload(payload, shared, array),
     )
 
 
@@ -183,11 +218,11 @@ def _registry_payload(registry: SpeakerRegistry) -> dict:
         first = registry.entries[0].model.gmm
         shared = {"weights": first.weights, "variances": first.variances}
     for e in registry.entries:
-        model = {"speaker_id": e.model.speaker_id, "means": _enc(e.model.gmm.means)}
+        model = {"speaker_id": e.model.speaker_id, "means": _f8(e.model.gmm.means)}
         for name, array in shared.items():
             own = getattr(e.model.gmm, name)
             if not np.array_equal(own, array):  # shape and every value
-                model[name] = _enc(own)
+                model[name] = _f8(own)
         entry = {
             "speaker_id": e.speaker_id,
             "cluster_id": e.cluster_id,
@@ -196,23 +231,24 @@ def _registry_payload(registry: SpeakerRegistry) -> dict:
             "is_impostor": e.is_impostor,
         }
         if e.ivector is not None:
-            entry["ivector"] = _enc(e.ivector.w)
+            entry["ivector"] = _f8(e.ivector.w)
         entries.append(entry)
-    return {"entries": entries, "shared": {name: _enc(a) for name, a in shared.items()}}
+    return {"entries": entries, "shared": {name: _f8(a) for name, a in shared.items()}}
 
 
-def _registry_from_payload(payload) -> SpeakerRegistry:
-    shared = {name: _dec(data, _GMM_NDIM[name]) for name, data in payload.get("shared", {}).items()}
+def _registry_from_payload(payload, array=_dec_f8) -> SpeakerRegistry:
+    """`array` decodes one stored array: `_dec` for versions 1 and 2."""
+    shared = {name: array(data, _GMM_NDIM[name]) for name, data in payload.get("shared", {}).items()}
     registry = SpeakerRegistry()
     for entry in payload["entries"]:
         ivec = None
         if "ivector" in entry:
-            ivec = IVector(w=_dec(entry["ivector"], 1))
+            ivec = IVector(w=array(entry["ivector"], 1))
         registry.add(
             RegistryEntry(
                 speaker_id=str(entry["speaker_id"]),
                 cluster_id=str(entry["cluster_id"]),
-                model=_speaker_from_payload(entry["model"], shared),
+                model=_speaker_from_payload(entry["model"], shared, array),
                 ivector=ivec,
                 language_tag=str(entry.get("language_tag", "")),
                 is_impostor=bool(entry.get("is_impostor", False)),
@@ -326,11 +362,12 @@ def _decode(path, kind: str, body):
     if kind == "features":
         decoder, payload = _features_from_bytes, body
     else:
-        if body.get("format_version") not in _VERSIONS.get(kind, (FORMAT_VERSION,)):
-            raise UnsupportedVersion(
-                f"format_version {body.get('format_version')!r} unsupported"
-            )
+        version = body.get("format_version")
+        if version not in _VERSIONS.get(kind, (FORMAT_VERSION,)):
+            raise UnsupportedVersion(f"format_version {version!r} unsupported")
         decoder, payload = _DECODERS[kind], body.get("payload", {})
+        if kind == "registry" and version < 3:  # decimal strings, as every other kind
+            decoder = functools.partial(_registry_from_payload, array=_dec)
     try:
         return decoder(payload)
     except Exception as exc:
@@ -347,9 +384,28 @@ def load(path, expected_kind: str):
     return _decode(path, kind, body)
 
 
-def load_any(path) -> tuple[str, object]:
-    """Load an artifact of whatever kind the file holds; returns (kind, artifact)."""
+def load_any(path) -> tuple[str, int | None, object]:
+    """Load an artifact of whatever kind the file holds; returns (kind,
+    format_version, artifact), the version None for a VOXF1 feature file."""
     kind, body = _read_artifact(path)
     if kind not in KINDS:
         raise WrongKind(f"{path} holds unknown kind {kind!r}")
-    return kind, _decode(path, kind, body)
+    version = None if kind == "features" else body.get("format_version")
+    return kind, version, _decode(path, kind, body)
+
+
+@contextlib.contextmanager
+def locked(path):
+    """Hold an exclusive lock on `path` + ".lock" for a read-modify-write of
+    `path`: writers that all take it cannot lose each other's updates. The
+    lock file is left in place, since removing it would let a waiting
+    writer lock a file that a newer writer no longer sees."""
+    lock_path = f"{path}.lock"
+    with contextlib.ExitStack() as stack:
+        try:
+            fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o666)
+            stack.callback(os.close, fd)  # closing releases the lock
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        except OSError as exc:
+            raise IoFailure(f"cannot lock {lock_path}: {exc}") from exc
+        yield

@@ -252,6 +252,14 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "threshold 0.1234567:" in out and "threshold 0.1234568:" in out
 
+    def test_repeated_threshold_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "exp.conf"
+        config.write_text(self.CONFIG.replace("1.0", "1, 1.0"))
+        assert run("evaluate", config, "--output-prefix", tmp_path / "r") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "InvalidExperimentConfig" in err and "thresholds" in err
+        assert not list(tmp_path.glob("r-t*"))
+
 
 @pytest.mark.parametrize("line", ["relevance 16", "bogus = 1", "relevance = lots",
                                   "apply_cmvn = ture"],
@@ -420,3 +428,18 @@ def test_svg_mixed_sign_bytes():
         'fill="crimson">threshold 0.5</text>\n'
         "</svg>\n"
     )
+
+
+def test_svg_escapes_speaker_ids(workspace, tmp_path):
+    _, feats, ubm, _ = workspace
+    registry = tmp_path / "markup.json"
+    for sid, feat in zip(["a<b", "c&d", 'e"f>'], feats):
+        assert run("enroll", "--speaker-id", sid, "--registry", registry, "--ubm", ubm,
+                   feat) == EXIT_OK
+    svg = tmp_path / "scores.svg"
+    assert run("identify", feats[0], "--registry", registry, "--ubm", ubm,
+               "--svg", svg) == EXIT_OK
+    root = ET.fromstring(svg.read_text())
+    labels = {el.text for el in root.iter() if el.tag.endswith("text")}
+    assert {"a<b", "c&d", 'e"f>'} <= labels
+

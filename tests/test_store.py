@@ -1,5 +1,8 @@
+import base64
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -284,23 +287,40 @@ def adapted_registry(ubm, rng, count):
     return registry
 
 
+def decimal(array):
+    """An array as versions 1 and 2 store it: nested lists of repr strings."""
+    return [decimal(row) for row in array] if array.ndim == 2 else [repr(v) for v in array.tolist()]
+
+
 def v1_registry_document(registry):
     """A registry as version 1 writes it: every entry carries its whole mixture."""
-    def enc(array):
-        return [enc(row) for row in array] if array.ndim == 2 else [repr(v) for v in array.tolist()]
     entries = []
     for e in registry.entries:
         gmm = e.model.gmm
         entry = {
             "speaker_id": e.speaker_id, "cluster_id": e.cluster_id,
             "language_tag": e.language_tag, "is_impostor": e.is_impostor,
-            "model": {"speaker_id": e.model.speaker_id, "weights": enc(gmm.weights),
-                      "means": enc(gmm.means), "variances": enc(gmm.variances)},
+            "model": {"speaker_id": e.model.speaker_id, "weights": decimal(gmm.weights),
+                      "means": decimal(gmm.means), "variances": decimal(gmm.variances)},
         }
         if e.ivector is not None:
-            entry["ivector"] = enc(e.ivector.w)
+            entry["ivector"] = decimal(e.ivector.w)
         entries.append(entry)
     return {"kind": "registry", "format_version": 1, "payload": {"entries": entries}}
+
+
+def v2_registry_document(registry):
+    """A registry as version 2 writes it: decimal strings over one shared block."""
+    document = v1_registry_document(registry)
+    first = registry.entries[0].model.gmm
+    shared = {"weights": first.weights, "variances": first.variances}
+    for e, entry in zip(registry.entries, document["payload"]["entries"]):
+        for name, array in shared.items():
+            if np.array_equal(getattr(e.model.gmm, name), array):
+                del entry["model"][name]
+    document["payload"]["shared"] = {name: decimal(a) for name, a in shared.items()}
+    document["format_version"] = 2
+    return document
 
 
 def count_keys(node, key):
@@ -328,7 +348,7 @@ def test_registry_round_trip(gmms, tmp_path):
     registry = registry_of(*gmms(np.random.default_rng(30)))
     path = tmp_path / "r.json"
     store.save(registry, "registry", path)
-    assert json.loads(path.read_text())["format_version"] == 2
+    assert json.loads(path.read_text())["format_version"] == 3
     assert_equal_artifact("registry", registry, store.load(path, "registry"))
 
 
@@ -371,26 +391,46 @@ def test_v1_registry_loads_bit_identical(tmp_path):
     assert_equal_artifact("registry", registry, store.load(path, "registry"))
 
 
-def test_enroll_rewrites_v1_registry_as_v2(tmp_path):
+def test_v2_registry_loads_bit_identical(tmp_path):
+    rng = np.random.default_rng(41)
+    registry = adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 3)
+    registry.add(RegistryEntry(speaker_id="other", cluster_id="c",
+                               model=SpeakerModel(speaker_id="other", gmm=random_gmm(rng, 2, 3))))
+    path = tmp_path / "v2.json"
+    path.write_text(json.dumps(v2_registry_document(registry)))
+    assert_equal_artifact("registry", registry, store.load(path, "registry"))
+
+
+def enroll_into_old_registry(document, tmp_path):
+    """`voxid enroll` into a registry written as `document` writes version 3
+    and keeps every old entry bit for bit."""
     rng = np.random.default_rng(35)
     ubm, ubm_path, feat_path = cli_world(tmp_path, rng)
     old = adapted_registry(ubm, rng, 3)
     path = tmp_path / "reg.json"
-    path.write_text(json.dumps(v1_registry_document(old)))
+    path.write_text(json.dumps(document(old)))
     assert cli_main(["enroll", "--speaker-id", "new", "--registry", str(path),
                      "--ubm", str(ubm_path), str(feat_path)]) == EXIT_OK
-    assert json.loads(path.read_text())["format_version"] == 2
+    assert json.loads(path.read_text())["format_version"] == 3
     loaded = store.load(path, "registry")
     assert [e.speaker_id for e in loaded.entries] == ["old0", "old1", "old2", "new"]
     old.entries.append(loaded.entries[-1])
     assert_equal_artifact("registry", old, loaded)
 
 
-def test_registry_version_3_unsupported(tmp_path):
+def test_enroll_rewrites_v1_registry_as_v3(tmp_path):
+    enroll_into_old_registry(v1_registry_document, tmp_path)
+
+
+def test_enroll_rewrites_v2_registry_as_v3(tmp_path):
+    enroll_into_old_registry(v2_registry_document, tmp_path)
+
+
+def test_registry_version_4_unsupported(tmp_path):
     path = tmp_path / "r.json"
     store.save(registry_of(random_gmm(np.random.default_rng(36))), "registry", path)
     document = json.loads(path.read_text())
-    document["format_version"] = 3
+    document["format_version"] = 4
     path.write_text(json.dumps(document))
     with pytest.raises(UnsupportedVersion):
         store.load(path, "registry")
@@ -415,10 +455,15 @@ def test_shared_block_written_once(tmp_path):
 ])
 def test_digit_string_is_not_an_array(kind, field, tmp_path):
     """A JSON string in place of a vector (or of a matrix row) must not be
-    read one character per element: "0512" is not [0, 5, 1, 2]."""
+    read one character per element: "0512" is not [0, 5, 1, 2]. Registries
+    store decimal strings up to version 2, so theirs is a v2 document."""
     path = tmp_path / "a.json"
-    store.save(random_artifact(kind, np.random.default_rng(38)), kind, path)
-    document = json.loads(path.read_text())
+    artifact = random_artifact(kind, np.random.default_rng(38))
+    if kind == "registry":
+        document = v2_registry_document(artifact)
+    else:
+        store.save(artifact, kind, path)
+        document = json.loads(path.read_text())
     node = document["payload"]
     if kind == "registry":
         node = node["entries"][0]
@@ -453,11 +498,12 @@ def test_decode_matches_float_bit_for_bit(tmp_path):
 def test_json_null_is_corrupt(where, tmp_path):
     kind = "ivector" if where == "ivector" else "registry"
     rng = np.random.default_rng(40)
-    artifact = (random_artifact(kind, rng) if kind == "ivector"
-                else adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 2))
     path = tmp_path / "a.json"
-    store.save(artifact, kind, path)
-    document = json.loads(path.read_text())
+    if kind == "ivector":
+        store.save(random_artifact(kind, rng), kind, path)
+        document = json.loads(path.read_text())
+    else:  # decimal strings: a registry of version 2
+        document = v2_registry_document(adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 2))
     payload = document["payload"]
     if where == "shared-weights":
         payload["shared"]["weights"][1] = None
@@ -470,3 +516,149 @@ def test_json_null_is_corrupt(where, tmp_path):
     path.write_text(json.dumps(document))
     with pytest.raises(CorruptArtifact):
         store.load(path, kind)
+
+
+def test_inspect_prints_the_format_version(tmp_path, capsys):
+    rng = np.random.default_rng(47)
+    registry = adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 2)
+    store.save(registry, "registry", tmp_path / "v3.json")
+    (tmp_path / "v2.json").write_text(json.dumps(v2_registry_document(registry)))
+    for version in (2, 3):
+        assert cli_main(["inspect", str(tmp_path / f"v{version}.json")]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["kind: registry", f"format_version: {version}"]
+        assert "  old1 cluster=c1 (impostor)" in out
+    store.save(FeatureMatrix(np.ones((2, 2))), "features", tmp_path / "f.feat")
+    assert cli_main(["inspect", str(tmp_path / "f.feat")]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["kind: features", "frames: 2 x 2"]
+
+
+# --- registry format v3: arrays as binary-exact float64 records --------------
+
+def corrupt_record(record, how):
+    """`record` damaged as `how` names; returns what the document holds instead."""
+    data = base64.b64decode(record["f8"])
+    if how == "null":
+        return None
+    if how == "digit-string":
+        return "".join(str(i % 10) for i in range(len(data) // 8))
+    if how == "not-base64":
+        record["f8"] = "!" + record["f8"][1:]
+    elif how == "eight-bytes-short":
+        record["f8"] = base64.b64encode(data[:-8]).decode("ascii")
+    elif how == "wrong-rank":  # same byte count: (l, k) as (l*k,), (l,) as (l, 1)
+        shape = record["shape"]
+        record["shape"] = [shape[0] * shape[1]] if len(shape) == 2 else shape + [1]
+    elif how in ("missing-shape", "missing-f8"):
+        del record[how.split("-")[1]]
+    else:  # a non-finite first value
+        record["f8"] = base64.b64encode(np.array([float(how)], "<f8").tobytes()
+                                        + data[8:]).decode("ascii")
+    return record
+
+
+@pytest.mark.parametrize("how", ["null", "digit-string", "not-base64", "eight-bytes-short",
+                                 "wrong-rank", "missing-shape", "missing-f8", "nan", "inf"])
+@pytest.mark.parametrize("where", ["shared-weights", "shared-variances", "entry-means",
+                                   "own-weights", "registry-ivector"])
+def test_bad_v3_record_is_corrupt(where, how, tmp_path):
+    rng = np.random.default_rng(42)
+    registry = adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 2)
+    registry.add(RegistryEntry(speaker_id="other", cluster_id="c",
+                               model=SpeakerModel(speaker_id="other", gmm=random_gmm(rng, 2, 3))))
+    path = tmp_path / "r.json"
+    store.save(registry, "registry", path)
+    document = json.loads(path.read_text())
+    payload = document["payload"]
+    node, key = {
+        "shared-weights": (payload["shared"], "weights"),
+        "shared-variances": (payload["shared"], "variances"),
+        "entry-means": (payload["entries"][1]["model"], "means"),
+        "own-weights": (payload["entries"][2]["model"], "weights"),
+        "registry-ivector": (payload["entries"][0], "ivector"),
+    }[where]
+    node[key] = corrupt_record(node[key], how)
+    path.write_text(json.dumps(document))
+    with pytest.raises(CorruptArtifact):
+        store.load(path, "registry")
+
+
+def test_v3_record_is_base64_of_little_endian_float64(tmp_path):
+    rng = np.random.default_rng(43)
+    registry = adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 2)
+    store.save(registry, "registry", tmp_path / "r.json")
+    payload = json.loads((tmp_path / "r.json").read_text())["payload"]
+
+    def decode(record):
+        return np.frombuffer(base64.b64decode(record["f8"]), "<f8").reshape(record["shape"])
+    first = registry.entries[0]
+    assert np.array_equal(decode(payload["shared"]["weights"]), first.model.gmm.weights)
+    assert np.array_equal(decode(payload["shared"]["variances"]), first.model.gmm.variances)
+    for e, entry in zip(registry.entries, payload["entries"]):
+        assert np.array_equal(decode(entry["model"]["means"]), e.model.gmm.means)
+        assert np.array_equal(decode(entry["ivector"]), e.ivector.w)
+
+
+def test_v3_round_trip_is_bit_exact_at_the_edges(tmp_path):
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                      -1.7976931348623157e308])
+    rng = np.random.default_rng(44)
+    gmms = []
+    for components in (2, 5, 3):  # entries differ in component count
+        gmm = random_gmm(rng, components, 3)
+        means = gmm.means.copy()
+        means.flat[:edges.size] = edges[:means.size]
+        variances = gmm.variances.copy()
+        variances.flat[:3] = [5e-324, 1.7976931348623157e308, 2.2250738585072014e-308]
+        weights = np.full(components, 1.0 / components)
+        weights[-1] = 5e-324
+        weights[0] += 1.0 - weights.sum()
+        gmms.append(DiagonalGmm(weights=weights, means=means, variances=variances))
+    registry = registry_of(*gmms)
+    for entry in registry.entries:
+        entry.ivector = IVector(np.concatenate([edges, rng.normal(0, 1, 2)]))
+    path = tmp_path / "r.json"
+    store.save(registry, "registry", path)
+    loaded = store.load(path, "registry")
+    for a, b in zip(registry.entries, loaded.entries):
+        for name in ("weights", "means", "variances"):
+            original, reread = getattr(a.model.gmm, name), getattr(b.model.gmm, name)
+            assert original.shape == reread.shape
+            assert np.array_equal(original.view(np.uint64), reread.view(np.uint64))
+        assert np.array_equal(a.ivector.w.view(np.uint64), b.ivector.w.view(np.uint64))
+    store.save(loaded, "registry", tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+ENROLL_LOOP = """
+import sys
+from voxid.cli import main
+registry, ubm, feat, tag = sys.argv[1:]
+for i in range(20):
+    code = main(["enroll", "--speaker-id", f"{tag}{i}", "--registry", registry, "--ubm", ubm, feat])
+    if code:
+        sys.exit(code)
+"""
+
+
+def test_concurrent_enrolls_lose_no_entries(tmp_path):
+    _, ubm_path, feat_path = cli_world(tmp_path, np.random.default_rng(45))
+    registry = tmp_path / "reg.json"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    workers = [subprocess.Popen([sys.executable, "-W", "error", "-c", ENROLL_LOOP, str(registry),
+                                 str(ubm_path), str(feat_path), tag], env=env)
+               for tag in ("a", "b")]
+    assert [w.wait(timeout=300) for w in workers] == [EXIT_OK, EXIT_OK]
+    ids = {e.speaker_id for e in store.load(registry, "registry").entries}
+    assert ids == {f"{tag}{i}" for tag in "ab" for i in range(20)}
+
+
+def test_enroll_without_the_lock_is_an_io_failure(tmp_path, capsys):
+    _, ubm_path, feat_path = cli_world(tmp_path, np.random.default_rng(46))
+    registry = tmp_path / "reg.json"
+    (tmp_path / "reg.json.lock").mkdir()  # cannot be opened for writing
+    assert cli_main(["enroll", "--speaker-id", "s", "--registry", str(registry),
+                     "--ubm", str(ubm_path), str(feat_path)]) == 2
+    assert "IoFailure" in capsys.readouterr().err
+    assert not registry.exists()
