@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -298,7 +299,10 @@ def cmd_inspect(args, settings):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser every `main` call in a process shares: parse_args
+    leaves it unchanged, and callers must not change it either."""
     parser = argparse.ArgumentParser(prog="voxid", description=__doc__)
     parser.add_argument("--config", help="flat key = value settings file")
     parser.add_argument("--seed", type=int, default=0)
@@ -308,12 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="extract MFCC features from WAV files")
     p.add_argument("inputs", nargs="*")
     p.add_argument("--out-dir")
-    p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("train-ubm", help="train the background model")
     p.add_argument("inputs", nargs="*")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_train_ubm)
 
     p = sub.add_parser("enroll", help="MAP-adapt and register a speaker")
     p.add_argument("--speaker-id", required=True)
@@ -324,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ubm", required=True)
     p.add_argument("--tv")
     p.add_argument("features", nargs="+")
-    p.set_defaults(func=cmd_enroll)
 
     p = sub.add_parser("train-tv", help="train the total-variability matrix")
     p.add_argument("inputs", nargs="+")
@@ -332,14 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=8)
     p.add_argument("--iterations", type=int, default=5)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_train_tv)
 
     p = sub.add_parser("ivector", help="extract an i-vector for one utterance")
     p.add_argument("features")
     p.add_argument("--ubm", required=True)
     p.add_argument("--tv", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_ivector)
 
     p = sub.add_parser("identify", help="score a test input against the registry")
     p.add_argument("test")
@@ -350,28 +349,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json")
     p.add_argument("--csv")
     p.add_argument("--svg")
-    p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("evaluate", help="run a synthetic evaluation experiment")
     p.add_argument("config_file")
     p.add_argument("--output-prefix", default="report")
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("inspect", help="describe a stored artifact")
     p.add_argument("path")
-    p.set_defaults(func=cmd_inspect)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         settings = read_settings(args.config, _CONFIG_KEYS) if args.config else {}
-        return args.func(args, settings)
+        # looked up per call, not bound into the cached parser
+        command = globals()[f"cmd_{args.command.replace('-', '_')}"]
+        return command(args, settings)
     except VoxidUsageError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE

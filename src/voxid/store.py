@@ -1,20 +1,29 @@
 """Versioned on-disk artifacts.
 
 Models, registries and reports are JSON documents with a top-level
-{kind, format_version, payload} envelope. Every kind but the registry is
-at format_version 1 and encodes each real number as a full-precision
-decimal string (repr of the float), so round-trips are bit-exact.
+{kind, format_version, payload} envelope. Arrays are stored one of two
+ways, both bit-exact on the round trip:
 
-A registry (format_version 3) holds the first entry's weights and
+- decimal: nested lists of full-precision decimal strings (the repr of
+  each float). `gmm` and `report` (format_version 1) store every real
+  number this way, as do version 1 of `ubm`, `speaker_model`, `tv_model`
+  and `ivector` and versions 1 and 2 of `registry`.
+- binary: one record {"shape": [...], "f8": base64 of the C-order
+  little-endian float64 bytes}, which decodes without parsing a number.
+  `ubm`, `speaker_model`, `tv_model` and `ivector` (format_version 2) and
+  `registry` (format_version 3) store every array they hold this way;
+  integers and strings stay plain JSON.
+
+`save` writes each kind's newest version; `load` reads every version
+listed in `_VERSIONS`, so files of older versions still load bit for bit.
+Binary records load as read-only arrays.
+
+A registry (versions 2 and 3) holds the first entry's weights and
 variances once, as "shared"; each entry's model holds its means, plus
-weights or variances only where they differ from "shared". Every array it
-holds, i-vectors included, is one record {"shape": [...], "f8": base64 of
-the C-order little-endian float64 bytes}, so it round-trips bit for bit
-and decodes without parsing a number. Versions 1 and 2 store the same
-arrays as decimal strings and still load: a field an entry lacks comes
-from "shared", so version 1 registries, whose entries carry every field,
-load through the same code. `locked` serialises the read-modify-write of
-one registry across processes.
+weights or variances only where they differ from "shared". A field an
+entry lacks comes from "shared", so version 1 registries, whose entries
+carry every field, load through the same code. `locked` serialises the
+read-modify-write of one registry across processes.
 
 Feature matrices use the binary VOXF1 layout: magic "VOXF1", dim_k and
 count_L as uint32 LE, then count_L * dim_k float32 LE values row-major.
@@ -48,8 +57,11 @@ from .gmm import DiagonalGmm
 from .speaker_models import SpeakerModel, Ubm
 from .total_variability import IVector, TotalVariabilityModel
 
-FORMAT_VERSION = 1
-_VERSIONS = {"registry": (1, 2, 3)}  # versions a kind reads; it writes the last
+# the versions each JSON kind reads; it writes the last
+_VERSIONS = {"gmm": (1,), "ubm": (1, 2), "speaker_model": (1, 2), "tv_model": (1, 2),
+             "ivector": (1, 2), "registry": (1, 2, 3), "report": (1,)}
+# the first version of a kind that stores arrays as binary records
+_BINARY_SINCE = {"ubm": 2, "speaker_model": 2, "tv_model": 2, "ivector": 2, "registry": 3}
 _GMM_NDIM = {"weights": 1, "means": 2, "variances": 2}
 
 KINDS = (
@@ -160,17 +172,15 @@ def _features_from_bytes(data: bytes) -> FeatureMatrix:
 
 # --- per-kind payload codecs -------------------------------------------------
 
-def _gmm_payload(gmm: DiagonalGmm) -> dict:
-    return {
-        "weights": _enc(gmm.weights),
-        "means": _enc(gmm.means),
-        "variances": _enc(gmm.variances),
-    }
+# Each codec below takes `array`, the one function that encodes (`_enc` or
+# `_f8`) or decodes (`_dec` or `_dec_f8`) every array of its kind's version.
+
+def _gmm_payload(gmm: DiagonalGmm, array) -> dict:
+    return {name: array(getattr(gmm, name)) for name in _GMM_NDIM}
 
 
-def _gmm_from_payload(payload, shared=None, array=_dec) -> DiagonalGmm:
-    """A field the payload lacks is taken from `shared`, already decoded;
-    `array` decodes one stored array."""
+def _gmm_from_payload(payload, array, shared=None) -> DiagonalGmm:
+    """A field the payload lacks is taken from `shared`, already decoded."""
     fields = dict(shared or {})
     fields.update((name, array(payload[name], ndim))
                   for name, ndim in _GMM_NDIM.items() if name in payload)
@@ -179,50 +189,50 @@ def _gmm_from_payload(payload, shared=None, array=_dec) -> DiagonalGmm:
     return DiagonalGmm(**fields)
 
 
-def _speaker_payload(model: SpeakerModel) -> dict:
-    payload = _gmm_payload(model.gmm)
+def _speaker_payload(model: SpeakerModel, array) -> dict:
+    payload = _gmm_payload(model.gmm, array)
     payload["speaker_id"] = model.speaker_id
     return payload
 
 
-def _speaker_from_payload(payload, shared=None, array=_dec) -> SpeakerModel:
+def _speaker_from_payload(payload, array, shared=None) -> SpeakerModel:
     return SpeakerModel(
         speaker_id=str(payload.get("speaker_id", "")),
-        gmm=_gmm_from_payload(payload, shared, array),
+        gmm=_gmm_from_payload(payload, array, shared),
     )
 
 
-def _tv_payload(tv: TotalVariabilityModel) -> dict:
+def _tv_payload(tv: TotalVariabilityModel, array) -> dict:
     return {
-        "m": _enc(tv.m),
-        "sigma": _enc(tv.sigma),
-        "t_matrix": _enc(tv.t_matrix),
+        "m": array(tv.m),
+        "sigma": array(tv.sigma),
+        "t_matrix": array(tv.t_matrix),
         "num_components": tv.num_components,
         "dim_k": tv.dim_k,
     }
 
 
-def _tv_from_payload(payload) -> TotalVariabilityModel:
+def _tv_from_payload(payload, array) -> TotalVariabilityModel:
     return TotalVariabilityModel(
-        m=_dec(payload["m"], 1),
-        sigma=_dec(payload["sigma"], 1),
-        t_matrix=_dec(payload["t_matrix"], 2),
+        m=array(payload["m"], 1),
+        sigma=array(payload["sigma"], 1),
+        t_matrix=array(payload["t_matrix"], 2),
         num_components=int(payload["num_components"]),
         dim_k=int(payload["dim_k"]),
     )
 
 
-def _registry_payload(registry: SpeakerRegistry) -> dict:
+def _registry_payload(registry: SpeakerRegistry, array) -> dict:
     entries, shared = [], {}
     if registry.entries:
         first = registry.entries[0].model.gmm
         shared = {"weights": first.weights, "variances": first.variances}
     for e in registry.entries:
-        model = {"speaker_id": e.model.speaker_id, "means": _f8(e.model.gmm.means)}
-        for name, array in shared.items():
+        model = {"speaker_id": e.model.speaker_id, "means": array(e.model.gmm.means)}
+        for name, value in shared.items():
             own = getattr(e.model.gmm, name)
-            if not np.array_equal(own, array):  # shape and every value
-                model[name] = _f8(own)
+            if not np.array_equal(own, value):  # shape and every value
+                model[name] = array(own)
         entry = {
             "speaker_id": e.speaker_id,
             "cluster_id": e.cluster_id,
@@ -231,13 +241,12 @@ def _registry_payload(registry: SpeakerRegistry) -> dict:
             "is_impostor": e.is_impostor,
         }
         if e.ivector is not None:
-            entry["ivector"] = _f8(e.ivector.w)
+            entry["ivector"] = array(e.ivector.w)
         entries.append(entry)
-    return {"entries": entries, "shared": {name: _f8(a) for name, a in shared.items()}}
+    return {"entries": entries, "shared": {name: array(a) for name, a in shared.items()}}
 
 
-def _registry_from_payload(payload, array=_dec_f8) -> SpeakerRegistry:
-    """`array` decodes one stored array: `_dec` for versions 1 and 2."""
+def _registry_from_payload(payload, array) -> SpeakerRegistry:
     shared = {name: array(data, _GMM_NDIM[name]) for name, data in payload.get("shared", {}).items()}
     registry = SpeakerRegistry()
     for entry in payload["entries"]:
@@ -248,7 +257,7 @@ def _registry_from_payload(payload, array=_dec_f8) -> SpeakerRegistry:
             RegistryEntry(
                 speaker_id=str(entry["speaker_id"]),
                 cluster_id=str(entry["cluster_id"]),
-                model=_speaker_from_payload(entry["model"], shared, array),
+                model=_speaker_from_payload(entry["model"], array, shared),
                 ivector=ivec,
                 language_tag=str(entry.get("language_tag", "")),
                 is_impostor=bool(entry.get("is_impostor", False)),
@@ -304,23 +313,28 @@ def _report_from_payload(payload) -> EvalReport:
 
 _ENCODERS = {
     "gmm": _gmm_payload,
-    "ubm": lambda ubm: _gmm_payload(ubm.gmm),
+    "ubm": lambda ubm, array: _gmm_payload(ubm.gmm, array),
     "speaker_model": _speaker_payload,
     "tv_model": _tv_payload,
-    "ivector": lambda iv: {"w": _enc(iv.w)},
+    "ivector": lambda iv, array: {"w": array(iv.w)},
     "registry": _registry_payload,
-    "report": _report_payload,
+    "report": lambda report, array: _report_payload(report),  # numbers, no arrays
 }
 
 _DECODERS = {
     "gmm": _gmm_from_payload,
-    "ubm": lambda payload: Ubm(gmm=_gmm_from_payload(payload)),
+    "ubm": lambda payload, array: Ubm(gmm=_gmm_from_payload(payload, array)),
     "speaker_model": _speaker_from_payload,
     "tv_model": _tv_from_payload,
-    "ivector": lambda payload: IVector(w=_dec(payload["w"], 1)),
+    "ivector": lambda payload, array: IVector(w=array(payload["w"], 1)),
     "registry": _registry_from_payload,
-    "report": _report_from_payload,
+    "report": lambda payload, array: _report_from_payload(payload),
 }
+
+
+def _binary(kind: str, version: int) -> bool:
+    """Whether `version` of `kind` stores its arrays as binary records."""
+    return version >= _BINARY_SINCE.get(kind, math.inf)
 
 
 def save(obj, kind: str, path):
@@ -330,10 +344,11 @@ def save(obj, kind: str, path):
     if kind == "features":
         write_features(obj, path)
         return
+    version = _VERSIONS[kind][-1]
     document = {
         "kind": kind,
-        "format_version": _VERSIONS.get(kind, (FORMAT_VERSION,))[-1],
-        "payload": _ENCODERS[kind](obj),
+        "format_version": version,
+        "payload": _ENCODERS[kind](obj, _f8 if _binary(kind, version) else _enc),
     }
     text = json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
     _atomic_write(path, text.encode("utf-8"))
@@ -363,11 +378,12 @@ def _decode(path, kind: str, body):
         decoder, payload = _features_from_bytes, body
     else:
         version = body.get("format_version")
-        if version not in _VERSIONS.get(kind, (FORMAT_VERSION,)):
+        # JSON true and 1.0 compare equal to 1, but are not a version
+        if type(version) is not int or version not in _VERSIONS[kind]:
             raise UnsupportedVersion(f"format_version {version!r} unsupported")
-        decoder, payload = _DECODERS[kind], body.get("payload", {})
-        if kind == "registry" and version < 3:  # decimal strings, as every other kind
-            decoder = functools.partial(_registry_from_payload, array=_dec)
+        array = _dec_f8 if _binary(kind, version) else _dec
+        decoder = functools.partial(_DECODERS[kind], array=array)
+        payload = body.get("payload", {})
     try:
         return decoder(payload)
     except Exception as exc:

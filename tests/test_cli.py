@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 import xml.etree.ElementTree as ET
@@ -5,9 +6,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from voxid import store
+from voxid import cli, store
 from voxid.cli import EXIT_DATA, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main, score_bar_svg
 from voxid.features import FeatureMatrix
+
+from test_store import v1_document
 
 
 def run(*argv):
@@ -150,13 +153,11 @@ class TestTvAndIvector:
         assert not tv.exists()
 
     def test_zero_t_gives_zero_ivector(self, workspace, tmp_path):
-        import json
-
         _, feats, ubm, _ = workspace
         tv = tmp_path / "tv.json"
         run("train-tv", feats[0], "--ubm", ubm, "--rank", 2, "--iterations", 0,
             "--output", tv)
-        document = json.loads(tv.read_text())
+        document = v1_document("tv_model", store.load(tv, "tv_model"))  # decimal strings
         document["payload"]["t_matrix"] = [
             [repr(0.0)] * 2 for _ in document["payload"]["t_matrix"]
         ]
@@ -164,8 +165,7 @@ class TestTvAndIvector:
         iv = tmp_path / "iv.json"
         assert run("ivector", feats[0], "--ubm", ubm, "--tv", tv,
                    "--output", iv) == EXIT_OK
-        payload = json.loads(iv.read_text())["payload"]
-        assert all(float(v) == 0.0 for v in payload["w"])
+        assert np.array_equal(store.load(iv, "ivector").w, np.zeros(2))
 
 
 class TestIdentify:
@@ -343,6 +343,37 @@ def test_usage_error_on_unknown_command():
     assert run("frobnicate") == EXIT_USAGE
 
 
+def test_consecutive_calls_share_no_state(workspace, tmp_path, make_clip_wav, capsys):
+    """One parser serves every `main` call in a process; no call's flags,
+    seed or usage error may reach the next."""
+    _, feats, _, _ = workspace
+    config = tmp_path / "settings.conf"  # the workspace's num_components = 4
+    wav = make_clip_wav("v.wav")
+    cli.build_parser.cache_clear()
+
+    def train_ubm(name, *flags):
+        assert run("--config", config, *flags, "train-ubm", *feats,
+                   "--output", tmp_path / name) == EXIT_OK
+        return (tmp_path / name).read_bytes()
+
+    seeded = train_ubm("seeded.json", "--seed", 5)
+    after = train_ubm("after.json")
+    capsys.readouterr()
+    assert run("--verbose", "features", wav) == EXIT_OK
+    assert "v.feat" in capsys.readouterr().out
+    assert run("features", wav) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert run("train-ubm", "--outptu", "x") == EXIT_USAGE
+    assert run("inspect", tmp_path / "after.json") == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[:2] == ["kind: ubm", "format_version: 2"]
+    calls = cli.build_parser.cache_info()
+    assert (calls.misses, calls.hits) == (1, 5)
+
+    cli.build_parser.cache_clear()  # a fresh parser, as a new process builds
+    assert after == train_ubm("fresh.json")
+    assert seeded != after
+
+
 def test_inspect_unknown_file(tmp_path):
     junk = tmp_path / "junk"
     junk.write_bytes(b"not an artifact")
@@ -350,8 +381,6 @@ def test_inspect_unknown_file(tmp_path):
 
 
 def test_inspect_names_missing_registry_field(workspace, capsys):
-    import json
-
     _, _, _, registry = workspace
     document = json.loads(registry.read_text())
     del document["payload"]["entries"][1]["cluster_id"]

@@ -208,9 +208,9 @@ def test_non_finite_features(tmp_path):
     ("tv_model", "m"), ("tv_model", "sigma"),
 ])
 def test_non_finite_model_parameters(kind, field, value, tmp_path):
+    """Decimal strings "nan" and "inf" parse, so version 1 must reject them."""
     path = tmp_path / "model.json"
-    store.save(random_artifact(kind, np.random.default_rng(25)), kind, path)
-    document = json.loads(path.read_text())
+    document = v1_document(kind, random_artifact(kind, np.random.default_rng(25)))
     values = document["payload"][field]
     (values[0] if isinstance(values[0], list) else values)[0] = value
     path.write_text(json.dumps(document))
@@ -292,16 +292,30 @@ def decimal(array):
     return [decimal(row) for row in array] if array.ndim == 2 else [repr(v) for v in array.tolist()]
 
 
+def v1_document(kind, artifact):
+    """A model artifact as version 1 writes it: every array as decimal strings."""
+    if kind == "ivector":
+        payload = {"w": decimal(artifact.w)}
+    elif kind == "tv_model":
+        payload = {"m": decimal(artifact.m), "sigma": decimal(artifact.sigma),
+                   "t_matrix": decimal(artifact.t_matrix),
+                   "num_components": artifact.num_components, "dim_k": artifact.dim_k}
+    else:
+        gmm = artifact.gmm if hasattr(artifact, "gmm") else artifact
+        payload = {name: decimal(getattr(gmm, name)) for name in ("weights", "means", "variances")}
+        if kind == "speaker_model":
+            payload["speaker_id"] = artifact.speaker_id
+    return {"kind": kind, "format_version": 1, "payload": payload}
+
+
 def v1_registry_document(registry):
     """A registry as version 1 writes it: every entry carries its whole mixture."""
     entries = []
     for e in registry.entries:
-        gmm = e.model.gmm
         entry = {
             "speaker_id": e.speaker_id, "cluster_id": e.cluster_id,
             "language_tag": e.language_tag, "is_impostor": e.is_impostor,
-            "model": {"speaker_id": e.model.speaker_id, "weights": decimal(gmm.weights),
-                      "means": decimal(gmm.means), "variances": decimal(gmm.variances)},
+            "model": v1_document("speaker_model", e.model)["payload"],
         }
         if e.ivector is not None:
             entry["ivector"] = decimal(e.ivector.w)
@@ -373,12 +387,44 @@ def test_registry_field_missing_without_shared_block(tmp_path):
         store.load(path, "registry")
 
 
-def test_other_kinds_stay_at_version_1(tmp_path):
+# kind: (the version it writes, the number of binary records it holds)
+WRITTEN = {"gmm": (1, 0), "report": (1, 0), "ubm": (2, 3), "speaker_model": (2, 3),
+           "tv_model": (2, 3), "ivector": (2, 1)}
+
+
+def test_written_format_versions(tmp_path):
+    """gmm and report stay decimal at version 1; every array of the model
+    kinds is a binary record at version 2."""
     rng = np.random.default_rng(33)
-    for kind in store.KINDS:
-        if kind not in ("features", "registry"):
-            store.save(random_artifact(kind, rng), kind, tmp_path / kind)
-            assert json.loads((tmp_path / kind).read_text())["format_version"] == 1
+    for kind, expected in WRITTEN.items():
+        store.save(random_artifact(kind, rng), kind, tmp_path / kind)
+        document = json.loads((tmp_path / kind).read_text())
+        assert (document["format_version"], count_keys(document, "f8")) == expected, kind
+
+
+@pytest.mark.parametrize("kind", ["ubm", "speaker_model", "tv_model", "ivector"])
+def test_v1_model_loads_bit_identical(kind, tmp_path):
+    rng = np.random.default_rng(48)
+    path = tmp_path / "v1.json"
+    for _ in range(4):
+        artifact = random_artifact(kind, rng)
+        path.write_text(json.dumps(v1_document(kind, artifact)))
+        assert_equal_artifact(kind, artifact, store.load(path, kind))
+        assert store.load_any(path)[1] == 1
+
+
+@pytest.mark.parametrize("kind, version", [
+    ("gmm", True), ("gmm", 1.0), ("gmm", "1"), ("ubm", 2.0), ("registry", 3.0),
+])
+def test_format_version_must_be_an_integer(kind, version, tmp_path):
+    """JSON true and 1.0 equal 1 in Python, but name no version."""
+    path = tmp_path / "a.json"
+    store.save(random_artifact(kind, np.random.default_rng(49)), kind, path)
+    document = json.loads(path.read_text())
+    document["format_version"] = version
+    path.write_text(json.dumps(document))
+    with pytest.raises(UnsupportedVersion):
+        store.load(path, kind)
 
 
 def test_v1_registry_loads_bit_identical(tmp_path):
@@ -455,15 +501,11 @@ def test_shared_block_written_once(tmp_path):
 ])
 def test_digit_string_is_not_an_array(kind, field, tmp_path):
     """A JSON string in place of a vector (or of a matrix row) must not be
-    read one character per element: "0512" is not [0, 5, 1, 2]. Registries
-    store decimal strings up to version 2, so theirs is a v2 document."""
+    read one character per element: "0512" is not [0, 5, 1, 2]. Only older
+    versions store decimal strings: a v2 registry, or a v1 document."""
     path = tmp_path / "a.json"
     artifact = random_artifact(kind, np.random.default_rng(38))
-    if kind == "registry":
-        document = v2_registry_document(artifact)
-    else:
-        store.save(artifact, kind, path)
-        document = json.loads(path.read_text())
+    document = v2_registry_document(artifact) if kind == "registry" else v1_document(kind, artifact)
     node = document["payload"]
     if kind == "registry":
         node = node["entries"][0]
@@ -485,8 +527,7 @@ def test_decode_matches_float_bit_for_bit(tmp_path):
     values = rng.standard_normal(5000) * 10.0 ** rng.integers(-300, 300, 5000)
     text = [repr(v) for v in special + values.tolist()]
     path = tmp_path / "iv.json"
-    store.save(IVector(np.zeros(1)), "ivector", path)
-    document = json.loads(path.read_text())
+    document = v1_document("ivector", IVector(np.zeros(1)))
     document["payload"]["w"] = text
     path.write_text(json.dumps(document))
     loaded = store.load(path, "ivector").w
@@ -499,9 +540,8 @@ def test_json_null_is_corrupt(where, tmp_path):
     kind = "ivector" if where == "ivector" else "registry"
     rng = np.random.default_rng(40)
     path = tmp_path / "a.json"
-    if kind == "ivector":
-        store.save(random_artifact(kind, rng), kind, path)
-        document = json.loads(path.read_text())
+    if kind == "ivector":  # decimal strings: an i-vector of version 1
+        document = v1_document(kind, random_artifact(kind, rng))
     else:  # decimal strings: a registry of version 2
         document = v2_registry_document(adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 2))
     payload = document["payload"]
@@ -581,6 +621,23 @@ def test_bad_v3_record_is_corrupt(where, how, tmp_path):
     path.write_text(json.dumps(document))
     with pytest.raises(CorruptArtifact):
         store.load(path, "registry")
+
+
+@pytest.mark.parametrize("how", ["null", "digit-string", "not-base64", "eight-bytes-short",
+                                 "wrong-rank", "missing-shape", "missing-f8", "nan", "inf"])
+@pytest.mark.parametrize("kind, field", [
+    ("ubm", "weights"), ("ubm", "means"), ("ubm", "variances"), ("speaker_model", "means"),
+    ("tv_model", "m"), ("tv_model", "sigma"), ("tv_model", "t_matrix"), ("ivector", "w"),
+])
+def test_bad_v2_record_is_corrupt(kind, field, how, tmp_path):
+    path = tmp_path / "a.json"
+    store.save(random_artifact(kind, np.random.default_rng(50)), kind, path)
+    document = json.loads(path.read_text())
+    payload = document["payload"]
+    payload[field] = corrupt_record(payload[field], how)
+    path.write_text(json.dumps(document))
+    with pytest.raises(CorruptArtifact):
+        store.load(path, kind)
 
 
 def test_v3_record_is_base64_of_little_endian_float64(tmp_path):
