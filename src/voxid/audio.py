@@ -113,7 +113,12 @@ def read_wav(path) -> AudioClip:
 
 
 def write_wav(clip: AudioClip, path) -> None:
-    """Write the clip as mono PCM-16 LE, clipping to the representable range."""
+    """Write the clip as mono PCM-16 LE, clipping to the representable range.
+
+    The write is atomic; a failed one raises `IoFailure` and leaves no file.
+    """
+    from .store import _atomic_write  # store imports features, which imports audio
+
     ints = np.clip(np.round(clip.samples * _PCM_SCALE), -32768, 32767)
     pcm = ints.astype("<i2").tobytes()
     fmt = struct.pack(
@@ -121,5 +126,4 @@ def write_wav(clip: AudioClip, path) -> None:
     )
     body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(pcm)) + pcm
-    with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
+    _atomic_write(path, b"RIFF" + struct.pack("<I", len(body)) + body)

@@ -44,6 +44,14 @@ EXIT_DOMAIN = 1
 EXIT_DATA = 2
 EXIT_USAGE = 64
 
+# the first family an error belongs to gives its exit code
+_EXIT_CODES = {
+    VoxidUsageError: EXIT_USAGE,
+    VoxidDataError: EXIT_DATA,
+    VoxidDomainError: EXIT_DOMAIN,
+    ValueError: EXIT_USAGE,
+}
+
 
 # --- flat key = value config files -------------------------------------------
 
@@ -369,18 +377,11 @@ def main(argv=None) -> int:
         # looked up per call, not bound into the cached parser
         command = globals()[f"cmd_{args.command.replace('-', '_')}"]
         return command(args, settings)
-    except VoxidUsageError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except VoxidDataError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except VoxidDomainError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
-        print(f"ValueError: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(_EXIT_CODES) as exc:
+        # a toolkit error names its own type; any other is reported as a ValueError
+        name = type(exc).__name__ if isinstance(exc, VoxidError) else "ValueError"
+        print(f"{name}: {exc}", file=sys.stderr)
+        return next(code for family, code in _EXIT_CODES.items() if isinstance(exc, family))
 
 
 if __name__ == "__main__":

@@ -92,10 +92,10 @@ def parse_settings(text: str, converters: dict, source: str = "<string>",
     """Parse flat `key = value` lines, converting each value by its key.
 
     Blank lines and `#` comments are skipped. A line without `=`, a key
-    missing from `converters` or a failed conversion raises `error`
-    naming `source` and the line number.
+    missing from `converters`, a key given twice or a failed conversion
+    raises `error` naming `source` and the line number.
     """
-    values = {}
+    values, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -106,6 +106,9 @@ def parse_settings(text: str, converters: dict, source: str = "<string>",
             raise error(f"{source}:{lineno}: expected key = value")
         if key not in converters:
             raise error(f"{source}:{lineno}: unknown key {key!r}")
+        if key in lines:
+            raise error(f"{source}:{lineno}: key {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
         try:
             values[key] = converters[key](value.strip())
         except ValueError as exc:

@@ -14,9 +14,10 @@ ways, both bit-exact on the round trip:
   `registry` (format_version 3) store every array they hold this way;
   integers and strings stay plain JSON.
 
-`save` writes each kind's newest version; `load` reads every version
-listed in `_VERSIONS`, so files of older versions still load bit for bit.
-Binary records load as read-only arrays.
+`_JSON_KINDS` has one row per kind: its payload codecs and the array
+codec of each version it reads. `save` writes the newest version, and
+files of older versions still load bit for bit. Binary records load as
+read-only arrays.
 
 A registry (versions 2 and 3) holds the first entry's weights and
 variances once, as "shared"; each entry's model holds its means, plus
@@ -57,24 +58,7 @@ from .gmm import DiagonalGmm
 from .speaker_models import SpeakerModel, Ubm
 from .total_variability import IVector, TotalVariabilityModel
 
-# the versions each JSON kind reads; it writes the last
-_VERSIONS = {"gmm": (1,), "ubm": (1, 2), "speaker_model": (1, 2), "tv_model": (1, 2),
-             "ivector": (1, 2), "registry": (1, 2, 3), "report": (1,)}
-# the first version of a kind that stores arrays as binary records
-_BINARY_SINCE = {"ubm": 2, "speaker_model": 2, "tv_model": 2, "ivector": 2, "registry": 3}
 _GMM_NDIM = {"weights": 1, "means": 2, "variances": 2}
-
-KINDS = (
-    "features",
-    "gmm",
-    "ubm",
-    "speaker_model",
-    "tv_model",
-    "ivector",
-    "registry",
-    "report",
-)
-
 _MAGIC = b"VOXF1"
 
 
@@ -266,20 +250,20 @@ def _registry_from_payload(payload, array) -> SpeakerRegistry:
     return registry
 
 
-def _report_payload(report: EvalReport) -> dict:
+def _report_payload(report: EvalReport, number) -> dict:
     return {
         "mode": report.mode,
-        "threshold": _enc(report.threshold),
+        "threshold": number(report.threshold),
         "false_accepts": report.false_accepts,
         "false_rejects": report.false_rejects,
-        "eer": _enc(report.eer),
-        "top1_accuracy": _enc(report.top1_accuracy),
+        "eer": number(report.eer),
+        "top1_accuracy": number(report.top1_accuracy),
         "per_trial": [
             {
                 "trial_id": r.trial_id,
                 "true_speaker_id": r.true_speaker_id,
                 "ranked": [
-                    [sid, _enc(raw), _enc(norm), accepted]
+                    [sid, number(raw), number(norm), accepted]
                     for sid, raw, norm, accepted in r.ranked
                 ],
             }
@@ -311,30 +295,27 @@ def _report_from_payload(payload) -> EvalReport:
     )
 
 
-_ENCODERS = {
-    "gmm": _gmm_payload,
-    "ubm": lambda ubm, array: _gmm_payload(ubm.gmm, array),
-    "speaker_model": _speaker_payload,
-    "tv_model": _tv_payload,
-    "ivector": lambda iv, array: {"w": array(iv.w)},
-    "registry": _registry_payload,
-    "report": lambda report, array: _report_payload(report),  # numbers, no arrays
+_DECIMAL, _BINARY = (_enc, _dec), (_f8, _dec_f8)
+
+# One row per JSON kind: its payload encoder and decoder, then the array
+# codec (encoder, decoder) of each version it reads, from version 1 on.
+# `save` writes the last version.
+_JSON_KINDS = {
+    "gmm": (_gmm_payload, _gmm_from_payload, (_DECIMAL,)),
+    "ubm": (lambda ubm, array: _gmm_payload(ubm.gmm, array),
+            lambda payload, array: Ubm(gmm=_gmm_from_payload(payload, array)),
+            (_DECIMAL, _BINARY)),
+    "speaker_model": (_speaker_payload, _speaker_from_payload, (_DECIMAL, _BINARY)),
+    "tv_model": (_tv_payload, _tv_from_payload, (_DECIMAL, _BINARY)),
+    "ivector": (lambda iv, array: {"w": array(iv.w)},
+                lambda payload, array: IVector(w=array(payload["w"], 1)),
+                (_DECIMAL, _BINARY)),
+    "registry": (_registry_payload, _registry_from_payload, (_DECIMAL, _DECIMAL, _BINARY)),
+    "report": (_report_payload, lambda payload, array: _report_from_payload(payload),
+               (_DECIMAL,)),  # no arrays; the encoder writes its numbers as decimals
 }
 
-_DECODERS = {
-    "gmm": _gmm_from_payload,
-    "ubm": lambda payload, array: Ubm(gmm=_gmm_from_payload(payload, array)),
-    "speaker_model": _speaker_from_payload,
-    "tv_model": _tv_from_payload,
-    "ivector": lambda payload, array: IVector(w=array(payload["w"], 1)),
-    "registry": _registry_from_payload,
-    "report": lambda payload, array: _report_from_payload(payload),
-}
-
-
-def _binary(kind: str, version: int) -> bool:
-    """Whether `version` of `kind` stores its arrays as binary records."""
-    return version >= _BINARY_SINCE.get(kind, math.inf)
+KINDS = ("features", *_JSON_KINDS)
 
 
 def save(obj, kind: str, path):
@@ -344,11 +325,11 @@ def save(obj, kind: str, path):
     if kind == "features":
         write_features(obj, path)
         return
-    version = _VERSIONS[kind][-1]
+    encode, _, codecs = _JSON_KINDS[kind]
     document = {
         "kind": kind,
-        "format_version": version,
-        "payload": _ENCODERS[kind](obj, _f8 if _binary(kind, version) else _enc),
+        "format_version": len(codecs),
+        "payload": encode(obj, codecs[-1][0]),
     }
     text = json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
     _atomic_write(path, text.encode("utf-8"))
@@ -377,12 +358,12 @@ def _decode(path, kind: str, body):
     if kind == "features":
         decoder, payload = _features_from_bytes, body
     else:
+        _, decode, codecs = _JSON_KINDS[kind]
         version = body.get("format_version")
         # JSON true and 1.0 compare equal to 1, but are not a version
-        if type(version) is not int or version not in _VERSIONS[kind]:
+        if type(version) is not int or not 1 <= version <= len(codecs):
             raise UnsupportedVersion(f"format_version {version!r} unsupported")
-        array = _dec_f8 if _binary(kind, version) else _dec
-        decoder = functools.partial(_DECODERS[kind], array=array)
+        decoder = functools.partial(decode, array=codecs[version - 1][1])
         payload = body.get("payload", {})
     try:
         return decoder(payload)

@@ -6,6 +6,7 @@ import pytest
 from voxid.audio import AudioClip, read_wav, write_wav
 from voxid.errors import (
     EmptyAudio,
+    IoFailure,
     MalformedContainer,
     UnsupportedEncoding,
     UnsupportedSampleRate,
@@ -92,6 +93,17 @@ def test_round_trip_within_quantization_step(tmp_path):
     back = read_wav(path)
     assert back.sample_rate_hz == 8000
     assert np.max(np.abs(back.samples - clip.samples)) <= 1 / 32768
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    clip = AudioClip(samples=np.zeros(80), sample_rate_hz=8000)
+    with pytest.raises(IoFailure):
+        write_wav(clip, tmp_path / "missing" / "a.wav")
+    taken = tmp_path / "taken.wav"
+    taken.mkdir()  # the rename onto a directory fails after the data is written
+    with pytest.raises(IoFailure):
+        write_wav(clip, taken)
+    assert [p.name for p in tmp_path.rglob("*")] == ["taken.wav"]
 
 
 def test_clip_invariants():

@@ -277,6 +277,26 @@ def test_bad_config_line(tmp_path, capsys, command, line):
     assert f"{config}:3:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["--config", "evaluate"])
+def test_repeated_config_key(tmp_path, capsys, make_clip_wav, command):
+    # either value alone is valid; a file that gives both is refused, not read as the last
+    config = tmp_path / "twice.conf"
+    if command == "--config":
+        assert run("features", make_clip_wav("a.wav", seconds=2.0)) == EXIT_OK
+        config.write_text("num_components = 4\n\nnum_components = 2\n")
+        argv = ("--config", config, "train-ubm", tmp_path / "a.feat", "--output",
+                tmp_path / "ubm.json")
+        where, first = f"{config}:3:", "repeats line 1"
+    else:
+        config.write_text(TestEvaluate.CONFIG + "# again\nubm_components = 2\n")
+        argv = ("evaluate", config, "--output-prefix", tmp_path / "r")
+        where, first = f"{config}:10:", "repeats line 4"
+    assert run(*argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert where in err and first in err
+    assert not list(tmp_path.glob("*.json"))
+
+
 @pytest.mark.parametrize("line", ["tv_rank = 4", "tv_iterations = 2", "threshold = 0.5",
                                   "mode = cosine"])
 def test_config_does_not_repeat_command_flags(tmp_path, capsys, line):
@@ -320,7 +340,11 @@ def test_apply_cmvn_words(tmp_path, make_clip_wav, word, normalised):
 ])
 def test_evaluate_rejects_bad_counts_and_sizes(tmp_path, capsys, line, name):
     config = tmp_path / "bad.conf"
-    config.write_text(f"ubm_frames = 200\nenroll_frames = 100\ntest_frames = 50\n{line}\n")
+    sizes = {"ubm_frames": 200, "enroll_frames": 100, "test_frames": 50}
+    # a key may appear once, so `line` takes the place of a size it sets
+    keys = {entry.partition("=")[0].strip() for entry in line.splitlines()}
+    small = "".join(f"{k} = {v}\n" for k, v in sizes.items() if k not in keys)
+    config.write_text(f"{small}{line}\n")
     assert run("evaluate", config, "--output-prefix", tmp_path / "r") == EXIT_USAGE
     err = capsys.readouterr().err
     assert "InvalidExperimentConfig" in err and name in err

@@ -149,14 +149,20 @@ def test_wrong_kind(tmp_path):
 
 
 def test_unsupported_version(tmp_path):
+    # one past the newest version each JSON kind reads
+    past_newest = {"gmm": 2, "ubm": 3, "speaker_model": 3, "tv_model": 3, "ivector": 3,
+                   "registry": 4, "report": 2}
+    assert set(past_newest) == set(store.KINDS) - {"features"}
     rng = np.random.default_rng(21)
-    path = tmp_path / "g.json"
-    store.save(random_gmm(rng), "gmm", path)
-    document = json.loads(path.read_text())
-    document["format_version"] = 2
-    path.write_text(json.dumps(document))
-    with pytest.raises(UnsupportedVersion):
-        store.load(path, "gmm")
+    path = tmp_path / "a.json"
+    for kind, version_past in past_newest.items():
+        store.save(random_artifact(kind, rng), kind, path)
+        document = json.loads(path.read_text())
+        for version in (0, version_past):
+            document["format_version"] = version
+            path.write_text(json.dumps(document))
+            with pytest.raises(UnsupportedVersion):
+                store.load(path, kind)
 
 
 def test_corrupt_weights_gate(tmp_path):
