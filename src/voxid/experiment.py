@@ -119,10 +119,15 @@ def parse_settings(text: str, converters: dict, source: str = "<string>",
 def read_settings(path, converters: dict) -> dict:
     """Read a `key = value` settings file; see `parse_settings`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise VoxidUsageError(f"cannot read config {path}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise VoxidUsageError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
     return parse_settings(text, converters, str(path))
 
 
@@ -194,9 +199,7 @@ def build_world(config: ExperimentConfig) -> SyntheticWorld:
         is_impostor = idx >= config.num_true_speakers
         sid = f"imp{idx - config.num_true_speakers:02d}" if is_impostor else f"spk{idx:02d}"
         offset = rng.normal(0.0, config.speaker_spread, size=base.means.shape)
-        truth = DiagonalGmm(
-            weights=base.weights, means=base.means + offset, variances=base.variances
-        )
+        truth = base.with_means(base.means + offset)
         enroll = sample_from_gmm(truth, config.enroll_frames, rng)
         pieces = [accumulate_stats(FeatureMatrix(enroll.frames[start:start + piece]), ubm)
                   for start in range(0, config.enroll_frames, piece)]

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .errors import DimensionMismatch, EmptyFeatureMatrix, TooFewFrames
 from .features import FeatureMatrix
@@ -41,6 +41,19 @@ class DiagonalGmm:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "variances", var)
+
+    def with_means(self, means) -> "DiagonalGmm":
+        """This mixture's weights and variances, shared, about new means; only the
+        means are checked, since the rest was checked when this mixture was built."""
+        mu = np.asarray(means, dtype=np.float64)
+        if mu.shape != self.means.shape:
+            raise DimensionMismatch(f"means of shape {mu.shape}, mixture has {self.means.shape}")
+        if not np.isfinite(mu).all():
+            raise DimensionMismatch("GMM parameters must be finite")
+        adapted = object.__new__(DiagonalGmm)
+        for name, value in (("weights", self.weights), ("means", mu), ("variances", self.variances)):
+            object.__setattr__(adapted, name, value)
+        return adapted
 
     @property
     def num_components(self) -> int:
@@ -92,9 +105,10 @@ def _require_dim(frames: np.ndarray, gmm: DiagonalGmm):
 
 
 def _log_densities(frames, means, variances, log_weights, ref) -> np.ndarray:
-    """log w_c + log N(x_t; mu_c, var_c) for stacked components; shape (L, l).
+    """log w_c + log N(x_t; mu_c, var_c) for stacked components; shape (l, L),
+    one row per component.
 
-    One GEMM of [x^2, x, 1] against [-1/(2 var), mu/var, const], so memory grows
+    One GEMM of [-1/(2 var), mu/var, const] against [x^2, x, 1], so memory grows
     with L * l, not L * l * k. Shifting frames and means by ref keeps
     cancellation small far from zero.
     """
@@ -104,40 +118,51 @@ def _log_densities(frames, means, variances, log_weights, ref) -> np.ndarray:
         frames.shape[1] * _LOG_2PI + np.sum(np.log(variances) + mu * mu * precision, axis=1)
     )
     terms = np.hstack([x * x, x, np.ones((x.shape[0], 1))])
-    return terms @ np.hstack([-0.5 * precision, mu * precision, const[:, None]]).T
+    return np.hstack([-0.5 * precision, mu * precision, const[:, None]]) @ terms.T
 
 
 def frame_component_log_densities(frames: np.ndarray, gmm: DiagonalGmm) -> np.ndarray:
     """Per-frame, per-component log densities; shape (L, l)."""
     _require_dim(frames, gmm)
-    return _log_densities(frames, gmm.means, gmm.variances, 0.0, _centre(gmm.means))
+    return _log_densities(frames, gmm.means, gmm.variances, 0.0, _centre(gmm.means)).T
 
 
 def _mixture_pass(frames: np.ndarray, gmms, ref):
-    """Frame log-likelihoods (L, N) under N mixtures, with the shifted exponentials
-    (L, sum l) and their per-model sums (L, N): one kernel call on the stacked
-    components, then a log-sum-exp over each model's segment, shifted by its peak
-    (by 0 where not finite). The exponentials overwrite the kernel's output."""
-    sizes = [g.num_components for g in gmms]
-    starts = np.cumsum([0, *sizes[:-1]])
+    """Frame log-likelihoods (N, L) under N mixtures, with the shifted exponentials
+    (sum l, L) and their per-model sums (N, L).
+
+    One kernel call on the stacked components, whose output holds one row per
+    component. Each run of consecutive models with equal component counts is one
+    (n, l, L) view: its per-model peak (0 where not finite) is subtracted in place,
+    the exponentials overwrite the kernel's output, and each model's rows are
+    summed, so every reduction runs along contiguous frame rows.
+    """
     logs = _log_densities(frames, np.concatenate([g.means for g in gmms]),
                           np.concatenate([g.variances for g in gmms]),
                           np.log(np.concatenate([g.weights for g in gmms])), ref)
-    shift = np.maximum.reduceat(logs, starts, axis=1)
-    shift[~np.isfinite(shift)] = 0.0
-    logs -= np.repeat(shift, sizes, axis=1)
-    np.exp(logs, out=logs)
-    sums = np.add.reduceat(logs, starts, axis=1)
-    with np.errstate(divide="ignore"):  # a segment of -inf only gives -inf
+    shift = np.empty((len(gmms), frames.shape[0]))
+    sums = np.empty_like(shift)
+    model = row = 0
+    for size, run in itertools.groupby(g.num_components for g in gmms):
+        n = len(list(run))
+        view = logs[row:row + n * size].reshape(n, size, -1)
+        peak = np.max(view, axis=1, out=shift[model:model + n])
+        peak[~np.isfinite(peak)] = 0.0
+        view -= peak[:, None, :]
+        np.exp(view, out=view)
+        np.sum(view, axis=1, out=sums[model:model + n])
+        model, row = model + n, row + n * size
+    with np.errstate(divide="ignore"):  # a model whose log densities are all -inf gives -inf
         return np.log(sums) + shift, logs, sums
 
 
 def _posteriors(frames: np.ndarray, gmm: DiagonalGmm):
-    """Responsibilities (L, l), rows summing to 1, and per-frame mixture log-likelihoods (L,)."""
+    """Responsibilities (l, L), columns summing to 1, and per-frame mixture
+    log-likelihoods (L,)."""
     _require_dim(frames, gmm)
     frame_ll, gamma, sums = _mixture_pass(frames, [gmm], _centre(gmm.means))
     gamma /= sums
-    return gamma, frame_ll[:, 0]
+    return gamma, frame_ll[0]
 
 
 def posterior_sums(frames: np.ndarray, gmm: DiagonalGmm, squares: bool = False):
@@ -149,8 +174,8 @@ def posterior_sums(frames: np.ndarray, gmm: DiagonalGmm, squares: bool = False):
     for start in range(0, frames.shape[0], BLOCK):
         block = frames[start:start + BLOCK]
         gamma, frame_ll[start:start + BLOCK] = _posteriors(block, gmm)
-        counts += gamma.sum(axis=0)
-        sums += gamma.T @ (np.hstack([block, block * block]) if squares else block)
+        counts += gamma.sum(axis=1)
+        sums += gamma @ (np.hstack([block, block * block]) if squares else block)
         del gamma  # freed before the next block's posteriors are built
     return counts, sums, frame_ll
 
@@ -178,9 +203,8 @@ def sequence_log_likelihoods(feats: FeatureMatrix, gmms) -> np.ndarray:
     while start < len(gmms):
         ends = np.cumsum(sizes[start:])
         stop = start + max(1, int(np.searchsorted(ends, BLOCK, side="right")))
-        frame_ll = _mixture_pass(frames, gmms[start:stop], ref)[0]
-        # numpy sums pairwise only along a contiguous axis
-        totals[start:stop] = np.ascontiguousarray(frame_ll.T).sum(axis=1)
+        # each model's frame log-likelihoods are one contiguous row, which numpy sums pairwise
+        totals[start:stop] = _mixture_pass(frames, gmms[start:stop], ref)[0].sum(axis=1)
         start = stop
     return totals
 
@@ -198,7 +222,7 @@ def responsibilities(x, gmm: DiagonalGmm) -> np.ndarray:
 
 def frame_responsibilities(frames: np.ndarray, gmm: DiagonalGmm) -> np.ndarray:
     """Posterior matrix of shape (L, l); rows sum to 1."""
-    return _posteriors(frames, gmm)[0]
+    return _posteriors(frames, gmm)[0].T
 
 
 def _nearest(frames: np.ndarray, centers: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -212,6 +236,7 @@ def _nearest(frames: np.ndarray, centers: np.ndarray, ref: np.ndarray) -> np.nda
 
 def _kmeans_pp(frames: np.ndarray, n_clusters: int, rng: np.random.Generator):
     """k-means++ seeding followed by Lloyd iterations; returns labels, centers."""
+    from scipy.sparse import csr_array  # imported here: scoring never loads scipy.sparse
     n = frames.shape[0]
     centers = np.empty((n_clusters, frames.shape[1]))
     centers[0] = frames[rng.integers(n)]
@@ -241,6 +266,7 @@ def _kmeans_pp(frames: np.ndarray, n_clusters: int, rng: np.random.Generator):
 
 def _initial_model(frames: np.ndarray, config: GmmTrainingConfig, global_var) -> DiagonalGmm:
     """k-means on a seeded in-order frame sample, then one nearest-centre pass over all frames."""
+    from scipy.sparse import csr_array
     rng = np.random.default_rng(config.rng_seed)
     n, n_clusters = frames.shape[0], config.num_components
     if n > KMEANS_FRAMES_PER_COMPONENT * n_clusters:

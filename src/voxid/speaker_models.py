@@ -115,8 +115,7 @@ def map_adapt(stats: BaumWelchStats, ubm: Ubm, relevance: float = DEFAULT_RELEVA
     alpha = n[observed] / (n[observed] + relevance)
     ml_means = stats.first[observed] / n[observed][:, None]
     means[observed] = alpha[:, None] * ml_means + (1.0 - alpha)[:, None] * gmm.means[observed]
-    adapted = DiagonalGmm(weights=gmm.weights, means=means, variances=gmm.variances)
-    return SpeakerModel(speaker_id=speaker_id, gmm=adapted)
+    return SpeakerModel(speaker_id=speaker_id, gmm=gmm.with_means(means))
 
 
 def build_supervector(model) -> Supervector:

@@ -21,7 +21,9 @@ read-only arrays.
 
 A registry (versions 2 and 3) holds the first entry's weights and
 variances once, as "shared"; each entry's model holds its means, plus
-weights or variances only where they differ from "shared". A field an
+weights or variances only where they differ from "shared". The shared
+block is checked once, as one mixture, and an entry holding only means
+is that mixture about its means (`DiagonalGmm.with_means`). A field an
 entry lacks comes from "shared", so version 1 registries, whose entries
 carry every field, load through the same code. `locked` serialises the
 read-modify-write of one registry across processes.
@@ -164,12 +166,16 @@ def _gmm_payload(gmm: DiagonalGmm, array) -> dict:
 
 
 def _gmm_from_payload(payload, array, shared=None) -> DiagonalGmm:
-    """A field the payload lacks is taken from `shared`, already decoded."""
-    fields = dict(shared or {})
-    fields.update((name, array(payload[name], ndim))
-                  for name, ndim in _GMM_NDIM.items() if name in payload)
+    """A payload holding only means takes the weights and variances of `shared`,
+    a checked mixture; any other field it lacks is taken from `shared` too."""
+    fields = {name: array(payload[name], ndim)
+              for name, ndim in _GMM_NDIM.items() if name in payload}
+    if shared is not None:
+        if fields.keys() == {"means"}:
+            return shared.with_means(fields["means"])
+        fields = {"weights": shared.weights, "variances": shared.variances} | fields
     if fields.keys() != _GMM_NDIM.keys():
-        raise CorruptArtifact(f"model lacks {sorted(_GMM_NDIM.keys() - fields)}, no shared block")
+        raise CorruptArtifact(f"model lacks {sorted(_GMM_NDIM.keys() - fields)}")
     return DiagonalGmm(**fields)
 
 
@@ -231,7 +237,9 @@ def _registry_payload(registry: SpeakerRegistry, array) -> dict:
 
 
 def _registry_from_payload(payload, array) -> SpeakerRegistry:
-    shared = {name: array(data, _GMM_NDIM[name]) for name, data in payload.get("shared", {}).items()}
+    block = {name: array(data, _GMM_NDIM[name]) for name, data in payload.get("shared", {}).items()}
+    # checked once, as one mixture about zero means, which no entry takes
+    shared = DiagonalGmm(means=np.zeros_like(block["variances"]), **block) if block else None
     registry = SpeakerRegistry()
     for entry in payload["entries"]:
         ivec = None

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .errors import DimensionMismatch, NumericalFailure, RankTooLarge
 from .speaker_models import BaumWelchStats, Ubm, build_supervector, variance_supervector
@@ -91,6 +89,7 @@ def init_tv(ubm: Ubm, rank_R: int, rng_seed: int = 0) -> TotalVariabilityModel:
 
 def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
     """Lower Cholesky factor from a's lower triangle; an F-ordered a is factored in place."""
+    from scipy.linalg.lapack import dpotrf  # imported where used: LLR paths never load scipy.linalg
     if not np.isfinite(a).all():
         raise NumericalFailure(f"{what} is not finite")
     factor, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
@@ -116,6 +115,7 @@ def _e_step(counts: np.ndarray, f_centered: np.ndarray, tv: TotalVariabilityMode
     factors[j] is the Cholesky factor of utterance j's posterior precision I + sum_c N_c U_c,
     in the lower triangle (column-major) of block's row j, which the next block reuses, and
     w[j] is its posterior mean."""
+    from scipy.linalg.lapack import dpotrs
     r = tv.rank_R
     blocks = tv.precision_blocks.reshape(tv.num_components, r * r)
     moments = np.empty((min(BLOCK, counts.shape[0]), r * r))
@@ -148,6 +148,8 @@ def train_tv(stats_set, tv: TotalVariabilityModel, iterations: int = 10
     component c, BLOCK utterances at a time, and B = F~^T W; the M-step
     solves T_c A_c = B_c for each c.
     """
+    from scipy.linalg.blas import dgemm
+    from scipy.linalg.lapack import dpotri, dpotrs
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     counts, f_centered = _stacked(stats_set, tv)

@@ -1,6 +1,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -35,6 +37,35 @@ def workspace(tmp_path, make_clip_wav):
                    "--registry", registry, "--ubm", ubm, feat)
         assert code == EXIT_OK
     return tmp_path, feat_paths, ubm, registry
+
+
+COLD_START = """
+import sys
+def heavy():
+    return sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.linalg")))
+from voxid.cli import main
+print(heavy())
+wav, registry, ubm = sys.argv[1:]
+feat = wav[:-len(".wav")] + ".feat"
+codes = [main(["features", wav]),
+         main(["enroll", "--speaker-id", "new", "--registry", registry, "--ubm", ubm, feat]),
+         main(["identify", feat, "--registry", registry, "--ubm", ubm])]
+print(codes, heavy())
+"""
+
+
+def test_cold_start_loads_neither_sparse_nor_linalg(workspace, make_clip_wav):
+    # features, LLR enroll and identify use neither package, so a one-shot process
+    # does not pay to import them
+    _, _, ubm, registry = workspace
+    wav = make_clip_wav("new.wav", seed=7, seconds=2.0)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-W", "error", "-c", COLD_START, str(wav),
+                          str(registry), str(ubm)], env=env, capture_output=True, text=True,
+                         timeout=300, check=True).stdout
+    lines = out.splitlines()
+    assert lines[0] == "[]" and lines[-1] == "[0, 0, 0] []"
 
 
 class TestFeatures:
@@ -294,6 +325,24 @@ def test_repeated_config_key(tmp_path, capsys, make_clip_wav, command):
     assert run(*argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert where in err and first in err
+    assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("command", ["--config", "evaluate"])
+def test_config_not_utf8(tmp_path, capsys, make_clip_wav, command):
+    # a byte that is not UTF-8 on line 3 is a usage error naming the file and that line
+    config = tmp_path / "bad.conf"
+    if command == "--config":
+        assert run("features", make_clip_wav("a.wav", seconds=2.0)) == EXIT_OK
+        config.write_bytes(b"# comment\r\n\r\nnum_components = \xff4\n")
+        argv = ("--config", config, "train-ubm", tmp_path / "a.feat", "--output",
+                tmp_path / "ubm.json")
+    else:
+        config.write_bytes(b"mode = llr\n\nseed = 1 # \xe9\n" + TestEvaluate.CONFIG.encode())
+        argv = ("evaluate", config, "--output-prefix", tmp_path / "r")
+    assert run(*argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("VoxidUsageError: ") and f"{config}:3: not UTF-8" in err
     assert not list(tmp_path.glob("*.json"))
 
 

@@ -227,6 +227,22 @@ def test_gmm_invariant_gates():
         DiagonalGmm(weights=[1.0], means=[[0.0]], variances=[[0.0]])
 
 
+class TestWithMeans:
+    def test_shares_the_checked_weights_and_variances(self):
+        base = random_gmm(np.random.default_rng(29), components=3, dim=2)
+        means = [[0, 1], [2, 3], [4, 5]]
+        moved = base.with_means(means)
+        assert moved.weights is base.weights and moved.variances is base.variances
+        assert moved.means.dtype == np.float64 and np.array_equal(moved.means, means)
+
+    @pytest.mark.parametrize("means", [np.zeros((3, 3)), np.zeros((2, 2)), np.zeros(6),
+                                       [[0.0, np.nan]] * 3, [[np.inf, 0.0]] * 3])
+    def test_rejects_bad_means(self, means):
+        base = random_gmm(np.random.default_rng(30), components=3, dim=2)
+        with pytest.raises(DimensionMismatch):
+            base.with_means(means)
+
+
 class TestExpandedKernel:
     @pytest.mark.parametrize("offset", [0.0, 100.0, 1000.0])
     def test_matches_difference_form(self, offset):
@@ -270,38 +286,64 @@ class TestExpandedKernel:
 
 
 class TestLogSumExp:
-    # _mixture_pass reduces over axis 1 of the kernel output, so axis 0 feeds it a.T.
-    # keepdims runs one model over the whole axis, as _posteriors does, against
-    # scipy's kept column; otherwise models split the axis into segments.
+    # _mixture_pass reduces over axis 0 of the kernel output, one row per component, so
+    # axis 1 feeds it a.T. keepdims runs one model over the whole axis, as _posteriors
+    # does, against scipy's kept row; otherwise models split the axis into segments.
     SEGMENTS = {0: (3, 4, 1, 5, 27),    # [7, 8) is -inf only, [3, 7) holds -inf
-                1: (3, 8, 5, 1, 13)}    # [0, 3) is -inf only in row 3, [3, 11) holds -inf
+                1: (3, 8, 5, 1, 13)}    # [0, 3) is -inf only in frame 3, [3, 11) holds -inf
+    # consecutive equal sizes form runs [2, 2], [3], [1, 1], [2], [rest], one view each:
+    # [7, 8) is -inf only and shares its run with [8, 9); for axis 1, [0, 2) and [2, 4)
+    # are -inf only in frame 3
+    RUNS = {0: (2, 2, 3, 1, 1, 2, 29), 1: (2, 2, 3, 1, 1, 2, 19)}
 
-    @pytest.mark.parametrize("axis", [0, 1])
-    @pytest.mark.parametrize("keepdims", [False, True])
-    def test_matches_scipy(self, monkeypatch, axis, keepdims):
+    @staticmethod
+    def scores(monkeypatch, axis, sizes):
+        """_mixture_pass over models of `sizes` on a kernel output of -inf rows, frames
+        holding -inf and tied peaks, with scipy's log-sum-exp of each segment."""
         rng = np.random.default_rng(34)
         a = rng.normal(0, 1, (40, 30)) * 1e3
         a[3, :5] = -np.inf      # a row holding -inf
         a[7, :] = -np.inf       # a row of -inf only
         a[:, 11] = a[:, 12]     # tied peaks
-        logs = a if axis == 1 else a.T
-        sizes = (logs.shape[1],) if keepdims else self.SEGMENTS[axis]
+        logs = a if axis == 0 else a.T
         bounds = np.cumsum((0, *sizes))
-        if keepdims:
-            oracle = logsumexp(a, axis=axis, keepdims=True)
-            oracle = oracle if axis == 1 else oracle.T
-        else:
-            oracle = np.column_stack([logsumexp(logs[:, lo:hi], axis=1)
-                                      for lo, hi in zip(bounds[:-1], bounds[1:])])
+        oracle = np.vstack([logsumexp(logs[lo:hi], axis=0)
+                            for lo, hi in zip(bounds[:-1], bounds[1:])])
         models = [random_gmm(rng, components=c) for c in sizes]
         monkeypatch.setattr(gmm_module, "_log_densities", lambda *args: logs.copy())
-        frame_ll, exps, sums = _mixture_pass(np.zeros((logs.shape[0], 2)), models, np.zeros(2))
+        frame_ll, exps, sums = _mixture_pass(np.zeros((logs.shape[1], 2)), models, np.zeros(2))
         assert frame_ll.shape == sums.shape == oracle.shape and exps.shape == logs.shape
         finite = np.isfinite(oracle)
         assert np.array_equal(np.isfinite(frame_ll), finite)
         assert np.all(frame_ll[~finite] == oracle[~finite])
         assert np.allclose(frame_ll[finite], oracle[finite], rtol=1e-14, atol=0.0)
-        assert np.array_equal(np.add.reduceat(exps, bounds[:-1], axis=1), sums)
+        assert np.array_equal(np.vstack([exps[lo:hi].sum(axis=0)
+                                         for lo, hi in zip(bounds[:-1], bounds[1:])]), sums)
+        return frame_ll, a
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_matches_scipy(self, monkeypatch, axis, keepdims):
+        sizes = (40 if axis == 0 else 30,) if keepdims else self.SEGMENTS[axis]
+        frame_ll, a = self.scores(monkeypatch, axis, sizes)
+        if keepdims:
+            kept = logsumexp(a, axis=axis, keepdims=True)
+            assert np.allclose(frame_ll, kept if axis == 0 else kept.T, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_runs_of_equal_sizes(self, monkeypatch, axis):
+        self.scores(monkeypatch, axis, self.RUNS[axis])
+
+    def test_public_layout_is_frames_by_components(self):
+        rng = np.random.default_rng(35)
+        model = random_gmm(rng, components=5, dim=3)
+        frames = rng.normal(0, 2, (7, 3))
+        densities = frame_component_log_densities(frames, model)
+        gamma = frame_responsibilities(frames, model)
+        assert densities.shape == gamma.shape == (7, 5)
+        assert np.allclose(densities, difference_form(frames, model), rtol=1e-12, atol=0.0)
+        assert np.allclose(gamma.sum(axis=1), 1.0, rtol=1e-14, atol=0.0)
+        assert np.allclose(responsibilities(frames[2], model), gamma[2], rtol=1e-12, atol=0.0)
 
 
 def kmeans_with_loop_update(frames, n_clusters, rng):

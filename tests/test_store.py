@@ -393,6 +393,52 @@ def test_registry_field_missing_without_shared_block(tmp_path):
         store.load(path, "registry")
 
 
+@pytest.mark.parametrize("how", ["weights-sum", "variance-zero", "means-shape"])
+def test_registry_shared_block_is_checked(how, tmp_path):
+    # entries holding only means take the shared block as checked once, so a bad block
+    # or means that do not fit it are still corrupt
+    rng = np.random.default_rng(33)
+    path = tmp_path / "r.json"
+    store.save(adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 2), "registry", path)
+    document = json.loads(path.read_text())
+    payload = document["payload"]
+    node, key = {"weights-sum": (payload["shared"], "weights"),
+                 "variance-zero": (payload["shared"], "variances"),
+                 "means-shape": (payload["entries"][1]["model"], "means")}[how]
+    values = np.frombuffer(base64.b64decode(node[key]["f8"]), "<f8").copy()
+    if how == "weights-sum":
+        values *= 1.5  # positive and finite, summing to 1.5
+    elif how == "variance-zero":
+        values[5] = 0.0
+    else:
+        values = values[:9]  # (3, 3) against the shared block's (4, 3)
+        node[key]["shape"] = [3, 3]
+    node[key]["f8"] = base64.b64encode(values.tobytes()).decode("ascii")
+    path.write_text(json.dumps(document))
+    with pytest.raises(CorruptArtifact):
+        store.load(path, "registry")
+
+
+def test_registry_entry_with_own_variances_round_trips(tmp_path):
+    rng = np.random.default_rng(34)
+    ubm = Ubm(gmm=random_gmm(rng, 4, 3))
+    registry = adapted_registry(ubm, rng, 2)
+    own = DiagonalGmm(weights=ubm.gmm.weights, means=rng.normal(0, 3, (4, 3)),
+                      variances=rng.uniform(0.2, 2.0, (4, 3)))
+    registry.add(RegistryEntry(speaker_id="own", cluster_id="c",
+                               model=SpeakerModel(speaker_id="own", gmm=own)))
+    path = tmp_path / "r.json"
+    store.save(registry, "registry", path)
+    entries = json.loads(path.read_text())["payload"]["entries"]
+    assert set(entries[2]["model"]) == {"speaker_id", "means", "variances"}
+    loaded = store.load(path, "registry").entries
+    for ours, theirs in zip(registry.entries, loaded):
+        for name in ("weights", "means", "variances"):
+            a, b = getattr(ours.model.gmm, name), getattr(theirs.model.gmm, name)
+            assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert loaded[2].model.gmm.weights is loaded[0].model.gmm.weights
+
+
 # kind: (the version it writes, the number of binary records it holds)
 WRITTEN = {"gmm": (1, 0), "report": (1, 0), "ubm": (2, 3), "speaker_model": (2, 3),
            "tv_model": (2, 3), "ivector": (2, 1)}
