@@ -38,17 +38,22 @@ class RegistryEntry:
 @dataclass
 class SpeakerRegistry:
     entries: list[RegistryEntry] = field(default_factory=list)
+    # id -> first entry with that id; neither repr nor equality sees it
+    _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _ids(self) -> dict:
+        # index the entries past the index's length, also those appended to the list directly
+        for e in self.entries[len(self._index):]:
+            self._index.setdefault(e.speaker_id, e)
+        return self._index
 
     def add(self, entry: RegistryEntry):
-        if any(e.speaker_id == entry.speaker_id for e in self.entries):
+        if entry.speaker_id in self._ids():
             raise DuplicateSpeakerId(f"speaker {entry.speaker_id!r} already enrolled")
         self.entries.append(entry)
 
     def get(self, speaker_id: str) -> RegistryEntry:
-        for e in self.entries:
-            if e.speaker_id == speaker_id:
-                return e
-        raise KeyError(speaker_id)
+        return self._ids()[speaker_id]
 
     def __len__(self):
         return len(self.entries)

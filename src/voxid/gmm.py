@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,14 @@ class DiagonalGmm:
             object.__setattr__(adapted, name, value)
         return adapted
 
+    @cached_property
+    def kernel(self) -> tuple[np.ndarray, np.ndarray]:
+        """The centre and the _coefficients block about it; built once, never serialised."""
+        ref = _centre(self.means)
+        coefficients = _coefficients(self.means, self.variances, np.log(self.weights), ref)
+        ref.flags.writeable = coefficients.flags.writeable = False  # shared by every E-step
+        return ref, coefficients
+
     @property
     def num_components(self) -> int:
         return self.means.shape[0]
@@ -104,42 +113,49 @@ def _require_dim(frames: np.ndarray, gmm: DiagonalGmm):
         )
 
 
-def _log_densities(frames, means, variances, log_weights, ref) -> np.ndarray:
+def _coefficients(means, variances, log_weights, ref) -> np.ndarray:
+    """[-1/(2 var), mu/var, log w + const] about ref; shape (l, 2k+1)."""
+    mu, precision = means - ref, 1.0 / variances
+    const = log_weights - 0.5 * (means.shape[1] * _LOG_2PI
+                                 + np.sum(np.log(variances) + mu * mu * precision, axis=1))
+    return np.hstack([-0.5 * precision, mu * precision, const[:, None]])
+
+
+def _log_densities(frames, coefficients, ref) -> np.ndarray:
     """log w_c + log N(x_t; mu_c, var_c) for stacked components; shape (l, L),
     one row per component.
 
-    One GEMM of [-1/(2 var), mu/var, const] against [x^2, x, 1], so memory grows
-    with L * l, not L * l * k. Shifting frames and means by ref keeps
+    One GEMM of _coefficients' block against [(x - ref)^2, x - ref, 1], so memory
+    grows with L * l, not L * l * k. Shifting frames and means by ref keeps
     cancellation small far from zero.
     """
-    x, mu = frames - ref, means - ref
-    precision = 1.0 / variances
-    const = log_weights - 0.5 * (
-        frames.shape[1] * _LOG_2PI + np.sum(np.log(variances) + mu * mu * precision, axis=1)
-    )
+    x = frames - ref
     terms = np.hstack([x * x, x, np.ones((x.shape[0], 1))])
-    return np.hstack([-0.5 * precision, mu * precision, const[:, None]]) @ terms.T
+    return coefficients @ terms.T
 
 
 def frame_component_log_densities(frames: np.ndarray, gmm: DiagonalGmm) -> np.ndarray:
     """Per-frame, per-component log densities; shape (L, l)."""
     _require_dim(frames, gmm)
-    return _log_densities(frames, gmm.means, gmm.variances, 0.0, _centre(gmm.means)).T
+    ref = _centre(gmm.means)
+    return _log_densities(frames, _coefficients(gmm.means, gmm.variances, 0.0, ref), ref).T
 
 
-def _mixture_pass(frames: np.ndarray, gmms, ref):
+def _mixture_pass(frames: np.ndarray, gmms, ref, coefficients=None):
     """Frame log-likelihoods (N, L) under N mixtures, with the shifted exponentials
     (sum l, L) and their per-model sums (N, L).
 
-    One kernel call on the stacked components, whose output holds one row per
-    component. Each run of consecutive models with equal component counts is one
-    (n, l, L) view: its per-model peak (0 where not finite) is subtracted in place,
-    the exponentials overwrite the kernel's output, and each model's rows are
-    summed, so every reduction runs along contiguous frame rows.
+    One kernel call on the stacked components' coefficients (built unless given),
+    whose output holds one row per component. Each run of consecutive models with
+    equal component counts is one (n, l, L) view: its per-model peak (0 where not
+    finite) is subtracted in place, the exponentials overwrite the kernel's output,
+    and each model's rows are summed, so every reduction runs along contiguous rows.
     """
-    logs = _log_densities(frames, np.concatenate([g.means for g in gmms]),
-                          np.concatenate([g.variances for g in gmms]),
-                          np.log(np.concatenate([g.weights for g in gmms])), ref)
+    if coefficients is None:
+        coefficients = _coefficients(np.concatenate([g.means for g in gmms]),
+                                     np.concatenate([g.variances for g in gmms]),
+                                     np.log(np.concatenate([g.weights for g in gmms])), ref)
+    logs = _log_densities(frames, coefficients, ref)
     shift = np.empty((len(gmms), frames.shape[0]))
     sums = np.empty_like(shift)
     model = row = 0
@@ -157,10 +173,10 @@ def _mixture_pass(frames: np.ndarray, gmms, ref):
 
 
 def _posteriors(frames: np.ndarray, gmm: DiagonalGmm):
-    """Responsibilities (l, L), columns summing to 1, and per-frame mixture
-    log-likelihoods (L,)."""
+    """Responsibilities (l, L), columns summing to 1, and per-frame log-likelihoods (L,),
+    from the mixture's kernel block, which every E-step and Baum-Welch call shares."""
     _require_dim(frames, gmm)
-    frame_ll, gamma, sums = _mixture_pass(frames, [gmm], _centre(gmm.means))
+    frame_ll, gamma, sums = _mixture_pass(frames, [gmm], *gmm.kernel)
     gamma /= sums
     return gamma, frame_ll[0]
 
@@ -225,34 +241,39 @@ def frame_responsibilities(frames: np.ndarray, gmm: DiagonalGmm) -> np.ndarray:
     return _posteriors(frames, gmm)[0].T
 
 
-def _nearest(frames: np.ndarray, centers: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Nearest-centre labels by ||c||^2 - 2 x.c about ref (||x||^2 drops out), BLOCK frames
-    at a time."""
+def _centred_blocks(frames: np.ndarray, ref: np.ndarray):
+    """[x - ref, 1], BLOCK frames at a time."""
+    return (np.pad(frames[start:start + BLOCK] - ref, ((0, 0), (0, 1)), constant_values=1.0)
+            for start in range(0, frames.shape[0], BLOCK))
+
+
+def _nearest(blocks, centers: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Nearest-centre labels, one product per block of [x - ref, 1] rows with
+    [-2 (c - ref); ||c - ref||^2], whose last row adds the norms (||x - ref||^2 drops out)."""
     centred = centers - ref
-    scale, norms = -2.0 * centred.T, np.sum(centred * centred, axis=1)
-    return np.concatenate([np.argmin((frames[start:start + BLOCK] - ref) @ scale + norms, axis=1)
-                           for start in range(0, frames.shape[0], BLOCK)])
+    coefficients = np.vstack([-2.0 * centred.T, np.sum(centred * centred, axis=1)])
+    return np.concatenate([np.argmin(terms @ coefficients, axis=1) for terms in blocks])
 
 
 def _kmeans_pp(frames: np.ndarray, n_clusters: int, rng: np.random.Generator):
-    """k-means++ seeding followed by Lloyd iterations; returns labels, centers."""
+    """k-means++ seeding, whose distances sum contiguous rows of one (k, n) copy of the
+    frames, then Lloyd steps over [x - ref, 1] blocks built once; returns labels, centers."""
     from scipy.sparse import csr_array  # imported here: scoring never loads scipy.sparse
     n = frames.shape[0]
     centers = np.empty((n_clusters, frames.shape[1]))
-    centers[0] = frames[rng.integers(n)]
-    d2 = np.sum((frames - centers[0]) ** 2, axis=1)
-    for c in range(1, n_clusters):
-        total = d2.sum()
-        if total <= 0.0:
-            centers[c] = frames[rng.integers(n)]
-        else:
-            centers[c] = frames[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((frames - centers[c]) ** 2, axis=1))
+    columns = frames.T.copy()
+    diff, d2, dist = np.empty_like(columns), np.full(n, np.inf), np.empty(n)
+    for c in range(n_clusters):
+        total = d2.sum() if c else 0.0
+        centers[c] = frames[rng.choice(n, p=d2 / total) if total > 0.0 else rng.integers(n)]
+        np.square(np.subtract(columns, centers[c][:, None], out=diff), out=diff)
+        np.minimum(d2, np.sum(diff, axis=0, out=dist), out=d2)
 
     ref = frames.mean(axis=0)  # Lloyd's distances are taken about the frames' mean
+    blocks = list(_centred_blocks(frames, ref))
     labels = np.zeros(n, dtype=np.intp)
     for _ in range(25):
-        new_labels = _nearest(frames, centers, ref)
+        new_labels = _nearest(blocks, centers, ref)
         if np.array_equal(new_labels, labels) and _ > 0:
             break
         labels = new_labels
@@ -272,7 +293,8 @@ def _initial_model(frames: np.ndarray, config: GmmTrainingConfig, global_var) ->
     if n > KMEANS_FRAMES_PER_COMPONENT * n_clusters:
         sample = np.sort(rng.choice(n, KMEANS_FRAMES_PER_COMPONENT * n_clusters, replace=False))
         _, centers = _kmeans_pp(frames[sample], n_clusters, rng)
-        labels = _nearest(frames, centers, frames.mean(axis=0))
+        ref = frames.mean(axis=0)  # one block of [x - ref, 1] at a time
+        labels = _nearest(_centred_blocks(frames, ref), centers, ref)
     else:
         labels, centers = _kmeans_pp(frames, n_clusters, rng)
     counts = np.bincount(labels, minlength=n_clusters)
@@ -308,9 +330,8 @@ def em_fit_detailed(feats: FeatureMatrix, config: GmmTrainingConfig):
         if degenerate.size:
             # re-seed dead components at the worst-modelled frames
             worst = np.argsort(frame_ll)[: degenerate.size]
-            means = model.means.copy()
-            variances = model.variances.copy()
-            weights = model.weights.copy()
+            weights, means, variances = (a.copy() for a in (model.weights, model.means,
+                                                            model.variances))
             means[degenerate] = frames[worst]
             variances[degenerate] = global_var
             weights[degenerate] = 1.0 / n
@@ -327,9 +348,8 @@ def em_fit_detailed(feats: FeatureMatrix, config: GmmTrainingConfig):
         weights /= weights.sum()
         model = DiagonalGmm(weights=weights, means=means, variances=variances)
 
-        if prev_ll is not None:
-            if abs(ll - prev_ll) < config.convergence_tol * abs(prev_ll):
-                break
+        if prev_ll is not None and abs(ll - prev_ll) < config.convergence_tol * abs(prev_ll):
+            break
         prev_ll = ll
     return model, history
 

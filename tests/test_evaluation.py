@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -250,6 +251,55 @@ class TestIdentify:
         policy = DecisionPolicy(threshold=0.5, mode="cosine")
         with pytest.raises(DimensionMismatch):
             identify(Trial(trial_id="t", test_ivector=IVector(np.ones(3))), registry, policy)
+
+
+class TestRegistryIndex:
+    """SpeakerRegistry finds ids through an index instead of scanning every entry."""
+
+    @staticmethod
+    def entry(speaker_id, model):
+        return RegistryEntry(speaker_id=speaker_id, cluster_id="c0", model=model)
+
+    def test_many_adds_are_not_quadratic(self):
+        model = SpeakerModel(speaker_id="shared", gmm=tiny_gmm(0.0))
+        registry = SpeakerRegistry()
+        start = time.perf_counter()
+        for i in range(10_000):
+            registry.add(self.entry(f"s{i:05d}", model))
+        elapsed = time.perf_counter() - start
+        assert len(registry) == 10_000 and registry.get("s07777").speaker_id == "s07777"
+        # a scan per add makes 5e7 comparisons, several seconds
+        assert elapsed < 0.5
+        with pytest.raises(DuplicateSpeakerId):
+            registry.add(self.entry("s00042", model))
+        assert len(registry) == 10_000
+
+    def test_entries_given_or_appended_directly_are_seen(self):
+        model = SpeakerModel(speaker_id="shared", gmm=tiny_gmm(0.0))
+        first = self.entry("a", model)
+        registry = SpeakerRegistry(entries=[first, self.entry("b", model)])
+        assert registry.get("a") is first
+        with pytest.raises(DuplicateSpeakerId):
+            registry.add(self.entry("b", model))
+        appended = self.entry("c", model)
+        registry.entries.append(appended)
+        assert registry.get("c") is appended
+        with pytest.raises(DuplicateSpeakerId):
+            registry.add(self.entry("c", model))
+        # an id appended twice to the list: the first entry wins, as a scan would find it
+        registry.entries.append(self.entry("a", model))
+        registry.entries.append(self.entry("d", model))
+        assert registry.get("a") is first and registry.get("d").speaker_id == "d"
+        with pytest.raises(KeyError):
+            registry.get("missing")
+
+    def test_index_is_not_in_repr_or_equality(self):
+        model = SpeakerModel(speaker_id="shared", gmm=tiny_gmm(0.0))
+        entries = [self.entry("a", model), self.entry("b", model)]
+        looked_up, fresh = SpeakerRegistry(entries=list(entries)), SpeakerRegistry(list(entries))
+        looked_up.get("b")
+        assert looked_up == fresh and repr(looked_up) == repr(fresh)
+        assert repr(fresh) == f"SpeakerRegistry(entries={entries!r})"
 
 
 def adapted_registry(rng, speakers, components, dim):

@@ -635,3 +635,158 @@ class TestMStep:
         assert np.array_equal(model.means[2], frames[np.argmin(frame_ll)])
         assert np.array_equal(model.variances[2], np.maximum(frames.var(axis=0), 1e-3))
         assert np.array_equal(model.means[:2], stranded.means[:2])
+
+
+def rowwise_nearest(frames, centers, ref):
+    """Nearest-centre labels as a GEMM about ref, then the centre norms added."""
+    centred = centers - ref
+    scale, norms = -2.0 * centred.T, np.sum(centred * centred, axis=1)
+    return np.concatenate([np.argmin((frames[start:start + gmm_module.BLOCK] - ref) @ scale
+                                     + norms, axis=1)
+                           for start in range(0, frames.shape[0], gmm_module.BLOCK)])
+
+
+def rowwise_kmeans_pp(frames, n_clusters, rng):
+    """k-means++ with row-major seeding distances and rowwise_nearest's Lloyd steps."""
+    from scipy.sparse import csr_array
+    n = frames.shape[0]
+    centers = np.empty((n_clusters, frames.shape[1]))
+    centers[0] = frames[rng.integers(n)]
+    d2 = np.sum((frames - centers[0]) ** 2, axis=1)
+    for c in range(1, n_clusters):
+        total = d2.sum()
+        if total <= 0.0:
+            centers[c] = frames[rng.integers(n)]
+        else:
+            centers[c] = frames[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((frames - centers[c]) ** 2, axis=1))
+    ref = frames.mean(axis=0)
+    labels = np.zeros(n, dtype=np.intp)
+    for step in range(25):
+        new_labels = rowwise_nearest(frames, centers, ref)
+        if np.array_equal(new_labels, labels) and step > 0:
+            break
+        labels = new_labels
+        sums = csr_array((np.ones(n), (labels, np.arange(n))), shape=(n_clusters, n)) @ frames
+        counts = np.bincount(labels, minlength=n_clusters)
+        filled = counts > 0
+        centers[filled] = sums[filled] / counts[filled, None]
+    return labels, centers
+
+
+def rowwise_initial_model(frames, config):
+    """_initial_model over rowwise_kmeans_pp and rowwise_nearest."""
+    from scipy.sparse import csr_array
+    rng = np.random.default_rng(config.rng_seed)
+    n, n_clusters = frames.shape[0], config.num_components
+    if n > gmm_module.KMEANS_FRAMES_PER_COMPONENT * n_clusters:
+        sample = np.sort(rng.choice(n, gmm_module.KMEANS_FRAMES_PER_COMPONENT * n_clusters,
+                                    replace=False))
+        _, centers = rowwise_kmeans_pp(frames[sample], n_clusters, rng)
+        labels = rowwise_nearest(frames, centers, frames.mean(axis=0))
+    else:
+        labels, centers = rowwise_kmeans_pp(frames, n_clusters, rng)
+    counts = np.bincount(labels, minlength=n_clusters)
+    sizes = np.maximum(counts, 1)[:, None]
+    weights = sizes[:, 0] / n
+    weights /= weights.sum()
+    one_hot = csr_array((np.ones(n), (labels, np.arange(n))), shape=(n_clusters, n))
+    means = np.where((counts > 0)[:, None], (one_hot @ frames) / sizes, centers)
+    deviations = frames - means[labels]
+    global_var = np.maximum(frames.var(axis=0), config.variance_floor)
+    variances = np.where((counts >= 2)[:, None], np.maximum(
+        (one_hot @ (deviations * deviations)) / sizes, config.variance_floor), global_var)
+    return DiagonalGmm(weights=weights, means=means, variances=variances)
+
+
+class TestKmeansOracles:
+    """Product-form nearest centres and column-major seeding leave k-means bit for bit
+    where the GEMM-then-norms assignment and row-major seeding left it."""
+
+    @staticmethod
+    def assert_same(frames, n_clusters, seed):
+        labels, centers = _kmeans_pp(frames, n_clusters, np.random.default_rng(seed))
+        oracle_labels, oracle_centers = rowwise_kmeans_pp(frames, n_clusters,
+                                                          np.random.default_rng(seed))
+        assert np.array_equal(labels, oracle_labels)
+        assert np.array_equal(centers, oracle_centers)
+        config = GmmTrainingConfig(num_components=n_clusters, rng_seed=seed)
+        model, oracle = initial_model(frames, config), rowwise_initial_model(frames, config)
+        for name in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(model, name), getattr(oracle, name))
+
+    # the last case has more than KMEANS_FRAMES_PER_COMPONENT * C frames, so k-means
+    # runs on a sample and every frame is then assigned block by block
+    @pytest.mark.parametrize("frames_l, components, dim",
+                             [(4096, 64, 20), (2048, 32, 13), (1024, 16, 8), (5000, 8, 8)])
+    def test_overlapping_frames(self, frames_l, components, dim):
+        frames = overlapping_frames(53, frames_l, components, dim)
+        for seed in (0, 7):
+            self.assert_same(frames, components, seed)
+
+    def test_first_of_tied_centres_wins(self):
+        frames = np.repeat(np.arange(5.0)[:, None], 10, axis=0)
+        self.assert_same(frames, 6, 0)
+        labels, centers = _kmeans_pp(frames, 6, np.random.default_rng(0))
+        for value in range(5):
+            tied = np.flatnonzero(centers[:, 0] == value)
+            assert np.all(labels[frames[:, 0] == value] == tied[0])
+
+
+class TestKernelCache:
+    """A mixture builds its kernel coefficient block once and every E-step shares it."""
+
+    def test_cached_block_is_a_fresh_build(self):
+        model = random_gmm(np.random.default_rng(54), components=7, dim=5)
+        ref, coefficients = model.kernel
+        centre = gmm_module._centre(model.means)
+        assert np.array_equal(ref, centre)
+        assert np.array_equal(coefficients, gmm_module._coefficients(
+            model.means, model.variances, np.log(model.weights), centre))
+        assert model.kernel[1] is coefficients and not coefficients.flags.writeable
+
+    def test_with_means_builds_its_own_block(self):
+        base = random_gmm(np.random.default_rng(55), components=4, dim=3)
+        base_coefficients = base.kernel[1]
+        moved = base.with_means(base.means + 1.5)
+        ref, coefficients = moved.kernel
+        assert np.array_equal(ref, gmm_module._centre(moved.means))
+        assert np.array_equal(coefficients, gmm_module._coefficients(
+            moved.means, moved.variances, np.log(moved.weights), ref))
+        assert not np.array_equal(coefficients, base_coefficients)
+
+    def test_one_em_iteration_builds_the_block_once(self, monkeypatch):
+        frames = overlapping_frames(56, 5 * gmm_module.BLOCK, 4, 3)
+        build, calls = gmm_module._coefficients, []
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return build(*args)
+
+        monkeypatch.setattr(gmm_module, "_coefficients", spy)
+        em_fit(FeatureMatrix(frames), GmmTrainingConfig(num_components=4, max_iterations=1))
+        assert calls == [(4, 3)]
+        model = random_gmm(np.random.default_rng(57), components=4, dim=3)
+        for _ in range(3):
+            gmm_module.posterior_sums(frames, model)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("frames_l", [300, gmm_module.BLOCK + 300])
+    @pytest.mark.parametrize("squares", [False, True])
+    def test_posterior_sums_equal_uncached_passes(self, frames_l, squares):
+        rng = np.random.default_rng(frames_l)
+        model = random_gmm(rng, components=6, dim=4)
+        frames = rng.normal(0, 3, (frames_l, 4))
+        counts, sums, frame_ll = gmm_module.posterior_sums(frames, model, squares=squares)
+        oracle_counts, oracle_sums, oracle_ll = np.zeros(6), np.zeros_like(sums), []
+        for start in range(0, frames_l, gmm_module.BLOCK):
+            block = frames[start:start + gmm_module.BLOCK]
+            block_ll, exps, totals = _mixture_pass(block, [model],
+                                                   gmm_module._centre(model.means))
+            gamma = exps / totals
+            oracle_counts += gamma.sum(axis=1)
+            oracle_sums += gamma @ (np.hstack([block, block * block]) if squares else block)
+            oracle_ll.append(block_ll[0])
+        assert np.array_equal(counts, oracle_counts)
+        assert np.array_equal(sums, oracle_sums)
+        assert np.array_equal(frame_ll, np.concatenate(oracle_ll))
