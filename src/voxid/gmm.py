@@ -121,16 +121,15 @@ def _coefficients(means, variances, log_weights, ref) -> np.ndarray:
     return np.hstack([-0.5 * precision, mu * precision, const[:, None]])
 
 
-def _log_densities(frames, coefficients, ref) -> np.ndarray:
-    """log w_c + log N(x_t; mu_c, var_c) for stacked components; shape (l, L),
-    one row per component.
-
-    One GEMM of _coefficients' block against [(x - ref)^2, x - ref, 1], so memory
-    grows with L * l, not L * l * k. Shifting frames and means by ref keeps
-    cancellation small far from zero.
-    """
+def _terms(frames, ref) -> np.ndarray:
+    """[(x - ref)^2, x - ref, 1]; shape (L, 2k+1). The shift keeps cancellation small."""
     x = frames - ref
-    terms = np.hstack([x * x, x, np.ones((x.shape[0], 1))])
+    return np.hstack([x * x, x, np.ones((x.shape[0], 1))])
+
+
+def _log_densities(terms, coefficients) -> np.ndarray:
+    """log w_c + log N(x_t; mu_c, var_c), one row per stacked component; shape (l, L).
+    One GEMM against _terms about the same ref, so memory grows with L * l, not L * l * k."""
     return coefficients @ terms.T
 
 
@@ -138,25 +137,21 @@ def frame_component_log_densities(frames: np.ndarray, gmm: DiagonalGmm) -> np.nd
     """Per-frame, per-component log densities; shape (L, l)."""
     _require_dim(frames, gmm)
     ref = _centre(gmm.means)
-    return _log_densities(frames, _coefficients(gmm.means, gmm.variances, 0.0, ref), ref).T
+    return _log_densities(_terms(frames, ref), _coefficients(gmm.means, gmm.variances, 0.0, ref)).T
 
 
-def _mixture_pass(frames: np.ndarray, gmms, ref, coefficients=None):
+def _mixture_pass(terms: np.ndarray, gmms, coefficients):
     """Frame log-likelihoods (N, L) under N mixtures, with the shifted exponentials
     (sum l, L) and their per-model sums (N, L).
 
-    One kernel call on the stacked components' coefficients (built unless given),
-    whose output holds one row per component. Each run of consecutive models with
-    equal component counts is one (n, l, L) view: its per-model peak (0 where not
+    One kernel call of the stacked components' coefficients against the frames'
+    _terms, whose output holds one row per component. Each run of consecutive models
+    with equal component counts is one (n, l, L) view: its per-model peak (0 where not
     finite) is subtracted in place, the exponentials overwrite the kernel's output,
     and each model's rows are summed, so every reduction runs along contiguous rows.
     """
-    if coefficients is None:
-        coefficients = _coefficients(np.concatenate([g.means for g in gmms]),
-                                     np.concatenate([g.variances for g in gmms]),
-                                     np.log(np.concatenate([g.weights for g in gmms])), ref)
-    logs = _log_densities(frames, coefficients, ref)
-    shift = np.empty((len(gmms), frames.shape[0]))
+    logs = _log_densities(terms, coefficients)
+    shift = np.empty((len(gmms), terms.shape[0]))
     sums = np.empty_like(shift)
     model = row = 0
     for size, run in itertools.groupby(g.num_components for g in gmms):
@@ -176,7 +171,7 @@ def _posteriors(frames: np.ndarray, gmm: DiagonalGmm):
     """Responsibilities (l, L), columns summing to 1, and per-frame log-likelihoods (L,),
     from the mixture's kernel block, which every E-step and Baum-Welch call shares."""
     _require_dim(frames, gmm)
-    frame_ll, gamma, sums = _mixture_pass(frames, [gmm], *gmm.kernel)
+    frame_ll, gamma, sums = _mixture_pass(_terms(frames, gmm.kernel[0]), [gmm], gmm.kernel[1])
     gamma /= sums
     return gamma, frame_ll[0]
 
@@ -201,27 +196,50 @@ def mixture_log_likelihood(x, gmm: DiagonalGmm) -> float:
     return float(_posteriors(np.atleast_2d(np.asarray(x, dtype=np.float64)), gmm)[1][0])
 
 
+def _stack(gmms) -> tuple:
+    """The centre of gmms[0] and one (start, stop, coefficients) per block of at most BLOCK
+    stacked components (a larger model is its own block). Kept on gmms[0] and reused while
+    the rest of the list is the same mixtures (`is`), in order, under the same BLOCK: like
+    kernel, it relies on mixtures never changing, and a stored stack never changes."""
+    head, rest = gmms[0], tuple(gmms[1:])
+    cached = getattr(head, "_stacked", None)  # read once, so a concurrent store is harmless
+    if (cached is not None and cached[0] == BLOCK and len(cached[1]) == len(rest)
+            and all(a is b for a, b in zip(cached[1], rest))):
+        return cached[2]
+    ref = _centre(head.means)
+    sizes = np.array([gmm.num_components for gmm in gmms])
+    blocks, start = [], 0
+    while start < len(gmms):
+        stop = start + max(1, int(np.searchsorted(np.cumsum(sizes[start:]), BLOCK, "right")))
+        block = gmms[start:stop]
+        coefficients = _coefficients(np.concatenate([g.means for g in block]),
+                                     np.concatenate([g.variances for g in block]),
+                                     np.log(np.concatenate([g.weights for g in block])), ref)
+        coefficients.flags.writeable = False
+        blocks.append((start, stop, coefficients))
+        start = stop
+    ref.flags.writeable = False
+    stack = ref, tuple(blocks)
+    object.__setattr__(head, "_stacked", (BLOCK, rest, stack))  # not a field: never serialised
+    return stack
+
+
 def sequence_log_likelihoods(feats: FeatureMatrix, gmms) -> np.ndarray:
     """Sequence log-likelihood of one utterance under each mixture; shape (N,).
 
-    One _mixture_pass per block of at most BLOCK stacked components (a larger
-    model is its own block), about the first model's centre, so the models may
-    differ in component count. Frames are treated as independent.
+    One _mixture_pass per block of _stack over terms built once, about the first model's
+    centre, so the models may differ in component count. Frames are treated as independent.
     """
     feats.require_nonempty()
     frames = feats.frames
     for gmm in gmms:
         _require_dim(frames, gmm)
-    ref = _centre(gmms[0].means)
-    sizes = np.array([gmm.num_components for gmm in gmms])
+    ref, blocks = _stack(gmms)
+    terms = _terms(frames, ref)
     totals = np.empty(len(gmms))
-    start = 0
-    while start < len(gmms):
-        ends = np.cumsum(sizes[start:])
-        stop = start + max(1, int(np.searchsorted(ends, BLOCK, side="right")))
+    for start, stop, coefficients in blocks:
         # each model's frame log-likelihoods are one contiguous row, which numpy sums pairwise
-        totals[start:stop] = _mixture_pass(frames, gmms[start:stop], ref)[0].sum(axis=1)
-        start = stop
+        totals[start:stop] = _mixture_pass(terms, gmms[start:stop], coefficients)[0].sum(axis=1)
     return totals
 
 
@@ -256,18 +274,20 @@ def _nearest(blocks, centers: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 
 def _kmeans_pp(frames: np.ndarray, n_clusters: int, rng: np.random.Generator):
-    """k-means++ seeding, whose distances sum contiguous rows of one (k, n) copy of the
+    """k-means++ seeding, whose distances add up the contiguous rows of one (k, n) copy of the
     frames, then Lloyd steps over [x - ref, 1] blocks built once; returns labels, centers."""
     from scipy.sparse import csr_array  # imported here: scoring never loads scipy.sparse
     n = frames.shape[0]
     centers = np.empty((n_clusters, frames.shape[1]))
     columns = frames.T.copy()
-    diff, d2, dist = np.empty_like(columns), np.full(n, np.inf), np.empty(n)
+    d2, dist, row = np.full(n, np.inf), np.empty(n), np.empty(n)
     for c in range(n_clusters):
         total = d2.sum() if c else 0.0
         centers[c] = frames[rng.choice(n, p=d2 / total) if total > 0.0 else rng.integers(n)]
-        np.square(np.subtract(columns, centers[c][:, None], out=diff), out=diff)
-        np.minimum(d2, np.sum(diff, axis=0, out=dist), out=d2)
+        dist.fill(0.0)
+        for column, value in zip(columns, centers[c]):
+            dist += np.square(np.subtract(column, value, out=row), out=row)
+        np.minimum(d2, dist, out=d2)
 
     ref = frames.mean(axis=0)  # Lloyd's distances are taken about the frames' mean
     blocks = list(_centred_blocks(frames, ref))

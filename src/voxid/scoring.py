@@ -65,7 +65,7 @@ def normalize_score(raw, cohort: CohortStats):
 
 def cohort_from_scores(scores) -> CohortStats:
     """Sample mean and standard deviation (n-1 divisor) of cohort scores."""
-    values = np.asarray(list(scores), dtype=np.float64)
+    values = np.asarray(scores if isinstance(scores, np.ndarray) else list(scores), dtype=float)
     if values.size < 2:
         raise DegenerateCohort("need at least two cohort scores")
     std = float(values.std(ddof=1))
@@ -76,10 +76,12 @@ def cohort_from_scores(scores) -> CohortStats:
 
 def cosine_scores(targets, test: IVector) -> np.ndarray:
     """Cosine of the test vector against each target vector, in [-1, 1]; shape (N,)."""
-    if any(t.w.shape != test.w.shape for t in targets):
+    try:  # targets and test in one array: one norm computation keeps cosine_score symmetric
+        stacked = np.array([*(t.w for t in targets), test.w], dtype=np.float64)
+    except ValueError:  # numpy rejects ragged lengths
+        raise DimensionMismatch("i-vector lengths differ") from None
+    if stacked.ndim != 2:
         raise DimensionMismatch("i-vector lengths differ")
-    # one norm computation for targets and test alike keeps cosine_score symmetric
-    stacked = np.stack([*(t.w for t in targets), test.w])
     norms = np.linalg.norm(stacked, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVector("cosine undefined for a zero vector")

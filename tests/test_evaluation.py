@@ -33,9 +33,10 @@ from voxid.experiment import (
     run_experiment,
     sample_from_gmm,
 )
+from voxid import gmm as gmm_module
 from voxid.features import FeatureMatrix
 from voxid.gmm import BLOCK, DiagonalGmm, sequence_log_likelihood
-from voxid.scoring import DecisionPolicy, cosine_score
+from voxid.scoring import DecisionPolicy, cosine_score, llr_scores
 from voxid.speaker_models import SpeakerModel, Ubm, accumulate_stats
 from voxid.total_variability import IVector, train_tv
 
@@ -300,6 +301,55 @@ class TestRegistryIndex:
         looked_up.get("b")
         assert looked_up == fresh and repr(looked_up) == repr(fresh)
         assert repr(fresh) == f"SpeakerRegistry(entries={entries!r})"
+
+
+class TestStackReuse:
+    """LLR trials against one registry and UBM share one stack of kernel blocks, and a
+    changed registry or UBM is scored as a freshly built pass would score it."""
+
+    POLICY = DecisionPolicy(threshold=1.0, mode="llr-normalized")
+
+    def test_trials_against_one_registry_build_the_stack_once(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        ubm, registry = adapted_registry(rng, speakers=6, components=8, dim=4)
+        build, calls = gmm_module._coefficients, []
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return build(*args)
+
+        monkeypatch.setattr(gmm_module, "_coefficients", spy)
+        for j in range(5):
+            trial = Trial(trial_id=f"t{j}", test_features=FeatureMatrix(rng.normal(0, 1, (50, 4))))
+            identify(trial, registry, self.POLICY, ubm=ubm)
+        assert calls == [(7 * 8, 4)]
+
+    def test_changes_equal_fresh_passes(self):
+        rng = np.random.default_rng(18)
+        ubm, registry = adapted_registry(rng, speakers=5, components=8, dim=4)
+        other_ubm, others = adapted_registry(rng, speakers=2, components=8, dim=4)
+        feats = FeatureMatrix(rng.normal(0, 1, (60, 4)))
+
+        def fresh(model):
+            return DiagonalGmm(weights=model.weights.copy(), means=model.means.copy(),
+                               variances=model.variances.copy())
+
+        def check(ubm):
+            result = identify(Trial(trial_id="t", test_features=feats), registry, self.POLICY,
+                              ubm=ubm)
+            raw = {sid: score for sid, score, _, _ in result.ranked}
+            expected = llr_scores(feats, [SpeakerModel(speaker_id=e.speaker_id,
+                                                       gmm=fresh(e.model.gmm))
+                                          for e in registry.entries], Ubm(gmm=fresh(ubm.gmm)))
+            assert [raw[e.speaker_id] for e in registry.entries] == expected.tolist()
+
+        check(ubm)
+        registry.add(replace(others.entries[0], speaker_id="new"))  # an appended entry
+        check(ubm)
+        registry.entries[1].model = others.entries[1].model         # a replaced model
+        check(ubm)
+        check(other_ubm)                                            # another UBM
+        check(ubm)
 
 
 def adapted_registry(rng, speakers, components, dim):

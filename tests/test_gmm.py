@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -779,10 +781,13 @@ class TestKernelCache:
         frames = rng.normal(0, 3, (frames_l, 4))
         counts, sums, frame_ll = gmm_module.posterior_sums(frames, model, squares=squares)
         oracle_counts, oracle_sums, oracle_ll = np.zeros(6), np.zeros_like(sums), []
+        ref = gmm_module._centre(model.means)
+        coefficients = gmm_module._coefficients(model.means, model.variances,
+                                                np.log(model.weights), ref)
         for start in range(0, frames_l, gmm_module.BLOCK):
             block = frames[start:start + gmm_module.BLOCK]
-            block_ll, exps, totals = _mixture_pass(block, [model],
-                                                   gmm_module._centre(model.means))
+            block_ll, exps, totals = _mixture_pass(gmm_module._terms(block, ref), [model],
+                                                   coefficients)
             gamma = exps / totals
             oracle_counts += gamma.sum(axis=1)
             oracle_sums += gamma @ (np.hstack([block, block * block]) if squares else block)
@@ -790,3 +795,97 @@ class TestKernelCache:
         assert np.array_equal(counts, oracle_counts)
         assert np.array_equal(sums, oracle_sums)
         assert np.array_equal(frame_ll, np.concatenate(oracle_ll))
+
+
+def fresh(model):
+    """An equal mixture with no cached kernel block or stack."""
+    return DiagonalGmm(weights=model.weights.copy(), means=model.means.copy(),
+                       variances=model.variances.copy())
+
+
+class TestStackCache:
+    """sequence_log_likelihoods keeps the stacked blocks of [head, *rest] on the head and
+    reuses them only for the same mixtures, in order, under the same BLOCK."""
+
+    @pytest.fixture
+    def mixed_models(self):
+        rng = np.random.default_rng(58)
+        return [random_gmm(rng, components=c, dim=3) for c in (4, 1, 6, 2, 6, 3)]
+
+    def test_repeated_calls_build_once(self, mixed_models, monkeypatch):
+        build, calls = gmm_module._coefficients, []
+
+        def spy(*args):
+            calls.append(args[0].shape[0])
+            return build(*args)
+
+        monkeypatch.setattr(gmm_module, "_coefficients", spy)
+        rng = np.random.default_rng(59)
+        for _ in range(4):  # a new list of the same mixtures each time
+            sequence_log_likelihoods(FeatureMatrix(rng.normal(0, 2, (30, 3))), list(mixed_models))
+        assert calls == [22]
+        ref, blocks = gmm_module._stack(mixed_models)
+        assert not ref.flags.writeable
+        assert not any(coefficients.flags.writeable for _, _, coefficients in blocks)
+
+    def test_cached_equals_fresh_as_block_changes(self, mixed_models, monkeypatch):
+        # 22 components: 7 splits the stack into blocks, 1 gives every model its own
+        feats = FeatureMatrix(np.random.default_rng(60).normal(0, 2, (40, 3)))
+        frames, previous = feats.frames, None
+        for block, rebuilt in ((7, True), (7, False), (1, True), (1, False), (7, True)):
+            monkeypatch.setattr(gmm_module, "BLOCK", block)
+            cached = sequence_log_likelihoods(feats, mixed_models)
+            stored = mixed_models[0]._stacked
+            assert (stored is not previous) == rebuilt
+            previous = stored
+            assert np.array_equal(cached, sequence_log_likelihoods(
+                feats, [fresh(model) for model in mixed_models]))
+            for score, model in zip(cached, mixed_models):
+                naive = sum(naive_mixture_ll(x, model) for x in frames)
+                assert abs(score - naive) <= 1e-9 * abs(naive)
+
+    def test_changed_lists_equal_fresh_passes(self, mixed_models):
+        rng = np.random.default_rng(61)
+        feats = FeatureMatrix(rng.normal(0, 2, (40, 3)))
+        head, *rest = mixed_models
+        other = random_gmm(rng, components=6, dim=3)
+        for models in (mixed_models,
+                       [*mixed_models, other],             # an appended model
+                       [head, *rest[:2], other, *rest[3:]],  # a replaced model
+                       [other, *rest],                     # another head
+                       [rest[0], head, *rest[1:]],         # a former member as head
+                       [head, *rest[::-1]],                # the same models reordered
+                       [head, *rest[:-1]],                 # a dropped model
+                       mixed_models):
+            assert np.array_equal(sequence_log_likelihoods(feats, models),
+                                  sequence_log_likelihoods(feats, [fresh(m) for m in models]))
+
+    def test_threads_scoring_lists_with_one_head(self, mixed_models):
+        # each thread alternates lists that share the head, so stores interleave with reads
+        head, *rest = mixed_models
+        rng = np.random.default_rng(62)
+        feats = FeatureMatrix(rng.normal(0, 2, (30, 3)))
+        lists = [mixed_models, [head, *rest[::-1]], [head, *rest[:3]],
+                 [head, random_gmm(rng, components=5, dim=3)]]
+        expected = [sequence_log_likelihoods(feats, [fresh(m) for m in models])
+                    for models in lists]
+        mismatches = []
+
+        def score(offset):
+            for i in range(150):
+                j = (i + offset) % len(lists)
+                if not np.array_equal(sequence_log_likelihoods(feats, lists[j]), expected[j]):
+                    mismatches.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=score, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []

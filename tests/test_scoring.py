@@ -92,6 +92,14 @@ class TestNormalization:
         assert cohort.mean_mu == 1.0
         assert cohort.std_sigma == pytest.approx(np.sqrt(2.0))
 
+    def test_cohort_from_array_list_or_generator(self):
+        scores = np.random.default_rng(5).normal(0, 3, 17)
+        cohort = cohort_from_scores(scores)
+        assert cohort_from_scores(scores.tolist()) == cohort
+        assert cohort_from_scores(s for s in scores) == cohort
+        assert cohort.mean_mu == float(scores.mean())
+        assert cohort.std_sigma == float(scores.std(ddof=1))
+
     def test_all_equal_degenerate(self):
         with pytest.raises(DegenerateCohort):
             cohort_from_scores([1.0, 1.0, 1.0])
@@ -184,6 +192,10 @@ class TestBatchedKernels:
     def test_cosine_scores_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             cosine_scores([IVector(np.ones(3)), IVector(np.ones(4))], IVector(np.ones(3)))
+
+    def test_cosine_scores_test_length_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            cosine_scores([IVector(np.ones(3)), IVector(np.ones(3))], IVector(np.ones(4)))
 
     @pytest.mark.parametrize("zero", ["target", "test"])
     def test_cosine_scores_zero_vector(self, zero):
