@@ -149,8 +149,14 @@ def cmd_features(args, settings):
     if not args.inputs:
         raise VoxidUsageError("no input audio files given")
     config = _config_from(MfccConfig, settings)
+    outputs = [_derive_output(path, args.out_dir, ".feat") for path in args.inputs]
+    first = {}  # checked before any write, so a clash loses no features
+    for i, out in enumerate(outputs):
+        j = first.setdefault(os.path.abspath(out), i)
+        if j != i:
+            raise VoxidUsageError(f"{args.inputs[j]} and {args.inputs[i]} would both write {out}")
     failures = 0
-    for path in args.inputs:
+    for path, out in zip(args.inputs, outputs):
         try:
             clip = read_wav(path)
             feats = extract_mfcc(clip, config)
@@ -158,7 +164,6 @@ def cmd_features(args, settings):
             print(f"{path}: {type(exc).__name__}: {exc}", file=sys.stderr)
             failures += 1
             continue
-        out = _derive_output(path, args.out_dir, ".feat")
         store.save(feats, "features", out)
         if args.verbose:
             print(f"{path} -> {out} ({feats.count_L}x{feats.dim_k})")

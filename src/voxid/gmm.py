@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyFeatureMatrix, TooFewFrames
+from .errors import DimensionMismatch, TooFewFrames
 from .features import FeatureMatrix
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -55,14 +54,6 @@ class DiagonalGmm:
         for name, value in (("weights", self.weights), ("means", mu), ("variances", self.variances)):
             object.__setattr__(adapted, name, value)
         return adapted
-
-    @cached_property
-    def kernel(self) -> tuple[np.ndarray, np.ndarray]:
-        """The centre and the _coefficients block about it; built once, never serialised."""
-        ref = _centre(self.means)
-        coefficients = _coefficients(self.means, self.variances, np.log(self.weights), ref)
-        ref.flags.writeable = coefficients.flags.writeable = False  # shared by every E-step
-        return ref, coefficients
 
     @property
     def num_components(self) -> int:
@@ -169,9 +160,10 @@ def _mixture_pass(terms: np.ndarray, gmms, coefficients):
 
 def _posteriors(frames: np.ndarray, gmm: DiagonalGmm):
     """Responsibilities (l, L), columns summing to 1, and per-frame log-likelihoods (L,),
-    from the mixture's kernel block, which every E-step and Baum-Welch call shares."""
+    from the mixture's _stack, which every E-step and Baum-Welch call shares."""
     _require_dim(frames, gmm)
-    frame_ll, gamma, sums = _mixture_pass(_terms(frames, gmm.kernel[0]), [gmm], gmm.kernel[1])
+    ref, ((*_, coefficients),) = _stack([gmm])
+    frame_ll, gamma, sums = _mixture_pass(_terms(frames, ref), [gmm], coefficients)
     gamma /= sums
     return gamma, frame_ll[0]
 
@@ -198,9 +190,10 @@ def mixture_log_likelihood(x, gmm: DiagonalGmm) -> float:
 
 def _stack(gmms) -> tuple:
     """The centre of gmms[0] and one (start, stop, coefficients) per block of at most BLOCK
-    stacked components (a larger model is its own block). Kept on gmms[0] and reused while
-    the rest of the list is the same mixtures (`is`), in order, under the same BLOCK: like
-    kernel, it relies on mixtures never changing, and a stored stack never changes."""
+    stacked components (a larger model is its own block). Kept in gmms[0]'s one slot, which
+    the E-step's [gmm] and LLR's [ubm, *speakers] share, and reused while the rest of the
+    list is the same mixtures (`is`), in order, under the same BLOCK: mixtures and stored
+    stacks never change."""
     head, rest = gmms[0], tuple(gmms[1:])
     cached = getattr(head, "_stacked", None)  # read once, so a concurrent store is harmless
     if (cached is not None and cached[0] == BLOCK and len(cached[1]) == len(rest)
@@ -273,10 +266,17 @@ def _nearest(blocks, centers: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.concatenate([np.argmin(terms @ coefficients, axis=1) for terms in blocks])
 
 
+def _cluster_sums(labels: np.ndarray, rows: np.ndarray, n_clusters: int) -> np.ndarray:
+    """Per-cluster sums (C, k) of the frames whose coordinate rows (k, n) are `rows`,
+    each sum added in frame order."""
+    return np.stack([np.bincount(labels, weights=row, minlength=n_clusters) for row in rows],
+                    axis=1)
+
+
 def _kmeans_pp(frames: np.ndarray, n_clusters: int, rng: np.random.Generator):
     """k-means++ seeding, whose distances add up the contiguous rows of one (k, n) copy of the
-    frames, then Lloyd steps over [x - ref, 1] blocks built once; returns labels, centers."""
-    from scipy.sparse import csr_array  # imported here: scoring never loads scipy.sparse
+    frames, then Lloyd steps over [x - ref, 1] blocks built once, whose centre sums read the
+    same copy; returns labels, centers."""
     n = frames.shape[0]
     centers = np.empty((n_clusters, frames.shape[1]))
     columns = frames.T.copy()
@@ -297,8 +297,7 @@ def _kmeans_pp(frames: np.ndarray, n_clusters: int, rng: np.random.Generator):
         if np.array_equal(new_labels, labels) and _ > 0:
             break
         labels = new_labels
-        # one-hot (cluster, frame) product: per-cluster sums in frame order
-        sums = csr_array((np.ones(n), (labels, np.arange(n))), shape=(n_clusters, n)) @ frames
+        sums = _cluster_sums(labels, columns, n_clusters)
         counts = np.bincount(labels, minlength=n_clusters)
         filled = counts > 0  # an empty cluster keeps its centre
         centers[filled] = sums[filled] / counts[filled, None]
@@ -307,7 +306,6 @@ def _kmeans_pp(frames: np.ndarray, n_clusters: int, rng: np.random.Generator):
 
 def _initial_model(frames: np.ndarray, config: GmmTrainingConfig, global_var) -> DiagonalGmm:
     """k-means on a seeded in-order frame sample, then one nearest-centre pass over all frames."""
-    from scipy.sparse import csr_array
     rng = np.random.default_rng(config.rng_seed)
     n, n_clusters = frames.shape[0], config.num_components
     if n > KMEANS_FRAMES_PER_COMPONENT * n_clusters:
@@ -321,11 +319,12 @@ def _initial_model(frames: np.ndarray, config: GmmTrainingConfig, global_var) ->
     sizes = np.maximum(counts, 1)[:, None]
     weights = sizes[:, 0] / n
     weights /= weights.sum()
-    one_hot = csr_array((np.ones(n), (labels, np.arange(n))), shape=(n_clusters, n))
-    means = np.where((counts > 0)[:, None], (one_hot @ frames) / sizes, centers)
+    means = np.where((counts > 0)[:, None], _cluster_sums(labels, frames.T, n_clusters) / sizes,
+                     centers)
     deviations = frames - means[labels]  # np.var's two passes, each in frame order
     variances = np.where((counts >= 2)[:, None], np.maximum(
-        (one_hot @ (deviations * deviations)) / sizes, config.variance_floor), global_var)
+        _cluster_sums(labels, (deviations * deviations).T, n_clusters) / sizes,
+        config.variance_floor), global_var)
     return DiagonalGmm(weights=weights, means=means, variances=variances)
 
 

@@ -149,6 +149,8 @@ def write_features(feats: FeatureMatrix, path):
 
 def _features_from_bytes(data: bytes) -> FeatureMatrix:
     dim_k, count_l = struct.unpack_from("<II", data, 5)
+    if dim_k == 0:
+        raise ValueError("feature dimension is 0")
     expected = 13 + 4 * dim_k * count_l
     if len(data) != expected:
         raise ValueError(f"expected {expected} bytes, found {len(data)}")

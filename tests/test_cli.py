@@ -45,9 +45,10 @@ def heavy():
     return sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.linalg")))
 from voxid.cli import main
 print(heavy())
-wav, registry, ubm = sys.argv[1:]
+wav, registry, ubm, config = sys.argv[1:]
 feat = wav[:-len(".wav")] + ".feat"
 codes = [main(["features", wav]),
+         main(["--config", config, "train-ubm", feat, "--output", ubm + ".new"]),
          main(["enroll", "--speaker-id", "new", "--registry", registry, "--ubm", ubm, feat]),
          main(["identify", feat, "--registry", registry, "--ubm", ubm])]
 print(codes, heavy())
@@ -55,17 +56,17 @@ print(codes, heavy())
 
 
 def test_cold_start_loads_neither_sparse_nor_linalg(workspace, make_clip_wav):
-    # features, LLR enroll and identify use neither package, so a one-shot process
-    # does not pay to import them
-    _, _, ubm, registry = workspace
+    # features, train-ubm, LLR enroll and identify use neither package, so a one-shot
+    # process does not pay to import them
+    work, _, ubm, registry = workspace
     wav = make_clip_wav("new.wav", seed=7, seconds=2.0)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-W", "error", "-c", COLD_START, str(wav),
-                          str(registry), str(ubm)], env=env, capture_output=True, text=True,
-                         timeout=300, check=True).stdout
+                          str(registry), str(ubm), str(work / "settings.conf")], env=env,
+                         capture_output=True, text=True, timeout=300, check=True).stdout
     lines = out.splitlines()
-    assert lines[0] == "[]" and lines[-1] == "[0, 0, 0] []"
+    assert lines[0] == "[]" and lines[-1] == "[0, 0, 0, 0] []"
 
 
 class TestFeatures:
@@ -85,6 +86,20 @@ class TestFeatures:
 
     def test_empty_input_list(self):
         assert run("features") == EXIT_USAGE
+
+    def test_inputs_that_would_write_one_file(self, tmp_path, make_clip_wav, capsys):
+        # a/x.wav and b/x.wav both derive out/x.feat: refused before either is written
+        wavs = []
+        for sub, seed in (("a", 1), ("b", 2)):
+            (tmp_path / sub).mkdir()
+            wavs.append(make_clip_wav(f"{sub}/x.wav", seed=seed))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run("features", *wavs, "--out-dir", out) == EXIT_USAGE
+        assert "would both write" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert run("features", *wavs) == EXIT_OK  # each beside its own WAV
+        assert (tmp_path / "a" / "x.feat").exists() and (tmp_path / "b" / "x.feat").exists()
 
     @pytest.mark.parametrize("lines, needle", [
         ("frame_shift_ms = 0\n", "frame_shift_ms"),
@@ -114,6 +129,14 @@ class TestTrainUbm:
         config.write_text("num_components = 100000\n")
         out = tmp_path / "nope.json"
         assert run("--config", config, "train-ubm", feats[0], "--output", out) == EXIT_DOMAIN
+
+    def test_zero_dimension_features(self, tmp_path, capsys):
+        feat = tmp_path / "empty.feat"
+        feat.write_bytes(b"VOXF1" + struct.pack("<II", 0, 50))
+        out = tmp_path / "ubm0.json"
+        assert run("train-ubm", feat, "--output", out) == EXIT_DATA
+        assert "CorruptArtifact" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_monotone_training_log(self, workspace, tmp_path, capsys):
         _, feats, _, _ = workspace

@@ -8,6 +8,7 @@ from scipy.special import logsumexp
 
 from voxid import gmm as gmm_module
 from voxid.errors import DimensionMismatch, TooFewFrames
+from voxid.evaluation import RegistryEntry, SpeakerRegistry, Trial, identify
 from voxid.experiment import sample_from_gmm
 from voxid.features import FeatureMatrix
 from voxid.gmm import (
@@ -25,6 +26,8 @@ from voxid.gmm import (
     sequence_log_likelihood,
     sequence_log_likelihoods,
 )
+from voxid.scoring import DecisionPolicy
+from voxid.speaker_models import Ubm, accumulate_stats, map_adapt
 
 
 def random_gmm(rng, components=3, dim=2):
@@ -736,42 +739,64 @@ class TestKmeansOracles:
 
 
 class TestKernelCache:
-    """A mixture builds its kernel coefficient block once and every E-step shares it."""
+    """A mixture's E-step takes its coefficient block from _stack([model]): built once and
+    shared by every E-step, in the same slot that LLR scoring's stack uses."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The component count of every _coefficients build."""
+        build, calls = gmm_module._coefficients, []
+
+        def spy(*args):
+            calls.append(args[0].shape[0])
+            return build(*args)
+
+        monkeypatch.setattr(gmm_module, "_coefficients", spy)
+        return calls
 
     def test_cached_block_is_a_fresh_build(self):
         model = random_gmm(np.random.default_rng(54), components=7, dim=5)
-        ref, coefficients = model.kernel
+        ref, ((start, stop, coefficients),) = gmm_module._stack([model])
         centre = gmm_module._centre(model.means)
-        assert np.array_equal(ref, centre)
+        assert (start, stop) == (0, 1) and np.array_equal(ref, centre)
         assert np.array_equal(coefficients, gmm_module._coefficients(
             model.means, model.variances, np.log(model.weights), centre))
-        assert model.kernel[1] is coefficients and not coefficients.flags.writeable
+        assert gmm_module._stack([model])[1][0][2] is coefficients
+        assert not (ref.flags.writeable or coefficients.flags.writeable)
 
     def test_with_means_builds_its_own_block(self):
         base = random_gmm(np.random.default_rng(55), components=4, dim=3)
-        base_coefficients = base.kernel[1]
+        base_coefficients = gmm_module._stack([base])[1][0][2]
         moved = base.with_means(base.means + 1.5)
-        ref, coefficients = moved.kernel
+        ref, ((*_, coefficients),) = gmm_module._stack([moved])
         assert np.array_equal(ref, gmm_module._centre(moved.means))
         assert np.array_equal(coefficients, gmm_module._coefficients(
             moved.means, moved.variances, np.log(moved.weights), ref))
         assert not np.array_equal(coefficients, base_coefficients)
 
-    def test_one_em_iteration_builds_the_block_once(self, monkeypatch):
+    def test_one_em_iteration_builds_the_block_once(self, builds):
         frames = overlapping_frames(56, 5 * gmm_module.BLOCK, 4, 3)
-        build, calls = gmm_module._coefficients, []
-
-        def spy(*args):
-            calls.append(args[0].shape)
-            return build(*args)
-
-        monkeypatch.setattr(gmm_module, "_coefficients", spy)
         em_fit(FeatureMatrix(frames), GmmTrainingConfig(num_components=4, max_iterations=1))
-        assert calls == [(4, 3)]
+        assert builds == [4]
         model = random_gmm(np.random.default_rng(57), components=4, dim=3)
         for _ in range(3):
             gmm_module.posterior_sums(frames, model)
-        assert len(calls) == 2
+        assert builds == [4, 4]
+
+    def test_statistics_then_identify_build_twice(self, builds):
+        # the benchmark's phase order: every enrollment's statistics on one UBM, then every
+        # trial's LLR identify on one registry; each phase builds once in the UBM's one slot
+        rng = np.random.default_rng(63)
+        ubm, registry = Ubm(gmm=random_gmm(rng, components=5, dim=3)), SpeakerRegistry()
+        for sid in ("a", "b", "c"):
+            stats = accumulate_stats(FeatureMatrix(rng.normal(0, 2, (60, 3))), ubm)
+            registry.add(RegistryEntry(speaker_id=sid, cluster_id="c",
+                                       model=map_adapt(stats, ubm, speaker_id=sid)))
+        policy = DecisionPolicy(threshold=1.0, mode="llr-normalized")
+        for n in range(4):
+            identify(Trial(trial_id=str(n), test_features=FeatureMatrix(
+                rng.normal(0, 2, (30, 3)))), registry, policy, ubm=ubm)
+        assert builds == [5, 20]
 
     @pytest.mark.parametrize("frames_l", [300, gmm_module.BLOCK + 300])
     @pytest.mark.parametrize("squares", [False, True])

@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -205,6 +206,14 @@ def test_non_finite_features(tmp_path):
     data[-4:] = np.array([np.nan], dtype="<f4").tobytes()
     path.write_bytes(bytes(data))
     with pytest.raises(CorruptArtifact):
+        store.load(path, "features")
+
+
+def test_zero_dimension_features(tmp_path):
+    # 50 frames of 0 coordinates: the header and the length agree, but no feature exists
+    path = tmp_path / "empty.feat"
+    path.write_bytes(b"VOXF1" + struct.pack("<II", 0, 50))
+    with pytest.raises(CorruptArtifact, match="dimension is 0"):
         store.load(path, "features")
 
 
