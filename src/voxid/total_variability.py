@@ -146,7 +146,8 @@ def train_tv(stats_set, tv: TotalVariabilityModel, iterations: int = 10
 
     The E-step accumulates A_c = sum_u N_c(u) (L_u^-1 + w_u w_u^T) for each
     component c, BLOCK utterances at a time, and B = F~^T W; the M-step
-    solves T_c A_c = B_c for each c.
+    solves T_c A_c = B_c for each c. A component no utterance occupies has
+    A_c = B_c = 0, which any T_c solves, so it keeps its T_c.
     """
     from scipy.linalg.blas import dgemm
     from scipy.linalg.lapack import dpotri, dpotrs
@@ -156,6 +157,8 @@ def train_tv(stats_set, tv: TotalVariabilityModel, iterations: int = 10
     c, k, r = tv.num_components, tv.dim_k, tv.rank_R
     model = TotalVariabilityModel(tv.m, tv.sigma, tv.t_matrix, c, k)  # leaves tv uncached
     acc = np.empty((r * r, c), order="F")  # column c is A_c
+    occupied = counts.sum(axis=0) > 0.0
+    idle_rows = np.repeat(~occupied, k)
     for _ in range(iterations):
         acc[:] = 0.0
         ws = []
@@ -165,9 +168,11 @@ def train_tv(stats_set, tv: TotalVariabilityModel, iterations: int = 10
                 factor += np.outer(w_u, w_u)
             acc = dgemm(1.0, block.T, n.T, beta=1.0, c=acc, trans_b=1, overwrite_c=1)
             ws.append(w)
+        kept = model.t_matrix[idle_rows]
         del model  # frees the precision blocks before the M-step
         t = f_centered.T @ np.concatenate(ws)  # B, solved into T component by component
-        for j in range(c):
+        t[idle_rows] = kept
+        for j in np.flatnonzero(occupied):
             factor = _cholesky(acc[:, j].reshape(r, r, order="F"), f"M-step A_{j}")
             t[j * k:(j + 1) * k] = dpotrs(factor, t[j * k:(j + 1) * k].T, lower=1)[0].T
         model = TotalVariabilityModel(tv.m, tv.sigma, t, c, k)

@@ -42,7 +42,8 @@ def workspace(tmp_path, make_clip_wav):
 COLD_START = """
 import sys
 def heavy():
-    return sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.linalg")))
+    return sorted(m for m in sys.modules
+                  if m.startswith(("scipy.sparse", "scipy.linalg", "concurrent.futures")))
 from voxid.cli import main
 print(heavy())
 wav, registry, ubm, config = sys.argv[1:]
@@ -57,7 +58,7 @@ print(codes, heavy())
 
 def test_cold_start_loads_neither_sparse_nor_linalg(workspace, make_clip_wav):
     # features, train-ubm, LLR enroll and identify use neither package, so a one-shot
-    # process does not pay to import them
+    # process does not pay to import them; nor does a pass this small start gmm's worker
     work, _, ubm, registry = workspace
     wav = make_clip_wav("new.wav", seed=7, seconds=2.0)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

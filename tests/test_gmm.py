@@ -1,6 +1,8 @@
+import multiprocessing
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -516,8 +518,8 @@ class TestSubsampledInitialisation:
         config = GmmTrainingConfig(num_components=16, rng_seed=2)
         nearest, calls = gmm_module._nearest, []
 
-        def spy(frames, centers, ref):
-            calls.append((centers.copy(), nearest(frames, centers, ref)))
+        def spy(frames, centers, ref, blocks=None):
+            calls.append((centers.copy(), nearest(frames, centers, ref, blocks)))
             return calls[-1][1]
 
         monkeypatch.setattr(gmm_module, "_nearest", spy)
@@ -914,3 +916,203 @@ class TestStackCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
+
+
+class TestTwoRuns:
+    """A pass over at least 4 * BLOCK rows runs its second half of blocks on one worker
+    thread, and its results are combined in block order whatever the CPU count."""
+
+    @pytest.fixture
+    def worker(self, monkeypatch):
+        """Forces the worker on (True) or off (False); returns the executor of each split."""
+        executor, splits = gmm_module._executor, []
+
+        def spy():
+            splits.append(executor())
+            return splits[-1]
+
+        monkeypatch.setattr(gmm_module, "_executor", spy)
+        return lambda on: monkeypatch.setattr(gmm_module, "_room_for_two_runs",
+                                              lambda: on) or splits
+
+    @staticmethod
+    def both(worker, call):
+        """call() with the worker forced off, then on; asserts the pass split only when on."""
+        splits = worker(False)
+        splits.clear()
+        serial = call()
+        assert splits == []
+        worker(True)
+        split = call()
+        assert splits
+        return serial, split
+
+    @pytest.mark.parametrize("cpus, env, room", [
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
+        (2, {"OPENBLAS_NUM_THREADS": "2"}, False),
+        (4, {"OPENBLAS_NUM_THREADS": "2"}, True),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+        (2, {"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        (64, {}, False)])  # unset, each BLAS call may take every CPU
+    def test_room_for_two_runs(self, monkeypatch, cpus, env, room):
+        monkeypatch.setattr(gmm_module.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert gmm_module._room_for_two_runs() is room
+
+    def test_em_fit(self, worker):
+        # 4 * BLOCK + 300 frames: the full nearest-centre pass and every E-step split
+        feats = FeatureMatrix(overlapping_frames(64, 4 * gmm_module.BLOCK + 300, 8, 5))
+        config = GmmTrainingConfig(num_components=8, max_iterations=3, rng_seed=5)
+        serial, split = self.both(worker, lambda: em_fit_detailed(feats, config))
+        assert serial[1] == split[1]
+        for name in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(serial[0], name), getattr(split[0], name))
+
+    @pytest.mark.parametrize("frames_l", [4 * gmm_module.BLOCK, 5 * gmm_module.BLOCK + 7])
+    @pytest.mark.parametrize("squares", [False, True])
+    def test_posterior_sums(self, worker, frames_l, squares):
+        rng = np.random.default_rng(frames_l)
+        model, frames = random_gmm(rng, components=6, dim=4), rng.normal(0, 3, (frames_l, 4))
+        serial, split = self.both(
+            worker, lambda: gmm_module.posterior_sums(frames, model, squares=squares))
+        for ours, reference in zip(split, serial):
+            assert np.array_equal(ours, reference)
+
+    def test_nearest(self, worker):
+        frames = overlapping_frames(65, 4 * gmm_module.BLOCK + 9, 12, 6)
+        centers, ref = frames[::700], frames.mean(axis=0)
+        blocks = [gmm_module._centred_block(frames, ref, start)
+                  for start in range(0, frames.shape[0], gmm_module.BLOCK)]
+        for given in (None, blocks):  # the full pass, and Lloyd's blocks built once
+            serial, split = self.both(worker, lambda: gmm_module._nearest(frames, centers, ref,
+                                                                         given))
+            assert np.array_equal(split, serial)
+            assert np.array_equal(split, rowwise_nearest(frames, centers, ref))
+
+    def test_sequence_log_likelihoods(self, worker):
+        # 33 models of 256 components stack past 4 * BLOCK
+        rng = np.random.default_rng(66)
+        models = [random_gmm(rng, components=256, dim=3) for _ in range(33)]
+        feats = FeatureMatrix(rng.normal(0, 2, (50, 3)))
+        serial, split = self.both(worker, lambda: sequence_log_likelihoods(feats, models))
+        assert np.array_equal(split, serial)
+
+    def test_worker_error_reaches_the_caller(self, worker, monkeypatch):
+        rng = np.random.default_rng(67)
+        model, frames = random_gmm(rng, components=4, dim=3), rng.normal(0, 2, (8192, 3))
+        worker(True)
+        expected = gmm_module.posterior_sums(frames, model)
+        posteriors, caller = gmm_module._posteriors, threading.get_ident()
+
+        def failing(block, gmm):
+            if threading.get_ident() != caller:
+                raise DimensionMismatch("raised on the worker thread")
+            return posteriors(block, gmm)
+
+        monkeypatch.setattr(gmm_module, "_posteriors", failing)
+        with pytest.raises(DimensionMismatch, match="worker thread"):
+            gmm_module.posterior_sums(frames, model)
+        monkeypatch.setattr(gmm_module, "_posteriors", posteriors)
+        for ours, reference in zip(gmm_module.posterior_sums(frames, model), expected):
+            assert np.array_equal(ours, reference)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    def test_forked_child_starts_its_own_worker(self, worker):
+        # the child inherits the executor but not its thread, whose queue no one would read
+        rng = np.random.default_rng(71)
+        model, frames = random_gmm(rng, components=4, dim=3), rng.normal(0, 2, (8192, 3))
+        worker(True)
+        expected = gmm_module.posterior_sums(frames, model)
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # forking a threaded process
+            child = context.Process(
+                target=lambda: send.send(gmm_module.posterior_sums(frames, model)))
+            child.start()
+        try:
+            assert receive.poll(60)
+            for ours, reference in zip(receive.recv(), expected):
+                assert np.array_equal(ours, reference)
+        finally:
+            child.join(timeout=60)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+
+    def test_threads_share_one_worker(self, worker, monkeypatch):
+        # four callers split at once: one executor is made, and every pass equals the serial one
+        rng = np.random.default_rng(72)
+        model, frames = random_gmm(rng, components=4, dim=3), rng.normal(0, 2, (8192, 3))
+        worker(False)
+        expected = gmm_module.posterior_sums(frames, model)
+        splits = worker(True)
+        monkeypatch.setattr(gmm_module, "_worker", None)  # as in a fresh process
+        mismatches = []
+
+        def split_passes():
+            for _ in range(20):
+                result = gmm_module.posterior_sums(frames, model)
+                if not all(np.array_equal(a, b) for a, b in zip(result, expected)):
+                    mismatches.append(result)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=split_passes) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            if gmm_module._worker is not None:
+                gmm_module._worker[1].shutdown()
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert len(splits) == 80 and len({id(executor) for executor in splits}) == 1
+
+    def test_small_passes_start_no_thread(self, worker, monkeypatch):
+        worker(True)
+        monkeypatch.setattr(gmm_module, "_worker", None)  # as in a fresh process
+        before = threading.active_count()
+        rng = np.random.default_rng(68)
+        ubm = Ubm(gmm=random_gmm(rng, components=16, dim=8))
+        accumulate_stats(FeatureMatrix(rng.normal(0, 2, (300, 8))), ubm)
+        # the demo configs' UBM: 8 000 frames, 16 components, k = 8
+        em_fit(FeatureMatrix(overlapping_frames(69, 8000, 16, 8)),
+               GmmTrainingConfig(num_components=16, max_iterations=3))
+        assert threading.active_count() == before
+        assert gmm_module._worker is None
+
+    def test_memory_does_not_grow_with_the_frames(self, worker, monkeypatch):
+        worker(True)
+        block, components, dim = gmm_module.BLOCK, 128, 2
+        rng = np.random.default_rng(70)
+        model = DiagonalGmm(weights=np.full(components, 1 / components),
+                            means=rng.normal(0, 1, (components, dim)),
+                            variances=rng.uniform(0.5, 1.5, (components, dim)))
+        monkeypatch.setattr(gmm_module, "_initial_model", lambda *args: model)
+        config = GmmTrainingConfig(num_components=components, max_iterations=1)
+        frames = rng.normal(0, 1, (20 * block, dim))
+        gmm_module.posterior_sums(frames, model)  # the worker is started before measuring
+        for call in (lambda x: gmm_module.posterior_sums(x, model),
+                     lambda x: em_fit(FeatureMatrix(x), config)):
+            peaks = []
+            for frames_l in (10 * block, 20 * block):
+                tracemalloc.start()
+                try:
+                    call(frames[:frames_l])
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            # the extra frames' log-likelihoods, and one (C, BLOCK) block for the moment at
+            # which the two runs' blocks overlap; a pass that kept every block's posteriors
+            # would add ten such blocks
+            assert peaks[1] - peaks[0] < 10 * block * 8 + components * block * 8

@@ -307,14 +307,26 @@ class TestTraining:
         b = train_tv(stats_set, tv, iterations=3)
         assert np.array_equal(a.t_matrix, b.t_matrix)
 
-    def test_dead_component_fails_m_step(self):
-        ubm = make_ubm(components=4, dim=3, seed=26)
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_unoccupied_component_keeps_its_t(self, iterations):
+        # A_2 = B_2 = 0, and component 2 reaches no posterior, so the other T_c are what
+        # dense EM gives on the model and statistics without it
+        c, k, r, dead = 4, 3, 2, 2
+        ubm = make_ubm(components=c, dim=k, seed=26)
         rng = np.random.default_rng(27)
-        counts = rng.uniform(1, 10, (5, 4))
-        counts[:, 2] = 0.0  # component 2 sees no frame in any utterance
-        stats_set = [BaumWelchStats(n, rng.normal(0, 1, (4, 3)) * n[:, None]) for n in counts]
-        with pytest.raises(NumericalFailure):
-            train_tv(stats_set, init_tv(ubm, 2, rng_seed=28), iterations=1)
+        counts = rng.uniform(1, 10, (5, c))
+        counts[:, dead] = 0.0  # component 2 sees no frame in any utterance
+        stats_set = [BaumWelchStats(n, rng.normal(0, 1, (c, k)) * n[:, None]) for n in counts]
+        tv = init_tv(ubm, r, rng_seed=28)
+        trained = train_tv(stats_set, tv, iterations=iterations).t_matrix.reshape(c, k, r)
+        assert np.array_equal(trained[dead], tv.t_matrix.reshape(c, k, r)[dead])
+        live = np.arange(c) != dead
+        reduced = TotalVariabilityModel(
+            tv.m.reshape(c, k)[live].ravel(), tv.sigma.reshape(c, k)[live].ravel(),
+            tv.t_matrix.reshape(c, k, r)[live].reshape(-1, r), c - 1, k)
+        t = dense_em([BaumWelchStats(s.zeroth[live], s.first[live]) for s in stats_set],
+                     reduced, iterations)
+        assert np.max(np.abs(trained[live].reshape(-1, r) - t)) < 1e-10 * np.max(np.abs(t))
 
     def test_negative_iterations_rejected(self):
         tv = init_tv(make_ubm(), 2)
