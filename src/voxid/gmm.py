@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +20,6 @@ DEGENERATE_MASS = 1e-8
 BLOCK = 2048
 KMEANS_FRAMES_PER_COMPONENT = 64  # UBM k-means runs on at most this many frames per component
 
-_worker = None  # (pid, executor) of the one worker thread, started by the first split pass
-_worker_lock = threading.Lock()
-
 
 def _room_for_two_runs() -> bool:
     """Whether the CPUs this process may use (taskset and cpusets restrict them) hold both
@@ -38,34 +34,21 @@ def _room_for_two_runs() -> bool:
     return False
 
 
-def _executor():
-    """The one worker thread, made by the first pass that splits in this process; a forked
-    child makes its own, since it inherits no threads."""
-    global _worker
-    with _worker_lock:
-        if _worker is None or _worker[0] != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor  # pulls in logging: ~11 ms
-            _worker = os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="voxid")
-        return _worker[1]
-
-
 def _in_two_runs(work, items, rows: int) -> list:
-    """[work(item) for item in items], in order. A pass over at least 4 * BLOCK rows (two
-    full blocks per thread), with room for two runs, runs the second half of items on the
-    worker thread while this thread runs the first: numpy releases the GIL around the GEMM,
-    exp and reductions, so the runs overlap. Callers combine the results in item order, so
-    every sum is the same for any CPU count. Two runs, not one per CPU, keep at most two
-    blocks in flight."""
+    """[work(item) for item in items], in order. A pass over at least 4 * BLOCK rows (two full
+    blocks per thread), with room for two runs, runs the second half of items on a thread of
+    its own while this thread runs the first: numpy releases the GIL around the GEMM, exp and
+    reductions, so the runs overlap. Callers combine the results in item order, so every sum
+    is the same for any CPU count. Two runs, not one per CPU, keep two blocks in flight."""
     half = len(items) // 2
     if rows < 4 * BLOCK or half == 0 or not _room_for_two_runs():
         return [work(item) for item in items]
-    from concurrent.futures import wait
-    future = _executor().submit(lambda: [work(item) for item in items[half:]])
-    try:
+    from concurrent.futures import ThreadPoolExecutor  # pulls in logging: ~11 ms
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="voxid") as pool:
+        tail = pool.submit(lambda: [work(item) for item in items[half:]])
+        pool.shutdown(wait=False)  # queues the stop, so the thread exits right after its run
         head = [work(item) for item in items[:half]]
-    finally:
-        wait([future])  # the worker's run ends before this pass returns or raises
-    return head + future.result()
+    return head + tail.result()  # leaving the block joined the thread, also on a raise
 
 
 @dataclass(frozen=True)
@@ -220,7 +203,7 @@ def posterior_sums(frames: np.ndarray, gmm: DiagonalGmm, squares: bool = False):
     """Soft counts (l,), gamma^T X (gamma^T [X, X^2] with squares) and frame
     log-likelihoods (L,), BLOCK frames at a time; each block's counts and products
     are added in frame order."""
-    _stack([gmm])  # built before a split, so the worker only reads the cache
+    _stack([gmm])  # built before a split, so the second run only reads the cache
     frame_ll = np.empty(frames.shape[0])
 
     def moments(start):
@@ -405,9 +388,8 @@ def em_fit_detailed(feats: FeatureMatrix, config: GmmTrainingConfig):
     n, k = frames.shape
     history: list[float] = []
     prev_ll = None
-    for _ in range(config.max_iterations):
+    for iteration in range(config.max_iterations):
         counts, moments, frame_ll = posterior_sums(frames, model, squares=True)
-        ll = float(frame_ll.sum())
         degenerate = np.flatnonzero(counts < DEGENERATE_MASS)
         if degenerate.size:
             # re-seed dead components at the worst-modelled frames
@@ -420,7 +402,11 @@ def em_fit_detailed(feats: FeatureMatrix, config: GmmTrainingConfig):
             weights /= weights.sum()
             model = DiagonalGmm(weights=weights, means=means, variances=variances)
             prev_ll = None
-            continue
+            if iteration + 1 < config.max_iterations:
+                continue
+            # a re-seed on the last iteration still ends in an M-step
+            counts, moments, frame_ll = posterior_sums(frames, model, squares=True)
+        ll = float(frame_ll.sum())
         history.append(ll)
 
         moments /= counts[:, None]

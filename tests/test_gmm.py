@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 import sys
 import threading
@@ -582,10 +583,11 @@ class TestBlockedEStep:
                                variances=np.full((3, 2), 0.01))
         monkeypatch.setattr(gmm_module, "_initial_model", lambda *args: stranded)
         monkeypatch.setattr(gmm_module, "BLOCK", 7)
-        model, history = em_fit_detailed(FeatureMatrix(frames), config)
-        assert history == []
-        assert np.array_equal(model.means[2], frames[400])
-        assert np.array_equal(model.means[:2], stranded.means[:2])
+        seen = e_step_models(monkeypatch)
+        _, history = em_fit_detailed(FeatureMatrix(frames), config)
+        assert len(history) == 1 and seen[0] is stranded
+        assert np.array_equal(seen[1].means[2], frames[400])
+        assert np.array_equal(seen[1].means[:2], stranded.means[:2])
 
     def test_memory_is_bounded_by_the_block(self, monkeypatch):
         frames_l, block = 10 * gmm_module.BLOCK, gmm_module.BLOCK
@@ -635,13 +637,42 @@ class TestMStep:
                                means=np.array([[0.0, 0.0], [0.5, 0.5], [1e3, 1e3]]),
                                variances=np.full((3, 2), 0.01))
         monkeypatch.setattr(gmm_module, "_initial_model", lambda *args: stranded)
-        model, history = em_fit_detailed(FeatureMatrix(frames), config)
-        assert history == []
+        seen = e_step_models(monkeypatch)
+        _, history = em_fit_detailed(FeatureMatrix(frames), config)
+        assert len(history) == 1 and seen[0] is stranded
         frame_ll = logsumexp(frame_component_log_densities(frames, stranded)
                              + np.log(stranded.weights), axis=1)
-        assert np.array_equal(model.means[2], frames[np.argmin(frame_ll)])
-        assert np.array_equal(model.variances[2], np.maximum(frames.var(axis=0), 1e-3))
-        assert np.array_equal(model.means[:2], stranded.means[:2])
+        reseeded = seen[1]
+        assert np.array_equal(reseeded.means[2], frames[np.argmin(frame_ll)])
+        assert np.array_equal(reseeded.variances[2], np.maximum(frames.var(axis=0), 1e-3))
+        assert np.array_equal(reseeded.means[:2], stranded.means[:2])
+
+    def test_reseed_on_the_last_iteration_ends_in_an_m_step(self, monkeypatch):
+        # the re-seeded model gets the M-step the next iteration would have given it
+        frames = np.random.default_rng(0).normal(0, 1, (500, 2))
+        stranded = DiagonalGmm(weights=np.full(3, 1 / 3),
+                               means=np.array([[0.0, 0.0], [0.5, 0.5], [1e3, 1e3]]),
+                               variances=np.ones((3, 2)))
+        monkeypatch.setattr(gmm_module, "_initial_model", lambda *args: stranded)
+        fits = [em_fit_detailed(FeatureMatrix(frames), GmmTrainingConfig(
+            num_components=3, max_iterations=iterations)) for iterations in (1, 2)]
+        (last, history), (later, later_history) = fits
+        assert len(history) == 1 and history == later_history
+        for name in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(last, name), getattr(later, name))
+        assert not np.array_equal(last.variances[2], np.maximum(frames.var(axis=0), 1e-3))
+
+
+def e_step_models(monkeypatch):
+    """The list of models that em_fit's E-steps see, in order, filled as it runs."""
+    seen, posterior_sums = [], gmm_module.posterior_sums
+
+    def spy(frames, model, squares=False):
+        seen.append(model)
+        return posterior_sums(frames, model, squares)
+
+    monkeypatch.setattr(gmm_module, "posterior_sums", spy)
+    return seen
 
 
 def rowwise_nearest(frames, centers, ref):
@@ -919,21 +950,26 @@ class TestStackCache:
 
 
 class TestTwoRuns:
-    """A pass over at least 4 * BLOCK rows runs its second half of blocks on one worker
-    thread, and its results are combined in block order whatever the CPU count."""
+    """A pass over at least 4 * BLOCK rows runs its second half of blocks on a thread of
+    its own, and its results are combined in block order whatever the CPU count."""
 
     @pytest.fixture
     def worker(self, monkeypatch):
-        """Forces the worker on (True) or off (False); returns the executor of each split."""
-        executor, splits = gmm_module._executor, []
+        """Forces the split on (True) or off (False); returns the pool of each split pass."""
+        splits = []
 
-        def spy():
-            splits.append(executor())
-            return splits[-1]
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                splits.append(self)
 
-        monkeypatch.setattr(gmm_module, "_executor", spy)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
         return lambda on: monkeypatch.setattr(gmm_module, "_room_for_two_runs",
                                               lambda: on) or splits
+
+    @staticmethod
+    def pass_threads():
+        return [thread for thread in threading.enumerate() if thread.name.startswith("voxid")]
 
     @staticmethod
     def both(worker, call):
@@ -1017,14 +1053,44 @@ class TestTwoRuns:
         monkeypatch.setattr(gmm_module, "_posteriors", failing)
         with pytest.raises(DimensionMismatch, match="worker thread"):
             gmm_module.posterior_sums(frames, model)
+        assert self.pass_threads() == []
         monkeypatch.setattr(gmm_module, "_posteriors", posteriors)
         for ours, reference in zip(gmm_module.posterior_sums(frames, model), expected):
             assert np.array_equal(ours, reference)
 
+    def test_caller_error_joins_the_thread(self, worker, monkeypatch):
+        rng = np.random.default_rng(73)
+        model, frames = random_gmm(rng, components=4, dim=3), rng.normal(0, 2, (8192, 3))
+        splits, posteriors, caller = worker(True), gmm_module._posteriors, threading.get_ident()
+        finished = []
+
+        def failing(block, gmm):
+            if threading.get_ident() == caller:
+                raise DimensionMismatch("raised on the calling thread")
+            result = posteriors(block, gmm)
+            finished.append(block.shape[0])
+            return result
+
+        monkeypatch.setattr(gmm_module, "_posteriors", failing)
+        with pytest.raises(DimensionMismatch, match="calling thread"):
+            gmm_module.posterior_sums(frames, model)
+        # the pass's thread ran its two blocks to the end before the error left the pass
+        assert len(splits) == 1 and finished == [gmm_module.BLOCK] * 2
+        assert self.pass_threads() == []
+
+    def test_a_split_leaves_no_thread(self, worker):
+        rng = np.random.default_rng(74)
+        model, frames = random_gmm(rng, components=4, dim=3), rng.normal(0, 2, (8192, 3))
+        splits = worker(True)
+        before = threading.active_count()
+        gmm_module.posterior_sums(frames, model)
+        assert len(splits) == 1
+        assert threading.active_count() == before and self.pass_threads() == []
+
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork on this platform")
     def test_forked_child_starts_its_own_worker(self, worker):
-        # the child inherits the executor but not its thread, whose queue no one would read
+        # a child forked after a split inherits no thread or pool, and splits on its own
         rng = np.random.default_rng(71)
         model, frames = random_gmm(rng, components=4, dim=3), rng.normal(0, 2, (8192, 3))
         worker(True)
@@ -1046,14 +1112,15 @@ class TestTwoRuns:
                 child.kill()
         assert child.exitcode == 0
 
-    def test_threads_share_one_worker(self, worker, monkeypatch):
-        # four callers split at once: one executor is made, and every pass equals the serial one
+    def test_concurrent_callers_leave_no_thread(self, worker):
+        # four callers split at once: each pass has its own pool, equals the serial pass,
+        # and leaves no thread behind
         rng = np.random.default_rng(72)
         model, frames = random_gmm(rng, components=4, dim=3), rng.normal(0, 2, (8192, 3))
         worker(False)
         expected = gmm_module.posterior_sums(frames, model)
         splits = worker(True)
-        monkeypatch.setattr(gmm_module, "_worker", None)  # as in a fresh process
+        before = threading.active_count()
         mismatches = []
 
         def split_passes():
@@ -1072,15 +1139,13 @@ class TestTwoRuns:
                 thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-            if gmm_module._worker is not None:
-                gmm_module._worker[1].shutdown()
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
-        assert len(splits) == 80 and len({id(executor) for executor in splits}) == 1
+        assert len(splits) == 80
+        assert threading.active_count() == before and self.pass_threads() == []
 
-    def test_small_passes_start_no_thread(self, worker, monkeypatch):
-        worker(True)
-        monkeypatch.setattr(gmm_module, "_worker", None)  # as in a fresh process
+    def test_small_passes_start_no_thread(self, worker):
+        splits = worker(True)
         before = threading.active_count()
         rng = np.random.default_rng(68)
         ubm = Ubm(gmm=random_gmm(rng, components=16, dim=8))
@@ -1089,7 +1154,7 @@ class TestTwoRuns:
         em_fit(FeatureMatrix(overlapping_frames(69, 8000, 16, 8)),
                GmmTrainingConfig(num_components=16, max_iterations=3))
         assert threading.active_count() == before
-        assert gmm_module._worker is None
+        assert splits == []
 
     def test_memory_does_not_grow_with_the_frames(self, worker, monkeypatch):
         worker(True)
@@ -1101,7 +1166,7 @@ class TestTwoRuns:
         monkeypatch.setattr(gmm_module, "_initial_model", lambda *args: model)
         config = GmmTrainingConfig(num_components=components, max_iterations=1)
         frames = rng.normal(0, 1, (20 * block, dim))
-        gmm_module.posterior_sums(frames, model)  # the worker is started before measuring
+        gmm_module.posterior_sums(frames, model)  # concurrent.futures is imported before measuring
         for call in (lambda x: gmm_module.posterior_sums(x, model),
                      lambda x: em_fit(FeatureMatrix(x), config)):
             peaks = []
