@@ -74,18 +74,39 @@ def cohort_from_scores(scores) -> CohortStats:
     return CohortStats(mean_mu=float(values.mean()), std_sigma=std)
 
 
-def cosine_scores(targets, test: IVector) -> np.ndarray:
-    """Cosine of the test vector against each target vector, in [-1, 1]; shape (N,)."""
-    try:  # targets and test in one array: one norm computation keeps cosine_score symmetric
-        stacked = np.array([*(t.w for t in targets), test.w], dtype=np.float64)
+def cosine_targets(targets) -> tuple[np.ndarray, np.ndarray]:
+    """The target vectors as one read-only (N, R) matrix and its row norms, for
+    stacked_cosine_scores. An IVector's array never changes after it is built, so the
+    pair stays valid while the targets are the same IVector objects."""
+    try:
+        matrix = np.array([t.w for t in targets], dtype=np.float64)
     except ValueError:  # numpy rejects ragged lengths
         raise DimensionMismatch("i-vector lengths differ") from None
-    if stacked.ndim != 2:
-        raise DimensionMismatch("i-vector lengths differ")
-    norms = np.linalg.norm(stacked, axis=1)
+    if matrix.ndim != 2:
+        raise DimensionMismatch("no target i-vectors")
+    norms = np.linalg.norm(matrix, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVector("cosine undefined for a zero vector")
-    return np.clip(stacked[:-1] @ test.w / (norms[:-1] * norms[-1]), -1.0, 1.0)
+    matrix.flags.writeable = norms.flags.writeable = False
+    return matrix, norms
+
+
+def stacked_cosine_scores(stacked: tuple[np.ndarray, np.ndarray], test: IVector) -> np.ndarray:
+    """Cosine of the test vector against each row of cosine_targets' (matrix, norms) pair,
+    in [-1, 1]; shape (N,)."""
+    matrix, norms = stacked
+    if test.w.shape != matrix.shape[1:]:
+        raise DimensionMismatch("i-vector lengths differ")
+    # the targets' row-wise norm call, so cosine_score stays symmetric bit for bit
+    test_norm = np.linalg.norm(test.w[np.newaxis], axis=1)[0]
+    if test_norm == 0.0:
+        raise ZeroVector("cosine undefined for a zero vector")
+    return np.clip(matrix @ test.w / (norms * test_norm), -1.0, 1.0)
+
+
+def cosine_scores(targets, test: IVector) -> np.ndarray:
+    """Cosine of the test vector against each target vector, in [-1, 1]; shape (N,)."""
+    return stacked_cosine_scores(cosine_targets(targets), test)
 
 
 def cosine_score(target: IVector, test: IVector) -> float:

@@ -5,15 +5,19 @@ mean of w given each utterance's statistics.
 
 A model caches its precision blocks U_c = T_c^T Sigma_c^-1 T_c (T_c: the
 k rows of component c), so a posterior precision is I + sum_c N_c U_c
-(Glembek et al., ICASSP 2011). Training and extraction share one E-step,
-which gets BLOCK utterances' precisions from one product of their counts
-with the blocks; LAPACK's dpotrf gives every Cholesky factor.
+(Glembek et al., ICASSP 2011). Every reader of a symmetric R x R matrix
+here reads its lower triangle only, so the blocks and the M-step's
+accumulators keep just that triangle, packed column by column (LAPACK's
+'L' packed order): R(R+1)/2 doubles each. Training and extraction share
+one E-step, which gets BLOCK utterances' packed precisions from one
+product of their counts with the blocks; LAPACK's dpotrf factors every
+matrix, unpacked into full storage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -22,6 +26,20 @@ from .speaker_models import BaumWelchStats, Ubm, build_supervector, variance_sup
 
 # Utterances per E-step block, which holds BLOCK * R^2 doubles whatever their number.
 BLOCK = 16
+# Components per step of the precision-block build, which holds BUILD * R^2 doubles.
+BUILD = 8
+
+
+@cache
+def _lower_triangle(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For rank r: the flat positions, in an F-ordered r x r matrix, of its lower triangle
+    in LAPACK's 'L' packed order, and each packed entry's column and row. Built once per
+    rank and read-only, as every caller shares them."""
+    col, row = np.triu_indices(r)  # every (col, row >= col), column by column
+    flat = row + r * col
+    for a in (flat, col, row):
+        a.flags.writeable = False
+    return flat, col, row
 
 
 @dataclass(frozen=True)
@@ -52,10 +70,20 @@ class TotalVariabilityModel:
 
     @cached_property
     def precision_blocks(self) -> np.ndarray:
-        """(C, R, R) stack of U_c = T_c^T Sigma_c^-1 T_c; computed once, not serialised."""
-        t = self.t_matrix.reshape(self.num_components, self.dim_k, self.rank_R)
-        scaled = t / np.sqrt(self.sigma).reshape(t.shape[:2] + (1,))
-        blocks = scaled.transpose(0, 2, 1) @ scaled  # S^T S: exactly symmetric
+        """(C, R(R+1)/2): row c is U_c = T_c^T Sigma_c^-1 T_c's lower triangle in LAPACK's
+        'L' packed order. Computed once, BUILD components at a time; not serialised."""
+        c, r = self.num_components, self.rank_R
+        t = self.t_matrix.reshape(c, self.dim_k, r)
+        scale = np.sqrt(self.sigma).reshape(c, self.dim_k, 1)
+        flat = _lower_triangle(r)[0]
+        blocks = np.empty((c, flat.size))
+        squares = np.empty((min(BUILD, c), r, r))
+        for start in range(0, c, BUILD):
+            scaled = t[start:start + BUILD] / scale[start:start + BUILD]
+            square = np.matmul(scaled.transpose(0, 2, 1), scaled, out=squares[:len(scaled)])
+            # every index is in range; mode="clip" writes into out without a buffer
+            np.take(square.reshape(-1, r * r), flat, axis=1, out=blocks[start:start + BUILD],
+                    mode="clip")
         blocks.flags.writeable = False  # shared by every caller of this model
         return blocks
 
@@ -113,15 +141,18 @@ def _stacked(stats_set, tv: TotalVariabilityModel):
 def _e_step(counts: np.ndarray, f_centered: np.ndarray, tv: TotalVariabilityModel):
     """Posteriors of w, yielded as (counts, block, factors, w) for each BLOCK utterances:
     factors[j] is the Cholesky factor of utterance j's posterior precision I + sum_c N_c U_c,
-    in the lower triangle (column-major) of block's row j, which the next block reuses, and
-    w[j] is its posterior mean."""
+    in the lower triangle of block's row j read as an F-ordered R x R matrix, whose upper
+    triangle stays 0; the next block reuses the rows. w[j] is the posterior mean."""
     from scipy.linalg.lapack import dpotrs
     r = tv.rank_R
-    blocks = tv.precision_blocks.reshape(tv.num_components, r * r)
-    moments = np.empty((min(BLOCK, counts.shape[0]), r * r))
+    flat = _lower_triangle(r)[0]
+    size = min(BLOCK, counts.shape[0])
+    packed = np.empty((size, flat.size))
+    moments = np.zeros((size, r * r))
     for start in range(0, counts.shape[0], BLOCK):
         n = counts[start:start + BLOCK]
-        block = np.matmul(n, blocks, out=moments[:n.shape[0]])
+        block = moments[:n.shape[0]]
+        block[:, flat] = np.matmul(n, tv.precision_blocks, out=packed[:n.shape[0]])
         block[:, ::r + 1] += 1.0
         w = (f_centered[start:start + BLOCK] / tv.sigma) @ tv.t_matrix
         factors = [_cholesky(row.reshape(r, r, order="F"), "posterior precision") for row in block]
@@ -144,10 +175,11 @@ def train_tv(stats_set, tv: TotalVariabilityModel, iterations: int = 10
              ) -> TotalVariabilityModel:
     """EM re-estimation of the variability matrix; m and sigma stay fixed.
 
-    The E-step accumulates A_c = sum_u N_c(u) (L_u^-1 + w_u w_u^T) for each
-    component c, BLOCK utterances at a time, and B = F~^T W; the M-step
-    solves T_c A_c = B_c for each c. A component no utterance occupies has
-    A_c = B_c = 0, which any T_c solves, so it keeps its T_c.
+    The E-step accumulates the lower triangle of A_c = sum_u N_c(u) (L_u^-1
+    + w_u w_u^T) for each component c, packed, BLOCK utterances at a time,
+    and B = F~^T W; the M-step solves T_c A_c = B_c for each c. A component
+    no utterance occupies has A_c = B_c = 0, which any T_c solves, so it
+    keeps its T_c.
     """
     from scipy.linalg.blas import dgemm
     from scipy.linalg.lapack import dpotri, dpotrs
@@ -156,24 +188,29 @@ def train_tv(stats_set, tv: TotalVariabilityModel, iterations: int = 10
     counts, f_centered = _stacked(stats_set, tv)
     c, k, r = tv.num_components, tv.dim_k, tv.rank_R
     model = TotalVariabilityModel(tv.m, tv.sigma, tv.t_matrix, c, k)  # leaves tv uncached
-    acc = np.empty((r * r, c), order="F")  # column c is A_c
+    flat, col, row = _lower_triangle(r)
+    acc = np.empty((flat.size, c), order="F")  # column c is A_c, packed
+    moments = np.empty((min(BLOCK, counts.shape[0]), flat.size))  # L_u^-1 + w_u w_u^T, packed
+    unpacked = np.zeros(r * r)  # one A_c at a time; its upper triangle stays 0
     occupied = counts.sum(axis=0) > 0.0
     idle_rows = np.repeat(~occupied, k)
     for _ in range(iterations):
         acc[:] = 0.0
         ws = []
         for n, block, factors, w in _e_step(counts, f_centered, model):
-            for factor, w_u in zip(factors, w):
+            for factor in factors:
                 dpotri(factor, lower=1, overwrite_c=1)  # factor now holds L_u^-1
-                factor += np.outer(w_u, w_u)
-            acc = dgemm(1.0, block.T, n.T, beta=1.0, c=acc, trans_b=1, overwrite_c=1)
+            packed = np.multiply(w[:, col], w[:, row], out=moments[:len(w)])
+            packed += block[:, flat]
+            acc = dgemm(1.0, packed.T, n.T, beta=1.0, c=acc, trans_b=1, overwrite_c=1)
             ws.append(w)
         kept = model.t_matrix[idle_rows]
         del model  # frees the precision blocks before the M-step
         t = f_centered.T @ np.concatenate(ws)  # B, solved into T component by component
         t[idle_rows] = kept
         for j in np.flatnonzero(occupied):
-            factor = _cholesky(acc[:, j].reshape(r, r, order="F"), f"M-step A_{j}")
+            unpacked[flat] = acc[:, j]
+            factor = _cholesky(unpacked.reshape(r, r, order="F"), f"M-step A_{j}")
             t[j * k:(j + 1) * k] = dpotrs(factor, t[j * k:(j + 1) * k].T, lower=1)[0].T
         model = TotalVariabilityModel(tv.m, tv.sigma, t, c, k)
     return model

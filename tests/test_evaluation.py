@@ -33,10 +33,17 @@ from voxid.experiment import (
     run_experiment,
     sample_from_gmm,
 )
+from voxid import evaluation
 from voxid import gmm as gmm_module
 from voxid.features import FeatureMatrix
 from voxid.gmm import BLOCK, DiagonalGmm, sequence_log_likelihood
-from voxid.scoring import DecisionPolicy, cosine_score, llr_scores
+from voxid.scoring import (
+    DecisionPolicy,
+    cosine_score,
+    cosine_scores,
+    cosine_targets,
+    llr_scores,
+)
 from voxid.speaker_models import SpeakerModel, Ubm, accumulate_stats
 from voxid.total_variability import IVector, train_tv
 
@@ -252,6 +259,39 @@ class TestIdentify:
         policy = DecisionPolicy(threshold=0.5, mode="cosine")
         with pytest.raises(DimensionMismatch):
             identify(Trial(trial_id="t", test_ivector=IVector(np.ones(3))), registry, policy)
+
+    def test_cosine_targets_stacked_once_until_an_ivector_changes(self, monkeypatch):
+        stacks = []
+
+        def counting(ivectors):
+            stacks.append(list(ivectors))
+            return cosine_targets(ivectors)
+
+        monkeypatch.setattr(evaluation, "cosine_targets", counting)
+        rng = np.random.default_rng(17)
+        registry = registry_of([0.0] * 4, ivectors=rng.normal(0, 1, (4, 5)).tolist())
+        policy = DecisionPolicy(threshold=0.2, mode="cosine")
+
+        def scores(test):
+            result = identify(Trial(trial_id="t", test_ivector=test), registry, policy)
+            return {sid: raw for sid, raw, _, _ in result.ranked}
+
+        def expected(test):
+            return dict(zip([e.speaker_id for e in registry.entries],
+                            cosine_scores([e.ivector for e in registry.entries], test).tolist()))
+
+        tests = [IVector(w) for w in rng.normal(0, 1, (3, 5))]
+        for test in tests:
+            assert scores(test) == expected(test)
+        assert len(stacks) == 1
+        registry.entries[2].ivector = IVector(rng.normal(0, 1, 5))  # equal length, new object
+        assert scores(tests[0]) == expected(tests[0])
+        registry.add(RegistryEntry(speaker_id="s4", cluster_id="c0", model=registry.get("s0").model,
+                                   ivector=IVector(rng.normal(0, 1, 5))))
+        assert scores(tests[1]) == expected(tests[1])
+        registry.entries[:] = registry.entries[::-1]  # the same objects, in another order
+        assert scores(tests[2]) == expected(tests[2])
+        assert [len(ivectors) for ivectors in stacks] == [4, 4, 5, 5]
 
 
 class TestRegistryIndex:

@@ -189,6 +189,18 @@ class TestBatchedKernels:
             # a row of a matrix-vector product may differ from the one-row product in the last bit
             assert abs(score - cosine_score(target, test)) < 1e-15
 
+    @pytest.mark.parametrize("n, r", [(1, 5), (12, 7), (100, 100), (30, 200)])
+    def test_cosine_scores_equal_one_stacked_array_bit_for_bit(self, n, r):
+        # the reference stacks the targets and the test in one array and takes every norm
+        # in one row-wise call; stacking the targets alone must not move a bit
+        rng = np.random.default_rng(n + r)
+        targets = [IVector(w) for w in rng.normal(0, 1, (n, r))]
+        test = IVector(rng.normal(0, 1, r))
+        stacked = np.array([*(t.w for t in targets), test.w])
+        norms = np.linalg.norm(stacked, axis=1)
+        reference = np.clip(stacked[:-1] @ test.w / (norms[:-1] * norms[-1]), -1.0, 1.0)
+        assert np.array_equal(cosine_scores(targets, test), reference)
+
     def test_cosine_scores_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             cosine_scores([IVector(np.ones(3)), IVector(np.ones(4))], IVector(np.ones(3)))

@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dtpttr
 
 import voxid.total_variability as total_variability
 from voxid.errors import DimensionMismatch, NumericalFailure, RankTooLarge
@@ -55,23 +56,51 @@ class TestInit:
         assert np.array_equal(tv.m, build_supervector(ubm).values)
 
 
+def unpacked(packed, r):
+    """The symmetric r x r matrices whose lower triangles, in LAPACK's 'L' packed order
+    (unpacked by LAPACK's own dtpttr), are the rows of packed."""
+    lower = np.array([dtpttr(r, row, uplo="L")[0] for row in np.atleast_2d(packed)])
+    full = lower + np.tril(lower, -1).transpose(0, 2, 1)
+    return full.reshape(np.shape(packed)[:-1] + (r, r))
+
+
 def test_precision_blocks_are_derived():
     tv = init_tv(make_ubm(components=4, dim=3, seed=14), 2, rng_seed=15)
+    assert tv.precision_blocks.shape == (4, 3)
     for c in range(4):
         t_c = tv.t_matrix[3 * c:3 * (c + 1)]
         dense = t_c.T @ np.diag(1.0 / tv.sigma[3 * c:3 * (c + 1)]) @ t_c
-        assert np.max(np.abs(tv.precision_blocks[c] - dense)) < 1e-12
+        assert np.max(np.abs(unpacked(tv.precision_blocks[c], 2) - dense)) < 1e-12
     with pytest.raises(FrozenInstanceError):
-        tv.precision_blocks = np.zeros((4, 2, 2))
+        tv.precision_blocks = np.zeros((4, 3))
     with pytest.raises(ValueError):
-        tv.precision_blocks[0, 0, 0] = 1.0
+        tv.precision_blocks[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("c, k, r", [(4, 3, 2), (16, 8, 8), (64, 20, 100)])
 def test_precision_blocks_are_exactly_symmetric(c, k, r):
-    # the E-step reads the lower triangle of each block's column-major view
-    b = init_tv(make_ubm(components=c, dim=k, seed=c), r, rng_seed=r).precision_blocks
-    assert np.array_equal(b, b.transpose(0, 2, 1))
+    # each packed row is the lower triangle of an exactly symmetric S_c^T S_c, so the
+    # unpacked matrix is that whole product, bit for bit, with BUILD-sized chunks or not
+    tv = init_tv(make_ubm(components=c, dim=k, seed=c), r, rng_seed=r)
+    scaled = tv.t_matrix.reshape(c, k, r) / np.sqrt(tv.sigma).reshape(c, k, 1)
+    dense = scaled.transpose(0, 2, 1) @ scaled
+    assert np.array_equal(dense, dense.transpose(0, 2, 1))
+    assert np.array_equal(unpacked(tv.precision_blocks, r), dense)
+
+
+def test_precision_blocks_build_holds_no_full_stack():
+    c, k, r = 64, 20, 100
+    tv = init_tv(make_ubm(components=c, dim=k, seed=46), r, rng_seed=47)
+    tracemalloc.start()
+    try:
+        tv.precision_blocks
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the packed result and BUILD components' R x R products; (C, R, R) would be 5.1 MB
+    assert tv.precision_blocks.nbytes == c * r * (r + 1) // 2 * 8
+    assert peak < tv.precision_blocks.nbytes + 2 * total_variability.BUILD * r * r * 8
+    assert peak < 0.75 * c * r * r * 8
 
 
 class TestExtraction:
@@ -170,7 +199,7 @@ class TestExtraction:
         for _ in range(20):
             counts = rng.uniform(0, 50, 16)
             first = rng.normal(0, 2, (16, 3)) * counts[:, None]
-            precision = np.eye(10) + np.tensordot(counts, tv.precision_blocks, axes=1)
+            precision = np.eye(10) + unpacked(np.tensordot(counts, tv.precision_blocks, axes=1), 10)
             f_centered = first.reshape(-1) - np.repeat(counts, 3) * tv.m
             rhs = tv.t_matrix.T @ (f_centered / tv.sigma)
             oracle = cho_solve(cho_factor(precision, lower=True), rhs)
@@ -241,9 +270,10 @@ class TestBatchExtraction:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # (U, C), (U, C*k) and (U, R) arrays of doubles; the (BLOCK, R^2) precisions are fixed
+        # (U, C), (U, C*k) and (U, R) arrays of doubles; the (BLOCK, R^2) unpacked and
+        # (BLOCK, R(R+1)/2) packed precisions are fixed
         assert peaks[1] - peaks[0] < 2 * 3 * BLOCK * (c * k + r) * 8
-        assert peaks[0] < 2 * BLOCK * r * r * 8
+        assert peaks[0] < 1.75 * BLOCK * r * r * 8
 
 
 def principal_angle_deg(a, b):
@@ -380,10 +410,10 @@ class TestTraining:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # (U, C), (U, C*k) and (U, R) arrays of doubles; the E-step's (BLOCK, R^2)
-        # moments, (R^2, C) accumulator and (C, R, R) precision blocks are fixed
+        # (U, C), (U, C*k) and (U, R) arrays of doubles; the E-step's (BLOCK, R^2) moments
+        # and the packed (R(R+1)/2, C) accumulator and (C, R(R+1)/2) precision blocks are fixed
         assert peaks[1] - peaks[0] < 2 * 3 * BLOCK * (c * k + r) * 8
-        assert peaks[0] < 3 * c * r * r * 8
+        assert peaks[0] < 2 * c * r * r * 8
 
 
 def dense_em(stats_set, tv, iterations):
