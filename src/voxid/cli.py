@@ -32,7 +32,8 @@ from .evaluation import (
     report_to_csv,
     summarize,
 )
-from .experiment import EXPERIMENT_KEYS, ExperimentConfig, read_settings, run_experiment
+from .experiment import (EXPERIMENT_KEYS, ExperimentConfig, read_settings, run_experiment,
+                         settings_keys)
 from .features import MfccConfig, extract_mfcc
 from .gmm import GmmTrainingConfig, em_fit_detailed
 from .scoring import DecisionPolicy
@@ -55,27 +56,9 @@ _EXIT_CODES = {
 
 # --- flat key = value config files -------------------------------------------
 
-def _flag(value: str) -> bool:
-    word = value.lower()
-    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-        raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {value!r}")
-    return word in ("1", "true", "yes", "on")
-
-
-_CONFIG_KEYS = {
-    "pre_emphasis_alpha": float,
-    "frame_length_ms": float,
-    "frame_shift_ms": float,
-    "dft_size": int,
-    "num_mel_filters": int,
-    "num_cepstra": int,
-    "apply_cmvn": _flag,
-    "num_components": int,
-    "max_iterations": int,
-    "convergence_tol": float,
-    "variance_floor": float,
-    "relevance": float,
-}
+# rng_seed comes from --seed; relevance is map_adapt's argument, not a config field
+_CONFIG_KEYS = {**settings_keys(MfccConfig, GmmTrainingConfig, exclude=("rng_seed",)),
+                "relevance": float}
 
 
 def _config_from(cls, settings: dict, **fixed):

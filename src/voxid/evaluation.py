@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -128,8 +129,11 @@ def identify(trial: Trial, registry: SpeakerRegistry, policy: DecisionPolicy,
     # a cosine score is its own decision score, and one float object serves both fields
     raw_s = raw.tolist()
     norm_s = raw_s if decision is raw else decision.tolist()
-    ranked = sorted(zip([e.speaker_id for e in registry.entries], raw_s, norm_s,
-                        decide(decision, policy).tolist()), key=lambda item: (-item[2], item[0]))
+    ranked = list(zip([e.speaker_id for e in registry.entries], raw_s, norm_s,
+                      decide(decision, policy).tolist()))
+    # decision score high first, then id; stable sorts keep full ties in registry order
+    ranked.sort(key=itemgetter(0))
+    ranked.sort(key=itemgetter(2), reverse=True)
     return TrialResult(
         trial_id=trial.trial_id, true_speaker_id=trial.true_speaker_id, ranked=ranked
     )
@@ -179,17 +183,11 @@ def summarize(results: list[TrialResult], threshold: float, mode: str) -> EvalRe
     nontarget_scores: list[float] = []
 
     for res in results:
-        truth = res.true_speaker_id
-        ids_present = [sid for sid, _, _, _ in res.ranked]
-        if truth is not None and truth in ids_present:
-            labelled += 1
-            if res.ranked and res.ranked[0][0] == truth:
-                top1_hits += 1
-        accepted_true = False
-        accepted_other = False
+        truth = res.true_speaker_id  # a speaker id is a str, so a None truth matches none
+        enrolled = accepted_true = accepted_other = False
         for sid, _, norm_s, accepted in res.ranked:
-            is_true = truth is not None and sid == truth
-            if is_true:
+            if sid == truth:
+                enrolled = True
                 target_scores.append(norm_s)
                 accepted_true = accepted_true or accepted
             else:
@@ -197,8 +195,12 @@ def summarize(results: list[TrialResult], threshold: float, mode: str) -> EvalRe
                 accepted_other = accepted_other or accepted
         if accepted_other:
             fa += 1
-        if truth is not None and truth in ids_present and not accepted_true:
-            fr += 1
+        if enrolled:
+            labelled += 1
+            if res.ranked[0][0] == truth:
+                top1_hits += 1
+            if not accepted_true:
+                fr += 1
 
     eer = 0.0
     if target_scores and nontarget_scores:

@@ -5,7 +5,7 @@ identification by cohort-normalized log-likelihood ratio at one or more
 thresholds. Stage 2: the same synthetic speakers pushed through the
 total-variability front-end and scored by cosine against a small target
 list containing both true speakers and impostors. Experiment files and
-the CLI's --config share the flat "key = value" parser defined here.
+the CLI's --config share the flat "key = value" parser and key rule here.
 """
 
 from __future__ import annotations
@@ -131,15 +131,29 @@ def read_settings(path, converters: dict) -> dict:
     return parse_settings(text, converters, str(path))
 
 
+def _flag(value: str) -> bool:
+    word = value.lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {value!r}")
+    return word in ("1", "true", "yes", "on")
+
+
 def _floats(value: str) -> tuple:
     return tuple(float(v) for v in value.split(","))
 
 
-# Each key converts like its default: str, int, float or a tuple of floats.
-EXPERIMENT_KEYS = {
-    f.name: _floats if isinstance(f.default, tuple) else type(f.default)
-    for f in fields(ExperimentConfig)
-}
+def settings_keys(*classes, exclude=()) -> dict:
+    """A settings key for each field of the config dataclasses but `exclude`, converting by
+    the field's annotation string: str, int and float as themselves, `int | None` as int,
+    bool by `_flag` and tuple by `_floats`. Any other annotation raises KeyError, so a
+    module's table fails at import."""
+    converters = {"str": str, "int": int, "int | None": int, "float": float,
+                  "bool": _flag, "tuple": _floats}
+    return {f.name: converters[f.type]
+            for cls in classes for f in fields(cls) if f.name not in exclude}
+
+
+EXPERIMENT_KEYS = settings_keys(ExperimentConfig)
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:

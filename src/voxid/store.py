@@ -42,7 +42,6 @@ import functools
 import json
 import math
 import os
-import secrets
 import stat
 import struct
 
@@ -67,7 +66,7 @@ _MAGIC = b"VOXF1"
 def _open_temp(directory):
     """Create a new temp file as open() would: mode 0666 less the umask."""
     while True:
-        tmp = os.path.join(directory, f".voxid-{secrets.token_hex(8)}")
+        tmp = os.path.join(directory, f".voxid-{os.urandom(8).hex()}")
         with contextlib.suppress(FileExistsError):
             return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
 

@@ -139,10 +139,10 @@ def _stacked(stats_set, tv: TotalVariabilityModel):
 
 
 def _e_step(counts: np.ndarray, f_centered: np.ndarray, tv: TotalVariabilityModel):
-    """Posteriors of w, yielded as (counts, block, factors, w) for each BLOCK utterances:
-    factors[j] is the Cholesky factor of utterance j's posterior precision I + sum_c N_c U_c,
-    in the lower triangle of block's row j read as an F-ordered R x R matrix, whose upper
-    triangle stays 0; the next block reuses the rows. w[j] is the posterior mean."""
+    """Posteriors of w, yielded as (counts, block, w) for each BLOCK utterances: block's row j,
+    read as an F-ordered R x R matrix, holds the Cholesky factor of utterance j's posterior
+    precision I + sum_c N_c U_c in its lower triangle, factored in place, and 0 above it; the
+    next block reuses the rows. w[j] is the posterior mean."""
     from scipy.linalg.lapack import dpotrs
     r = tv.rank_R
     flat = _lower_triangle(r)[0]
@@ -155,10 +155,10 @@ def _e_step(counts: np.ndarray, f_centered: np.ndarray, tv: TotalVariabilityMode
         block[:, flat] = np.matmul(n, tv.precision_blocks, out=packed[:n.shape[0]])
         block[:, ::r + 1] += 1.0
         w = (f_centered[start:start + BLOCK] / tv.sigma) @ tv.t_matrix
-        factors = [_cholesky(row.reshape(r, r, order="F"), "posterior precision") for row in block]
-        for j, factor in enumerate(factors):
+        for j, precision in enumerate(block):
+            factor = _cholesky(precision.reshape(r, r, order="F"), "posterior precision")
             w[j] = dpotrs(factor, w[j], lower=1)[0]
-        yield n, block, factors, w
+        yield n, block, w
 
 
 def extract_ivectors(stats_set, tv: TotalVariabilityModel) -> list[IVector]:
@@ -197,9 +197,9 @@ def train_tv(stats_set, tv: TotalVariabilityModel, iterations: int = 10
     for _ in range(iterations):
         acc[:] = 0.0
         ws = []
-        for n, block, factors, w in _e_step(counts, f_centered, model):
-            for factor in factors:
-                dpotri(factor, lower=1, overwrite_c=1)  # factor now holds L_u^-1
+        for n, block, w in _e_step(counts, f_centered, model):
+            for factor in block:
+                dpotri(factor.reshape(r, r, order="F"), lower=1, overwrite_c=1)  # now L_u^-1
             packed = np.multiply(w[:, col], w[:, row], out=moments[:len(w)])
             packed += block[:, flat]
             acc = dgemm(1.0, packed.T, n.T, beta=1.0, c=acc, trans_b=1, overwrite_c=1)

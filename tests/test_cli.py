@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,15 +372,43 @@ def test_config_not_utf8(tmp_path, capsys, make_clip_wav, command):
 
 
 @pytest.mark.parametrize("line", ["tv_rank = 4", "tv_iterations = 2", "threshold = 0.5",
-                                  "mode = cosine"])
+                                  "mode = cosine", "rng_seed = 1"])
 def test_config_does_not_repeat_command_flags(tmp_path, capsys, line):
-    # --rank, --iterations, --threshold and --mode are the only source of these settings
+    # --rank, --iterations, --threshold, --mode and --seed are the only source of these settings
     config = tmp_path / "c.conf"
     config.write_text(f"{line}\n")
     assert run("--config", config, "identify", tmp_path / "t.feat",
                "--registry", tmp_path / "r.json") == EXIT_USAGE
     err = capsys.readouterr().err
     assert "unknown key" in err and f"{config}:1:" in err
+
+
+# a valid value for every key the README's --config table lists
+CONFIG_VALUES = {
+    "pre_emphasis_alpha": "0.95", "frame_length_ms": "20", "frame_shift_ms": "10",
+    "dft_size": "256", "num_mel_filters": "24", "num_cepstra": "12", "apply_cmvn": "off",
+    "num_components": "4", "max_iterations": "5", "convergence_tol": "1e-4",
+    "variance_floor": "1e-3", "relevance": "8",
+}
+
+
+def readme_config_keys():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("| Key | Type | Used by |\n| --- | --- | --- |\n", 1)[1].split("\n\n")[0]
+    return [key for row in table.splitlines() for key in row.split("|")[1].split("`")[1::2]]
+
+
+def test_every_documented_config_key_parses(tmp_path, capsys):
+    keys = readme_config_keys()
+    assert len(keys) == len(set(keys)) and set(keys) == set(cli._CONFIG_KEYS)
+    feat = tmp_path / "a.feat"
+    store.save(FeatureMatrix(np.zeros((3, 2))), "features", feat)
+    config = tmp_path / "c.conf"
+    config.write_text("".join(f"{key} = {CONFIG_VALUES[key]}\n" for key in keys))
+    assert run("--config", config, "inspect", feat) == EXIT_OK
+    config.write_text("dft_size = 1.5\n")
+    assert run("--config", config, "inspect", feat) == EXIT_USAGE
+    assert f"{config}:1:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("word, normalised", [("on", True), ("Yes", True), ("1", True),

@@ -1,6 +1,6 @@
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from voxid.evaluation import (
     RegistryEntry,
     SpeakerRegistry,
     Trial,
+    TrialResult,
     compute_eer,
     det_points,
     identify,
@@ -32,6 +33,7 @@ from voxid.experiment import (
     parse_experiment_config,
     run_experiment,
     sample_from_gmm,
+    settings_keys,
 )
 from voxid import evaluation
 from voxid import gmm as gmm_module
@@ -180,6 +182,20 @@ class TestIdentify:
         a = identify(Trial(trial_id="t", test_features=feats), fwd, policy, ubm=ubm)
         b = identify(Trial(trial_id="t", test_features=feats), rev, policy, ubm=ubm)
         assert [r[0] for r in a.ranked] == [r[0] for r in b.ranked]
+
+    def test_equal_cosine_scores_rank_by_id(self):
+        # registry order s3, s2, s0, s1; s2 and s0 score 1.0, s3 and s1 score 0.0
+        registry = SpeakerRegistry()
+        for sid, iv in [("s3", [0.0, 1.0]), ("s2", [2.0, 0.0]), ("s0", [1.0, 0.0]),
+                        ("s1", [0.0, 3.0])]:
+            registry.add(RegistryEntry(speaker_id=sid, cluster_id="c0",
+                                       model=SpeakerModel(speaker_id=sid, gmm=tiny_gmm(0.0)),
+                                       ivector=IVector(np.array(iv))))
+        policy = DecisionPolicy(threshold=0.5, mode="cosine")
+        result = identify(Trial(trial_id="t", test_ivector=IVector(np.array([1.0, 0.0]))),
+                          registry, policy)
+        assert [(sid, norm) for sid, _, norm, _ in result.ranked] == [
+            ("s0", 1.0), ("s2", 1.0), ("s1", 0.0), ("s3", 0.0)]
 
     def test_empty_registry(self):
         policy = DecisionPolicy(threshold=1.0, mode="llr-normalized")
@@ -406,7 +422,42 @@ def adapted_registry(rng, speakers, components, dim):
     return Ubm(gmm=ubm), registry
 
 
+def oracle_summary(results):
+    """FA, FR, EER and top-1 by summarize's docstring, one rule at a time."""
+    fa = sum(any(acc for sid, _, _, acc in res.ranked if sid != res.true_speaker_id)
+             for res in results)
+    enrolled = [res for res in results if res.true_speaker_id is not None
+                and res.true_speaker_id in [sid for sid, _, _, _ in res.ranked]]
+    fr = sum(not any(acc for sid, _, _, acc in res.ranked if sid == res.true_speaker_id)
+             for res in enrolled)
+    targets = [norm for res in enrolled for sid, _, norm, _ in res.ranked
+               if sid == res.true_speaker_id]
+    nontargets = [norm for res in results for sid, _, norm, _ in res.ranked
+                  if sid != res.true_speaker_id]
+    eer = float(brute_force_eer(targets, nontargets)) if targets and nontargets else 0.0
+    hits = sum(res.ranked[0][0] == res.true_speaker_id for res in enrolled)
+    top1 = hits / len(enrolled) if enrolled else 0.0
+    return fa, fr, eer, top1
+
+
 class TestSummarize:
+    def test_matches_the_oracle_on_random_rankings(self):
+        # repeated ids, None truths, truths not enrolled, empty rankings and tied scores
+        rng = np.random.default_rng(24)
+        ids = ["a", "b", "c", "d"]
+        for _ in range(500):
+            results = []
+            for t in range(int(rng.integers(0, 6))):
+                ranked = [(str(rng.choice(ids)), 0.0, float(rng.integers(-3, 4)) / 2,
+                           bool(rng.random() < 0.4)) for _ in range(int(rng.integers(0, 6)))]
+                truth = [None, "zz", *ids][int(rng.integers(0, 6))]
+                results.append(TrialResult(f"t{t}", truth, ranked))
+            report = summarize(results, 0.5, "cosine")
+            got = (report.false_accepts, report.false_rejects, report.eer, report.top1_accuracy)
+            assert got == oracle_summary(results)
+            assert [type(v) for v in got] == [int, int, float, float]
+            assert report.per_trial is results
+
     def test_empty_results(self):
         report = summarize([], 1.0, "llr-normalized")
         assert report.false_accepts == 0 and report.false_rejects == 0
@@ -472,6 +523,16 @@ class TestExperiment:
         for stage, config in expected.items():
             path = DEMOS / f"experiment-{stage}.conf"
             assert parse_experiment_config(path.read_text()) == config
+
+    def test_settings_keys_reject_an_unknown_annotation(self):
+        @dataclass(frozen=True)
+        class Listed:  # annotations are strings, as under `from __future__ import annotations`
+            name: "str" = ""
+            values: "list" = None
+
+        assert settings_keys(Listed, exclude=("values",)) == {"name": str}
+        with pytest.raises(KeyError, match="list"):
+            settings_keys(Listed)
 
     def test_malformed_config(self):
         with pytest.raises(InvalidExperimentConfig):
