@@ -42,12 +42,8 @@ class AudioClip:
             raise EmptyAudio("clip has no samples")
         if samples.ndim != 1:
             raise MalformedContainer("samples must be one-dimensional")
-        if np.max(np.abs(samples)) > 1.0:
-            raise MalformedContainer("amplitudes outside [-1, 1]")
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
+        if not np.all(np.abs(samples) <= 1.0):  # NaN fails the comparison too
+            raise MalformedContainer("amplitudes not finite or outside [-1, 1]")
 
 
 def _iter_chunks(data: bytes):

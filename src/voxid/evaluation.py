@@ -14,7 +14,6 @@ import numpy as np
 from .errors import DuplicateSpeakerId, EmptyRegistry, EmptyScoreSet, ModeMismatch
 from .features import FeatureMatrix
 from .scoring import (
-    CohortStats,
     DecisionPolicy,
     cohort_from_scores,
     cosine_targets,
@@ -40,15 +39,23 @@ class RegistryEntry:
 @dataclass
 class SpeakerRegistry:
     entries: list[RegistryEntry] = field(default_factory=list)
-    # id -> first entry with that id; neither repr nor equality sees it
+    # id -> first entry with that id over the first n entries, and (n, the n-th entry);
+    # neither repr nor equality sees them
     _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _indexed: tuple = field(default=(0, None), init=False, repr=False, compare=False)
     # (the entries' IVector objects, their cosine_targets); neither repr nor equality sees it
     _cosine: tuple = field(default=((), None), init=False, repr=False, compare=False)
 
     def _ids(self) -> dict:
-        # index the entries past the index's length, also those appended to the list directly
-        for e in self.entries[len(self._index):]:
+        # index entries appended since, also directly to the list; rebuild once the n-th has
+        # left its place (a deletion, truncation, clear or reorder). Not seen: an entry
+        # replaced in place before the n-th.
+        entries, (n, last) = self.entries, self._indexed
+        if n and (len(entries) < n or entries[n - 1] is not last):
+            self._index, n = {}, 0
+        for e in entries[n:]:
             self._index.setdefault(e.speaker_id, e)
+        self._indexed = len(entries), entries[-1] if entries else None
         return self._index
 
     def add(self, entry: RegistryEntry):
@@ -79,7 +86,6 @@ class Trial:
     test_features: FeatureMatrix | None = None
     test_ivector: IVector | None = None
     true_speaker_id: str | None = None
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -102,12 +108,11 @@ class EvalReport:
 
 
 def identify(trial: Trial, registry: SpeakerRegistry, policy: DecisionPolicy,
-             ubm: Ubm | None = None, cohort: CohortStats | None = None) -> TrialResult:
+             ubm: Ubm | None = None) -> TrialResult:
     """Score a trial against every registry entry, rank and decide.
 
-    LLR mode: raw log-likelihood ratios against all models; the cohort
-    defaults to those raw scores themselves (z-style), or a fixed
-    impostor cohort may be passed in. Cosine mode: cosine of the trial
+    LLR mode: raw log-likelihood ratios against all models, z-normalised
+    against those raw scores themselves. Cosine mode: cosine of the trial
     i-vector against each registered i-vector; the cosine score is used
     directly as the decision score.
     """
@@ -118,7 +123,7 @@ def identify(trial: Trial, registry: SpeakerRegistry, policy: DecisionPolicy,
         if trial.test_features is None or ubm is None:
             raise ModeMismatch("LLR mode needs test features and a UBM")
         raw = llr_scores(trial.test_features, [e.model for e in registry.entries], ubm)
-        decision = normalize_score(raw, cohort if cohort is not None else cohort_from_scores(raw))
+        decision = normalize_score(raw, cohort_from_scores(raw))
     else:
         if trial.test_ivector is None:
             raise ModeMismatch("cosine mode needs a test i-vector")

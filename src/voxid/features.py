@@ -83,11 +83,6 @@ class FeatureMatrix:
         if self.count_L < 1:
             raise EmptyFeatureMatrix("feature matrix has no frames")
 
-    def concat(self, other: "FeatureMatrix") -> "FeatureMatrix":
-        if other.dim_k != self.dim_k:
-            raise DimensionMismatch("feature dimensionality differs")
-        return FeatureMatrix(np.vstack([self.frames, other.frames]))
-
 
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0

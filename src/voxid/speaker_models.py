@@ -50,10 +50,6 @@ class BaumWelchStats:
             raise DimensionMismatch("stats shapes differ")
         return BaumWelchStats(self.zeroth + other.zeroth, self.first + other.first)
 
-    @property
-    def total_frames(self) -> float:
-        return float(self.zeroth.sum())
-
 
 @dataclass(frozen=True)
 class Supervector:

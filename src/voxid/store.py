@@ -29,7 +29,8 @@ carry every field, load through the same code. `locked` serialises the
 read-modify-write of one registry across processes.
 
 Feature matrices use the binary VOXF1 layout: magic "VOXF1", dim_k and
-count_L as uint32 LE, then count_L * dim_k float32 LE values row-major.
+count_L as uint32 LE, then count_L * dim_k float32 LE values row-major;
+a frame value beyond float32's range raises `DimensionMismatch`, unsaved.
 All writes are atomic (temp file + rename).
 """
 
@@ -49,6 +50,7 @@ import numpy as np
 
 from .errors import (
     CorruptArtifact,
+    DimensionMismatch,
     IoFailure,
     UnsupportedVersion,
     WrongKind,
@@ -142,7 +144,11 @@ def _dec_f8(record, ndim: int) -> np.ndarray:
 
 def write_features(feats: FeatureMatrix, path):
     header = _MAGIC + struct.pack("<II", feats.dim_k, feats.count_L)
-    body = feats.frames.astype("<f4").tobytes()
+    try:
+        with np.errstate(over="raise"):  # a frame past float32's range would load as inf
+            body = feats.frames.astype("<f4").tobytes()
+    except FloatingPointError as exc:
+        raise DimensionMismatch("frames must fit float32") from exc
     _atomic_write(path, header + body)
 
 

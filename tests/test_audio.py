@@ -113,3 +113,6 @@ def test_clip_invariants():
         AudioClip(samples=np.zeros(0), sample_rate_hz=8000)
     with pytest.raises(MalformedContainer):
         AudioClip(samples=np.array([2.0]), sample_rate_hz=8000)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(MalformedContainer):
+            AudioClip(samples=np.array([0.5, bad]), sample_rate_hz=8000)

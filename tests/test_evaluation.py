@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from voxid.errors import (
+    DegenerateCohort,
     DimensionMismatch,
     DuplicateSpeakerId,
     EmptyRegistry,
@@ -40,11 +41,14 @@ from voxid import gmm as gmm_module
 from voxid.features import FeatureMatrix
 from voxid.gmm import BLOCK, DiagonalGmm, sequence_log_likelihood
 from voxid.scoring import (
+    CohortStats,
     DecisionPolicy,
+    cohort_from_scores,
     cosine_score,
     cosine_scores,
     cosine_targets,
     llr_scores,
+    normalize_score,
 )
 from voxid.speaker_models import SpeakerModel, Ubm, accumulate_stats
 from voxid.total_variability import IVector, train_tv
@@ -225,6 +229,28 @@ class TestIdentify:
             expected = sequence_log_likelihood(feats, registry.get(sid).model.gmm) - ubm_ll
             assert abs(raw - expected) <= 1e-9 * abs(ubm_ll)
 
+    def test_llr_decision_is_the_z_score_over_the_trials_own_scores(self):
+        rng = np.random.default_rng(16)
+        ubm, registry = adapted_registry(rng, speakers=7, components=8, dim=4)
+        policy = DecisionPolicy(threshold=1.0, mode="llr-normalized")
+        for i in range(3):
+            feats = FeatureMatrix(rng.normal(0, 1, (60, 4)))
+            result = identify(Trial(trial_id=f"t{i}", test_features=feats), registry, policy,
+                              ubm=ubm)
+            # the trial's raw scores in registry order, as identify pooled them
+            raw_of = {sid: raw for sid, raw, _, _ in result.ranked}
+            raw = np.array([raw_of[e.speaker_id] for e in registry.entries])
+            cohort = cohort_from_scores(raw)
+            assert cohort == CohortStats(float(raw.mean()), float(raw.std(ddof=1)))
+            for _, raw_s, norm_s, _ in result.ranked:
+                assert norm_s == normalize_score(raw_s, cohort)
+
+    def test_llr_one_entry_registry_has_no_cohort(self):
+        policy = DecisionPolicy(threshold=1.0, mode="llr-normalized")
+        with pytest.raises(DegenerateCohort):
+            identify(Trial(trial_id="t", test_features=FeatureMatrix(np.zeros((4, 1)))),
+                     registry_of([0.0]), policy, ubm=Ubm(gmm=tiny_gmm(0.0)))
+
     def test_llr_entry_of_other_dimension(self):
         registry = registry_of([0.0, 1.0])
         registry.add(RegistryEntry(speaker_id="wide", cluster_id="c0", model=SpeakerModel(
@@ -349,6 +375,38 @@ class TestRegistryIndex:
         assert registry.get("a") is first and registry.get("d").speaker_id == "d"
         with pytest.raises(KeyError):
             registry.get("missing")
+
+    @pytest.mark.parametrize("change", ["delete", "truncate", "clear", "reorder"])
+    def test_index_follows_changes_to_the_list(self, change):
+        model = SpeakerModel(speaker_id="shared", gmm=tiny_gmm(0.0))
+        registry = SpeakerRegistry()
+        for sid in "abc":
+            registry.add(self.entry(sid, model))
+        registry.entries.append(self.entry("a", model))  # "a" twice: a scan finds the first
+        registry.get("a")  # every entry is indexed
+        if change == "delete":
+            del registry.entries[0]
+        elif change == "truncate":
+            del registry.entries[2:]
+        elif change == "clear":
+            b = registry.entries[1]
+            registry.entries.clear()
+            registry.entries.append(self.entry("d", model))
+            registry.entries.append(b)
+        else:
+            registry.entries.reverse()
+        for sid in "abcde":
+            first = next((e for e in registry.entries if e.speaker_id == sid), None)
+            if first is None:
+                with pytest.raises(KeyError):
+                    registry.get(sid)
+                added = self.entry(sid, model)
+                registry.add(added)
+                assert registry.get(sid) is added
+            else:
+                assert registry.get(sid) is first
+                with pytest.raises(DuplicateSpeakerId):
+                    registry.add(self.entry(sid, model))
 
     def test_index_is_not_in_repr_or_equality(self):
         model = SpeakerModel(speaker_id="shared", gmm=tiny_gmm(0.0))

@@ -121,7 +121,7 @@ class TestAccumulateStats:
         ubm = simple_ubm()
         a = FeatureMatrix(rng.normal(0, 2, (60, 2)))
         b = FeatureMatrix(rng.normal(0, 2, (40, 2)))
-        merged = accumulate_stats(a.concat(b), ubm)
+        merged = accumulate_stats(pool_features([a, b]), ubm)
         summed = accumulate_stats(a, ubm) + accumulate_stats(b, ubm)
         np.testing.assert_allclose(merged.zeroth, summed.zeroth, rtol=1e-13)
         np.testing.assert_allclose(merged.first, summed.first, rtol=1e-12, atol=1e-12)

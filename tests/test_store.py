@@ -11,7 +11,13 @@ import pytest
 from voxid import store
 from voxid.cli import EXIT_OK
 from voxid.cli import main as cli_main
-from voxid.errors import CorruptArtifact, IoFailure, UnsupportedVersion, WrongKind
+from voxid.errors import (
+    CorruptArtifact,
+    DimensionMismatch,
+    IoFailure,
+    UnsupportedVersion,
+    WrongKind,
+)
 from voxid.evaluation import (
     EvalReport,
     RegistryEntry,
@@ -207,6 +213,18 @@ def test_non_finite_features(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(CorruptArtifact):
         store.load(path, "features")
+
+
+@pytest.mark.parametrize("value", [1e39, -3.5e38])
+def test_features_beyond_float32_are_not_written(value, tmp_path):
+    # cast to float32 they would be written as inf, which load rejects as corrupt
+    path = tmp_path / "big.feat"
+    with pytest.raises(DimensionMismatch, match="float32"):
+        store.save(FeatureMatrix(np.array([[value, 0.0]])), "features", path)
+    assert not list(tmp_path.iterdir())
+    edge = np.array([[np.finfo(np.float32).max, -np.finfo(np.float32).max]])
+    store.save(FeatureMatrix(edge), "features", path)
+    assert np.array_equal(store.load(path, "features").frames, edge)
 
 
 def test_zero_dimension_features(tmp_path):
