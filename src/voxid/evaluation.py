@@ -16,11 +16,10 @@ from .features import FeatureMatrix
 from .scoring import (
     DecisionPolicy,
     cohort_from_scores,
-    cosine_targets,
+    cosine_scores,
     decide,
     llr_scores,
     normalize_score,
-    stacked_cosine_scores,
 )
 from .speaker_models import SpeakerModel, Ubm
 from .total_variability import IVector
@@ -43,8 +42,6 @@ class SpeakerRegistry:
     # neither repr nor equality sees them
     _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _indexed: tuple = field(default=(0, None), init=False, repr=False, compare=False)
-    # (the entries' IVector objects, their cosine_targets); neither repr nor equality sees it
-    _cosine: tuple = field(default=((), None), init=False, repr=False, compare=False)
 
     def _ids(self) -> dict:
         # index entries appended since, also directly to the list; rebuild once the n-th has
@@ -65,16 +62,6 @@ class SpeakerRegistry:
 
     def get(self, speaker_id: str) -> RegistryEntry:
         return self._ids()[speaker_id]
-
-    def _cosine_targets(self):
-        # stacked once and reused while every entry's i-vector `is` the stored one, in order:
-        # i-vectors never change after they are built
-        ivectors = [e.ivector for e in self.entries]
-        cached, stacked = self._cosine
-        if len(cached) != len(ivectors) or any(a is not b for a, b in zip(cached, ivectors)):
-            stacked = cosine_targets(ivectors)
-            self._cosine = tuple(ivectors), stacked
-        return stacked
 
     def __len__(self):
         return len(self.entries)
@@ -129,7 +116,7 @@ def identify(trial: Trial, registry: SpeakerRegistry, policy: DecisionPolicy,
             raise ModeMismatch("cosine mode needs a test i-vector")
         if any(e.ivector is None for e in registry.entries):
             raise ModeMismatch("registry entries lack i-vectors")
-        raw = decision = stacked_cosine_scores(registry._cosine_targets(), trial.test_ivector)
+        raw = decision = cosine_scores([e.ivector for e in registry.entries], trial.test_ivector)
     # plain str, float and bool, so reports encode as JSON and repr as Python floats;
     # a cosine score is its own decision score, and one float object serves both fields
     raw_s = raw.tolist()

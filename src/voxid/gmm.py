@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 
@@ -51,6 +52,30 @@ def _in_two_runs(work, items, rows: int) -> list:
     return head + tail.result()  # leaving the block joined the thread, also on a raise
 
 
+def _read_only(values) -> np.ndarray:
+    """values as a read-only float64 array: an array that already is one is shared, anything
+    else is copied, so a model's arrays never change under what is built from them and kept
+    (_reused's slots, TotalVariabilityModel.precision_blocks)."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable:
+        return values
+    array = np.array(values, dtype=np.float64)
+    array.flags.writeable = False
+    return array
+
+
+def _reused(build, items):
+    """build(items), kept in items[0]'s one slot and reused while items[1:] are the same
+    objects (`is`), in order: their arrays are read-only, so a kept build never goes stale.
+    Each kind of head has one build (_stack for mixtures, cosine_targets for i-vectors)."""
+    head, rest = items[0], tuple(items[1:])
+    kept = getattr(head, "_slot", None)  # read once, so a concurrent store is harmless
+    if kept is not None and len(kept[0]) == len(rest) and all(map(operator.is_, kept[0], rest)):
+        return kept[1]
+    built = build(items)
+    object.__setattr__(head, "_slot", (rest, built))  # not a field: never compared or serialised
+    return built
+
+
 @dataclass(frozen=True)
 class DiagonalGmm:
     weights: np.ndarray   # (l,)
@@ -58,9 +83,7 @@ class DiagonalGmm:
     variances: np.ndarray  # (l, k)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        mu = np.asarray(self.means, dtype=np.float64)
-        var = np.asarray(self.variances, dtype=np.float64)
+        w, mu, var = (_read_only(a) for a in (self.weights, self.means, self.variances))
         if mu.ndim != 2 or var.shape != mu.shape or w.shape != (mu.shape[0],):
             raise DimensionMismatch("inconsistent GMM parameter shapes")
         if not all(np.isfinite(a).all() for a in (w, mu, var)):
@@ -76,7 +99,7 @@ class DiagonalGmm:
     def with_means(self, means) -> "DiagonalGmm":
         """This mixture's weights and variances, shared, about new means; only the
         means are checked, since the rest was checked when this mixture was built."""
-        mu = np.asarray(means, dtype=np.float64)
+        mu = _read_only(means)
         if mu.shape != self.means.shape:
             raise DimensionMismatch(f"means of shape {mu.shape}, mixture has {self.means.shape}")
         if not np.isfinite(mu).all():
@@ -193,7 +216,7 @@ def _posteriors(frames: np.ndarray, gmm: DiagonalGmm):
     """Responsibilities (l, L), columns summing to 1, and per-frame log-likelihoods (L,),
     from the mixture's _stack, which every E-step and Baum-Welch call shares."""
     _require_dim(frames, gmm)
-    ref, ((*_, coefficients),) = _stack([gmm])
+    ref, ((*_, coefficients),) = _reused(_stack, [gmm])
     frame_ll, gamma, sums = _mixture_pass(_terms(frames, ref), [gmm], coefficients)
     gamma /= sums
     return gamma, frame_ll[0]
@@ -203,7 +226,7 @@ def posterior_sums(frames: np.ndarray, gmm: DiagonalGmm, squares: bool = False):
     """Soft counts (l,), gamma^T X (gamma^T [X, X^2] with squares) and frame
     log-likelihoods (L,), BLOCK frames at a time; each block's counts and products
     are added in frame order."""
-    _stack([gmm])  # built before a split, so the second run only reads the cache
+    _reused(_stack, [gmm])  # built before a split, so the second run only reads the slot
     frame_ll = np.empty(frames.shape[0])
 
     def moments(start):
@@ -227,16 +250,9 @@ def mixture_log_likelihood(x, gmm: DiagonalGmm) -> float:
 
 def _stack(gmms) -> tuple:
     """The centre of gmms[0] and one (start, stop, coefficients) per block of at most BLOCK
-    stacked components (a larger model is its own block). Kept in gmms[0]'s one slot, which
-    the E-step's [gmm] and LLR's [ubm, *speakers] share, and reused while the rest of the
-    list is the same mixtures (`is`), in order, under the same BLOCK: mixtures and stored
-    stacks never change."""
-    head, rest = gmms[0], tuple(gmms[1:])
-    cached = getattr(head, "_stacked", None)  # read once, so a concurrent store is harmless
-    if (cached is not None and cached[0] == BLOCK and len(cached[1]) == len(rest)
-            and all(a is b for a, b in zip(cached[1], rest))):
-        return cached[2]
-    ref = _centre(head.means)
+    stacked components (a larger model is its own block), all read-only. Callers take it
+    through _reused, so the E-step's [gmm] and LLR's [ubm, *speakers] share the head's slot."""
+    ref = _centre(gmms[0].means)
     sizes = np.array([gmm.num_components for gmm in gmms])
     blocks, start = [], 0
     while start < len(gmms):
@@ -249,9 +265,7 @@ def _stack(gmms) -> tuple:
         blocks.append((start, stop, coefficients))
         start = stop
     ref.flags.writeable = False
-    stack = ref, tuple(blocks)
-    object.__setattr__(head, "_stacked", (BLOCK, rest, stack))  # not a field: never serialised
-    return stack
+    return ref, tuple(blocks)
 
 
 def sequence_log_likelihoods(feats: FeatureMatrix, gmms) -> np.ndarray:
@@ -264,7 +278,7 @@ def sequence_log_likelihoods(feats: FeatureMatrix, gmms) -> np.ndarray:
     frames = feats.frames
     for gmm in gmms:
         _require_dim(frames, gmm)
-    ref, blocks = _stack(gmms)
+    ref, blocks = _reused(_stack, gmms)
     terms = _terms(frames, ref)
 
     def block_totals(block):

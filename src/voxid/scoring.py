@@ -16,7 +16,7 @@ from .errors import (
     ZeroVector,
 )
 from .features import FeatureMatrix
-from .gmm import sequence_log_likelihoods
+from .gmm import _reused, sequence_log_likelihoods
 from .speaker_models import SpeakerModel, Ubm
 from .total_variability import IVector
 
@@ -75,15 +75,11 @@ def cohort_from_scores(scores) -> CohortStats:
 
 
 def cosine_targets(targets) -> tuple[np.ndarray, np.ndarray]:
-    """The target vectors as one read-only (N, R) matrix and its row norms, for
-    stacked_cosine_scores. An IVector's array never changes after it is built, so the
-    pair stays valid while the targets are the same IVector objects."""
+    """A non-empty list of target vectors as one read-only (N, R) matrix and its row norms."""
     try:
         matrix = np.array([t.w for t in targets], dtype=np.float64)
     except ValueError:  # numpy rejects ragged lengths
         raise DimensionMismatch("i-vector lengths differ") from None
-    if matrix.ndim != 2:
-        raise DimensionMismatch("no target i-vectors")
     norms = np.linalg.norm(matrix, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVector("cosine undefined for a zero vector")
@@ -91,10 +87,12 @@ def cosine_targets(targets) -> tuple[np.ndarray, np.ndarray]:
     return matrix, norms
 
 
-def stacked_cosine_scores(stacked: tuple[np.ndarray, np.ndarray], test: IVector) -> np.ndarray:
-    """Cosine of the test vector against each row of cosine_targets' (matrix, norms) pair,
-    in [-1, 1]; shape (N,)."""
-    matrix, norms = stacked
+def cosine_scores(targets, test: IVector) -> np.ndarray:
+    """Cosine of the test vector against each target vector, in [-1, 1]; shape (N,).
+    The targets' cosine_targets are reused while they are the same IVector objects."""
+    if len(targets) == 0:
+        raise DimensionMismatch("no target i-vectors")
+    matrix, norms = _reused(cosine_targets, targets)
     if test.w.shape != matrix.shape[1:]:
         raise DimensionMismatch("i-vector lengths differ")
     # the targets' row-wise norm call, so cosine_score stays symmetric bit for bit
@@ -102,11 +100,6 @@ def stacked_cosine_scores(stacked: tuple[np.ndarray, np.ndarray], test: IVector)
     if test_norm == 0.0:
         raise ZeroVector("cosine undefined for a zero vector")
     return np.clip(matrix @ test.w / (norms * test_norm), -1.0, 1.0)
-
-
-def cosine_scores(targets, test: IVector) -> np.ndarray:
-    """Cosine of the test vector against each target vector, in [-1, 1]; shape (N,)."""
-    return stacked_cosine_scores(cosine_targets(targets), test)
 
 
 def cosine_score(target: IVector, test: IVector) -> float:

@@ -22,6 +22,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure, RankTooLarge
+from .gmm import _read_only
 from .speaker_models import BaumWelchStats, Ubm, build_supervector, variance_supervector
 
 # Utterances per E-step block, which holds BLOCK * R^2 doubles whatever their number.
@@ -52,7 +53,7 @@ class TotalVariabilityModel:
 
     def __post_init__(self):
         for name in ("m", "sigma", "t_matrix"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
         ck = self.num_components * self.dim_k
         if self.m.shape != (ck,) or self.sigma.shape != (ck,):
             raise DimensionMismatch("supervector layout mismatch")
@@ -93,7 +94,7 @@ class IVector:
     w: np.ndarray  # (R,)
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
+        w = _read_only(self.w)
         if w.ndim != 1 or not np.all(np.isfinite(w)):
             raise DimensionMismatch("i-vector must be a finite 1-D vector")
         object.__setattr__(self, "w", w)
@@ -109,6 +110,7 @@ def init_tv(ubm: Ubm, rank_R: int, rng_seed: int = 0) -> TotalVariabilityModel:
     rng = np.random.default_rng(rng_seed)
     scale = 0.1 * float(np.mean(np.sqrt(sigma)))
     t = rng.standard_normal((ck, rank_R)) * scale
+    t.flags.writeable = False  # so the model shares t instead of copying it
     return TotalVariabilityModel(
         m=m, sigma=sigma, t_matrix=t,
         num_components=ubm.gmm.num_components, dim_k=ubm.gmm.dim_k,
@@ -212,5 +214,6 @@ def train_tv(stats_set, tv: TotalVariabilityModel, iterations: int = 10
             unpacked[flat] = acc[:, j]
             factor = _cholesky(unpacked.reshape(r, r, order="F"), f"M-step A_{j}")
             t[j * k:(j + 1) * k] = dpotrs(factor, t[j * k:(j + 1) * k].T, lower=1)[0].T
+        t.flags.writeable = False  # so the model shares t instead of copying it
         model = TotalVariabilityModel(tv.m, tv.sigma, t, c, k)
     return model

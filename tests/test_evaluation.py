@@ -36,8 +36,8 @@ from voxid.experiment import (
     sample_from_gmm,
     settings_keys,
 )
-from voxid import evaluation
 from voxid import gmm as gmm_module
+from voxid import scoring
 from voxid.features import FeatureMatrix
 from voxid.gmm import BLOCK, DiagonalGmm, sequence_log_likelihood
 from voxid.scoring import (
@@ -309,7 +309,7 @@ class TestIdentify:
             stacks.append(list(ivectors))
             return cosine_targets(ivectors)
 
-        monkeypatch.setattr(evaluation, "cosine_targets", counting)
+        monkeypatch.setattr(scoring, "cosine_targets", counting)
         rng = np.random.default_rng(17)
         registry = registry_of([0.0] * 4, ivectors=rng.normal(0, 1, (4, 5)).tolist())
         policy = DecisionPolicy(threshold=0.2, mode="cosine")
@@ -319,8 +319,12 @@ class TestIdentify:
             return {sid: raw for sid, raw, _, _ in result.ranked}
 
         def expected(test):
-            return dict(zip([e.speaker_id for e in registry.entries],
-                            cosine_scores([e.ivector for e in registry.entries], test).tolist()))
+            # new IVector objects, which share no slot, stacked by the unspied build
+            copies = [IVector(e.ivector.w) for e in registry.entries]
+            with monkeypatch.context() as patch:
+                patch.setattr(scoring, "cosine_targets", cosine_targets)
+                return dict(zip([e.speaker_id for e in registry.entries],
+                                cosine_scores(copies, test).tolist()))
 
         tests = [IVector(w) for w in rng.normal(0, 1, (3, 5))]
         for test in tests:
@@ -334,6 +338,25 @@ class TestIdentify:
         registry.entries[:] = registry.entries[::-1]  # the same objects, in another order
         assert scores(tests[2]) == expected(tests[2])
         assert [len(ivectors) for ivectors in stacks] == [4, 4, 5, 5]
+
+    def test_cosine_ignores_later_writes_to_enrolled_arrays(self):
+        rng = np.random.default_rng(18)
+        vectors = rng.normal(0, 1, (4, 5))
+        registry = SpeakerRegistry()
+        for i, w in enumerate(vectors):  # each IVector is given a writeable row of vectors
+            registry.add(RegistryEntry(speaker_id=f"s{i}", cluster_id="c0",
+                                       model=SpeakerModel(speaker_id=f"s{i}", gmm=tiny_gmm(0.0)),
+                                       ivector=IVector(w)))
+        test = IVector(rng.normal(0, 1, 5))
+        policy = DecisionPolicy(threshold=0.2, mode="cosine")
+        trial = Trial(trial_id="t", test_ivector=test)
+        first = identify(trial, registry, policy)  # stacks the targets in s0's slot
+        vectors[1] *= -1.0
+        again = identify(trial, registry, policy)
+        assert again == first
+        copies = [IVector(e.ivector.w.copy()) for e in registry.entries]
+        assert {sid: raw for sid, raw, _, _ in again.ranked} == dict(
+            zip([e.speaker_id for e in registry.entries], cosine_scores(copies, test).tolist()))
 
 
 class TestRegistryIndex:

@@ -772,8 +772,8 @@ class TestKmeansOracles:
 
 
 class TestKernelCache:
-    """A mixture's E-step takes its coefficient block from _stack([model]): built once and
-    shared by every E-step, in the same slot that LLR scoring's stack uses."""
+    """A mixture's E-step takes its coefficient block from _reused(_stack, [model]): built
+    once and shared by every E-step, in the same slot that LLR scoring's stack uses."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -789,19 +789,22 @@ class TestKernelCache:
 
     def test_cached_block_is_a_fresh_build(self):
         model = random_gmm(np.random.default_rng(54), components=7, dim=5)
-        ref, ((start, stop, coefficients),) = gmm_module._stack([model])
+        ref, ((start, stop, coefficients),) = gmm_module._reused(gmm_module._stack, [model])
         centre = gmm_module._centre(model.means)
         assert (start, stop) == (0, 1) and np.array_equal(ref, centre)
         assert np.array_equal(coefficients, gmm_module._coefficients(
             model.means, model.variances, np.log(model.weights), centre))
-        assert gmm_module._stack([model])[1][0][2] is coefficients
+        assert gmm_module._reused(gmm_module._stack, [model])[1][0][2] is coefficients
         assert not (ref.flags.writeable or coefficients.flags.writeable)
+        # _stack itself keeps nothing: each call is a new, equal build
+        rebuilt = gmm_module._stack([model])[1][0][2]
+        assert rebuilt is not coefficients and np.array_equal(rebuilt, coefficients)
 
     def test_with_means_builds_its_own_block(self):
         base = random_gmm(np.random.default_rng(55), components=4, dim=3)
-        base_coefficients = gmm_module._stack([base])[1][0][2]
+        base_coefficients = gmm_module._reused(gmm_module._stack, [base])[1][0][2]
         moved = base.with_means(base.means + 1.5)
-        ref, ((*_, coefficients),) = gmm_module._stack([moved])
+        ref, ((*_, coefficients),) = gmm_module._reused(gmm_module._stack, [moved])
         assert np.array_equal(ref, gmm_module._centre(moved.means))
         assert np.array_equal(coefficients, gmm_module._coefficients(
             moved.means, moved.variances, np.log(moved.weights), ref))
@@ -862,8 +865,8 @@ def fresh(model):
 
 
 class TestStackCache:
-    """sequence_log_likelihoods keeps the stacked blocks of [head, *rest] on the head and
-    reuses them only for the same mixtures, in order, under the same BLOCK."""
+    """sequence_log_likelihoods keeps the stacked blocks of [head, *rest] in the head's slot
+    and reuses them only for the same mixtures, in order."""
 
     @pytest.fixture
     def mixed_models(self):
@@ -887,18 +890,22 @@ class TestStackCache:
         assert not any(coefficients.flags.writeable for _, _, coefficients in blocks)
 
     def test_cached_equals_fresh_as_block_changes(self, mixed_models, monkeypatch):
-        # 22 components: 7 splits the stack into blocks, 1 gives every model its own
+        # 22 components: 7 splits the stack into five blocks, 1 gives every model its own.
+        # BLOCK is read when a stack is built, so each BLOCK scores fresh copies of the models.
         feats = FeatureMatrix(np.random.default_rng(60).normal(0, 2, (40, 3)))
-        frames, previous = feats.frames, None
-        for block, rebuilt in ((7, True), (7, False), (1, True), (1, False), (7, True)):
+        frames = feats.frames
+        for block, count in ((7, 5), (1, 6), (2048, 1)):
             monkeypatch.setattr(gmm_module, "BLOCK", block)
-            cached = sequence_log_likelihoods(feats, mixed_models)
-            stored = mixed_models[0]._stacked
-            assert (stored is not previous) == rebuilt
-            previous = stored
+            models = [fresh(model) for model in mixed_models]
+            built = sequence_log_likelihoods(feats, models)
+            stored = models[0]._slot
+            assert len(stored[1][1]) == count
+            cached = sequence_log_likelihoods(feats, models)
+            assert models[0]._slot is stored
+            assert np.array_equal(cached, built)
             assert np.array_equal(cached, sequence_log_likelihoods(
-                feats, [fresh(model) for model in mixed_models]))
-            for score, model in zip(cached, mixed_models):
+                feats, [fresh(model) for model in models]))
+            for score, model in zip(cached, models):
                 naive = sum(naive_mixture_ll(x, model) for x in frames)
                 assert abs(score - naive) <= 1e-9 * abs(naive)
 
@@ -947,6 +954,47 @@ class TestStackCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
+
+
+class TestReadOnlyArrays:
+    """A mixture holds read-only float64 arrays: a writeable array it is given is copied and
+    one that already is read-only float64 is shared, so no kept stack goes stale."""
+
+    def test_writeable_arrays_are_copied_and_read_only_ones_shared(self):
+        rng = np.random.default_rng(66)
+        given = {"weights": np.full(3, 1.0 / 3.0), "means": rng.normal(0, 1, (3, 2)),
+                 "variances": rng.uniform(0.5, 1.5, (3, 2))}
+        model = DiagonalGmm(**given)
+        for name, array in given.items():
+            held = getattr(model, name)
+            assert held.dtype == np.float64 and not held.flags.writeable
+            assert not np.shares_memory(held, array) and np.array_equal(held, array)
+        again = DiagonalGmm(weights=model.weights, means=model.means, variances=model.variances)
+        assert all(getattr(again, name) is getattr(model, name) for name in given)
+        assert model.with_means(model.means).means is model.means
+        moved = model.with_means(given["means"])
+        assert not (moved.means.flags.writeable or np.shares_memory(moved.means, given["means"]))
+        single = given["means"].astype(np.float32)
+        single.flags.writeable = False
+        assert model.with_means(single).means.dtype == np.float64
+
+    def test_stacks_ignore_later_writes_to_the_callers_arrays(self):
+        rng = np.random.default_rng(67)
+        feats = FeatureMatrix(rng.normal(0, 2, (50, 3)))
+        weights, variances = np.full(4, 0.25), rng.uniform(0.5, 1.5, (4, 3))
+        means = [rng.normal(0, 1, (4, 3)) for _ in range(3)]
+        models = [DiagonalGmm(weights=weights, means=mu, variances=variances) for mu in means]
+        sequence_log_likelihoods(feats, models)  # keeps the LLR stack in models[0]'s slot
+        gmm_module.posterior_sums(feats.frames, models[1])  # and the E-step's in models[1]'s
+        variances *= 2.0
+        for mu in means:
+            mu += 1.0
+        copies = [fresh(model) for model in models]
+        assert np.array_equal(sequence_log_likelihoods(feats, models),
+                              sequence_log_likelihoods(feats, copies))
+        for got, expected in zip(gmm_module.posterior_sums(feats.frames, models[1]),
+                                 gmm_module.posterior_sums(feats.frames, copies[1])):
+            assert np.array_equal(got, expected)
 
 
 class TestTwoRuns:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from voxid import scoring
 from voxid.errors import (
     DegenerateCohort,
     DimensionMismatch,
@@ -200,6 +201,27 @@ class TestBatchedKernels:
         norms = np.linalg.norm(stacked, axis=1)
         reference = np.clip(stacked[:-1] @ test.w / (norms[:-1] * norms[-1]), -1.0, 1.0)
         assert np.array_equal(cosine_scores(targets, test), reference)
+
+    def test_cosine_scores_need_a_target(self):
+        with pytest.raises(DimensionMismatch):
+            cosine_scores([], IVector(np.ones(3)))
+
+    def test_cosine_scores_stack_one_target_list_once(self, monkeypatch):
+        build, stacks = scoring.cosine_targets, []
+
+        def counting(ivectors):
+            stacks.append(len(ivectors))
+            return build(ivectors)
+
+        monkeypatch.setattr(scoring, "cosine_targets", counting)
+        rng = np.random.default_rng(24)
+        targets = [IVector(w) for w in rng.normal(0, 1, (6, 4))]
+        tests = [IVector(w) for w in rng.normal(0, 1, (2, 4))]
+        matrix = np.array([t.w for t in targets])
+        for test in tests:  # a new list of the same targets each call
+            expected = matrix @ test.w / (np.linalg.norm(matrix, axis=1) * np.linalg.norm(test.w))
+            assert np.allclose(cosine_scores(list(targets), test), expected, rtol=0, atol=1e-15)
+        assert stacks == [6]
 
     def test_cosine_scores_length_mismatch(self):
         with pytest.raises(DimensionMismatch):

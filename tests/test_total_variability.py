@@ -12,6 +12,7 @@ from voxid.gmm import DiagonalGmm
 from voxid.speaker_models import BaumWelchStats, Ubm, build_supervector
 from voxid.total_variability import (
     BLOCK,
+    IVector,
     TotalVariabilityModel,
     extract_ivector,
     extract_ivectors,
@@ -101,6 +102,34 @@ def test_precision_blocks_build_holds_no_full_stack():
     assert tv.precision_blocks.nbytes == c * r * (r + 1) // 2 * 8
     assert peak < tv.precision_blocks.nbytes + 2 * total_variability.BUILD * r * r * 8
     assert peak < 0.75 * c * r * r * 8
+
+
+class TestReadOnlyArrays:
+    """A TV model and an i-vector hold read-only float64 arrays: a writeable array they are
+    given is copied and one that already is read-only float64 is shared."""
+
+    def test_writeable_arrays_are_copied_and_read_only_ones_shared(self):
+        tv = init_tv(make_ubm(seed=16), 2, rng_seed=17)
+        t = tv.t_matrix.copy()
+        model = TotalVariabilityModel(tv.m, tv.sigma, t, tv.num_components, tv.dim_k)
+        assert model.m is tv.m and model.sigma is tv.sigma
+        assert not (model.t_matrix.flags.writeable or np.shares_memory(model.t_matrix, t))
+        w = np.arange(3.0)
+        ivector = IVector(w)
+        assert not (ivector.w.flags.writeable or np.shares_memory(ivector.w, w))
+        assert IVector(ivector.w).w is ivector.w
+
+    def test_extraction_ignores_later_writes_to_the_callers_arrays(self):
+        tv = init_tv(make_ubm(seed=18), 3, rng_seed=19)
+        t, sigma = tv.t_matrix.copy(), tv.sigma.copy()
+        model = TotalVariabilityModel(tv.m, sigma, t, tv.num_components, tv.dim_k)
+        stats = BaumWelchStats(np.full(4, 6.0), np.random.default_rng(20).normal(0, 2, (4, 3)))
+        extract_ivector(stats, model)  # builds the model's precision blocks
+        t *= 3.0
+        sigma *= 0.5
+        copy = TotalVariabilityModel(model.m.copy(), model.sigma.copy(), model.t_matrix.copy(),
+                                     model.num_components, model.dim_k)
+        assert np.array_equal(extract_ivector(stats, model).w, extract_ivector(stats, copy).w)
 
 
 class TestExtraction:
