@@ -52,11 +52,28 @@ def _in_two_runs(work, items, rows: int) -> list:
     return head + tail.result()  # leaving the block joined the thread, also on a raise
 
 
+def _frozen(array: np.ndarray) -> bool:
+    """Whether nothing can write array's memory: it and every array in its .base chain are
+    read-only, down to an owner that is an array or a read-only buffer (the bytes a file
+    was read into, say). A read-only view of a writeable array changes when that array does."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    if array is None:
+        return True
+    try:
+        with memoryview(array) as view:
+            return view.readonly
+    except TypeError:  # no buffer to ask
+        return False
+
+
 def _read_only(values) -> np.ndarray:
-    """values as a read-only float64 array: an array that already is one is shared, anything
-    else is copied, so a model's arrays never change under what is built from them and kept
-    (_reused's slots, TotalVariabilityModel.precision_blocks)."""
-    if isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable:
+    """values as a read-only float64 array: a frozen one is shared, anything else is copied,
+    so a model's arrays never change under what is built from them and kept (_reused's
+    slots, TotalVariabilityModel.precision_blocks)."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and _frozen(values):
         return values
     array = np.array(values, dtype=np.float64)
     array.flags.writeable = False
@@ -269,12 +286,15 @@ def _stack(gmms) -> tuple:
 
 
 def sequence_log_likelihoods(feats: FeatureMatrix, gmms) -> np.ndarray:
-    """Sequence log-likelihood of one utterance under each mixture; shape (N,).
+    """Sequence log-likelihood of one utterance under each mixture; shape (N,), so (0,)
+    for no mixtures.
 
     One _mixture_pass per block of _stack over terms built once, about the first model's
     centre, so the models may differ in component count. Frames are treated as independent.
     """
     feats.require_nonempty()
+    if len(gmms) == 0:
+        return np.zeros(0)
     frames = feats.frames
     for gmm in gmms:
         _require_dim(frames, gmm)

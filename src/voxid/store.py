@@ -1,25 +1,32 @@
 """Versioned on-disk artifacts.
 
 Models, registries and reports are JSON documents with a top-level
-{kind, format_version, payload} envelope. Arrays are stored one of two
-ways, both bit-exact on the round trip:
+{kind, format_version, payload} envelope. Arrays are stored one of three
+ways, all bit-exact on the round trip:
 
 - decimal: nested lists of full-precision decimal strings (the repr of
   each float). `gmm` and `report` (format_version 1) store every real
   number this way, as do version 1 of `ubm`, `speaker_model`, `tv_model`
   and `ivector` and versions 1 and 2 of `registry`.
-- binary: one record {"shape": [...], "f8": base64 of the C-order
-  little-endian float64 bytes}, which decodes without parsing a number.
-  `ubm`, `speaker_model`, `tv_model` and `ivector` (format_version 2) and
-  `registry` (format_version 3) store every array they hold this way;
-  integers and strings stay plain JSON.
+- raw sections: the file is the compact envelope on its first line,
+  padded with spaces to a multiple of 8 bytes, then the body: each
+  array's C-order little-endian float64 bytes, in payload order. The
+  envelope holds each array as a record {"shape": [...], "at": byte
+  offset into the body}, a multiple of 8; the body ends where its last
+  section ends. `ubm`, `speaker_model`, `tv_model` and `ivector`
+  (format_version 3) and `registry` (format_version 4) are written this
+  way; integers and strings stay plain JSON.
+- base64, read only: one record {"shape": [...], "f8": base64 of the
+  float64 bytes}, as `ubm`, `speaker_model`, `tv_model` and `ivector`
+  version 2 and `registry` version 3 stored every array.
 
 `_JSON_KINDS` has one row per kind: its payload codecs and the array
-codec of each version it reads. `save` writes the newest version, and
-files of older versions still load bit for bit. Binary records load as
-read-only arrays.
+decoder of each version it reads. `save` writes the newest version, and
+files of older versions still load bit for bit. A load reads the file
+once; binary arrays load read-only, a raw section as a view of the
+bytes read, never copied.
 
-A registry (versions 2 and 3) holds the first entry's weights and
+A registry (versions 2 to 4) holds the first entry's weights and
 variances once, as "shared"; each entry's model holds its means, plus
 weights or variances only where they differ from "shared". The shared
 block is checked once, as one mixture, and an entry holding only means
@@ -118,26 +125,59 @@ def _dec(data, ndim: int) -> np.ndarray:
     return array
 
 
-def _f8(array) -> dict:
-    """One array as a record: its shape and the base64 of its float64 bytes."""
-    array = np.asarray(array, dtype="<f8")
-    return {"shape": list(array.shape), "f8": base64.b64encode(array.tobytes()).decode("ascii")}
+def _shape(record, ndim: int, key: str) -> list:
+    """The shape of a {shape, key} record: a list of `ndim` non-negative ints."""
+    if not isinstance(record, dict):
+        raise CorruptArtifact(f"expected a {{shape, {key}}} record, found {type(record).__name__}")
+    missing = {"shape", key} - record.keys()
+    if missing:
+        raise CorruptArtifact(f"record lacks {sorted(missing)}")
+    shape = record["shape"]
+    if not (isinstance(shape, list) and len(shape) == ndim
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise CorruptArtifact(f"expected a {ndim}-D shape, found {shape!r}")
+    return shape
 
 
 def _dec_f8(record, ndim: int) -> np.ndarray:
     """A {shape, f8} record as one (read-only) float64 array, bit for bit."""
-    if not isinstance(record, dict):
-        raise CorruptArtifact(f"expected a {{shape, f8}} record, found {type(record).__name__}")
-    missing = {"shape", "f8"} - record.keys()
-    if missing:
-        raise CorruptArtifact(f"record lacks {sorted(missing)}")
-    shape, data = record["shape"], base64.b64decode(record["f8"], validate=True)
-    if not (isinstance(shape, list) and len(shape) == ndim
-            and all(type(n) is int and n >= 0 for n in shape)):
-        raise CorruptArtifact(f"expected a {ndim}-D shape, found {shape!r}")
+    shape = _shape(record, ndim, "f8")
+    data = base64.b64decode(record["f8"], validate=True)
     if len(data) != 8 * math.prod(shape):
         raise CorruptArtifact(f"shape {shape} needs {8 * math.prod(shape)} bytes, found {len(data)}")
     return np.frombuffer(data, dtype="<f8").reshape(shape)
+
+
+class _Sections:
+    """The raw sections of one file's body. `encode` appends an array's float64 bytes and
+    returns its {shape, at} record; `decode` checks a record and returns a read-only view
+    of its section. `end` is where the sections written or read so far end."""
+
+    def __init__(self, body=b""):
+        self.body, self.end, self.chunks = body, 0, []
+
+    def encode(self, array) -> dict:
+        data = np.ascontiguousarray(array, dtype="<f8")
+        self.chunks.append(data)
+        record = {"shape": list(data.shape), "at": self.end}
+        self.end += data.nbytes
+        return record
+
+    def file(self, header: bytes) -> bytes:
+        """The header on one line, padded with spaces so that the body starts at a multiple
+        of 8 bytes, then the body."""
+        return b"".join([header, b" " * (-(len(header) + 1) % 8), b"\n", *self.chunks])
+
+    def decode(self, record, ndim: int) -> np.ndarray:
+        shape, at = _shape(record, ndim, "at"), record["at"]
+        if type(at) is not int or at < 0 or at % 8:
+            raise CorruptArtifact(f"section offset {at!r} is not a non-negative multiple of 8")
+        count = math.prod(shape)
+        if at + 8 * count > len(self.body):
+            raise CorruptArtifact(f"section of {8 * count} bytes at {at} passes the body's end "
+                                  f"at {len(self.body)}")
+        self.end = max(self.end, at + 8 * count)
+        return np.frombuffer(self.body, dtype="<f8", count=count, offset=at).reshape(shape)
 
 
 # --- feature matrices (binary) ----------------------------------------------
@@ -166,7 +206,8 @@ def _features_from_bytes(data: bytes) -> FeatureMatrix:
 # --- per-kind payload codecs -------------------------------------------------
 
 # Each codec below takes `array`, the one function that encodes (`_enc` or
-# `_f8`) or decodes (`_dec` or `_dec_f8`) every array of its kind's version.
+# `_Sections.encode`) or decodes (`_dec`, `_dec_f8` or `_Sections.decode`)
+# every array of its kind's version.
 
 def _gmm_payload(gmm: DiagonalGmm, array) -> dict:
     return {name: array(getattr(gmm, name)) for name in _GMM_NDIM}
@@ -224,6 +265,7 @@ def _registry_payload(registry: SpeakerRegistry, array) -> dict:
     if registry.entries:
         first = registry.entries[0].model.gmm
         shared = {"weights": first.weights, "variances": first.variances}
+    block = {name: array(a) for name, a in shared.items()}  # first, as loading reads it
     for e in registry.entries:
         model = {"speaker_id": e.model.speaker_id, "means": array(e.model.gmm.means)}
         for name, value in shared.items():
@@ -240,7 +282,7 @@ def _registry_payload(registry: SpeakerRegistry, array) -> dict:
         if e.ivector is not None:
             entry["ivector"] = array(e.ivector.w)
         entries.append(entry)
-    return {"entries": entries, "shared": {name: array(a) for name, a in shared.items()}}
+    return {"entries": entries, "shared": block}
 
 
 def _registry_from_payload(payload, array) -> SpeakerRegistry:
@@ -310,24 +352,23 @@ def _report_from_payload(payload) -> EvalReport:
     )
 
 
-_DECIMAL, _BINARY = (_enc, _dec), (_f8, _dec_f8)
-
 # One row per JSON kind: its payload encoder and decoder, then the array
-# codec (encoder, decoder) of each version it reads, from version 1 on.
-# `save` writes the last version.
+# codec of each version it reads, from version 1 on: a decoder of arrays held
+# in the JSON, or `_Sections`. `save` writes the last version: raw sections,
+# or decimal strings where that version's codec is `_dec`.
 _JSON_KINDS = {
-    "gmm": (_gmm_payload, _gmm_from_payload, (_DECIMAL,)),
+    "gmm": (_gmm_payload, _gmm_from_payload, (_dec,)),
     "ubm": (lambda ubm, array: _gmm_payload(ubm.gmm, array),
             lambda payload, array: Ubm(gmm=_gmm_from_payload(payload, array)),
-            (_DECIMAL, _BINARY)),
-    "speaker_model": (_speaker_payload, _speaker_from_payload, (_DECIMAL, _BINARY)),
-    "tv_model": (_tv_payload, _tv_from_payload, (_DECIMAL, _BINARY)),
+            (_dec, _dec_f8, _Sections)),
+    "speaker_model": (_speaker_payload, _speaker_from_payload, (_dec, _dec_f8, _Sections)),
+    "tv_model": (_tv_payload, _tv_from_payload, (_dec, _dec_f8, _Sections)),
     "ivector": (lambda iv, array: {"w": array(iv.w)},
                 lambda payload, array: IVector(w=array(payload["w"], 1)),
-                (_DECIMAL, _BINARY)),
-    "registry": (_registry_payload, _registry_from_payload, (_DECIMAL, _DECIMAL, _BINARY)),
+                (_dec, _dec_f8, _Sections)),
+    "registry": (_registry_payload, _registry_from_payload, (_dec, _dec, _dec_f8, _Sections)),
     "report": (_report_payload, lambda payload, array: _report_from_payload(payload),
-               (_DECIMAL,)),  # no arrays; the encoder writes its numbers as decimals
+               (_dec,)),  # no arrays; the encoder writes its numbers as decimals
 }
 
 KINDS = ("features", *_JSON_KINDS)
@@ -341,47 +382,68 @@ def save(obj, kind: str, path):
         write_features(obj, path)
         return
     encode, _, codecs = _JSON_KINDS[kind]
+    sections = _Sections() if codecs[-1] is _Sections else None
     document = {
         "kind": kind,
         "format_version": len(codecs),
-        "payload": encode(obj, codecs[-1][0]),
+        "payload": encode(obj, sections.encode if sections else _enc),
     }
-    text = json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
-    _atomic_write(path, text.encode("utf-8"))
+    header = json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    _atomic_write(path, sections.file(header) if sections else header + b"\n")
 
 
 def _read_artifact(path):
-    """The kind a file holds, and its body: the bytes of a VOXF1 feature
-    file, or else the parsed JSON envelope."""
+    """The kind a file holds, its JSON envelope (None for a VOXF1 feature file) and
+    what follows: the bytes past the envelope's line, all of a feature file's bytes,
+    or None for a multi-line JSON document."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     if raw.startswith(_MAGIC):
-        return "features", raw
-    try:
-        document = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptArtifact(f"{path} is not a JSON artifact: {exc}") from exc
+        return "features", None, raw
+    end = raw.find(b"\n") + 1 or len(raw)
+    try:  # one line: a raw-section header, or a whole compact document
+        document, body = json.loads(raw[:end].decode("utf-8")), memoryview(raw)[end:]
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        try:  # an older document spread over lines
+            document, body = json.loads(raw.decode("utf-8")), None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CorruptArtifact(f"{path} is not a JSON artifact: {exc}") from exc
     if not isinstance(document, dict) or "kind" not in document:
         raise CorruptArtifact(f"{path} lacks an artifact envelope")
-    return document["kind"], document
+    return document["kind"], document, body
 
 
-def _decode(path, kind: str, body):
+def _decode_payload(decode, payload, codec, body):
+    """decode(payload) with one version's array codec; only raw sections have a body."""
+    if codec is not _Sections:
+        if body is not None and bytes(body).strip(b" \t\n\r"):  # JSON's whitespace
+            raise CorruptArtifact("bytes follow the JSON document")
+        return decode(payload, codec)
+    if body is None:
+        raise CorruptArtifact("the envelope of raw sections is not on one line")
+    sections = _Sections(body)
+    artifact = decode(payload, sections.decode)
+    if sections.end != len(body):
+        raise CorruptArtifact(f"the body holds {len(body)} bytes, its sections end at {sections.end}")
+    return artifact
+
+
+def _decode(path, kind: str, document, body):
     if kind == "features":
-        decoder, payload = _features_from_bytes, body
+        decoder = functools.partial(_features_from_bytes, body)
     else:
         _, decode, codecs = _JSON_KINDS[kind]
-        version = body.get("format_version")
+        version = document.get("format_version")
         # JSON true and 1.0 compare equal to 1, but are not a version
         if type(version) is not int or not 1 <= version <= len(codecs):
             raise UnsupportedVersion(f"format_version {version!r} unsupported")
-        decoder = functools.partial(decode, array=codecs[version - 1][1])
-        payload = body.get("payload", {})
+        decoder = functools.partial(_decode_payload, decode, document.get("payload", {}),
+                                    codecs[version - 1], body)
     try:
-        return decoder(payload)
+        return decoder()
     except Exception as exc:
         raise CorruptArtifact(f"{path}: invalid {kind} artifact: {exc}") from exc
 
@@ -390,20 +452,20 @@ def load(path, expected_kind: str):
     """Load, version-check and invariant-check an artifact."""
     if expected_kind not in KINDS:
         raise WrongKind(f"unknown artifact kind {expected_kind!r}")
-    kind, body = _read_artifact(path)
+    kind, document, body = _read_artifact(path)
     if kind != expected_kind:
         raise WrongKind(f"{path} holds {kind!r}, expected {expected_kind!r}")
-    return _decode(path, kind, body)
+    return _decode(path, kind, document, body)
 
 
 def load_any(path) -> tuple[str, int | None, object]:
     """Load an artifact of whatever kind the file holds; returns (kind,
     format_version, artifact), the version None for a VOXF1 feature file."""
-    kind, body = _read_artifact(path)
+    kind, document, body = _read_artifact(path)
     if kind not in KINDS:
         raise WrongKind(f"{path} holds unknown kind {kind!r}")
-    version = None if kind == "features" else body.get("format_version")
-    return kind, version, _decode(path, kind, body)
+    version = None if document is None else document.get("format_version")
+    return kind, version, _decode(path, kind, document, body)
 
 
 @contextlib.contextmanager

@@ -13,7 +13,7 @@ from voxid import cli, store
 from voxid.cli import EXIT_DATA, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main, score_bar_svg
 from voxid.features import FeatureMatrix
 
-from test_store import v1_document
+from test_store import read_artifact, v1_document, write_artifact
 
 
 def run(*argv):
@@ -491,7 +491,7 @@ def test_consecutive_calls_share_no_state(workspace, tmp_path, make_clip_wav, ca
     assert capsys.readouterr().out == ""
     assert run("train-ubm", "--outptu", "x") == EXIT_USAGE
     assert run("inspect", tmp_path / "after.json") == EXIT_OK
-    assert capsys.readouterr().out.splitlines()[:2] == ["kind: ubm", "format_version: 2"]
+    assert capsys.readouterr().out.splitlines()[:2] == ["kind: ubm", "format_version: 3"]
     calls = cli.build_parser.cache_info()
     assert (calls.misses, calls.hits) == (1, 5)
 
@@ -508,9 +508,9 @@ def test_inspect_unknown_file(tmp_path):
 
 def test_inspect_names_missing_registry_field(workspace, capsys):
     _, _, _, registry = workspace
-    document = json.loads(registry.read_text())
+    document, body = read_artifact(registry)
     del document["payload"]["entries"][1]["cluster_id"]
-    registry.write_text(json.dumps(document))
+    write_artifact(registry, document, body)
     assert run("inspect", registry) == EXIT_DATA
     err = capsys.readouterr().err
     assert "CorruptArtifact" in err and "cluster_id" in err

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import logsumexp
 
 from voxid import gmm as gmm_module
-from voxid.errors import DimensionMismatch, TooFewFrames
+from voxid.errors import DimensionMismatch, EmptyFeatureMatrix, TooFewFrames
 from voxid.evaluation import RegistryEntry, SpeakerRegistry, Trial, identify
 from voxid.experiment import sample_from_gmm
 from voxid.features import FeatureMatrix
@@ -439,6 +439,11 @@ class TestSequenceLogLikelihoods:
             frames = rng.normal(0, 3, (frames_l, 4))
             assert sequence_log_likelihood(FeatureMatrix(frames), model) == (
                 gmm_module.posterior_sums(frames, model)[2].sum())
+
+    def test_no_mixtures_score_an_empty_array(self):
+        assert sequence_log_likelihoods(FeatureMatrix(np.zeros((5, 3))), []).shape == (0,)
+        with pytest.raises(EmptyFeatureMatrix):  # the features are checked first
+            sequence_log_likelihoods(FeatureMatrix(np.zeros((0, 3))), [])
 
     def test_dimension_mismatch(self, mixed_models):
         feats = FeatureMatrix(np.zeros((5, 3)))
@@ -995,6 +1000,38 @@ class TestReadOnlyArrays:
         for got, expected in zip(gmm_module.posterior_sums(feats.frames, models[1]),
                                  gmm_module.posterior_sums(feats.frames, copies[1])):
             assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("owner", ["array", "bytearray"])
+    def test_read_only_views_of_writeable_memory_are_copied(self, owner):
+        # a read-only view shares its base's memory, so it changes when its base does
+        rng = np.random.default_rng(68)
+        feats = FeatureMatrix(rng.normal(0, 2, (40, 2)))
+        means = rng.normal(0, 1, (3, 2))
+        if owner == "array":
+            base = means.copy()
+            view = base.view()
+        else:  # an array over a writeable buffer, not over another array
+            base = bytearray(means.tobytes())
+            view = np.frombuffer(base, dtype=np.float64)
+        view.flags.writeable = False
+        view = view.reshape(3, 2)
+        weights, variances = np.full(3, 1.0 / 3.0), rng.uniform(0.5, 1.5, (3, 2))
+        model = DiagonalGmm(weights=weights, means=view, variances=variances)
+        before = sequence_log_likelihood(feats, model)
+        np.frombuffer(base, dtype=np.float64)[:] += 3.0
+        assert model.means is not view and np.array_equal(model.means, means)
+        expected = sequence_log_likelihood(feats, DiagonalGmm(weights, means, variances))
+        assert sequence_log_likelihood(feats, model) == before == expected
+        assert np.array_equal(model.with_means(view).means, view)
+        assert model.with_means(view).means is not view
+
+    def test_views_of_read_only_bytes_are_shared(self):
+        # as store loads raw sections: views of the immutable bytes a file was read into
+        data = np.arange(1.0, 7.0).tobytes()
+        view = np.frombuffer(memoryview(data)[8:], dtype="<f8").reshape(1, 5)
+        weights = np.frombuffer(data, dtype="<f8", count=1)
+        model = DiagonalGmm(weights=weights, means=view, variances=view)
+        assert model.weights is weights and model.means is view and model.variances is view
 
 
 class TestTwoRuns:

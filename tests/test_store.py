@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 import os
 import struct
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from voxid import store
-from voxid.cli import EXIT_OK
+from voxid.cli import EXIT_DATA, EXIT_OK
 from voxid.cli import main as cli_main
 from voxid.errors import (
     CorruptArtifact,
@@ -133,12 +134,13 @@ def test_round_trip(kind, tmp_path):
 
 def test_deterministic_bytes(tmp_path):
     rng = np.random.default_rng(18)
-    gmm = random_gmm(rng)
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    store.save(gmm, "gmm", a)
-    store.save(gmm, "gmm", b)
-    assert a.read_bytes() == b.read_bytes()
+    for kind in ("gmm", "registry"):  # decimal strings, and raw sections
+        artifact = random_artifact(kind, rng)
+        store.save(artifact, kind, a)
+        store.save(artifact, kind, b)
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_unwritable_path(tmp_path):
@@ -157,17 +159,17 @@ def test_wrong_kind(tmp_path):
 
 def test_unsupported_version(tmp_path):
     # one past the newest version each JSON kind reads
-    past_newest = {"gmm": 2, "ubm": 3, "speaker_model": 3, "tv_model": 3, "ivector": 3,
-                   "registry": 4, "report": 2}
+    past_newest = {"gmm": 2, "ubm": 4, "speaker_model": 4, "tv_model": 4, "ivector": 4,
+                   "registry": 5, "report": 2}
     assert set(past_newest) == set(store.KINDS) - {"features"}
     rng = np.random.default_rng(21)
     path = tmp_path / "a.json"
     for kind, version_past in past_newest.items():
         store.save(random_artifact(kind, rng), kind, path)
-        document = json.loads(path.read_text())
+        document, body = read_artifact(path)
         for version in (0, version_past):
             document["format_version"] = version
-            path.write_text(json.dumps(document))
+            write_artifact(path, document, body)
             with pytest.raises(UnsupportedVersion):
                 store.load(path, kind)
 
@@ -325,49 +327,81 @@ def decimal(array):
     return [decimal(row) for row in array] if array.ndim == 2 else [repr(v) for v in array.tolist()]
 
 
-def v1_document(kind, artifact):
-    """A model artifact as version 1 writes it: every array as decimal strings."""
+def f8(array):
+    """An array as model version 2 and registry version 3 store it: base64 of its bytes."""
+    array = np.asarray(array, dtype="<f8")
+    return {"shape": list(array.shape), "f8": base64.b64encode(array.tobytes()).decode("ascii")}
+
+
+def v1_document(kind, artifact, array=decimal):
+    """A model artifact as version 1 writes it, every array as decimal strings; with
+    `array=f8`, the payload of version 2."""
     if kind == "ivector":
-        payload = {"w": decimal(artifact.w)}
+        payload = {"w": array(artifact.w)}
     elif kind == "tv_model":
-        payload = {"m": decimal(artifact.m), "sigma": decimal(artifact.sigma),
-                   "t_matrix": decimal(artifact.t_matrix),
+        payload = {"m": array(artifact.m), "sigma": array(artifact.sigma),
+                   "t_matrix": array(artifact.t_matrix),
                    "num_components": artifact.num_components, "dim_k": artifact.dim_k}
     else:
         gmm = artifact.gmm if hasattr(artifact, "gmm") else artifact
-        payload = {name: decimal(getattr(gmm, name)) for name in ("weights", "means", "variances")}
+        payload = {name: array(getattr(gmm, name)) for name in ("weights", "means", "variances")}
         if kind == "speaker_model":
             payload["speaker_id"] = artifact.speaker_id
     return {"kind": kind, "format_version": 1, "payload": payload}
 
 
-def v1_registry_document(registry):
-    """A registry as version 1 writes it: every entry carries its whole mixture."""
+def v2_document(kind, artifact):
+    """A model artifact as version 2 writes it: every array as a base64 record."""
+    return v1_document(kind, artifact, f8) | {"format_version": 2}
+
+
+def v1_registry_document(registry, array=decimal):
+    """A registry as version 1 writes it: every entry carries its whole mixture, every
+    array as `array` encodes it."""
     entries = []
     for e in registry.entries:
         entry = {
             "speaker_id": e.speaker_id, "cluster_id": e.cluster_id,
             "language_tag": e.language_tag, "is_impostor": e.is_impostor,
-            "model": v1_document("speaker_model", e.model)["payload"],
+            "model": v1_document("speaker_model", e.model, array)["payload"],
         }
         if e.ivector is not None:
-            entry["ivector"] = decimal(e.ivector.w)
+            entry["ivector"] = array(e.ivector.w)
         entries.append(entry)
     return {"kind": "registry", "format_version": 1, "payload": {"entries": entries}}
 
 
-def v2_registry_document(registry):
-    """A registry as version 2 writes it: decimal strings over one shared block."""
-    document = v1_registry_document(registry)
+def v2_registry_document(registry, array=decimal):
+    """A registry as version 2 writes it: decimal strings (or what `array` encodes) over
+    one shared block."""
+    document = v1_registry_document(registry, array)
     first = registry.entries[0].model.gmm
     shared = {"weights": first.weights, "variances": first.variances}
     for e, entry in zip(registry.entries, document["payload"]["entries"]):
-        for name, array in shared.items():
-            if np.array_equal(getattr(e.model.gmm, name), array):
+        for name, value in shared.items():
+            if np.array_equal(getattr(e.model.gmm, name), value):
                 del entry["model"][name]
-    document["payload"]["shared"] = {name: decimal(a) for name, a in shared.items()}
+    document["payload"]["shared"] = {name: array(a) for name, a in shared.items()}
     document["format_version"] = 2
     return document
+
+
+def v3_registry_document(registry):
+    """A registry as version 3 writes it: base64 records over one shared block."""
+    return v2_registry_document(registry, f8) | {"format_version": 3}
+
+
+def read_artifact(path):
+    """A saved artifact's JSON envelope, from its first line, and the bytes after that line:
+    the raw sections of a binary kind, nothing for `gmm` and `report`."""
+    line, _, body = path.read_bytes().partition(b"\n")
+    return json.loads(line), body
+
+
+def write_artifact(path, document, body=b""):
+    """`document` on one line, padded with spaces to 8 bytes as `save` pads it, then body."""
+    header = json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(header + b" " * (-(len(header) + 1) % 8) + b"\n" + body)
 
 
 def count_keys(node, key):
@@ -395,7 +429,7 @@ def test_registry_round_trip(gmms, tmp_path):
     registry = registry_of(*gmms(np.random.default_rng(30)))
     path = tmp_path / "r.json"
     store.save(registry, "registry", path)
-    assert json.loads(path.read_text())["format_version"] == 3
+    assert read_artifact(path)[0]["format_version"] == 4
     assert_equal_artifact("registry", registry, store.load(path, "registry"))
 
 
@@ -403,7 +437,7 @@ def test_registry_entries_share_the_shared_arrays(tmp_path):
     rng = np.random.default_rng(31)
     registry = adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 3)
     store.save(registry, "registry", tmp_path / "r.json")
-    document = json.loads((tmp_path / "r.json").read_text())
+    document, _ = read_artifact(tmp_path / "r.json")
     assert all(set(e["model"]) == {"speaker_id", "means"} for e in document["payload"]["entries"])
     loaded = [e.model.gmm for e in store.load(tmp_path / "r.json", "registry").entries]
     assert all(g.weights is loaded[0].weights for g in loaded)
@@ -413,10 +447,10 @@ def test_registry_entries_share_the_shared_arrays(tmp_path):
 def test_registry_field_missing_without_shared_block(tmp_path):
     path = tmp_path / "r.json"
     store.save(registry_of(random_gmm(np.random.default_rng(32))), "registry", path)
-    document = json.loads(path.read_text())
+    document, body = read_artifact(path)
     del document["payload"]["shared"]
-    path.write_text(json.dumps(document))
-    with pytest.raises(CorruptArtifact):
+    write_artifact(path, document, body)
+    with pytest.raises(CorruptArtifact, match="lacks"):
         store.load(path, "registry")
 
 
@@ -427,22 +461,26 @@ def test_registry_shared_block_is_checked(how, tmp_path):
     rng = np.random.default_rng(33)
     path = tmp_path / "r.json"
     store.save(adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 2), "registry", path)
-    document = json.loads(path.read_text())
+    document, body = read_artifact(path)
     payload = document["payload"]
     node, key = {"weights-sum": (payload["shared"], "weights"),
                  "variance-zero": (payload["shared"], "variances"),
                  "means-shape": (payload["entries"][1]["model"], "means")}[how]
-    values = np.frombuffer(base64.b64decode(node[key]["f8"]), "<f8").copy()
+    record = node[key]
+    values = np.frombuffer(body, "<f8", math.prod(record["shape"]), record["at"]).copy()
     if how == "weights-sum":
         values *= 1.5  # positive and finite, summing to 1.5
     elif how == "variance-zero":
         values[5] = 0.0
     else:
         values = values[:9]  # (3, 3) against the shared block's (4, 3)
-        node[key]["shape"] = [3, 3]
-    node[key]["f8"] = base64.b64encode(values.tobytes()).decode("ascii")
-    path.write_text(json.dumps(document))
-    with pytest.raises(CorruptArtifact):
+        record["shape"] = [3, 3]
+    body = bytearray(body)
+    body[record["at"]:record["at"] + values.nbytes] = values.tobytes()
+    write_artifact(path, document, bytes(body))
+    message = {"weights-sum": "sum to 1", "variance-zero": "variances must be positive",
+               "means-shape": "means of shape"}[how]
+    with pytest.raises(CorruptArtifact, match=message):
         store.load(path, "registry")
 
 
@@ -456,7 +494,7 @@ def test_registry_entry_with_own_variances_round_trips(tmp_path):
                                model=SpeakerModel(speaker_id="own", gmm=own)))
     path = tmp_path / "r.json"
     store.save(registry, "registry", path)
-    entries = json.loads(path.read_text())["payload"]["entries"]
+    entries = read_artifact(path)[0]["payload"]["entries"]
     assert set(entries[2]["model"]) == {"speaker_id", "means", "variances"}
     loaded = store.load(path, "registry").entries
     for ours, theirs in zip(registry.entries, loaded):
@@ -466,19 +504,21 @@ def test_registry_entry_with_own_variances_round_trips(tmp_path):
     assert loaded[2].model.gmm.weights is loaded[0].model.gmm.weights
 
 
-# kind: (the version it writes, the number of binary records it holds)
-WRITTEN = {"gmm": (1, 0), "report": (1, 0), "ubm": (2, 3), "speaker_model": (2, 3),
-           "tv_model": (2, 3), "ivector": (2, 1)}
+# kind: (the version it writes, the number of raw sections it holds)
+WRITTEN = {"gmm": (1, 0), "report": (1, 0), "ubm": (3, 3), "speaker_model": (3, 3),
+           "tv_model": (3, 3), "ivector": (3, 1), "registry": (4, 7)}
 
 
 def test_written_format_versions(tmp_path):
-    """gmm and report stay decimal at version 1; every array of the model
-    kinds is a binary record at version 2."""
+    """gmm and report stay decimal at version 1; every array of the binary
+    kinds is a raw section, and none is base64."""
     rng = np.random.default_rng(33)
     for kind, expected in WRITTEN.items():
         store.save(random_artifact(kind, rng), kind, tmp_path / kind)
-        document = json.loads((tmp_path / kind).read_text())
-        assert (document["format_version"], count_keys(document, "f8")) == expected, kind
+        document, body = read_artifact(tmp_path / kind)
+        assert (document["format_version"], count_keys(document, "at")) == expected, kind
+        assert count_keys(document, "f8") == 0
+        assert (body == b"") == (kind in ("gmm", "report"))
 
 
 @pytest.mark.parametrize("kind", ["ubm", "speaker_model", "tv_model", "ivector"])
@@ -493,15 +533,15 @@ def test_v1_model_loads_bit_identical(kind, tmp_path):
 
 
 @pytest.mark.parametrize("kind, version", [
-    ("gmm", True), ("gmm", 1.0), ("gmm", "1"), ("ubm", 2.0), ("registry", 3.0),
+    ("gmm", True), ("gmm", 1.0), ("gmm", "1"), ("ubm", 2.0), ("registry", 3.0), ("registry", 4.0),
 ])
 def test_format_version_must_be_an_integer(kind, version, tmp_path):
     """JSON true and 1.0 equal 1 in Python, but name no version."""
     path = tmp_path / "a.json"
     store.save(random_artifact(kind, np.random.default_rng(49)), kind, path)
-    document = json.loads(path.read_text())
+    document, body = read_artifact(path)
     document["format_version"] = version
-    path.write_text(json.dumps(document))
+    write_artifact(path, document, body)
     with pytest.raises(UnsupportedVersion):
         store.load(path, kind)
 
@@ -527,7 +567,7 @@ def test_v2_registry_loads_bit_identical(tmp_path):
 
 
 def enroll_into_old_registry(document, tmp_path):
-    """`voxid enroll` into a registry written as `document` writes version 3
+    """`voxid enroll` into a registry written as `document` writes version 4
     and keeps every old entry bit for bit."""
     rng = np.random.default_rng(35)
     ubm, ubm_path, feat_path = cli_world(tmp_path, rng)
@@ -536,29 +576,23 @@ def enroll_into_old_registry(document, tmp_path):
     path.write_text(json.dumps(document(old)))
     assert cli_main(["enroll", "--speaker-id", "new", "--registry", str(path),
                      "--ubm", str(ubm_path), str(feat_path)]) == EXIT_OK
-    assert json.loads(path.read_text())["format_version"] == 3
+    assert read_artifact(path)[0]["format_version"] == 4
     loaded = store.load(path, "registry")
     assert [e.speaker_id for e in loaded.entries] == ["old0", "old1", "old2", "new"]
     old.entries.append(loaded.entries[-1])
     assert_equal_artifact("registry", old, loaded)
 
 
-def test_enroll_rewrites_v1_registry_as_v3(tmp_path):
+def test_enroll_rewrites_v1_registry_as_v4(tmp_path):
     enroll_into_old_registry(v1_registry_document, tmp_path)
 
 
-def test_enroll_rewrites_v2_registry_as_v3(tmp_path):
+def test_enroll_rewrites_v2_registry_as_v4(tmp_path):
     enroll_into_old_registry(v2_registry_document, tmp_path)
 
 
-def test_registry_version_4_unsupported(tmp_path):
-    path = tmp_path / "r.json"
-    store.save(registry_of(random_gmm(np.random.default_rng(36))), "registry", path)
-    document = json.loads(path.read_text())
-    document["format_version"] = 4
-    path.write_text(json.dumps(document))
-    with pytest.raises(UnsupportedVersion):
-        store.load(path, "registry")
+def test_enroll_rewrites_v3_registry_as_v4(tmp_path):
+    enroll_into_old_registry(v3_registry_document, tmp_path)
 
 
 def test_shared_block_written_once(tmp_path):
@@ -568,7 +602,7 @@ def test_shared_block_written_once(tmp_path):
     for i in range(20):
         assert cli_main(["enroll", "--speaker-id", f"s{i}", "--registry", str(path),
                          "--ubm", str(ubm_path), str(feat_path)]) == EXIT_OK
-    document = json.loads(path.read_text())
+    document, _ = read_artifact(path)
     assert len(document["payload"]["entries"]) == 20
     assert count_keys(document, "weights") == 1
     assert count_keys(document, "variances") == 1
@@ -640,9 +674,10 @@ def test_json_null_is_corrupt(where, tmp_path):
 def test_inspect_prints_the_format_version(tmp_path, capsys):
     rng = np.random.default_rng(47)
     registry = adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 2)
-    store.save(registry, "registry", tmp_path / "v3.json")
+    store.save(registry, "registry", tmp_path / "v4.json")
+    (tmp_path / "v3.json").write_text(json.dumps(v3_registry_document(registry)))
     (tmp_path / "v2.json").write_text(json.dumps(v2_registry_document(registry)))
-    for version in (2, 3):
+    for version in (2, 3, 4):
         assert cli_main(["inspect", str(tmp_path / f"v{version}.json")]) == EXIT_OK
         out = capsys.readouterr().out.splitlines()
         assert out[:2] == ["kind: registry", f"format_version: {version}"]
@@ -652,7 +687,7 @@ def test_inspect_prints_the_format_version(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["kind: features", "frames: 2 x 2"]
 
 
-# --- registry format v3: arrays as binary-exact float64 records --------------
+# --- registry format v3: arrays as base64 float64 records ------------------
 
 def corrupt_record(record, how):
     """`record` damaged as `how` names; returns what the document holds instead."""
@@ -686,8 +721,7 @@ def test_bad_v3_record_is_corrupt(where, how, tmp_path):
     registry.add(RegistryEntry(speaker_id="other", cluster_id="c",
                                model=SpeakerModel(speaker_id="other", gmm=random_gmm(rng, 2, 3))))
     path = tmp_path / "r.json"
-    store.save(registry, "registry", path)
-    document = json.loads(path.read_text())
+    document = v3_registry_document(registry)
     payload = document["payload"]
     node, key = {
         "shared-weights": (payload["shared"], "weights"),
@@ -710,8 +744,7 @@ def test_bad_v3_record_is_corrupt(where, how, tmp_path):
 ])
 def test_bad_v2_record_is_corrupt(kind, field, how, tmp_path):
     path = tmp_path / "a.json"
-    store.save(random_artifact(kind, np.random.default_rng(50)), kind, path)
-    document = json.loads(path.read_text())
+    document = v2_document(kind, random_artifact(kind, np.random.default_rng(50)))
     payload = document["payload"]
     payload[field] = corrupt_record(payload[field], how)
     path.write_text(json.dumps(document))
@@ -719,23 +752,9 @@ def test_bad_v2_record_is_corrupt(kind, field, how, tmp_path):
         store.load(path, kind)
 
 
-def test_v3_record_is_base64_of_little_endian_float64(tmp_path):
-    rng = np.random.default_rng(43)
-    registry = adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 2)
-    store.save(registry, "registry", tmp_path / "r.json")
-    payload = json.loads((tmp_path / "r.json").read_text())["payload"]
-
-    def decode(record):
-        return np.frombuffer(base64.b64decode(record["f8"]), "<f8").reshape(record["shape"])
-    first = registry.entries[0]
-    assert np.array_equal(decode(payload["shared"]["weights"]), first.model.gmm.weights)
-    assert np.array_equal(decode(payload["shared"]["variances"]), first.model.gmm.variances)
-    for e, entry in zip(registry.entries, payload["entries"]):
-        assert np.array_equal(decode(entry["model"]["means"]), e.model.gmm.means)
-        assert np.array_equal(decode(entry["ivector"]), e.ivector.w)
-
-
 def test_v3_round_trip_is_bit_exact_at_the_edges(tmp_path):
+    """A version 3 registry loads bit for bit, and so does the version 4 that `save`
+    writes of it, which a second save repeats byte for byte."""
     edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                       -1.7976931348623157e308])
     rng = np.random.default_rng(44)
@@ -753,17 +772,200 @@ def test_v3_round_trip_is_bit_exact_at_the_edges(tmp_path):
     registry = registry_of(*gmms)
     for entry in registry.entries:
         entry.ivector = IVector(np.concatenate([edges, rng.normal(0, 1, 2)]))
+    v3, v4 = tmp_path / "v3.json", tmp_path / "v4.json"
+    v3.write_text(json.dumps(v3_registry_document(registry)))
+    store.save(store.load(v3, "registry"), "registry", v4)
+    for path in (v3, v4):
+        loaded = store.load(path, "registry")
+        for a, b in zip(registry.entries, loaded.entries):
+            for name in ("weights", "means", "variances"):
+                original, reread = getattr(a.model.gmm, name), getattr(b.model.gmm, name)
+                assert original.shape == reread.shape
+                assert np.array_equal(original.view(np.uint64), reread.view(np.uint64))
+            assert np.array_equal(a.ivector.w.view(np.uint64), b.ivector.w.view(np.uint64))
+    store.save(store.load(v4, "registry"), "registry", tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == v4.read_bytes()
+
+
+# --- raw sections: registry v4 and model v3 ----------------------------------
+
+def test_v4_sections_are_little_endian_float64(tmp_path):
+    """The header line ends on an 8-byte boundary, and the body is each array's
+    little-endian float64 bytes, back to back in payload order: the shared block, then
+    each entry's means and i-vector."""
+    rng = np.random.default_rng(43)
+    registry = adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 2)
     path = tmp_path / "r.json"
     store.save(registry, "registry", path)
-    loaded = store.load(path, "registry")
-    for a, b in zip(registry.entries, loaded.entries):
-        for name in ("weights", "means", "variances"):
-            original, reread = getattr(a.model.gmm, name), getattr(b.model.gmm, name)
-            assert original.shape == reread.shape
-            assert np.array_equal(original.view(np.uint64), reread.view(np.uint64))
-        assert np.array_equal(a.ivector.w.view(np.uint64), b.ivector.w.view(np.uint64))
-    store.save(loaded, "registry", tmp_path / "again.json")
-    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    data = path.read_bytes()
+    document, body = read_artifact(path)
+    assert (len(data) - len(body)) % 8 == 0
+    payload = document["payload"]
+
+    def decode(record):
+        return np.frombuffer(body, "<f8", math.prod(record["shape"]), record["at"]).reshape(
+            record["shape"])
+    first = registry.entries[0]
+    assert np.array_equal(decode(payload["shared"]["weights"]), first.model.gmm.weights)
+    assert np.array_equal(decode(payload["shared"]["variances"]), first.model.gmm.variances)
+    records = [payload["shared"]["weights"], payload["shared"]["variances"]]
+    for e, entry in zip(registry.entries, payload["entries"]):
+        assert np.array_equal(decode(entry["model"]["means"]), e.model.gmm.means)
+        assert np.array_equal(decode(entry["ivector"]), e.ivector.w)
+        records += [entry["model"]["means"], entry["ivector"]]
+    sizes = [8 * math.prod(r["shape"]) for r in records]
+    assert [r["at"] for r in records] == np.cumsum([0] + sizes[:-1]).tolist()
+    assert sum(sizes) == len(body)
+
+
+def section_artifact(where, tmp_path):
+    """A saved artifact of raw sections, its envelope and body, and the dict and key of
+    the record that `where` names."""
+    rng = np.random.default_rng(51)
+    kind, *keys = where.split("/")
+    if kind == "registry":
+        artifact = adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 2)
+        artifact.add(RegistryEntry(speaker_id="other", cluster_id="c", model=SpeakerModel(
+            speaker_id="other", gmm=random_gmm(rng, 2, 3))))
+    else:
+        artifact = random_artifact(kind, rng)
+    path = tmp_path / "a.json"
+    store.save(artifact, kind, path)
+    document, body = read_artifact(path)
+    node = document["payload"]
+    for key in keys[:-1]:
+        node = node[int(key) if key.isdigit() else key]
+    return kind, path, document, body, node, keys[-1]
+
+
+SECTION_WHERE = ["ubm/weights", "ubm/means", "ubm/variances", "speaker_model/means",
+                 "tv_model/m", "tv_model/sigma", "tv_model/t_matrix", "ivector/w",
+                 "registry/shared/weights", "registry/shared/variances",
+                 "registry/entries/1/model/means", "registry/entries/2/model/weights",
+                 "registry/entries/0/ivector"]
+
+
+@pytest.mark.parametrize("how", ["null", "digit-string", "base64-record", "wrong-rank",
+                                 "negative-shape", "missing-shape", "missing-at",
+                                 "negative-at", "float-at", "string-at", "unaligned-at",
+                                 "at-past-the-end", "nan", "inf"])
+@pytest.mark.parametrize("where", SECTION_WHERE)
+def test_bad_section_record_is_corrupt(where, how, tmp_path):
+    kind, path, document, body, node, key = section_artifact(where, tmp_path)
+    record = node[key]
+    if how == "null":
+        node[key] = None
+    elif how == "digit-string":
+        node[key] = "0123"
+    elif how == "base64-record":  # the record of the older version, in the newer
+        node[key] = f8(np.frombuffer(body, "<f8", math.prod(record["shape"]), record["at"]))
+    elif how == "wrong-rank":  # same byte count: (l, k) as (l*k,), (l,) as (l, 1)
+        shape = record["shape"]
+        record["shape"] = [shape[0] * shape[1]] if len(shape) == 2 else shape + [1]
+    elif how == "negative-shape":
+        record["shape"] = [-n for n in record["shape"]]
+    elif how in ("missing-shape", "missing-at"):
+        del record[how.split("-")[1]]
+    elif how == "negative-at":
+        record["at"] = -8
+    elif how == "float-at":
+        record["at"] = float(record["at"])
+    elif how == "string-at":
+        record["at"] = str(record["at"])
+    elif how == "unaligned-at":
+        record["at"] += 4
+    elif how == "at-past-the-end":
+        record["at"] = len(body)
+    else:  # a non-finite first value
+        body = bytearray(body)
+        body[record["at"]:record["at"] + 8] = np.array([float(how)], "<f8").tobytes()
+        body = bytes(body)
+    write_artifact(path, document, body)
+    with pytest.raises(CorruptArtifact, match="body's end" if how == "at-past-the-end" else None):
+        store.load(path, kind)
+
+
+@pytest.mark.parametrize("how", ["truncated-body", "bytes-after-the-last-section",
+                                 "header-not-json", "header-on-many-lines"])
+@pytest.mark.parametrize("kind", ["ubm", "speaker_model", "tv_model", "ivector", "registry"])
+def test_damaged_raw_file_is_corrupt(kind, how, tmp_path, capsys):
+    path = tmp_path / "a.json"
+    store.save(random_artifact(kind, np.random.default_rng(52)), kind, path)
+    document, body = read_artifact(path)
+    if how == "truncated-body":
+        write_artifact(path, document, body[:-8])
+    elif how == "bytes-after-the-last-section":
+        write_artifact(path, document, body + bytes(8))
+    elif how == "header-not-json":
+        path.write_bytes(b"{" + path.read_bytes())
+    else:
+        path.write_bytes(json.dumps(document, indent=2).encode("ascii") + b"\n" + body)
+    with pytest.raises(CorruptArtifact):
+        store.load(path, kind)
+    assert cli_main(["inspect", str(path)]) == EXIT_DATA
+    assert "CorruptArtifact" in capsys.readouterr().err
+
+
+def test_sections_over_the_whole_body_in_any_order_load(tmp_path):
+    """Offsets, not order, place the sections: a writer may lay them out in any order."""
+    rng = np.random.default_rng(53)
+    tv = random_artifact("tv_model", rng)
+    path = tmp_path / "tv.json"
+    store.save(tv, "tv_model", path)
+    document, body = read_artifact(path)
+    payload = document["payload"]
+    names = ["t_matrix", "m", "sigma"]  # saved as m, sigma, t_matrix
+    at, chunks = 0, []
+    for name in names:
+        record = payload[name]
+        size = 8 * math.prod(record["shape"])
+        chunks.append(body[record["at"]:record["at"] + size])
+        record["at"], at = at, at + size
+    write_artifact(path, document, b"".join(chunks))
+    assert_equal_artifact("tv_model", tv, store.load(path, "tv_model"))
+
+
+def test_raw_section_envelope_is_one_line(tmp_path):
+    """The body starts after the envelope's line, so a multi-line envelope has none,
+    even where no array needs one."""
+    path = tmp_path / "r.json"
+    store.save(SpeakerRegistry(), "registry", path)
+    document, body = read_artifact(path)
+    assert body == b""
+    path.write_text(json.dumps(document, indent=2))
+    with pytest.raises(CorruptArtifact, match="one line"):
+        store.load(path, "registry")
+
+
+OLDER_VERSIONS = [("gmm", 1), ("report", 1), ("ubm", 1), ("ubm", 2), ("speaker_model", 1),
+                  ("speaker_model", 2), ("tv_model", 1), ("tv_model", 2), ("ivector", 1),
+                  ("ivector", 2), ("registry", 1), ("registry", 2), ("registry", 3)]
+
+
+@pytest.mark.parametrize("kind, version", OLDER_VERSIONS)
+def test_older_versions_load_bit_identical(kind, version, tmp_path):
+    """Every version before the one `save` writes still loads, compact on one line or
+    pretty-printed over many."""
+    rng = np.random.default_rng(54)
+    artifact = (adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 3) if kind == "registry"
+                else random_artifact(kind, rng))
+    path = tmp_path / "old.json"
+    if kind in ("gmm", "report"):  # the version `save` still writes
+        store.save(artifact, kind, path)
+        document = json.loads(path.read_text())
+    elif kind == "registry":
+        document = (v1_registry_document, v2_registry_document,
+                    v3_registry_document)[version - 1](artifact)
+    else:
+        document = (v1_document, v2_document)[version - 1](kind, artifact)
+    assert document["format_version"] == version
+    for text in (json.dumps(document), json.dumps(document, indent=2)):
+        path.write_text(text + "\n")
+        assert store.load_any(path)[1] == version
+        assert_equal_artifact(kind, artifact, store.load(path, kind))
+    path.write_text(json.dumps(document) + "\n{}")
+    with pytest.raises(CorruptArtifact):  # as before, nothing may follow the document
+        store.load(path, kind)
 
 
 ENROLL_LOOP = """
