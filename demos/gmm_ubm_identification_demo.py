@@ -33,11 +33,7 @@ registry = SpeakerRegistry()
 truths = {}
 for i in range(N_SPEAKERS):
     sid = f"speaker-{i}"
-    truth = DiagonalGmm(
-        weights=base.weights,
-        means=base.means + rng.normal(0, 1.0, base.means.shape),
-        variances=base.variances,
-    )
+    truth = base.with_means(base.means + rng.normal(0, 1.0, base.means.shape))
     truths[sid] = truth
     enroll = sample_from_gmm(truth, 2000, rng)
     model = map_adapt(accumulate_stats(enroll, ubm), ubm, relevance=16.0, speaker_id=sid)

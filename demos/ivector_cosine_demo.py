@@ -34,11 +34,7 @@ speakers = {}
 chunks = []
 for i in range(N_SPEAKERS):
     sid = f"spk{i}"
-    truth = DiagonalGmm(
-        weights=base.weights,
-        means=base.means + rng.normal(0, SPREAD, base.means.shape),
-        variances=base.variances,
-    )
+    truth = base.with_means(base.means + rng.normal(0, SPREAD, base.means.shape))
     speakers[sid] = truth
     enroll = sample_from_gmm(truth, 2400, rng)
     for start in range(0, enroll.count_L, 300):
@@ -57,11 +53,7 @@ print("\ncosine scores against each enrolled i-vector "
       "(threshold 0.5, '*' marks the true speaker):")
 trials = [(sid, speakers[sid], True) for sid in speakers]
 for j in range(3):
-    ghost = DiagonalGmm(
-        weights=base.weights,
-        means=base.means + rng.normal(0, SPREAD, base.means.shape),
-        variances=base.variances,
-    )
+    ghost = base.with_means(base.means + rng.normal(0, SPREAD, base.means.shape))
     trials.append((f"imp{j}", ghost, False))
 
 ids = sorted(enrolled)

@@ -52,44 +52,34 @@ def _in_two_runs(work, items, rows: int) -> list:
     return head + tail.result()  # leaving the block joined the thread, also on a raise
 
 
-def _frozen(array: np.ndarray) -> bool:
-    """Whether nothing can write array's memory: it and every array in its .base chain are
-    read-only, down to an owner that is an array or a read-only buffer (the bytes a file
-    was read into, say). A read-only view of a writeable array changes when that array does."""
-    while isinstance(array, np.ndarray):
-        if array.flags.writeable:
-            return False
-        array = array.base
-    if array is None:
-        return True
-    try:
-        with memoryview(array) as view:
-            return view.readonly
-    except TypeError:  # no buffer to ask
-        return False
-
-
 def _read_only(values) -> np.ndarray:
-    """values as a read-only float64 array: a frozen one is shared, anything else is copied,
-    so a model's arrays never change under what is built from them and kept (_reused's
-    slots, TotalVariabilityModel.precision_blocks)."""
-    if isinstance(values, np.ndarray) and values.dtype == np.float64 and _frozen(values):
-        return values
-    array = np.array(values, dtype=np.float64)
-    array.flags.writeable = False
-    return array
+    """values as a float64 array that nothing can write. One whose memory lives in a bytes
+    object (found through ndarray .base and memoryview .obj: the bytes a file was read into,
+    or an earlier _read_only's) is shared; anything else is copied once into new bytes.
+    numpy refuses to make a view of bytes writeable, so a model's arrays never change under
+    what is built from them and kept (_reused's slots, TotalVariabilityModel.precision_blocks)."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        root = values
+        while isinstance(root, (np.ndarray, memoryview)):
+            root = root.base if isinstance(root, np.ndarray) else root.obj
+        if isinstance(root, bytes):
+            return values
+    array = np.asarray(values, np.float64)
+    return np.frombuffer(array.tobytes()).reshape(array.shape)
 
 
 def _reused(build, items):
     """build(items), kept in items[0]'s one slot and reused while items[1:] are the same
-    objects (`is`), in order: their arrays are read-only, so a kept build never goes stale.
-    Each kind of head has one build (_stack for mixtures, cosine_targets for i-vectors)."""
+    objects (`is`), in order: their arrays never change (_read_only), so a kept build
+    never goes stale. Each kind of head has one build (_stack for mixtures,
+    cosine_targets for i-vectors)."""
     head, rest = items[0], tuple(items[1:])
     kept = getattr(head, "_slot", None)  # read once, so a concurrent store is harmless
     if kept is not None and len(kept[0]) == len(rest) and all(map(operator.is_, kept[0], rest)):
         return kept[1]
     built = build(items)
-    object.__setattr__(head, "_slot", (rest, built))  # not a field: never compared or serialised
+    # not a field, so never compared or saved by store (pickle and deepcopy do carry it)
+    object.__setattr__(head, "_slot", (rest, built))
     return built
 
 

@@ -183,6 +183,8 @@ class _Sections:
 # --- feature matrices (binary) ----------------------------------------------
 
 def write_features(feats: FeatureMatrix, path):
+    if feats.dim_k == 0:  # the loader rejects such a file as corrupt
+        raise DimensionMismatch("feature dimension is 0")
     header = _MAGIC + struct.pack("<II", feats.dim_k, feats.count_L)
     try:
         with np.errstate(over="raise"):  # a frame past float32's range would load as inf

@@ -109,10 +109,8 @@ def init_tv(ubm: Ubm, rank_R: int, rng_seed: int = 0) -> TotalVariabilityModel:
         raise RankTooLarge(f"rank {rank_R} >= supervector size {ck}")
     rng = np.random.default_rng(rng_seed)
     scale = 0.1 * float(np.mean(np.sqrt(sigma)))
-    t = rng.standard_normal((ck, rank_R)) * scale
-    t.flags.writeable = False  # so the model shares t instead of copying it
     return TotalVariabilityModel(
-        m=m, sigma=sigma, t_matrix=t,
+        m=m, sigma=sigma, t_matrix=rng.standard_normal((ck, rank_R)) * scale,
         num_components=ubm.gmm.num_components, dim_k=ubm.gmm.dim_k,
     )
 
@@ -214,6 +212,6 @@ def train_tv(stats_set, tv: TotalVariabilityModel, iterations: int = 10
             unpacked[flat] = acc[:, j]
             factor = _cholesky(unpacked.reshape(r, r, order="F"), f"M-step A_{j}")
             t[j * k:(j + 1) * k] = dpotrs(factor, t[j * k:(j + 1) * k].T, lower=1)[0].T
-        t.flags.writeable = False  # so the model shares t instead of copying it
         model = TotalVariabilityModel(tv.m, tv.sigma, t, c, k)
+        del t  # the model holds its own copy, so the next E-step holds one T
     return model

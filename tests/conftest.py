@@ -17,3 +17,30 @@ def make_clip_wav(tmp_path):
         return path
 
     return _make
+
+
+@pytest.fixture(params=["owner-set-writeable-again", "read-only-memoryview-of-bytearray"])
+def caller_memory(request):
+    """Factory for a read-only float64 array whose memory its caller can still write:
+    (a) an array that owns its memory, set read-only, or (b) a view of a read-only
+    memoryview of a bytearray. make(values) returns (array, add); add(x) adds x to the
+    memory, in (a) by setting the array writeable again."""
+
+    def make(values):
+        values = np.array(values, dtype=np.float64)
+        if request.param == "owner-set-writeable-again":
+            array = values.copy()
+            array.flags.writeable = False
+
+            def add(x):
+                array.flags.writeable = True
+                array[...] += x
+        else:
+            memory = bytearray(values.tobytes())
+            array = np.frombuffer(memoryview(memory).toreadonly()).reshape(values.shape)
+
+            def add(x):
+                np.frombuffer(memory)[:] += x
+        return array, add
+
+    return make

@@ -962,8 +962,9 @@ class TestStackCache:
 
 
 class TestReadOnlyArrays:
-    """A mixture holds read-only float64 arrays: a writeable array it is given is copied and
-    one that already is read-only float64 is shared, so no kept stack goes stale."""
+    """A mixture holds float64 arrays that nothing can write: one whose memory lives in a
+    bytes object is shared, and any other array it is given is copied into new bytes, so no
+    kept stack goes stale."""
 
     def test_writeable_arrays_are_copied_and_read_only_ones_shared(self):
         rng = np.random.default_rng(66)
@@ -1024,6 +1025,47 @@ class TestReadOnlyArrays:
         assert sequence_log_likelihood(feats, model) == before == expected
         assert np.array_equal(model.with_means(view).means, view)
         assert model.with_means(view).means is not view
+
+    def test_scores_ignore_writes_to_read_only_memory_the_caller_can_write(self, caller_memory):
+        rng = np.random.default_rng(69)
+        feats = FeatureMatrix(rng.normal(0, 2, (50, 3)))
+        values = [np.full(4, 0.25), rng.uniform(0.5, 1.5, (4, 3)),
+                  rng.normal(0, 1, (4, 3)), rng.normal(0, 1, (4, 3))]
+        given = [caller_memory(a) for a in values]
+        (weights, _), (variances, _), (first, _), (second, _) = given
+
+        def build():
+            base = DiagonalGmm(weights=weights, means=first, variances=variances)
+            return [base, base.with_means(second)]
+
+        scored, unscored = build(), build()
+        sequence_log_likelihoods(feats, scored)  # keeps the LLR stack in scored[0]'s slot
+        gmm_module.posterior_sums(feats.frames, scored[1])  # and the E-step's in scored[1]'s
+        for _, add in given:
+            add(3.0)
+        weights, variances, first, second = values  # build() now reads the values as given
+        copies = build()
+        for models in (scored, unscored):
+            assert np.array_equal(models[1].means, second)
+            assert np.array_equal(sequence_log_likelihoods(feats, models),
+                                  sequence_log_likelihoods(feats, copies))
+            for got, expected in zip(gmm_module.posterior_sums(feats.frames, models[1]),
+                                     gmm_module.posterior_sums(feats.frames, copies[1])):
+                assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("given", ["writeable", "read-only", "list"])
+    def test_held_arrays_cannot_be_made_writeable(self, given):
+        rng = np.random.default_rng(71)
+        arrays = [np.full(2, 0.5), rng.normal(0, 1, (2, 3)), rng.uniform(0.5, 1.5, (2, 3))]
+        for array in arrays:
+            array.flags.writeable = given != "read-only"
+        if given == "list":
+            arrays = [array.tolist() for array in arrays]
+        model = DiagonalGmm(*arrays)
+        for held in (model.weights, model.means, model.variances,
+                     model.with_means(arrays[1]).means):
+            with pytest.raises(ValueError):
+                held.flags.writeable = True
 
     def test_views_of_read_only_bytes_are_shared(self):
         # as store loads raw sections: views of the immutable bytes a file was read into
@@ -1241,28 +1283,51 @@ class TestTwoRuns:
         assert threading.active_count() == before
         assert splits == []
 
-    def test_memory_does_not_grow_with_the_frames(self, worker, monkeypatch):
-        worker(True)
-        block, components, dim = gmm_module.BLOCK, 128, 2
+    MEASURED_COMPONENTS, MEASURED_DIM = 128, 2
+
+    def measured_passes(self, worker, monkeypatch):
+        """An E-step pass and a one-iteration em_fit over MEASURED_COMPONENTS components, each
+        as a function of the frames, and 20 * BLOCK frames; the split's imports come first."""
+        components, dim = self.MEASURED_COMPONENTS, self.MEASURED_DIM
         rng = np.random.default_rng(70)
         model = DiagonalGmm(weights=np.full(components, 1 / components),
                             means=rng.normal(0, 1, (components, dim)),
                             variances=rng.uniform(0.5, 1.5, (components, dim)))
         monkeypatch.setattr(gmm_module, "_initial_model", lambda *args: model)
         config = GmmTrainingConfig(num_components=components, max_iterations=1)
-        frames = rng.normal(0, 1, (20 * block, dim))
+        frames = rng.normal(0, 1, (20 * gmm_module.BLOCK, dim))
+        worker(True)
         gmm_module.posterior_sums(frames, model)  # concurrent.futures is imported before measuring
-        for call in (lambda x: gmm_module.posterior_sums(x, model),
-                     lambda x: em_fit(FeatureMatrix(x), config)):
-            peaks = []
-            for frames_l in (10 * block, 20 * block):
-                tracemalloc.start()
-                try:
-                    call(frames[:frames_l])
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
-            # the extra frames' log-likelihoods, and one (C, BLOCK) block for the moment at
-            # which the two runs' blocks overlap; a pass that kept every block's posteriors
-            # would add ten such blocks
+        return (lambda x: gmm_module.posterior_sums(x, model),
+                lambda x: em_fit(FeatureMatrix(x), config)), frames
+
+    @staticmethod
+    def peak(call, frames):
+        tracemalloc.start()
+        try:
+            call(frames)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_does_not_grow_with_the_frames(self, worker, monkeypatch):
+        calls, frames = self.measured_passes(worker, monkeypatch)
+        block, components = gmm_module.BLOCK, self.MEASURED_COMPONENTS
+        worker(False)  # one run, so the peak is the same on every pass
+        for call in calls:
+            peaks = [self.peak(call, frames[:frames_l]) for frames_l in (10 * block, 20 * block)]
+            # the extra frames' log-likelihoods, and one (C, BLOCK) block to spare; a pass
+            # that kept every block's posteriors would add ten such blocks
             assert peaks[1] - peaks[0] < 10 * block * 8 + components * block * 8
+
+    def test_a_split_pass_holds_one_more_block(self, worker, monkeypatch):
+        calls, frames = self.measured_passes(worker, monkeypatch)
+        block, components, dim = gmm_module.BLOCK, self.MEASURED_COMPONENTS, self.MEASURED_DIM
+        # one block's working set: its posteriors (C, BLOCK), and at most four (BLOCK, 2k + 1)
+        # arrays for its terms, the temporaries that build them and its moments, which also
+        # cover the thread's bookkeeping; a pass that kept every block's posteriors would
+        # add ten (C, BLOCK) blocks
+        working_set = (components + 4 * (2 * dim + 1)) * block * 8
+        for call in calls:
+            serial, split = self.both(worker, lambda: self.peak(call, frames))
+            assert split < serial + working_set

@@ -237,6 +237,13 @@ def test_zero_dimension_features(tmp_path):
         store.load(path, "features")
 
 
+def test_zero_dimension_features_are_not_written(tmp_path):
+    # frames of 0 coordinates would be a 13-byte file that load rejects as corrupt
+    with pytest.raises(DimensionMismatch, match="dimension is 0"):
+        store.save(FeatureMatrix(np.zeros((5, 0))), "features", tmp_path / "empty.feat")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("kind, field", [
     ("ubm", "weights"), ("ubm", "means"), ("ubm", "variances"),
@@ -443,6 +450,18 @@ def test_registry_entries_share_the_shared_arrays(tmp_path):
     assert all(g.weights is loaded[0].weights for g in loaded)
     assert all(g.variances is loaded[0].variances for g in loaded)
 
+
+
+def test_loaded_registry_arrays_are_views_of_the_bytes_read(tmp_path):
+    rng = np.random.default_rng(34)
+    registry = adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 3)
+    store.save(registry, "registry", tmp_path / "r.json")
+    for entry in store.load(tmp_path / "r.json", "registry").entries:
+        for array in (entry.model.gmm.means, entry.model.gmm.weights, entry.ivector.w):
+            root = array
+            while isinstance(root, (np.ndarray, memoryview)):
+                root = root.base if isinstance(root, np.ndarray) else root.obj
+            assert root == (tmp_path / "r.json").read_bytes()
 
 def test_registry_field_missing_without_shared_block(tmp_path):
     path = tmp_path / "r.json"

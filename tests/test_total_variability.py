@@ -9,6 +9,7 @@ from scipy.linalg.lapack import dtpttr
 import voxid.total_variability as total_variability
 from voxid.errors import DimensionMismatch, NumericalFailure, RankTooLarge
 from voxid.gmm import DiagonalGmm
+from voxid.scoring import cosine_scores
 from voxid.speaker_models import BaumWelchStats, Ubm, build_supervector
 from voxid.total_variability import (
     BLOCK,
@@ -105,8 +106,8 @@ def test_precision_blocks_build_holds_no_full_stack():
 
 
 class TestReadOnlyArrays:
-    """A TV model and an i-vector hold read-only float64 arrays: a writeable array they are
-    given is copied and one that already is read-only float64 is shared."""
+    """A TV model and an i-vector hold float64 arrays that nothing can write: one whose
+    memory lives in a bytes object is shared, and any other array is copied into new bytes."""
 
     def test_writeable_arrays_are_copied_and_read_only_ones_shared(self):
         tv = init_tv(make_ubm(seed=16), 2, rng_seed=17)
@@ -131,6 +132,38 @@ class TestReadOnlyArrays:
                                      model.num_components, model.dim_k)
         assert np.array_equal(extract_ivector(stats, model).w, extract_ivector(stats, copy).w)
 
+
+    def test_scores_ignore_writes_to_read_only_memory_the_caller_can_write(self, caller_memory):
+        tv = init_tv(make_ubm(seed=21), 3, rng_seed=22)
+        rng = np.random.default_rng(23)
+        stats = [BaumWelchStats(np.full(4, 6.0), rng.normal(0, 2, (4, 3))) for _ in range(3)]
+        values = [tv.m, tv.sigma, tv.t_matrix, *(rng.normal(0, 1, 3) for _ in range(3))]
+        given = [caller_memory(a) for a in values]
+
+        def build(m, sigma, t, *ws):
+            return (TotalVariabilityModel(m, sigma, t, tv.num_components, tv.dim_k),
+                    [IVector(w) for w in ws])
+
+        scored, unscored = build(*(a for a, _ in given)), build(*(a for a, _ in given))
+        extract_ivectors(stats, scored[0])  # builds the model's precision blocks
+        cosine_scores(scored[1][1:], scored[1][0])  # keeps the targets' stack in a slot
+        for _, add in given:
+            add(3.0)
+        copy, ivectors = build(*(a.copy() for a in values))
+        expected = cosine_scores(ivectors[1:], ivectors[0])
+        for model, held in (scored, unscored):
+            assert all(np.array_equal(got.w, want.w) for got, want in
+                       zip(extract_ivectors(stats, model), extract_ivectors(stats, copy)))
+            assert np.array_equal(cosine_scores(held[1:], held[0]), expected)
+
+    def test_held_arrays_cannot_be_made_writeable(self, caller_memory):
+        tv = init_tv(make_ubm(seed=24), 2, rng_seed=25)
+        given = [caller_memory(a)[0] for a in (tv.m, tv.sigma, tv.t_matrix, np.arange(3.0))]
+        model = TotalVariabilityModel(*given[:3], tv.num_components, tv.dim_k)
+        for held in (tv.m, tv.sigma, tv.t_matrix, model.m, model.sigma, model.t_matrix,
+                     IVector(given[3]).w, IVector(np.arange(3.0)).w):
+            with pytest.raises(ValueError):
+                held.flags.writeable = True
 
 class TestExtraction:
     def test_zero_t_gives_prior_mean(self):
