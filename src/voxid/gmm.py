@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,33 +53,37 @@ def _in_two_runs(work, items, rows: int) -> list:
 
 
 def _read_only(values) -> np.ndarray:
-    """values as a float64 array that nothing can write. One whose memory lives in a bytes
-    object (found through ndarray .base and memoryview .obj: the bytes a file was read into,
-    or an earlier _read_only's) is shared; anything else is copied once into new bytes.
-    numpy refuses to make a view of bytes writeable, so a model's arrays never change under
-    what is built from them and kept (_reused's slots, TotalVariabilityModel.precision_blocks)."""
+    """values as a float64 array that cannot be made writeable. One over a bytes object's
+    memory (through ndarray .base and memoryview .obj: a file's bytes, an earlier copy's)
+    with no writeable array on the way is shared, since numpy refuses to make it writeable;
+    anything else, an unpickled array too (numpy leaves it writeable over its bytes), is
+    copied once into new bytes, so a model's arrays never change under a kept build."""
     if isinstance(values, np.ndarray) and values.dtype == np.float64:
         root = values
-        while isinstance(root, (np.ndarray, memoryview)):
-            root = root.base if isinstance(root, np.ndarray) else root.obj
+        while type(root) is memoryview or type(root) is np.ndarray and not root.flags.writeable:
+            root = root.obj if type(root) is memoryview else root.base
         if isinstance(root, bytes):
             return values
     array = np.asarray(values, np.float64)
     return np.frombuffer(array.tobytes()).reshape(array.shape)
 
 
+def _rebuilt(model):
+    """A model's __reduce__: pickle and copy rebuild it through its constructor, so a copy's
+    arrays pass _read_only and nothing kept (_reused's slot, precision_blocks) comes along."""
+    return type(model), tuple(getattr(model, field.name) for field in fields(model))
+
+
 def _reused(build, items):
     """build(items), kept in items[0]'s one slot and reused while items[1:] are the same
-    objects (`is`), in order: their arrays never change (_read_only), so a kept build
-    never goes stale. Each kind of head has one build (_stack for mixtures,
-    cosine_targets for i-vectors)."""
+    objects (`is`), in order: their arrays are read-only, so a kept build never goes stale.
+    Each kind of head has one build (_stack for mixtures, cosine_targets for i-vectors)."""
     head, rest = items[0], tuple(items[1:])
     kept = getattr(head, "_slot", None)  # read once, so a concurrent store is harmless
     if kept is not None and len(kept[0]) == len(rest) and all(map(operator.is_, kept[0], rest)):
         return kept[1]
     built = build(items)
-    # not a field, so never compared or saved by store (pickle and deepcopy do carry it)
-    object.__setattr__(head, "_slot", (rest, built))
+    object.__setattr__(head, "_slot", (rest, built))  # not a field: never compared or serialised
     return built
 
 
@@ -88,6 +92,8 @@ class DiagonalGmm:
     weights: np.ndarray   # (l,)
     means: np.ndarray     # (l, k)
     variances: np.ndarray  # (l, k)
+
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
         w, mu, var = (_read_only(a) for a in (self.weights, self.means, self.variances))
@@ -99,9 +105,8 @@ class DiagonalGmm:
             raise DimensionMismatch("weights must be positive and sum to 1")
         if np.any(var <= 0.0):
             raise DimensionMismatch("variances must be positive")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", mu)
-        object.__setattr__(self, "variances", var)
+        for name, value in (("weights", w), ("means", mu), ("variances", var)):
+            object.__setattr__(self, name, value)
 
     def with_means(self, means) -> "DiagonalGmm":
         """This mixture's weights and variances, shared, about new means; only the

@@ -22,7 +22,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure, RankTooLarge
-from .gmm import _read_only
+from .gmm import _read_only, _rebuilt
 from .speaker_models import BaumWelchStats, Ubm, build_supervector, variance_supervector
 
 # Utterances per E-step block, which holds BLOCK * R^2 doubles whatever their number.
@@ -50,6 +50,8 @@ class TotalVariabilityModel:
     t_matrix: np.ndarray  # (C*k, R)
     num_components: int
     dim_k: int
+
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
         for name in ("m", "sigma", "t_matrix"):
@@ -92,6 +94,8 @@ class TotalVariabilityModel:
 @dataclass(frozen=True)
 class IVector:
     w: np.ndarray  # (R,)
+
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
         w = _read_only(self.w)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -19,12 +21,14 @@ def make_clip_wav(tmp_path):
     return _make
 
 
-@pytest.fixture(params=["owner-set-writeable-again", "read-only-memoryview-of-bytearray"])
+@pytest.fixture(params=["owner-set-writeable-again", "read-only-memoryview-of-bytearray",
+                        "read-only-view-of-unpickled-array"])
 def caller_memory(request):
     """Factory for a read-only float64 array whose memory its caller can still write:
-    (a) an array that owns its memory, set read-only, or (b) a view of a read-only
-    memoryview of a bytearray. make(values) returns (array, add); add(x) adds x to the
-    memory, in (a) by setting the array writeable again."""
+    (a) an array that owns its memory, set read-only, (b) a view of a read-only
+    memoryview of a bytearray, or (c) a read-only view of an unpickled array, which numpy
+    leaves writeable over the pickle's bytes. make(values) returns (array, add); add(x)
+    adds x to the memory, in (a) by setting the array writeable again."""
 
     def make(values):
         values = np.array(values, dtype=np.float64)
@@ -35,12 +39,20 @@ def caller_memory(request):
             def add(x):
                 array.flags.writeable = True
                 array[...] += x
-        else:
+        elif request.param == "read-only-memoryview-of-bytearray":
             memory = bytearray(values.tobytes())
             array = np.frombuffer(memoryview(memory).toreadonly()).reshape(values.shape)
 
             def add(x):
                 np.frombuffer(memory)[:] += x
+        else:  # padded past 1000 bytes, below which numpy unpickles into memory of its own
+            unpickled = pickle.loads(pickle.dumps(np.resize(values, values.size + 125), 4))
+            assert type(unpickled.base) is bytes and unpickled.flags.writeable
+            array = unpickled[:values.size].reshape(values.shape)
+            array.flags.writeable = False
+
+            def add(x):
+                unpickled[:values.size] += x
         return array, add
 
     return make

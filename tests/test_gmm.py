@@ -1,9 +1,11 @@
 import concurrent.futures
 import multiprocessing
+import pickle
 import sys
 import threading
 import tracemalloc
 import warnings
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -962,9 +964,9 @@ class TestStackCache:
 
 
 class TestReadOnlyArrays:
-    """A mixture holds float64 arrays that nothing can write: one whose memory lives in a
-    bytes object is shared, and any other array it is given is copied into new bytes, so no
-    kept stack goes stale."""
+    """A mixture holds float64 arrays that cannot be made writeable: one whose memory lives
+    in a bytes object, with no writeable array on the way, is shared, and any other array it
+    is given is copied into new bytes, so no kept stack goes stale."""
 
     def test_writeable_arrays_are_copied_and_read_only_ones_shared(self):
         rng = np.random.default_rng(66)
@@ -1066,6 +1068,49 @@ class TestReadOnlyArrays:
                      model.with_means(arrays[1]).means):
             with pytest.raises(ValueError):
                 held.flags.writeable = True
+
+    def test_unpickled_arrays_are_copied(self):
+        # numpy unpickles an array of over 1000 bytes as a writeable view of the pickle's bytes
+        rng = np.random.default_rng(75)
+        feats = FeatureMatrix(rng.normal(0, 2, (40, 3)))
+        weights, variances = np.full(64, 1.0 / 64.0), rng.uniform(0.5, 1.5, (64, 3))
+        given = rng.normal(0, 1, (64, 3))
+        means = pickle.loads(pickle.dumps(given, 4))
+        assert type(means.base) is bytes and means.flags.writeable
+        model = DiagonalGmm(weights, means, variances)
+        speaker = model.with_means(means)
+        sequence_log_likelihoods(feats, [model, speaker])  # keeps the LLR stack in model's slot
+        gmm_module.posterior_sums(feats.frames, speaker)  # and the E-step's in speaker's
+        means += 3.0
+        copies = [DiagonalGmm(weights, given, variances)] * 2
+        assert np.array_equal(sequence_log_likelihoods(feats, [model, speaker]),
+                              sequence_log_likelihoods(feats, copies))
+        for got, expected in zip(gmm_module.posterior_sums(feats.frames, speaker),
+                                 gmm_module.posterior_sums(feats.frames, copies[1])):
+            assert np.array_equal(got, expected)
+        for held in (model.means, speaker.means):
+            assert not held.flags.writeable and np.array_equal(held, given)
+
+    @pytest.mark.parametrize("rebuild", ["deepcopy", "pickle-4", "pickle-5"])
+    def test_copies_are_built_through_the_constructor(self, rebuild):
+        # a copy's arrays pass the sharing rule again, and no kept stack comes with it
+        rebuild = {"deepcopy": deepcopy,
+                   "pickle-4": lambda model: pickle.loads(pickle.dumps(model, 4)),
+                   "pickle-5": lambda model: pickle.loads(pickle.dumps(model, 5))}[rebuild]
+        rng = np.random.default_rng(76)
+        feats = FeatureMatrix(rng.normal(0, 2, (40, 3)))
+        ubm = random_gmm(rng, components=64, dim=3)
+        speaker = ubm.with_means(ubm.means + 0.5)
+        size = len(pickle.dumps(ubm))
+        expected = sequence_log_likelihoods(feats, [ubm, speaker])  # keeps a stack in ubm's slot
+        assert len(pickle.dumps(ubm)) == size
+        copies = [rebuild(model) for model in (ubm, speaker)]
+        for model in copies:
+            assert "_slot" not in vars(model)
+            for held in (model.weights, model.means, model.variances):
+                with pytest.raises(ValueError):
+                    held[...] += 1.0
+        assert np.array_equal(sequence_log_likelihoods(feats, copies), expected)
 
     def test_views_of_read_only_bytes_are_shared(self):
         # as store loads raw sections: views of the immutable bytes a file was read into
@@ -1323,11 +1368,13 @@ class TestTwoRuns:
     def test_a_split_pass_holds_one_more_block(self, worker, monkeypatch):
         calls, frames = self.measured_passes(worker, monkeypatch)
         block, components, dim = gmm_module.BLOCK, self.MEASURED_COMPONENTS, self.MEASURED_DIM
-        # one block's working set: its posteriors (C, BLOCK), and at most four (BLOCK, 2k + 1)
-        # arrays for its terms, the temporaries that build them and its moments, which also
-        # cover the thread's bookkeeping; a pass that kept every block's posteriors would
-        # add ten (C, BLOCK) blocks
-        working_set = (components + 4 * (2 * dim + 1)) * block * 8
+        # each run holds one block at a time, so a split pass holds at most one more block's
+        # working set than the serial pass. It peaks in _mixture_pass at (C + 2k + 5) rows of
+        # BLOCK doubles: the posteriors (C), the terms (2k + 1), and the peaks, sums, their
+        # logs and the log-likelihoods (4); the moments after it hold C + 3k rows. On top
+        # come the thread and the pool, measured at up to 40 KB. A pass that kept every
+        # block's posteriors would add ten (C, BLOCK) blocks
+        working_set = (components + 2 * dim + 5) * block * 8
         for call in calls:
             serial, split = self.both(worker, lambda: self.peak(call, frames))
-            assert split < serial + working_set
+            assert split < serial + working_set + 160 * 1024

@@ -451,7 +451,6 @@ def test_registry_entries_share_the_shared_arrays(tmp_path):
     assert all(g.variances is loaded[0].variances for g in loaded)
 
 
-
 def test_loaded_registry_arrays_are_views_of_the_bytes_read(tmp_path):
     rng = np.random.default_rng(34)
     registry = adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 3)
@@ -462,6 +461,7 @@ def test_loaded_registry_arrays_are_views_of_the_bytes_read(tmp_path):
             while isinstance(root, (np.ndarray, memoryview)):
                 root = root.base if isinstance(root, np.ndarray) else root.obj
             assert root == (tmp_path / "r.json").read_bytes()
+
 
 def test_registry_field_missing_without_shared_block(tmp_path):
     path = tmp_path / "r.json"

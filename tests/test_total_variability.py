@@ -1,4 +1,6 @@
+import pickle
 import tracemalloc
+from copy import deepcopy
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -106,8 +108,9 @@ def test_precision_blocks_build_holds_no_full_stack():
 
 
 class TestReadOnlyArrays:
-    """A TV model and an i-vector hold float64 arrays that nothing can write: one whose
-    memory lives in a bytes object is shared, and any other array is copied into new bytes."""
+    """A TV model and an i-vector hold float64 arrays that cannot be made writeable: one
+    whose memory lives in a bytes object, with no writeable array on the way, is shared, and
+    any other array is copied into new bytes."""
 
     def test_writeable_arrays_are_copied_and_read_only_ones_shared(self):
         tv = init_tv(make_ubm(seed=16), 2, rng_seed=17)
@@ -131,7 +134,6 @@ class TestReadOnlyArrays:
         copy = TotalVariabilityModel(model.m.copy(), model.sigma.copy(), model.t_matrix.copy(),
                                      model.num_components, model.dim_k)
         assert np.array_equal(extract_ivector(stats, model).w, extract_ivector(stats, copy).w)
-
 
     def test_scores_ignore_writes_to_read_only_memory_the_caller_can_write(self, caller_memory):
         tv = init_tv(make_ubm(seed=21), 3, rng_seed=22)
@@ -164,6 +166,29 @@ class TestReadOnlyArrays:
                      IVector(given[3]).w, IVector(np.arange(3.0)).w):
             with pytest.raises(ValueError):
                 held.flags.writeable = True
+
+    @pytest.mark.parametrize("rebuild", ["deepcopy", "pickle"])
+    def test_copies_leave_what_was_built_behind(self, rebuild):
+        # a copy is built through the constructor: no precision blocks or kept stack come
+        # with it, and its arrays are read-only
+        rebuild = {"deepcopy": deepcopy,
+                   "pickle": lambda model: pickle.loads(pickle.dumps(model, 4))}[rebuild]
+        tv = init_tv(make_ubm(seed=26), 3, rng_seed=27)
+        rng = np.random.default_rng(28)
+        stats = [BaumWelchStats(np.full(4, 6.0), rng.normal(0, 2, (4, 3))) for _ in range(3)]
+        size = len(pickle.dumps(tv))
+        ivectors = extract_ivectors(stats, tv)  # builds the model's precision blocks
+        expected = cosine_scores(ivectors[1:], ivectors[0])  # keeps the targets' stack
+        assert len(pickle.dumps(tv)) == size
+        copied, copies = rebuild(tv), [rebuild(ivector) for ivector in ivectors]
+        assert "precision_blocks" not in vars(copied) and "_slot" not in vars(copies[0])
+        for held in (copied.m, copied.sigma, copied.t_matrix, *(c.w for c in copies)):
+            with pytest.raises(ValueError):
+                held[...] += 1.0
+        assert all(np.array_equal(got.w, want.w) for got, want in
+                   zip(extract_ivectors(stats, copied), ivectors))
+        assert np.array_equal(cosine_scores(copies[1:], copies[0]), expected)
+
 
 class TestExtraction:
     def test_zero_t_gives_prior_mean(self):
