@@ -52,9 +52,13 @@ class MfccConfig:
         return shift
 
     def effective_dft_size(self, rate: int) -> int:
-        if self.dft_size is not None:
-            return self.dft_size
-        return 1 << max(self.frame_length_samples(rate) - 1, 0).bit_length()
+        frame = self.frame_length_samples(rate)
+        if self.dft_size is None:
+            return 1 << max(frame - 1, 0).bit_length()
+        if self.dft_size < frame:
+            raise ValueError(f"dft_size = {self.dft_size} is shorter than the {frame}-sample "
+                             f"frame at {rate} Hz")
+        return self.dft_size
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import operator
 import os
 from dataclasses import dataclass, fields
 
@@ -53,41 +52,34 @@ def _in_two_runs(work, items, rows: int) -> list:
 
 
 def _read_only(values) -> np.ndarray:
-    """values as a float64 array that cannot be made writeable. One over a bytes object's
-    memory (through ndarray .base and memoryview .obj: a file's bytes, an earlier copy's)
-    with no writeable array on the way is shared, since numpy refuses to make it writeable;
-    anything else, an unpickled array too (numpy leaves it writeable over its bytes), is
-    copied once into new bytes, so a model's arrays never change under a kept build."""
-    if isinstance(values, np.ndarray) and values.dtype == np.float64:
-        root = values
-        while type(root) is memoryview or type(root) is np.ndarray and not root.flags.writeable:
-            root = root.obj if type(root) is memoryview else root.base
-        if isinstance(root, bytes):
-            return values
+    """values copied once into new bytes, as a float64 array that nothing can write or make
+    writeable. Every array a model is given is copied, whoever owns its memory, so a model's
+    arrays never change under a kept build."""
     array = np.asarray(values, np.float64)
     return np.frombuffer(array.tobytes()).reshape(array.shape)
 
 
 def _rebuilt(model):
-    """A model's __reduce__: pickle and copy rebuild it through its constructor, so a copy's
-    arrays pass _read_only and nothing kept (_reused's slot, precision_blocks) comes along."""
+    """A model's __reduce__: pickle and copy rebuild it through its constructor, so a copy
+    holds arrays of its own and nothing kept (_reused's slot, precision_blocks) comes along."""
     return type(model), tuple(getattr(model, field.name) for field in fields(model))
 
 
 def _reused(build, items):
     """build(items), kept in items[0]'s one slot and reused while items[1:] are the same
-    objects (`is`), in order: their arrays are read-only, so a kept build never goes stale.
-    Each kind of head has one build (_stack for mixtures, cosine_targets for i-vectors)."""
+    models, in order: models compare by identity, and each holds its own copy of its arrays,
+    so a kept build never goes stale. Each kind of head has one build (_stack for mixtures,
+    cosine_targets for i-vectors)."""
     head, rest = items[0], tuple(items[1:])
     kept = getattr(head, "_slot", None)  # read once, so a concurrent store is harmless
-    if kept is not None and len(kept[0]) == len(rest) and all(map(operator.is_, kept[0], rest)):
+    if kept is not None and kept[0] == rest:
         return kept[1]
     built = build(items)
     object.__setattr__(head, "_slot", (rest, built))  # not a field: never compared or serialised
     return built
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # models compare and hash by identity
 class DiagonalGmm:
     weights: np.ndarray   # (l,)
     means: np.ndarray     # (l, k)
@@ -109,8 +101,8 @@ class DiagonalGmm:
             object.__setattr__(self, name, value)
 
     def with_means(self, means) -> "DiagonalGmm":
-        """This mixture's weights and variances, shared, about new means; only the
-        means are checked, since the rest was checked when this mixture was built."""
+        """This mixture's weights and variances, shared, about a copy of new means; only
+        the means are checked, since the rest was checked when this mixture was built."""
         mu = _read_only(means)
         if mu.shape != self.means.shape:
             raise DimensionMismatch(f"means of shape {mu.shape}, mixture has {self.means.shape}")

@@ -23,8 +23,8 @@ ways, all bit-exact on the round trip:
 `_JSON_KINDS` has one row per kind: its payload codecs and the array
 decoder of each version it reads. `save` writes the newest version, and
 files of older versions still load bit for bit. A load reads the file
-once; binary arrays load read-only, a raw section as a view of the
-bytes read, never copied.
+once; a binary array decodes as a read-only view of the bytes read (a
+raw section) or decoded (base64), which the model constructors copy once.
 
 A registry (versions 2 to 4) holds the first entry's weights and
 variances once, as "shared"; each entry's model holds its means, plus

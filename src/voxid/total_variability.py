@@ -43,7 +43,7 @@ def _lower_triangle(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return flat, col, row
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # models compare and hash by identity
 class TotalVariabilityModel:
     m: np.ndarray         # (C*k,) UBM mean supervector
     sigma: np.ndarray     # (C*k,) UBM variances in supervector layout
@@ -91,7 +91,7 @@ class TotalVariabilityModel:
         return blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IVector:
     w: np.ndarray  # (R,)
 

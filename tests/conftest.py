@@ -22,13 +22,16 @@ def make_clip_wav(tmp_path):
 
 
 @pytest.fixture(params=["owner-set-writeable-again", "read-only-memoryview-of-bytearray",
-                        "read-only-view-of-unpickled-array"])
+                        "read-only-view-of-unpickled-array",
+                        "unpickled-array-set-read-only-under-a-writeable-view"])
 def caller_memory(request):
     """Factory for a read-only float64 array whose memory its caller can still write:
     (a) an array that owns its memory, set read-only, (b) a view of a read-only
-    memoryview of a bytearray, or (c) a read-only view of an unpickled array, which numpy
-    leaves writeable over the pickle's bytes. make(values) returns (array, add); add(x)
-    adds x to the memory, in (a) by setting the array writeable again."""
+    memoryview of a bytearray, (c) a read-only view of an unpickled array, which numpy
+    leaves writeable over the pickle's bytes, or (d) a view of an unpickled array set
+    read-only after the caller took a writeable view of it. make(values) returns
+    (array, add); add(x) adds x to the memory, in (a) by setting the array writeable
+    again, in (d) through the writeable view."""
 
     def make(values):
         values = np.array(values, dtype=np.float64)
@@ -48,11 +51,14 @@ def caller_memory(request):
         else:  # padded past 1000 bytes, below which numpy unpickles into memory of its own
             unpickled = pickle.loads(pickle.dumps(np.resize(values, values.size + 125), 4))
             assert type(unpickled.base) is bytes and unpickled.flags.writeable
+            writer = unpickled.view()
+            if request.param == "unpickled-array-set-read-only-under-a-writeable-view":
+                unpickled.flags.writeable = False
             array = unpickled[:values.size].reshape(values.shape)
             array.flags.writeable = False
 
             def add(x):
-                unpickled[:values.size] += x
+                writer[:values.size] += x
         return array, add
 
     return make

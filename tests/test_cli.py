@@ -107,7 +107,8 @@ class TestFeatures:
         ("frame_shift_ms = 0\n", "frame_shift_ms"),
         ("frame_shift_ms = 0.01\n", "16000 Hz"),
         ("frame_length_ms = -5\nframe_shift_ms = -10\n", "frame_shift_ms"),
-    ], ids=["zero-shift", "sub-sample-shift", "negative-length"])
+        ("dft_size = 256\n", "dft_size = 256 is shorter than the 400-sample frame at 16000 Hz"),
+    ], ids=["zero-shift", "sub-sample-shift", "negative-length", "dft-shorter-than-frame"])
     def test_bad_frame_timing(self, tmp_path, make_clip_wav, capsys, lines, needle):
         wav = make_clip_wav("a.wav", rate=16000)
         config = tmp_path / "c.conf"

@@ -272,6 +272,13 @@ class TestFrontEndOracle:
                     size *= 2
                 assert config.effective_dft_size(rate) == size
 
+    def test_dft_size_shorter_than_the_frame(self):
+        config = MfccConfig(dft_size=64)
+        assert config.effective_dft_size(2560) == 64  # a 64-sample frame
+        with pytest.raises(ValueError, match="dft_size = 64 is shorter than the 200-sample "
+                                             "frame at 8000 Hz"):
+            config.effective_dft_size(8000)
+
     @pytest.mark.parametrize("frame_len, dft_size", [(64, 64), (50, 64), (100, 128), (1, 8)])
     def test_batched_spectrum(self, frame_len, dft_size):
         frames = np.random.default_rng(frame_len).standard_normal((2, 3, frame_len))

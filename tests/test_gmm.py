@@ -5,7 +5,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from copy import deepcopy
+from copy import copy, deepcopy
 
 import numpy as np
 import pytest
@@ -964,11 +964,11 @@ class TestStackCache:
 
 
 class TestReadOnlyArrays:
-    """A mixture holds float64 arrays that cannot be made writeable: one whose memory lives
-    in a bytes object, with no writeable array on the way, is shared, and any other array it
-    is given is copied into new bytes, so no kept stack goes stale."""
+    """A mixture copies every array it is given, once, into new bytes, and holds float64
+    arrays that cannot be made writeable, so no kept stack goes stale. with_means alone
+    shares: its mixture's own weights and variances."""
 
-    def test_writeable_arrays_are_copied_and_read_only_ones_shared(self):
+    def test_every_array_given_is_copied(self):
         rng = np.random.default_rng(66)
         given = {"weights": np.full(3, 1.0 / 3.0), "means": rng.normal(0, 1, (3, 2)),
                  "variances": rng.uniform(0.5, 1.5, (3, 2))}
@@ -978,8 +978,11 @@ class TestReadOnlyArrays:
             assert held.dtype == np.float64 and not held.flags.writeable
             assert not np.shares_memory(held, array) and np.array_equal(held, array)
         again = DiagonalGmm(weights=model.weights, means=model.means, variances=model.variances)
-        assert all(getattr(again, name) is getattr(model, name) for name in given)
-        assert model.with_means(model.means).means is model.means
+        assert not any(np.shares_memory(getattr(again, name), getattr(model, name))
+                       for name in given)
+        same = model.with_means(model.means)
+        assert same.weights is model.weights and same.variances is model.variances
+        assert not np.shares_memory(same.means, model.means)
         moved = model.with_means(given["means"])
         assert not (moved.means.flags.writeable or np.shares_memory(moved.means, given["means"]))
         single = given["means"].astype(np.float32)
@@ -1091,10 +1094,10 @@ class TestReadOnlyArrays:
         for held in (model.means, speaker.means):
             assert not held.flags.writeable and np.array_equal(held, given)
 
-    @pytest.mark.parametrize("rebuild", ["deepcopy", "pickle-4", "pickle-5"])
+    @pytest.mark.parametrize("rebuild", ["copy", "deepcopy", "pickle-4", "pickle-5"])
     def test_copies_are_built_through_the_constructor(self, rebuild):
-        # a copy's arrays pass the sharing rule again, and no kept stack comes with it
-        rebuild = {"deepcopy": deepcopy,
+        # a copy copies its arrays again, and no kept stack comes with it
+        rebuild = {"copy": copy, "deepcopy": deepcopy,
                    "pickle-4": lambda model: pickle.loads(pickle.dumps(model, 4)),
                    "pickle-5": lambda model: pickle.loads(pickle.dumps(model, 5))}[rebuild]
         rng = np.random.default_rng(76)
@@ -1112,13 +1115,15 @@ class TestReadOnlyArrays:
                     held[...] += 1.0
         assert np.array_equal(sequence_log_likelihoods(feats, copies), expected)
 
-    def test_views_of_read_only_bytes_are_shared(self):
+    def test_views_of_read_only_bytes_are_copied(self):
         # as store loads raw sections: views of the immutable bytes a file was read into
         data = np.arange(1.0, 7.0).tobytes()
         view = np.frombuffer(memoryview(data)[8:], dtype="<f8").reshape(1, 5)
         weights = np.frombuffer(data, dtype="<f8", count=1)
         model = DiagonalGmm(weights=weights, means=view, variances=view)
-        assert model.weights is weights and model.means is view and model.variances is view
+        for held, given in ((model.weights, weights), (model.means, view), (model.variances, view)):
+            assert not np.shares_memory(held, given) and np.array_equal(held, given)
+        assert not np.shares_memory(model.means, model.variances)
 
 
 class TestTwoRuns:

@@ -1,6 +1,6 @@
 import pickle
 import tracemalloc
-from copy import deepcopy
+from copy import copy, deepcopy
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -108,20 +108,33 @@ def test_precision_blocks_build_holds_no_full_stack():
 
 
 class TestReadOnlyArrays:
-    """A TV model and an i-vector hold float64 arrays that cannot be made writeable: one
-    whose memory lives in a bytes object, with no writeable array on the way, is shared, and
-    any other array is copied into new bytes."""
+    """A TV model and an i-vector copy every array they are given, once, into new bytes,
+    and hold float64 arrays that cannot be made writeable. Models compare and hash by
+    identity."""
 
-    def test_writeable_arrays_are_copied_and_read_only_ones_shared(self):
+    def test_every_array_given_is_copied(self):
         tv = init_tv(make_ubm(seed=16), 2, rng_seed=17)
-        t = tv.t_matrix.copy()
-        model = TotalVariabilityModel(tv.m, tv.sigma, t, tv.num_components, tv.dim_k)
-        assert model.m is tv.m and model.sigma is tv.sigma
-        assert not (model.t_matrix.flags.writeable or np.shares_memory(model.t_matrix, t))
+        model = TotalVariabilityModel(tv.m, tv.sigma, tv.t_matrix, tv.num_components, tv.dim_k)
+        for name in ("m", "sigma", "t_matrix"):
+            held, given = getattr(model, name), getattr(tv, name)
+            assert not (held.flags.writeable or np.shares_memory(held, given))
+            assert np.array_equal(held, given)
         w = np.arange(3.0)
         ivector = IVector(w)
         assert not (ivector.w.flags.writeable or np.shares_memory(ivector.w, w))
-        assert IVector(ivector.w).w is ivector.w
+        assert not np.shares_memory(IVector(ivector.w).w, ivector.w)
+
+    @pytest.mark.parametrize("kind", ["gmm", "adapted-gmm", "tv", "ivector"])
+    def test_models_compare_and_hash_by_identity(self, kind):
+        ubm = make_ubm(seed=29)
+        build = {"gmm": lambda: DiagonalGmm(ubm.gmm.weights, ubm.gmm.means, ubm.gmm.variances),
+                 "adapted-gmm": lambda: ubm.gmm.with_means(ubm.gmm.means),
+                 "tv": lambda: init_tv(ubm, 2, rng_seed=30),
+                 "ivector": lambda: IVector(np.ones(3))}[kind]
+        model, equal = build(), build()
+        assert model == model and model != equal
+        assert len({model, equal, model}) == 2
+        assert (model == copy(model)) is False
 
     def test_extraction_ignores_later_writes_to_the_callers_arrays(self):
         tv = init_tv(make_ubm(seed=18), 3, rng_seed=19)
@@ -131,9 +144,9 @@ class TestReadOnlyArrays:
         extract_ivector(stats, model)  # builds the model's precision blocks
         t *= 3.0
         sigma *= 0.5
-        copy = TotalVariabilityModel(model.m.copy(), model.sigma.copy(), model.t_matrix.copy(),
-                                     model.num_components, model.dim_k)
-        assert np.array_equal(extract_ivector(stats, model).w, extract_ivector(stats, copy).w)
+        fresh = TotalVariabilityModel(model.m.copy(), model.sigma.copy(), model.t_matrix.copy(),
+                                      model.num_components, model.dim_k)
+        assert np.array_equal(extract_ivector(stats, model).w, extract_ivector(stats, fresh).w)
 
     def test_scores_ignore_writes_to_read_only_memory_the_caller_can_write(self, caller_memory):
         tv = init_tv(make_ubm(seed=21), 3, rng_seed=22)
@@ -151,11 +164,11 @@ class TestReadOnlyArrays:
         cosine_scores(scored[1][1:], scored[1][0])  # keeps the targets' stack in a slot
         for _, add in given:
             add(3.0)
-        copy, ivectors = build(*(a.copy() for a in values))
+        fresh, ivectors = build(*(a.copy() for a in values))
         expected = cosine_scores(ivectors[1:], ivectors[0])
         for model, held in (scored, unscored):
             assert all(np.array_equal(got.w, want.w) for got, want in
-                       zip(extract_ivectors(stats, model), extract_ivectors(stats, copy)))
+                       zip(extract_ivectors(stats, model), extract_ivectors(stats, fresh)))
             assert np.array_equal(cosine_scores(held[1:], held[0]), expected)
 
     def test_held_arrays_cannot_be_made_writeable(self, caller_memory):
@@ -167,11 +180,11 @@ class TestReadOnlyArrays:
             with pytest.raises(ValueError):
                 held.flags.writeable = True
 
-    @pytest.mark.parametrize("rebuild", ["deepcopy", "pickle"])
+    @pytest.mark.parametrize("rebuild", ["copy", "deepcopy", "pickle"])
     def test_copies_leave_what_was_built_behind(self, rebuild):
         # a copy is built through the constructor: no precision blocks or kept stack come
         # with it, and its arrays are read-only
-        rebuild = {"deepcopy": deepcopy,
+        rebuild = {"copy": copy, "deepcopy": deepcopy,
                    "pickle": lambda model: pickle.loads(pickle.dumps(model, 4))}[rebuild]
         tv = init_tv(make_ubm(seed=26), 3, rng_seed=27)
         rng = np.random.default_rng(28)
