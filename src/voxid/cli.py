@@ -138,19 +138,21 @@ def cmd_features(args, settings):
         j = first.setdefault(os.path.abspath(out), i)
         if j != i:
             raise VoxidUsageError(f"{args.inputs[j]} and {args.inputs[i]} would both write {out}")
-    failures = 0
+    codes = {EXIT_OK}
     for path, out in zip(args.inputs, outputs):
         try:
             clip = read_wav(path)
             feats = extract_mfcc(clip, config)
-        except VoxidError as exc:
+        except (VoxidError, ValueError) as exc:
+            # a setting that cannot frame this file's rate is a usage error, reported per
+            # file as data errors are, so every input is tried whatever their order
             print(f"{path}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            failures += 1
+            codes.add(EXIT_DATA if isinstance(exc, VoxidError) else EXIT_USAGE)
             continue
         store.save(feats, "features", out)
         if args.verbose:
             print(f"{path} -> {out} ({feats.count_L}x{feats.dim_k})")
-    return EXIT_DATA if failures else EXIT_OK
+    return max(codes)  # usage (64) over data (2) over none
 
 
 def _derive_output(path, out_dir, suffix):

@@ -18,6 +18,12 @@ DEGENERATE_MASS = 1e-8
 # sequence_log_likelihoods stacks at most BLOCK components, and an E-step takes
 # BLOCK frames at a time, so neither holds more than L * BLOCK or BLOCK * l doubles.
 BLOCK = 2048
+# _mixture_pass sums each model's exponentials shifted by the model's peak density. A sum
+# at or above this floor has a largest term of at least 2**-900 / l for l components, far
+# above the subnormal range (below 2**-1022): the l terms that underflow, each off by at
+# most 2**-1075, move it by at most l * 2**-175 of itself, far below rounding. A frame
+# where some model's sum is lower is summed again about its own per-frame peaks.
+_FLOOR = 2.0 ** -900
 KMEANS_FRAMES_PER_COMPONENT = 64  # UBM k-means runs on at most this many frames per component
 
 
@@ -177,9 +183,18 @@ def _terms(frames, ref) -> np.ndarray:
 
 
 def _log_densities(terms, coefficients) -> np.ndarray:
-    """log w_c + log N(x_t; mu_c, var_c), one row per stacked component; shape (l, L).
-    One GEMM against _terms about the same ref, so memory grows with L * l, not L * l * k."""
+    """log w_c + log N(x_t; mu_c, var_c), less the model's peak for _stack's coefficients,
+    one row per stacked component; shape (l, L). One GEMM against _terms about the same ref,
+    so memory grows with L * l, not L * l * k."""
     return coefficients @ terms.T
+
+
+def _frame_log_densities(terms, coefficients) -> np.ndarray:
+    """_log_densities as one vector-matrix product per frame, a (l, L) view. BLAS can give a
+    GEMM's column other bits at another place in another product (its edge kernels), so
+    frames picked out of a block take this: each gets the same bits whichever are picked,
+    and the E-step and LLR scoring agree on them."""
+    return (terms[:, None, :] @ coefficients.T)[:, 0].T
 
 
 def frame_component_log_densities(frames: np.ndarray, gmm: DiagonalGmm) -> np.ndarray:
@@ -189,30 +204,59 @@ def frame_component_log_densities(frames: np.ndarray, gmm: DiagonalGmm) -> np.nd
     return _log_densities(_terms(frames, ref), _coefficients(gmm.means, gmm.variances, 0.0, ref)).T
 
 
-def _mixture_pass(terms: np.ndarray, gmms, coefficients):
-    """Frame log-likelihoods (N, L) under N mixtures, with the shifted exponentials
-    (sum l, L) and their per-model sums (N, L).
-
-    One kernel call of the stacked components' coefficients against the frames'
-    _terms, whose output holds one row per component. Each run of consecutive models
-    with equal component counts is one (n, l, L) view: its per-model peak (0 where not
-    finite) is subtracted in place, the exponentials overwrite the kernel's output,
-    and each model's rows are summed, so every reduction runs along contiguous rows.
-    """
-    logs = _log_densities(terms, coefficients)
-    shift = np.empty((len(gmms), terms.shape[0]))
-    sums = np.empty_like(shift)
+def _runs(rows: np.ndarray, gmms):
+    """(view, models) for each run of consecutive gmms with equal component counts: the
+    run's part of rows, which hold one row per stacked component, as one (n, l, L) view,
+    and the run's slice of the models, so each model's rows are reduced in one call."""
     model = row = 0
     for size, run in itertools.groupby(g.num_components for g in gmms):
         n = len(list(run))
-        view = logs[row:row + n * size].reshape(n, size, -1)
-        peak = np.max(view, axis=1, out=shift[model:model + n])
+        yield rows[row:row + n * size].reshape(n, size, -1), slice(model, model + n)
+        model, row = model + n, row + n * size
+
+
+def _mixture_pass(terms: np.ndarray, gmms, coefficients, peaks):
+    """Frame log-likelihoods (N, L) under N mixtures, with the shifted exponentials
+    (sum l, L) and their per-model sums (N, L).
+
+    One kernel call of _stack's coefficients, whose log densities are already less each
+    model's peak density, against the frames' _terms: no exponent is above 0, so the
+    exponentials overwrite the kernel's output with nothing to overflow, each model's rows
+    are summed, and its peak is added back to the sums' logs. Frames where some model's
+    sum is below _FLOOR or not finite are summed again by _resummed.
+    """
+    exps = _log_densities(terms, coefficients)
+    np.exp(exps, out=exps)
+    sums = np.empty((len(gmms), terms.shape[0]))
+    for view, models in _runs(exps, gmms):
+        np.sum(view, axis=1, out=sums[models])
+    with np.errstate(divide="ignore"):  # a model whose log densities are all -inf gives -inf
+        frame_ll = np.log(sums)
+    frame_ll += peaks[:, None]
+    low = np.flatnonzero(~np.all((sums >= _FLOOR) & np.isfinite(sums), axis=0))
+    if low.size:
+        frame_ll[:, low], exps[:, low], sums[:, low] = _resummed(terms[low], gmms,
+                                                                 coefficients, peaks)
+    return frame_ll, exps, sums
+
+
+def _resummed(terms: np.ndarray, gmms, coefficients, peaks):
+    """_mixture_pass for frames its sums cannot hold: each model's log densities are
+    shifted by their own maximum at each frame (0 where not finite) before the
+    exponentials, so frames far from every component keep their precision, and -inf rows
+    and NaN come out as an unshifted log-sum-exp gives them. The frame's maximum and the
+    model's peak are added first, so the sum's log is rounded once, at the result's scale."""
+    logs = _frame_log_densities(terms, coefficients)
+    shift = np.empty((len(gmms), terms.shape[0]))
+    sums = np.empty_like(shift)
+    for view, models in _runs(logs, gmms):
+        peak = np.max(view, axis=1, out=shift[models])
         peak[~np.isfinite(peak)] = 0.0
         view -= peak[:, None, :]
         np.exp(view, out=view)
-        np.sum(view, axis=1, out=sums[model:model + n])
-        model, row = model + n, row + n * size
-    with np.errstate(divide="ignore"):  # a model whose log densities are all -inf gives -inf
+        np.sum(view, axis=1, out=sums[models])
+    shift += peaks[:, None]
+    with np.errstate(divide="ignore"):
         return np.log(sums) + shift, logs, sums
 
 
@@ -220,8 +264,8 @@ def _posteriors(frames: np.ndarray, gmm: DiagonalGmm):
     """Responsibilities (l, L), columns summing to 1, and per-frame log-likelihoods (L,),
     from the mixture's _stack, which every E-step and Baum-Welch call shares."""
     _require_dim(frames, gmm)
-    ref, ((*_, coefficients),) = _reused(_stack, [gmm])
-    frame_ll, gamma, sums = _mixture_pass(_terms(frames, ref), [gmm], coefficients)
+    ref, ((*_, coefficients, peaks),) = _reused(_stack, [gmm])
+    frame_ll, gamma, sums = _mixture_pass(_terms(frames, ref), [gmm], coefficients, peaks)
     gamma /= sums
     return gamma, frame_ll[0]
 
@@ -253,20 +297,26 @@ def mixture_log_likelihood(x, gmm: DiagonalGmm) -> float:
 
 
 def _stack(gmms) -> tuple:
-    """The centre of gmms[0] and one (start, stop, coefficients) per block of at most BLOCK
-    stacked components (a larger model is its own block), all read-only. Callers take it
+    """The centre of gmms[0] and one (start, stop, coefficients, peaks) per block of at most
+    BLOCK stacked components (a larger model is its own block), all read-only. A model's peak
+    is the largest of its components' log densities at their own means, which bounds all of
+    its log densities; its coefficients' constant column is less that peak. Callers take it
     through _reused, so the E-step's [gmm] and LLR's [ubm, *speakers] share the head's slot."""
     ref = _centre(gmms[0].means)
     sizes = np.array([gmm.num_components for gmm in gmms])
     blocks, start = [], 0
     while start < len(gmms):
         stop = start + max(1, int(np.searchsorted(np.cumsum(sizes[start:]), BLOCK, "right")))
-        block = gmms[start:stop]
-        coefficients = _coefficients(np.concatenate([g.means for g in block]),
-                                     np.concatenate([g.variances for g in block]),
-                                     np.log(np.concatenate([g.weights for g in block])), ref)
-        coefficients.flags.writeable = False
-        blocks.append((start, stop, coefficients))
+        block, counts = gmms[start:stop], sizes[start:stop]
+        variances = np.concatenate([g.variances for g in block])
+        log_weights = np.log(np.concatenate([g.weights for g in block]))
+        heights = log_weights - 0.5 * (variances.shape[1] * _LOG_2PI
+                                       + np.sum(np.log(variances), axis=1))
+        peaks = np.maximum.reduceat(heights, np.cumsum(counts) - counts)
+        coefficients = _coefficients(np.concatenate([g.means for g in block]), variances,
+                                     log_weights - np.repeat(peaks, counts), ref)
+        coefficients.flags.writeable = peaks.flags.writeable = False
+        blocks.append((start, stop, coefficients, peaks))
         start = stop
     ref.flags.writeable = False
     return ref, tuple(blocks)
@@ -289,11 +339,11 @@ def sequence_log_likelihoods(feats: FeatureMatrix, gmms) -> np.ndarray:
     terms = _terms(frames, ref)
 
     def block_totals(block):
-        start, stop, coefficients = block
+        start, stop, coefficients, peaks = block
         # each model's frame log-likelihoods are one contiguous row, which numpy sums pairwise
-        return _mixture_pass(terms, gmms[start:stop], coefficients)[0].sum(axis=1)
+        return _mixture_pass(terms, gmms[start:stop], coefficients, peaks)[0].sum(axis=1)
 
-    stacked = sum(coefficients.shape[0] for *_, coefficients in blocks)
+    stacked = sum(coefficients.shape[0] for _, _, coefficients, _ in blocks)
     return np.concatenate(_in_two_runs(block_totals, blocks, stacked))
 
 

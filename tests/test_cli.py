@@ -117,6 +117,34 @@ class TestFeatures:
         assert needle in capsys.readouterr().err
         assert not (tmp_path / "a.feat").exists()
 
+    @pytest.mark.parametrize("order", [("a", "b", "c"), ("c", "a", "b")])
+    def test_mixed_rate_batch_tries_every_input(self, tmp_path, make_clip_wav, capsys, order):
+        # 256 points frame 8 kHz audio (200-sample frames) but not 16 kHz (400 samples)
+        rates = {"a": 8000, "b": 16000, "c": 8000}
+        wavs = {name: make_clip_wav(f"{name}.wav", seed=n, rate=rate)
+                for n, (name, rate) in enumerate(rates.items())}
+        config = tmp_path / "c.conf"
+        config.write_text("dft_size = 256\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run("--config", config, "features", *(wavs[name] for name in order),
+                   "--out-dir", out) == EXIT_USAGE
+        assert sorted(p.name for p in out.iterdir()) == ["a.feat", "c.feat"]
+        err = capsys.readouterr().err
+        assert f"{wavs['b']}: ValueError: dft_size = 256 is shorter than the 400-sample" in err
+
+    def test_usage_error_outranks_a_data_error(self, tmp_path, make_clip_wav, capsys):
+        wav = make_clip_wav("a.wav", rate=16000)
+        broken = tmp_path / "broken.wav"
+        broken.write_bytes(b"not a wav")
+        config = tmp_path / "c.conf"
+        config.write_text("dft_size = 256\n")
+        assert run("features", broken, "--out-dir", tmp_path) == EXIT_DATA
+        assert run("--config", config, "features", broken, wav,
+                   "--out-dir", tmp_path) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{broken}: MalformedContainer" in err and f"{wav}: ValueError" in err
+
 
 class TestTrainUbm:
     def test_deterministic_bytes(self, workspace, tmp_path):

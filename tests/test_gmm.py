@@ -295,6 +295,14 @@ class TestExpandedKernel:
         assert len(pairs) == len({p for p, _ in pairs}) == len({lab for _, lab in pairs}) == 6
 
 
+def resummed_frames(monkeypatch):
+    """The number of frames each gmm._resummed call is given, filled as passes run."""
+    calls, resum = [], gmm_module._resummed
+    monkeypatch.setattr(gmm_module, "_resummed",
+                        lambda terms, *args: calls.append(len(terms)) or resum(terms, *args))
+    return calls
+
+
 class TestLogSumExp:
     # _mixture_pass reduces over axis 0 of the kernel output, one row per component, so
     # axis 1 feeds it a.T. keepdims runs one model over the whole axis, as _posteriors
@@ -309,9 +317,15 @@ class TestLogSumExp:
     @staticmethod
     def scores(monkeypatch, axis, sizes):
         """_mixture_pass over models of `sizes` on a kernel output of -inf rows, frames
-        holding -inf and tied peaks, with scipy's log-sum-exp of each segment."""
+        holding -inf and tied peaks, with scipy's log-sum-exp of each segment. As _stack's
+        coefficients do, the kernel gives each model's log densities less its peak, here
+        its largest finite one over all frames (0 if none is); terms carry frame indices,
+        so the kernel gives the columns of the frames passed, and the frames lying more
+        than about 600 nats below a model's peak are summed again about their own."""
         rng = np.random.default_rng(34)
-        a = rng.normal(0, 1, (40, 30)) * 1e3
+        # on a 2**-30 grid, so the test's own shift by a peak is exact, as the kernel's
+        # shifted output is what _mixture_pass is given
+        a = np.round(rng.normal(0, 1, (40, 30)) * 2.0 ** 40) * 2.0 ** -30
         a[3, :5] = -np.inf      # a row holding -inf
         a[7, :] = -np.inf       # a row of -inf only
         a[:, 11] = a[:, 12]     # tied peaks
@@ -319,9 +333,18 @@ class TestLogSumExp:
         bounds = np.cumsum((0, *sizes))
         oracle = np.vstack([logsumexp(logs[lo:hi], axis=0)
                             for lo, hi in zip(bounds[:-1], bounds[1:])])
+        peaks = np.array([np.max(logs[lo:hi], initial=-np.inf)
+                          for lo, hi in zip(bounds[:-1], bounds[1:])])
+        peaks[~np.isfinite(peaks)] = 0.0
+        shifted = logs - np.repeat(peaks, sizes)[:, None]
         models = [random_gmm(rng, components=c) for c in sizes]
-        monkeypatch.setattr(gmm_module, "_log_densities", lambda *args: logs.copy())
-        frame_ll, exps, sums = _mixture_pass(np.zeros((logs.shape[1], 2)), models, np.zeros(2))
+        for kernel in ("_log_densities", "_frame_log_densities"):
+            monkeypatch.setattr(gmm_module, kernel,
+                                lambda terms, _: shifted[:, terms[:, 0].astype(np.intp)])
+        resummed = resummed_frames(monkeypatch)
+        frames = np.arange(float(logs.shape[1]))[:, None]
+        frame_ll, exps, sums = _mixture_pass(frames, models, np.zeros(1), peaks)
+        assert resummed and resummed[0] > 0  # the fallback runs once, on some frames
         assert frame_ll.shape == sums.shape == oracle.shape and exps.shape == logs.shape
         finite = np.isfinite(oracle)
         assert np.array_equal(np.isfinite(frame_ll), finite)
@@ -415,11 +438,17 @@ class TestSequenceLogLikelihoods:
         rng = np.random.default_rng(37)
         return [random_gmm(rng, components=c, dim=3) for c in (4, 1, 6, 2, 6)]
 
-    @pytest.mark.parametrize("stack", [2048, 7, 1])
-    def test_matches_naive_per_component_sums(self, mixed_models, monkeypatch, stack):
-        # stack 7 splits the list into blocks; 1 gives every model its own block
+    @pytest.mark.parametrize("stack, far", [(2048, 0.0), (7, 0.0), (1, 0.0), (2048, 60.0),
+                                            (7, 60.0), (1, 60.0)],
+                             ids=["2048", "7", "1", "2048-far", "7-far", "1-far"])
+    def test_matches_naive_per_component_sums(self, mixed_models, monkeypatch, stack, far):
+        # stack 7 splits the list into blocks; 1 gives every model its own block. Frames
+        # moved by `far` lie over 600 nats below some model's peak, past the shifted sums'
+        # floor, yet within the extended-precision exponentials of the naive oracle.
         monkeypatch.setattr(gmm_module, "BLOCK", stack)
         frames = np.random.default_rng(38).normal(0, 2, (40, 3))
+        frames[::5] += far
+        frames[2::5] -= far
         scores = sequence_log_likelihoods(FeatureMatrix(frames), mixed_models)
         assert scores.shape == (len(mixed_models),)
         for score, model in zip(scores, mixed_models):
@@ -432,13 +461,17 @@ class TestSequenceLogLikelihoods:
             assert sequence_log_likelihood(feats, model) == sequence_log_likelihoods(
                 feats, [model])[0]
 
-    # one block of frames, and more frames than BLOCK
-    @pytest.mark.parametrize("frames_l", [300, 5000])
-    def test_equals_the_e_step_frame_sum_bit_for_bit(self, frames_l):
+    # one block of frames, and more frames than BLOCK; with far frames, which both sum again
+    # about their own peaks
+    @pytest.mark.parametrize("frames_l, far", [(300, 0.0), (5000, 0.0), (300, 1e3), (5000, 1e3)],
+                             ids=["300", "5000", "300-far", "5000-far"])
+    def test_equals_the_e_step_frame_sum_bit_for_bit(self, frames_l, far):
         rng = np.random.default_rng(frames_l)
         for _ in range(20):
             model = random_gmm(rng, components=int(rng.integers(1, 33)), dim=4)
             frames = rng.normal(0, 3, (frames_l, 4))
+            frames[::37] += far
+            frames[5::37] -= far
             assert sequence_log_likelihood(FeatureMatrix(frames), model) == (
                 gmm_module.posterior_sums(frames, model)[2].sum())
 
@@ -452,6 +485,62 @@ class TestSequenceLogLikelihoods:
         with pytest.raises(DimensionMismatch):
             sequence_log_likelihoods(feats, [*mixed_models, random_gmm(
                 np.random.default_rng(40), components=2, dim=4)])
+
+
+class TestFarFrames:
+    """Frames far from every component lie more than 600 nats below each model's peak, so
+    _mixture_pass sums them again about their own peaks; mixed with ordinary frames in
+    one block, every frame matches scipy's log-sum-exp of the difference form."""
+
+    @pytest.fixture
+    def ubm(self):
+        rng = np.random.default_rng(41)
+        weights = rng.uniform(0.1, 1.0, 8)
+        return Ubm(gmm=DiagonalGmm(weights=weights / weights.sum(),
+                                   means=rng.normal(0, 2, (8, 4)),
+                                   variances=rng.uniform(0.5, 1.5, (8, 4))))
+
+    @staticmethod
+    def frames(seed, frames_l):
+        frames = np.random.default_rng(seed).normal(0, 2, (frames_l, 4))
+        frames[::9] = 1e3
+        frames[4::9] = -1e3
+        frames[7::9, 1] = 1e3  # far in one coordinate
+        return frames
+
+    @staticmethod
+    def oracle(frames, model):
+        """Per-frame log-likelihoods and (L, l) responsibilities, without the kernel."""
+        logs = difference_form(frames, model) + np.log(model.weights)
+        frame_ll = logsumexp(logs, axis=1)
+        return frame_ll, np.exp(logs - frame_ll[:, None])
+
+    def test_sequence_log_likelihoods(self, ubm, monkeypatch):
+        rng = np.random.default_rng(42)
+        speakers = [map_adapt(accumulate_stats(FeatureMatrix(rng.normal(0, 2, (80, 4)) + shift),
+                                               ubm), ubm, speaker_id=str(shift))
+                    for shift in (-1.0, 0.0, 1.5)]
+        models = [ubm.gmm, *(speaker.gmm for speaker in speakers)]
+        frames = self.frames(43, 90)
+        calls = resummed_frames(monkeypatch)
+        scores = sequence_log_likelihoods(FeatureMatrix(frames), models)
+        assert calls == [30]  # the far frames, and only they
+        for score, model in zip(scores, models):
+            oracle = self.oracle(frames, model)[0].sum()
+            assert abs(score - oracle) <= 1e-12 * abs(oracle)
+
+    @pytest.mark.parametrize("frames_l", [90, gmm_module.BLOCK + 90])
+    def test_posterior_sums_with_squares(self, ubm, monkeypatch, frames_l):
+        frames = self.frames(44, frames_l)
+        calls = resummed_frames(monkeypatch)
+        counts, sums, frame_ll = gmm_module.posterior_sums(frames, ubm.gmm, squares=True)
+        assert sum(calls) == np.count_nonzero(np.abs(frames).max(axis=1) == 1e3)
+        oracle_ll, gamma = self.oracle(frames, ubm.gmm)
+        assert np.allclose(frame_ll, oracle_ll, rtol=1e-12, atol=0.0)
+        assert np.allclose(counts, gamma.sum(axis=0), rtol=1e-12, atol=0.0)
+        moments = np.hstack([frames, frames * frames])
+        # a sum of terms of both signs is held to 1e-12 of its terms' magnitudes
+        assert np.all(np.abs(sums - gamma.T @ moments) <= 1e-12 * (gamma.T @ np.abs(moments)))
 
 
 def masked_variances(frames, labels, n_clusters, variance_floor):
@@ -795,26 +884,39 @@ class TestKernelCache:
         return calls
 
     def test_cached_block_is_a_fresh_build(self):
-        model = random_gmm(np.random.default_rng(54), components=7, dim=5)
-        ref, ((start, stop, coefficients),) = gmm_module._reused(gmm_module._stack, [model])
+        rng = np.random.default_rng(54)
+        model = random_gmm(rng, components=7, dim=5)
+        ref, ((start, stop, coefficients, peaks),) = gmm_module._reused(gmm_module._stack,
+                                                                       [model])
         centre = gmm_module._centre(model.means)
         assert (start, stop) == (0, 1) and np.array_equal(ref, centre)
+        # the peak is the largest log density any component reaches, at its own mean
+        heights = [np.log(w) + component_log_density(mu, mu, var)
+                   for w, mu, var in zip(model.weights, model.means, model.variances)]
+        assert peaks.shape == (1,) and peaks[0] == pytest.approx(max(heights), rel=1e-15)
+        frames = np.vstack([model.means, rng.normal(0, 3, (50, 5))])
+        densities = frame_component_log_densities(frames, model) + np.log(model.weights)
+        assert densities.max() <= peaks[0] + 1e-12
         assert np.array_equal(coefficients, gmm_module._coefficients(
-            model.means, model.variances, np.log(model.weights), centre))
+            model.means, model.variances, np.log(model.weights) - peaks[0], centre))
         assert gmm_module._reused(gmm_module._stack, [model])[1][0][2] is coefficients
-        assert not (ref.flags.writeable or coefficients.flags.writeable)
+        assert gmm_module._reused(gmm_module._stack, [model])[1][0][3] is peaks
+        assert not (ref.flags.writeable or coefficients.flags.writeable or peaks.flags.writeable)
         # _stack itself keeps nothing: each call is a new, equal build
-        rebuilt = gmm_module._stack([model])[1][0][2]
+        (*_, rebuilt, rebuilt_peaks), = gmm_module._stack([model])[1]
         assert rebuilt is not coefficients and np.array_equal(rebuilt, coefficients)
+        assert np.array_equal(rebuilt_peaks, peaks)
 
     def test_with_means_builds_its_own_block(self):
         base = random_gmm(np.random.default_rng(55), components=4, dim=3)
-        base_coefficients = gmm_module._reused(gmm_module._stack, [base])[1][0][2]
+        (*_, base_coefficients, base_peaks), = gmm_module._reused(gmm_module._stack, [base])[1]
         moved = base.with_means(base.means + 1.5)
-        ref, ((*_, coefficients),) = gmm_module._reused(gmm_module._stack, [moved])
+        ref, ((*_, coefficients, peaks),) = gmm_module._reused(gmm_module._stack, [moved])
         assert np.array_equal(ref, gmm_module._centre(moved.means))
+        # the peak does not depend on the means
+        assert np.array_equal(peaks, base_peaks)
         assert np.array_equal(coefficients, gmm_module._coefficients(
-            moved.means, moved.variances, np.log(moved.weights), ref))
+            moved.means, moved.variances, np.log(moved.weights) - peaks[0], ref))
         assert not np.array_equal(coefficients, base_coefficients)
 
     def test_one_em_iteration_builds_the_block_once(self, builds):
@@ -849,13 +951,11 @@ class TestKernelCache:
         frames = rng.normal(0, 3, (frames_l, 4))
         counts, sums, frame_ll = gmm_module.posterior_sums(frames, model, squares=squares)
         oracle_counts, oracle_sums, oracle_ll = np.zeros(6), np.zeros_like(sums), []
-        ref = gmm_module._centre(model.means)
-        coefficients = gmm_module._coefficients(model.means, model.variances,
-                                                np.log(model.weights), ref)
+        ref, ((*_, coefficients, peaks),) = gmm_module._stack([model])  # a new build
         for start in range(0, frames_l, gmm_module.BLOCK):
             block = frames[start:start + gmm_module.BLOCK]
             block_ll, exps, totals = _mixture_pass(gmm_module._terms(block, ref), [model],
-                                                   coefficients)
+                                                   coefficients, peaks)
             gamma = exps / totals
             oracle_counts += gamma.sum(axis=1)
             oracle_sums += gamma @ (np.hstack([block, block * block]) if squares else block)
@@ -894,7 +994,8 @@ class TestStackCache:
         assert calls == [22]
         ref, blocks = gmm_module._stack(mixed_models)
         assert not ref.flags.writeable
-        assert not any(coefficients.flags.writeable for _, _, coefficients in blocks)
+        assert not any(coefficients.flags.writeable or peaks.flags.writeable
+                       for _, _, coefficients, peaks in blocks)
 
     def test_cached_equals_fresh_as_block_changes(self, mixed_models, monkeypatch):
         # 22 components: 7 splits the stack into five blocks, 1 gives every model its own.
