@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import os
+import queue
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -24,6 +26,7 @@ BLOCK = 2048
 # most 2**-1075, move it by at most l * 2**-175 of itself, far below rounding. A frame
 # where some model's sum is lower is summed again about its own per-frame peaks.
 _FLOOR = 2.0 ** -900
+TWO_RUNS_WORK = 2 ** 18  # frames x components of the smallest pass that _in_two_runs splits
 KMEANS_FRAMES_PER_COMPONENT = 64  # UBM k-means runs on at most this many frames per component
 
 
@@ -40,21 +43,49 @@ def _room_for_two_runs() -> bool:
     return False
 
 
-def _in_two_runs(work, items, rows: int) -> list:
-    """[work(item) for item in items], in order. A pass over at least 4 * BLOCK rows (two full
-    blocks per thread), with room for two runs, runs the second half of items on a thread of
-    its own while this thread runs the first: numpy releases the GIL around the GEMM, exp and
-    reductions, so the runs overlap. Callers combine the results in item order, so every sum
-    is the same for any CPU count. Two runs, not one per CPU, keep two blocks in flight."""
+def _serve(jobs, results):  # the worker's loop: each (work, items) job's (error, results)
+    while True:
+        work, items = jobs.get()
+        try:
+            results.put((None, [work(item) for item in items]))
+        except BaseException as error:
+            results.put((error, None))
+
+
+def _forget_worker():  # a forked child has no worker thread: its first split starts its own
+    global _worker, _queues
+    _worker, _queues = threading.Lock(), None  # _worker is held by the pass the worker serves
+
+
+_forget_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _in_two_runs(work, items, size: int) -> list:
+    """[work(item) for item in items], in order. A pass of at least TWO_RUNS_WORK frames x
+    components, with room for two runs, hands the second half of items to the process's one
+    worker thread and runs the first half itself, then waits for the tail, also on a raise:
+    numpy releases the GIL around the GEMM, exp and reductions, so the runs overlap. A caller
+    that finds the worker busy (with another pass, or running this call) runs every item.
+    Callers combine results in item order, so every sum is the same for any CPU count."""
+    global _queues
     half = len(items) // 2
-    if rows < 4 * BLOCK or half == 0 or not _room_for_two_runs():
+    if (size < TWO_RUNS_WORK or half == 0 or not _room_for_two_runs()
+            or not (lock := _worker).acquire(blocking=False)):
         return [work(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor  # pulls in logging: ~11 ms
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="voxid") as pool:
-        tail = pool.submit(lambda: [work(item) for item in items[half:]])
-        pool.shutdown(wait=False)  # queues the stop, so the thread exits right after its run
+    if _queues is None:  # a failed start keeps the lock, so later passes run serially
+        _queues = queue.SimpleQueue(), queue.SimpleQueue()
+        threading.Thread(target=_serve, args=_queues, name="voxid-pass", daemon=True).start()
+    _queues[0].put((work, items[half:]))  # items call private functions, which no tracer wraps
+    try:
         head = [work(item) for item in items[:half]]
-    return head + tail.result()  # leaving the block joined the thread, also on a raise
+    finally:
+        error, tail = _queues[1].get()
+        lock.release()  # not after an interrupted wait, whose late tail no later pass may take
+    if error is not None:
+        raise error
+    return head + tail
 
 
 def _read_only(values) -> np.ndarray:
@@ -285,7 +316,7 @@ def posterior_sums(frames: np.ndarray, gmm: DiagonalGmm, squares: bool = False):
     counts = np.zeros(gmm.num_components)
     sums = np.zeros((gmm.num_components, frames.shape[1] * (2 if squares else 1)))
     for block_counts, block_sums in _in_two_runs(moments, range(0, frames.shape[0], BLOCK),
-                                                 frames.shape[0]):
+                                                 frames.shape[0] * gmm.num_components):
         counts += block_counts
         sums += block_sums
     return counts, sums, frame_ll
@@ -322,12 +353,23 @@ def _stack(gmms) -> tuple:
     return ref, tuple(blocks)
 
 
+def _halves(block, gmms):
+    """A _stack block as two blocks of row-slice views, cut at the model boundary nearest
+    half its rows (the first, on a tie), whatever the CPU count; one model is not cut."""
+    start, stop, coefficients, peaks = block
+    ends = list(itertools.accumulate(gmm.num_components for gmm in gmms[start:stop - 1]))
+    m = min(range(len(ends)), key=lambda i: abs(2 * ends[i] - len(coefficients)), default=-1)
+    return [block] if m < 0 else [(start, start + m + 1, coefficients[:ends[m]], peaks[:m + 1]),
+                                  (start + m + 1, stop, coefficients[ends[m]:], peaks[m + 1:])]
+
+
 def sequence_log_likelihoods(feats: FeatureMatrix, gmms) -> np.ndarray:
     """Sequence log-likelihood of one utterance under each mixture; shape (N,), so (0,)
     for no mixtures.
 
-    One _mixture_pass per block of _stack over terms built once, about the first model's
-    centre, so the models may differ in component count. Frames are treated as independent.
+    One _mixture_pass per _halves of each block of _stack, on one or two threads, over
+    terms built once, about the first model's centre, so the models may differ in component
+    count. Frames are treated as independent.
     """
     feats.require_nonempty()
     if len(gmms) == 0:
@@ -337,6 +379,7 @@ def sequence_log_likelihoods(feats: FeatureMatrix, gmms) -> np.ndarray:
         _require_dim(frames, gmm)
     ref, blocks = _reused(_stack, gmms)
     terms = _terms(frames, ref)
+    halves = [half for block in blocks for half in _halves(block, gmms)]
 
     def block_totals(block):
         start, stop, coefficients, peaks = block
@@ -344,7 +387,7 @@ def sequence_log_likelihoods(feats: FeatureMatrix, gmms) -> np.ndarray:
         return _mixture_pass(terms, gmms[start:stop], coefficients, peaks)[0].sum(axis=1)
 
     stacked = sum(coefficients.shape[0] for _, _, coefficients, _ in blocks)
-    return np.concatenate(_in_two_runs(block_totals, blocks, stacked))
+    return np.concatenate(_in_two_runs(block_totals, halves, frames.shape[0] * stacked))
 
 
 def sequence_log_likelihood(feats: FeatureMatrix, gmm: DiagonalGmm) -> float:
@@ -380,7 +423,8 @@ def _nearest(frames: np.ndarray, centers: np.ndarray, ref: np.ndarray, blocks=No
         terms = _centred_block(frames, ref, start) if blocks is None else blocks[start // BLOCK]
         return np.argmin(terms @ coefficients, axis=1)
 
-    return np.concatenate(_in_two_runs(labels, range(0, frames.shape[0], BLOCK), frames.shape[0]))
+    return np.concatenate(_in_two_runs(labels, range(0, frames.shape[0], BLOCK),
+                                       frames.shape[0] * centers.shape[0]))
 
 
 def _cluster_sums(labels: np.ndarray, rows: np.ndarray, n_clusters: int) -> np.ndarray:

@@ -1,6 +1,7 @@
-import concurrent.futures
 import multiprocessing
+import os
 import pickle
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -524,7 +525,7 @@ class TestFarFrames:
         frames = self.frames(43, 90)
         calls = resummed_frames(monkeypatch)
         scores = sequence_log_likelihoods(FeatureMatrix(frames), models)
-        assert calls == [30]  # the far frames, and only they
+        assert calls == [30, 30]  # the far frames, and only they, in each half of the stack
         for score, model in zip(scores, models):
             oracle = self.oracle(frames, model)[0].sum()
             assert abs(score - oracle) <= 1e-12 * abs(oracle)
@@ -1228,20 +1229,29 @@ class TestReadOnlyArrays:
 
 
 class TestTwoRuns:
-    """A pass over at least 4 * BLOCK rows runs its second half of blocks on a thread of
-    its own, and its results are combined in block order whatever the CPU count."""
+    """A pass of at least TWO_RUNS_WORK frames x components hands its second half of items to
+    the process's one worker thread, and its results are combined in item order whatever the
+    CPU count."""
 
     @pytest.fixture
     def worker(self, monkeypatch):
-        """Forces the split on (True) or off (False); returns the pool of each split pass."""
-        splits = []
+        """Forces the split on (True) or off (False); returns the list that gets one entry,
+        the worker's name, for each pass that ran an item on another thread than its caller."""
+        splits, in_two_runs = [], gmm_module._in_two_runs
 
-        class Pool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                splits.append(self)
+        def recorded(work, items, size):
+            names = set()
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+            def traced(item):
+                names.add(threading.current_thread().name)
+                return work(item)
+
+            try:
+                return in_two_runs(traced, items, size)
+            finally:
+                splits.extend(names - {threading.current_thread().name})
+
+        monkeypatch.setattr(gmm_module, "_in_two_runs", recorded)
         return lambda on: monkeypatch.setattr(gmm_module, "_room_for_two_runs",
                                               lambda: on) or splits
 
@@ -1249,8 +1259,7 @@ class TestTwoRuns:
     def pass_threads():
         return [thread for thread in threading.enumerate() if thread.name.startswith("voxid")]
 
-    @staticmethod
-    def both(worker, call):
+    def both(self, worker, call):
         """call() with the worker forced off, then on; asserts the pass split only when on."""
         splits = worker(False)
         splits.clear()
@@ -1258,8 +1267,16 @@ class TestTwoRuns:
         assert splits == []
         worker(True)
         split = call()
-        assert splits
+        assert splits and set(splits) == {"voxid-pass"}
+        assert len(self.pass_threads()) == 1
         return serial, split
+
+    @staticmethod
+    def split_size(seed):
+        """A model and frames whose posterior_sums pass, 8 192 x 32, splits into two runs of
+        two blocks each."""
+        rng = np.random.default_rng(seed)
+        return random_gmm(rng, components=32, dim=3), rng.normal(0, 2, (4 * gmm_module.BLOCK, 3))
 
     @pytest.mark.parametrize("cpus, env, room", [
         (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
@@ -1279,9 +1296,10 @@ class TestTwoRuns:
         assert gmm_module._room_for_two_runs() is room
 
     def test_em_fit(self, worker):
-        # 4 * BLOCK + 300 frames: the full nearest-centre pass and every E-step split
+        # 4 * BLOCK + 300 frames x 32 components: the full nearest-centre pass and every
+        # E-step split
         feats = FeatureMatrix(overlapping_frames(64, 4 * gmm_module.BLOCK + 300, 8, 5))
-        config = GmmTrainingConfig(num_components=8, max_iterations=3, rng_seed=5)
+        config = GmmTrainingConfig(num_components=32, max_iterations=3, rng_seed=5)
         serial, split = self.both(worker, lambda: em_fit_detailed(feats, config))
         assert serial[1] == split[1]
         for name in ("weights", "means", "variances"):
@@ -1291,7 +1309,7 @@ class TestTwoRuns:
     @pytest.mark.parametrize("squares", [False, True])
     def test_posterior_sums(self, worker, frames_l, squares):
         rng = np.random.default_rng(frames_l)
-        model, frames = random_gmm(rng, components=6, dim=4), rng.normal(0, 3, (frames_l, 4))
+        model, frames = random_gmm(rng, components=32, dim=4), rng.normal(0, 3, (frames_l, 4))
         serial, split = self.both(
             worker, lambda: gmm_module.posterior_sums(frames, model, squares=squares))
         for ours, reference in zip(split, serial):
@@ -1299,7 +1317,7 @@ class TestTwoRuns:
 
     def test_nearest(self, worker):
         frames = overlapping_frames(65, 4 * gmm_module.BLOCK + 9, 12, 6)
-        centers, ref = frames[::700], frames.mean(axis=0)
+        centers, ref = frames[::250], frames.mean(axis=0)  # 33 centres
         blocks = [gmm_module._centred_block(frames, ref, start)
                   for start in range(0, frames.shape[0], gmm_module.BLOCK)]
         for given in (None, blocks):  # the full pass, and Lloyd's blocks built once
@@ -1308,17 +1326,57 @@ class TestTwoRuns:
             assert np.array_equal(split, serial)
             assert np.array_equal(split, rowwise_nearest(frames, centers, ref))
 
+    def test_lloyd_passes_at_the_benchmark_shape(self, worker):
+        # a 4 096 x 20 k-means sample with C = 64: each Lloyd pass is 2**18 frames x centres
+        # and splits, and so does every E-step of a UBM trained on 6 000 frames
+        frames = overlapping_frames(75, 6000, 64, 20)
+        sample = frames[:gmm_module.KMEANS_FRAMES_PER_COMPONENT * 64]
+        serial, split = self.both(
+            worker, lambda: _kmeans_pp(sample, 64, np.random.default_rng(76)))
+        assert np.array_equal(split[0], serial[0]) and np.array_equal(split[1], serial[1])
+        config = GmmTrainingConfig(num_components=64, max_iterations=2, rng_seed=77)
+        serial, split = self.both(worker, lambda: em_fit_detailed(FeatureMatrix(frames), config))
+        assert serial[1] == split[1]
+        for name in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(serial[0], name), getattr(split[0], name))
+
     def test_sequence_log_likelihoods(self, worker):
-        # 33 models of 256 components stack past 4 * BLOCK
+        # 33 models of 256 components: five blocks of _stack, nine halves
         rng = np.random.default_rng(66)
         models = [random_gmm(rng, components=256, dim=3) for _ in range(33)]
         feats = FeatureMatrix(rng.normal(0, 2, (50, 3)))
         serial, split = self.both(worker, lambda: sequence_log_likelihoods(feats, models))
         assert np.array_equal(split, serial)
 
+    @staticmethod
+    def one_pass_per_block(feats, models):
+        """Scores with one _mixture_pass per block of _stack, as if no block were halved."""
+        ref, blocks = gmm_module._reused(gmm_module._stack, models)
+        terms = gmm_module._terms(feats.frames, ref)
+        return np.concatenate([
+            gmm_module._mixture_pass(terms, models[start:stop], coefficients, peaks)[0].sum(axis=1)
+            for start, stop, coefficients, peaks in blocks])
+
+    def test_llr_trials_at_the_benchmark_shape(self, worker):
+        # a UBM and 16 speakers of 64 components, k = 20, 300-frame trials: 1 088 stacked
+        # components in one block, halved after the eighth model; split, serial and one pass
+        # over the whole block give the same bits
+        rng = np.random.default_rng(78)
+        ubm = Ubm(gmm=overlapping_mixture(79, 64, 20))
+        models = [ubm.gmm] + [
+            map_adapt(accumulate_stats(FeatureMatrix(rng.normal(shift, 1.0, (200, 20))), ubm),
+                      ubm, speaker_id=str(n)).gmm
+            for n, shift in enumerate(np.linspace(-0.5, 0.5, 16))]
+        halves = gmm_module._halves(gmm_module._stack(models)[1][0], models)
+        assert [(start, stop) for start, stop, _, _ in halves] == [(0, 8), (8, 17)]
+        for trial in range(10):
+            feats = FeatureMatrix(overlapping_frames(80 + trial, 300, 64, 20))
+            serial, split = self.both(worker, lambda: sequence_log_likelihoods(feats, models))
+            assert np.array_equal(split, serial)
+            assert np.array_equal(split, self.one_pass_per_block(feats, models))
+
     def test_worker_error_reaches_the_caller(self, worker, monkeypatch):
-        rng = np.random.default_rng(67)
-        model, frames = random_gmm(rng, components=4, dim=3), rng.normal(0, 2, (8192, 3))
+        model, frames = self.split_size(67)
         worker(True)
         expected = gmm_module.posterior_sums(frames, model)
         posteriors, caller = gmm_module._posteriors, threading.get_ident()
@@ -1331,14 +1389,16 @@ class TestTwoRuns:
         monkeypatch.setattr(gmm_module, "_posteriors", failing)
         with pytest.raises(DimensionMismatch, match="worker thread"):
             gmm_module.posterior_sums(frames, model)
-        assert self.pass_threads() == []
         monkeypatch.setattr(gmm_module, "_posteriors", posteriors)
+        # the worker serves the next pass, which gives the same bits
+        splits = worker(True)
+        splits.clear()
         for ours, reference in zip(gmm_module.posterior_sums(frames, model), expected):
             assert np.array_equal(ours, reference)
+        assert splits == ["voxid-pass"] and len(self.pass_threads()) == 1
 
-    def test_caller_error_joins_the_thread(self, worker, monkeypatch):
-        rng = np.random.default_rng(73)
-        model, frames = random_gmm(rng, components=4, dim=3), rng.normal(0, 2, (8192, 3))
+    def test_caller_error_waits_for_the_tail(self, worker, monkeypatch):
+        model, frames = self.split_size(73)
         splits, posteriors, caller = worker(True), gmm_module._posteriors, threading.get_ident()
         finished = []
 
@@ -1352,53 +1412,149 @@ class TestTwoRuns:
         monkeypatch.setattr(gmm_module, "_posteriors", failing)
         with pytest.raises(DimensionMismatch, match="calling thread"):
             gmm_module.posterior_sums(frames, model)
-        # the pass's thread ran its two blocks to the end before the error left the pass
-        assert len(splits) == 1 and finished == [gmm_module.BLOCK] * 2
-        assert self.pass_threads() == []
+        # the worker ran its two blocks to the end before the error left the pass
+        assert splits == ["voxid-pass"] and finished == [gmm_module.BLOCK] * 2
 
-    def test_a_split_leaves_no_thread(self, worker):
-        rng = np.random.default_rng(74)
-        model, frames = random_gmm(rng, components=4, dim=3), rng.normal(0, 2, (8192, 3))
+    def test_one_worker_per_process(self, worker):
+        model, frames = self.split_size(74)
         splits = worker(True)
-        before = threading.active_count()
         gmm_module.posterior_sums(frames, model)
-        assert len(splits) == 1
-        assert threading.active_count() == before and self.pass_threads() == []
+        (thread,) = self.pass_threads()
+        assert thread.daemon
+        for _ in range(3):
+            gmm_module.posterior_sums(frames, model)
+        # every split ran on the one worker, which waits for the next pass
+        assert splits == ["voxid-pass"] * 4 and self.pass_threads() == [thread]
+
+    def test_a_busy_worker_leaves_the_pass_to_its_caller(self, worker):
+        model, frames = self.split_size(81)
+        splits = worker(True)
+        expected = gmm_module.posterior_sums(frames, model)
+        splits.clear()
+        with gmm_module._worker:  # as while another caller's pass holds the worker
+            result = gmm_module.posterior_sums(frames, model)
+        assert splits == []
+        for ours, reference in zip(result, expected):
+            assert np.array_equal(ours, reference)
+
+    def test_an_interrupted_wait_keeps_the_worker_busy(self, worker, monkeypatch):
+        # a wait for the tail cut short (as by Ctrl-C) keeps the worker's lock, so no later
+        # pass can take that tail's late result: later passes run serially, with the same bits
+        model, frames = self.split_size(85)
+        splits = worker(True)
+        expected = gmm_module.posterior_sums(frames, model)
+        jobs, results = gmm_module._queues
+
+        class Interrupted(Exception):
+            pass
+
+        class CutShort:
+            def get(self):
+                raise Interrupted
+
+        monkeypatch.setattr(gmm_module, "_queues", (jobs, CutShort()))
+        try:
+            with pytest.raises(Interrupted):
+                gmm_module.posterior_sums(frames, model)
+            monkeypatch.setattr(gmm_module, "_queues", (jobs, results))
+            splits.clear()
+            for ours, reference in zip(gmm_module.posterior_sums(frames, model), expected):
+                assert np.array_equal(ours, reference)
+            assert splits == []
+        finally:  # take the late result and free the worker for the tests that follow
+            results.get(timeout=60)
+            gmm_module._worker.release()
+
+    def test_a_pass_from_a_work_item_runs_serially(self, worker, monkeypatch):
+        # a split-size pass started by an item on the worker cannot queue on its own thread
+        model, frames = self.split_size(82)
+        splits = worker(True)
+        expected = gmm_module.posterior_sums(frames, model)
+        posteriors, nested = gmm_module._posteriors, []
+
+        def nesting(block, gmm):
+            if threading.current_thread().name == "voxid-pass" and not nested:
+                nested.append(len(splits))  # the first item on the worker nests, once
+                nested.append(gmm_module.posterior_sums(frames, model))
+                nested.append(splits[nested[0]:])
+            return posteriors(block, gmm)
+
+        monkeypatch.setattr(gmm_module, "_posteriors", nesting)
+        outer = []
+        thread = threading.Thread(target=lambda: outer.append(
+            gmm_module.posterior_sums(frames, model)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        _, result, inner_splits = nested
+        assert inner_splits == []
+        for ours, reference in zip(result, expected):
+            assert np.array_equal(ours, reference)
+        for ours, reference in zip(outer[0], expected):
+            assert np.array_equal(ours, reference)
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork on this platform")
     def test_forked_child_starts_its_own_worker(self, worker):
-        # a child forked after a split inherits no thread or pool, and splits on its own
-        rng = np.random.default_rng(71)
-        model, frames = random_gmm(rng, components=4, dim=3), rng.normal(0, 2, (8192, 3))
+        # a child forked after its parent split a pass inherits no worker thread, starts its
+        # own on its first split, and finishes with the parent's bits
+        model, frames = self.split_size(71)
         worker(True)
         expected = gmm_module.posterior_sums(frames, model)
+        assert len(self.pass_threads()) == 1
         context = multiprocessing.get_context("fork")
         receive, send = context.Pipe(duplex=False)
+
+        def child():
+            inherited = self.pass_threads()
+            send.send((gmm_module.posterior_sums(frames, model), inherited,
+                       [thread.name for thread in self.pass_threads()]))
+
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # forking a threaded process
-            child = context.Process(
-                target=lambda: send.send(gmm_module.posterior_sums(frames, model)))
-            child.start()
+            process = context.Process(target=child)
+            process.start()
         try:
             assert receive.poll(60)
-            for ours, reference in zip(receive.recv(), expected):
+            result, inherited, started = receive.recv()
+            assert inherited == [] and started == ["voxid-pass"]
+            for ours, reference in zip(result, expected):
                 assert np.array_equal(ours, reference)
         finally:
-            child.join(timeout=60)
-            if child.is_alive():
-                child.kill()
-        assert child.exitcode == 0
+            process.join(timeout=60)
+            if process.is_alive():
+                process.kill()
+        assert process.exitcode == 0
 
-    def test_concurrent_callers_leave_no_thread(self, worker):
-        # four callers split at once: each pass has its own pool, equals the serial pass,
-        # and leaves no thread behind
-        rng = np.random.default_rng(72)
-        model, frames = random_gmm(rng, components=4, dim=3), rng.normal(0, 2, (8192, 3))
+    def test_a_process_with_a_worker_exits_promptly(self):
+        # the worker is a daemon waiting for work: it neither holds the process open nor
+        # warns at exit
+        code = (
+            "import numpy as np, threading\n"
+            "from voxid import gmm\n"
+            "gmm._room_for_two_runs = lambda: True\n"
+            "rng = np.random.default_rng(83)\n"
+            "w = rng.uniform(0.5, 1.0, 32)\n"
+            "model = gmm.DiagonalGmm(w / w.sum(), rng.normal(0, 1, (32, 3)),\n"
+            "                        rng.uniform(0.5, 1.5, (32, 3)))\n"
+            "gmm.posterior_sums(rng.normal(0, 2, (4 * gmm.BLOCK, 3)), model)\n"
+            "assert [t.name for t in threading.enumerate() if t.name.startswith('voxid')]"
+            " == ['voxid-pass']\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gmm_module.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+
+    def test_concurrent_callers_get_the_serial_bits(self, worker):
+        # four callers split at once: one at a time has the worker, the others run their
+        # passes themselves, and every pass equals the serial pass
+        model, frames = self.split_size(72)
         worker(False)
         expected = gmm_module.posterior_sums(frames, model)
         splits = worker(True)
-        before = threading.active_count()
+        splits.clear()
         mismatches = []
 
         def split_passes():
@@ -1419,8 +1575,8 @@ class TestTwoRuns:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
-        assert len(splits) == 80
-        assert threading.active_count() == before and self.pass_threads() == []
+        assert 1 <= len(splits) <= 80 and set(splits) == {"voxid-pass"}
+        assert len(self.pass_threads()) == 1
 
     def test_small_passes_start_no_thread(self, worker):
         splits = worker(True)
@@ -1428,6 +1584,9 @@ class TestTwoRuns:
         rng = np.random.default_rng(68)
         ubm = Ubm(gmm=random_gmm(rng, components=16, dim=8))
         accumulate_stats(FeatureMatrix(rng.normal(0, 2, (300, 8))), ubm)
+        # the benchmark's 2 000-frame enrollment against a 64-component UBM, k = 20
+        accumulate_stats(FeatureMatrix(rng.normal(0, 2, (2000, 20))),
+                         Ubm(gmm=overlapping_mixture(84, 64, 20)))
         # the demo configs' UBM: 8 000 frames, 16 components, k = 8
         em_fit(FeatureMatrix(overlapping_frames(69, 8000, 16, 8)),
                GmmTrainingConfig(num_components=16, max_iterations=3))
@@ -1448,7 +1607,7 @@ class TestTwoRuns:
         config = GmmTrainingConfig(num_components=components, max_iterations=1)
         frames = rng.normal(0, 1, (20 * gmm_module.BLOCK, dim))
         worker(True)
-        gmm_module.posterior_sums(frames, model)  # concurrent.futures is imported before measuring
+        gmm_module.posterior_sums(frames, model)  # the worker is started before measuring
         return (lambda x: gmm_module.posterior_sums(x, model),
                 lambda x: em_fit(FeatureMatrix(x), config)), frames
 
@@ -1478,7 +1637,7 @@ class TestTwoRuns:
         # working set than the serial pass. It peaks in _mixture_pass at (C + 2k + 5) rows of
         # BLOCK doubles: the posteriors (C), the terms (2k + 1), and the peaks, sums, their
         # logs and the log-likelihoods (4); the moments after it hold C + 3k rows. On top
-        # come the thread and the pool, measured at up to 40 KB. A pass that kept every
+        # come the job and its results on the worker's queues. A pass that kept every
         # block's posteriors would add ten (C, BLOCK) blocks
         working_set = (components + 2 * dim + 5) * block * 8
         for call in calls:
