@@ -54,6 +54,13 @@ _EXIT_CODES = {
 }
 
 
+def _report(exc, where="") -> int:
+    """exc's exit code, once printed: a toolkit error by its type, any other as ValueError."""
+    name = type(exc).__name__ if isinstance(exc, VoxidError) else "ValueError"
+    print(f"{where}{name}: {exc}", file=sys.stderr)
+    return next(code for family, code in _EXIT_CODES.items() if isinstance(exc, family))
+
+
 # --- flat key = value config files -------------------------------------------
 
 # rng_seed comes from --seed; relevance is map_adapt's argument, not a config field
@@ -143,16 +150,15 @@ def cmd_features(args, settings):
         try:
             clip = read_wav(path)
             feats = extract_mfcc(clip, config)
-        except (VoxidError, ValueError) as exc:
+        except tuple(_EXIT_CODES) as exc:
             # a setting that cannot frame this file's rate is a usage error, reported per
-            # file as data errors are, so every input is tried whatever their order
-            print(f"{path}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            codes.add(EXIT_DATA if isinstance(exc, VoxidError) else EXIT_USAGE)
+            # file as other errors are, so every input is tried whatever their order
+            codes.add(_report(exc, f"{path}: "))
             continue
         store.save(feats, "features", out)
         if args.verbose:
             print(f"{path} -> {out} ({feats.count_L}x{feats.dim_k})")
-    return max(codes)  # usage (64) over data (2) over none
+    return max(codes)  # usage (64) over data (2) over domain (1) over none
 
 
 def _derive_output(path, out_dir, suffix):
@@ -368,10 +374,7 @@ def main(argv=None) -> int:
         command = globals()[f"cmd_{args.command.replace('-', '_')}"]
         return command(args, settings)
     except tuple(_EXIT_CODES) as exc:
-        # a toolkit error names its own type; any other is reported as a ValueError
-        name = type(exc).__name__ if isinstance(exc, VoxidError) else "ValueError"
-        print(f"{name}: {exc}", file=sys.stderr)
-        return next(code for family, code in _EXIT_CODES.items() if isinstance(exc, family))
+        return _report(exc)
 
 
 if __name__ == "__main__":

@@ -105,6 +105,9 @@ def frame_signal(signal, config: MfccConfig, rate: int) -> np.ndarray:
     x = np.asarray(signal, dtype=np.float64)
     flen = config.frame_length_samples(rate)
     shift = config.frame_shift_samples(rate)
+    if flen < 2:  # a setting that cannot frame this rate, before hamming_window's FrameTooShort
+        raise ValueError(f"frame_length_ms = {config.frame_length_ms:g} is under two samples "
+                         f"at {rate} Hz")
     if x.size < flen:
         raise SignalTooShort(f"{x.size} samples < one {flen}-sample frame")
     return np.lib.stride_tricks.sliding_window_view(x, flen)[::shift].copy()

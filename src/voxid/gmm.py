@@ -43,46 +43,38 @@ def _room_for_two_runs() -> bool:
     return False
 
 
-def _serve(jobs, results):  # the worker's loop: each (work, items) job's (error, results)
+def _serve():  # the worker's loop: each (work, items, reply) job's (error, results)
     while True:
-        work, items = jobs.get()
+        work, items, reply = _jobs.get()
         try:
-            results.put((None, [work(item) for item in items]))
+            reply.put((None, [work(item) for item in items]))
         except BaseException as error:
-            results.put((error, None))
+            reply.put((error, None))
 
 
-def _forget_worker():  # a forked child has no worker thread: its first split starts its own
-    global _worker, _queues
-    _worker, _queues = threading.Lock(), None  # _worker is held by the pass the worker serves
-
-
-_forget_worker()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
+_jobs, _worker = queue.SimpleQueue(), None  # a forked child's inherited worker is not alive
 
 
 def _in_two_runs(work, items, size: int) -> list:
     """[work(item) for item in items], in order. A pass of at least TWO_RUNS_WORK frames x
-    components, with room for two runs, hands the second half of items to the process's one
-    worker thread and runs the first half itself, then waits for the tail, also on a raise:
-    numpy releases the GIL around the GEMM, exp and reductions, so the runs overlap. A caller
-    that finds the worker busy (with another pass, or running this call) runs every item.
+    components, with room for two runs, queues the second half of items for the process's
+    worker thread and runs the first half itself, then waits for the tail on its own reply,
+    also on a raise: numpy releases the GIL around the GEMM, exp and reductions, so the runs
+    overlap. Concurrent callers' tails queue; a pass started on the worker runs every item.
     Callers combine results in item order, so every sum is the same for any CPU count."""
-    global _queues
+    global _worker
     half = len(items) // 2
     if (size < TWO_RUNS_WORK or half == 0 or not _room_for_two_runs()
-            or not (lock := _worker).acquire(blocking=False)):
+            or threading.current_thread() is _worker):
         return [work(item) for item in items]
-    if _queues is None:  # a failed start keeps the lock, so later passes run serially
-        _queues = queue.SimpleQueue(), queue.SimpleQueue()
-        threading.Thread(target=_serve, args=_queues, name="voxid-pass", daemon=True).start()
-    _queues[0].put((work, items[half:]))  # items call private functions, which no tracer wraps
+    if _worker is None or not _worker.is_alive():  # racing first splits may start two
+        (_worker := threading.Thread(target=_serve, name="voxid-pass", daemon=True)).start()
+    reply = queue.SimpleQueue()  # a tail whose wait was cut short lands here, read by no one
+    _jobs.put((work, items[half:], reply))  # items call private functions, which no tracer wraps
     try:
         head = [work(item) for item in items[:half]]
     finally:
-        error, tail = _queues[1].get()
-        lock.release()  # not after an interrupted wait, whose late tail no later pass may take
+        error, tail = reply.get()
     if error is not None:
         raise error
     return head + tail

@@ -108,7 +108,10 @@ class TestFeatures:
         ("frame_shift_ms = 0.01\n", "16000 Hz"),
         ("frame_length_ms = -5\nframe_shift_ms = -10\n", "frame_shift_ms"),
         ("dft_size = 256\n", "dft_size = 256 is shorter than the 400-sample frame at 16000 Hz"),
-    ], ids=["zero-shift", "sub-sample-shift", "negative-length", "dft-shorter-than-frame"])
+        ("frame_length_ms = 0.06\nframe_shift_ms = 0.06\n",
+         "frame_length_ms = 0.06 is under two samples at 16000 Hz"),
+    ], ids=["zero-shift", "sub-sample-shift", "negative-length", "dft-shorter-than-frame",
+            "one-sample-frame"])
     def test_bad_frame_timing(self, tmp_path, make_clip_wav, capsys, lines, needle):
         wav = make_clip_wav("a.wav", rate=16000)
         config = tmp_path / "c.conf"
@@ -132,6 +135,16 @@ class TestFeatures:
         assert sorted(p.name for p in out.iterdir()) == ["a.feat", "c.feat"]
         err = capsys.readouterr().err
         assert f"{wavs['b']}: ValueError: dft_size = 256 is shorter than the 400-sample" in err
+
+    def test_too_short_wav_is_a_domain_error(self, tmp_path, make_clip_wav, capsys):
+        # 50 samples at 8 kHz hold no 200-sample frame: valid data, no features
+        short = make_clip_wav("short.wav", seconds=50 / 8000)
+        assert run("features", short, "--out-dir", tmp_path) == EXIT_DOMAIN
+        assert f"{short}: SignalTooShort" in capsys.readouterr().err
+        assert not (tmp_path / "short.feat").exists()
+        broken = tmp_path / "broken.wav"
+        broken.write_bytes(b"not a wav")  # a data error outranks it
+        assert run("features", short, broken, "--out-dir", tmp_path) == EXIT_DATA
 
     def test_usage_error_outranks_a_data_error(self, tmp_path, make_clip_wav, capsys):
         wav = make_clip_wav("a.wav", rate=16000)

@@ -1,10 +1,12 @@
 import multiprocessing
 import os
 import pickle
+import queue
 import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 import warnings
 from copy import copy, deepcopy
 
@@ -1426,44 +1428,34 @@ class TestTwoRuns:
         # every split ran on the one worker, which waits for the next pass
         assert splits == ["voxid-pass"] * 4 and self.pass_threads() == [thread]
 
-    def test_a_busy_worker_leaves_the_pass_to_its_caller(self, worker):
-        model, frames = self.split_size(81)
-        splits = worker(True)
-        expected = gmm_module.posterior_sums(frames, model)
-        splits.clear()
-        with gmm_module._worker:  # as while another caller's pass holds the worker
-            result = gmm_module.posterior_sums(frames, model)
-        assert splits == []
-        for ours, reference in zip(result, expected):
-            assert np.array_equal(ours, reference)
-
-    def test_an_interrupted_wait_keeps_the_worker_busy(self, worker, monkeypatch):
-        # a wait for the tail cut short (as by Ctrl-C) keeps the worker's lock, so no later
-        # pass can take that tail's late result: later passes run serially, with the same bits
+    def test_an_interrupted_wait_leaves_its_tail_on_its_own_reply(self, worker, monkeypatch):
+        # a wait for the tail cut short (as by Ctrl-C) leaves the late tail on that pass's
+        # reply, which no later pass reads: the next pass splits on the same worker and gets
+        # the serial bits
         model, frames = self.split_size(85)
         splits = worker(True)
         expected = gmm_module.posterior_sums(frames, model)
-        jobs, results = gmm_module._queues
+        thread, replies = gmm_module._worker, []
 
         class Interrupted(Exception):
             pass
 
-        class CutShort:
+        class CutShort(queue.SimpleQueue):
             def get(self):
+                replies.append(self)
                 raise Interrupted
 
-        monkeypatch.setattr(gmm_module, "_queues", (jobs, CutShort()))
-        try:
-            with pytest.raises(Interrupted):
-                gmm_module.posterior_sums(frames, model)
-            monkeypatch.setattr(gmm_module, "_queues", (jobs, results))
-            splits.clear()
-            for ours, reference in zip(gmm_module.posterior_sums(frames, model), expected):
-                assert np.array_equal(ours, reference)
-            assert splits == []
-        finally:  # take the late result and free the worker for the tests that follow
-            results.get(timeout=60)
-            gmm_module._worker.release()
+        monkeypatch.setattr(gmm_module, "queue", types.SimpleNamespace(SimpleQueue=CutShort))
+        with pytest.raises(Interrupted):
+            gmm_module.posterior_sums(frames, model)
+        monkeypatch.setattr(gmm_module, "queue", queue)
+        splits.clear()
+        for ours, reference in zip(gmm_module.posterior_sums(frames, model), expected):
+            assert np.array_equal(ours, reference)
+        assert splits == ["voxid-pass"] and self.pass_threads() == [thread]
+        # the late tail, its two blocks, waits on the interrupted pass's own reply
+        error, tail = queue.SimpleQueue.get(replies[0], timeout=60)
+        assert error is None and len(tail) == 2 and replies[0].empty()
 
     def test_a_pass_from_a_work_item_runs_serially(self, worker, monkeypatch):
         # a split-size pass started by an item on the worker cannot queue on its own thread
@@ -1492,6 +1484,34 @@ class TestTwoRuns:
             assert np.array_equal(ours, reference)
         for ours, reference in zip(outer[0], expected):
             assert np.array_equal(ours, reference)
+
+    def test_a_pass_from_a_work_item_on_the_caller_queues_behind_its_tail(self, worker,
+                                                                          monkeypatch):
+        # a split-size pass started by an item on the caller's thread queues its tail behind
+        # the outer pass's tail, which the worker finishes first
+        model, frames = self.split_size(86)
+        splits = worker(True)
+        expected = gmm_module.posterior_sums(frames, model)
+        posteriors, nested = gmm_module._posteriors, []
+
+        def nesting(block, gmm):
+            if threading.current_thread().name == "caller" and not nested:
+                nested.append(None)  # the first item on the caller nests, once
+                nested[0] = gmm_module.posterior_sums(frames, model)
+            return posteriors(block, gmm)
+
+        monkeypatch.setattr(gmm_module, "_posteriors", nesting)
+        splits.clear()
+        outer = []
+        thread = threading.Thread(target=lambda: outer.append(
+            gmm_module.posterior_sums(frames, model)), name="caller")
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert splits == ["voxid-pass"] * 2  # the inner pass split, then the outer one
+        for result in (nested[0], outer[0]):
+            for ours, reference in zip(result, expected):
+                assert np.array_equal(ours, reference)
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork on this platform")
@@ -1548,12 +1568,14 @@ class TestTwoRuns:
         assert (done.returncode, done.stderr) == (0, "")
 
     def test_concurrent_callers_get_the_serial_bits(self, worker):
-        # four callers split at once: one at a time has the worker, the others run their
-        # passes themselves, and every pass equals the serial pass
+        # four callers split at once: every pass queues its tail on the one worker, and every
+        # pass equals the serial pass
         model, frames = self.split_size(72)
         worker(False)
         expected = gmm_module.posterior_sums(frames, model)
         splits = worker(True)
+        gmm_module.posterior_sums(frames, model)  # the worker is started before the callers
+        (pass_thread,) = self.pass_threads()
         splits.clear()
         mismatches = []
 
@@ -1575,8 +1597,7 @@ class TestTwoRuns:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
-        assert 1 <= len(splits) <= 80 and set(splits) == {"voxid-pass"}
-        assert len(self.pass_threads()) == 1
+        assert splits == ["voxid-pass"] * 80 and self.pass_threads() == [pass_thread]
 
     def test_small_passes_start_no_thread(self, worker):
         splits = worker(True)
