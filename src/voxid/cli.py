@@ -148,14 +148,13 @@ def cmd_features(args, settings):
     codes = {EXIT_OK}
     for path, out in zip(args.inputs, outputs):
         try:
-            clip = read_wav(path)
-            feats = extract_mfcc(clip, config)
+            feats = extract_mfcc(read_wav(path), config)
+            store.save(feats, "features", out)
         except tuple(_EXIT_CODES) as exc:
-            # a setting that cannot frame this file's rate is a usage error, reported per
-            # file as other errors are, so every input is tried whatever their order
+            # a setting that cannot frame this file's rate is a usage error, and a failed
+            # write a data error, each reported per file, so every input is tried
             codes.add(_report(exc, f"{path}: "))
             continue
-        store.save(feats, "features", out)
         if args.verbose:
             print(f"{path} -> {out} ({feats.count_L}x{feats.dim_k})")
     return max(codes)  # usage (64) over data (2) over domain (1) over none

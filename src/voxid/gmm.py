@@ -227,22 +227,11 @@ def frame_component_log_densities(frames: np.ndarray, gmm: DiagonalGmm) -> np.nd
     return _log_densities(_terms(frames, ref), _coefficients(gmm.means, gmm.variances, 0.0, ref)).T
 
 
-def _runs(rows: np.ndarray, gmms):
-    """(view, models) for each run of consecutive gmms with equal component counts: the
-    run's part of rows, which hold one row per stacked component, as one (n, l, L) view,
-    and the run's slice of the models, so each model's rows are reduced in one call."""
-    model = row = 0
-    for size, run in itertools.groupby(g.num_components for g in gmms):
-        n = len(list(run))
-        yield rows[row:row + n * size].reshape(n, size, -1), slice(model, model + n)
-        model, row = model + n, row + n * size
+def _mixture_pass(terms: np.ndarray, coefficients, peaks, runs):
+    """Frame log-likelihoods (N, L) under the N mixtures of one _stack pass, with the
+    shifted exponentials (sum l, L) and their per-model sums (N, L).
 
-
-def _mixture_pass(terms: np.ndarray, gmms, coefficients, peaks):
-    """Frame log-likelihoods (N, L) under N mixtures, with the shifted exponentials
-    (sum l, L) and their per-model sums (N, L).
-
-    One kernel call of _stack's coefficients, whose log densities are already less each
+    One kernel call of the pass's coefficients, whose log densities are already less each
     model's peak density, against the frames' _terms: no exponent is above 0, so the
     exponentials overwrite the kernel's output with nothing to overflow, each model's rows
     are summed, and its peak is added back to the sums' logs. Frames where some model's
@@ -250,29 +239,30 @@ def _mixture_pass(terms: np.ndarray, gmms, coefficients, peaks):
     """
     exps = _log_densities(terms, coefficients)
     np.exp(exps, out=exps)
-    sums = np.empty((len(gmms), terms.shape[0]))
-    for view, models in _runs(exps, gmms):
-        np.sum(view, axis=1, out=sums[models])
+    sums = np.empty((len(peaks), terms.shape[0]))
+    for models, rows, shape in runs:
+        np.sum(exps[rows].reshape(shape), axis=1, out=sums[models])
     with np.errstate(divide="ignore"):  # a model whose log densities are all -inf gives -inf
         frame_ll = np.log(sums)
     frame_ll += peaks[:, None]
     low = np.flatnonzero(~np.all((sums >= _FLOOR) & np.isfinite(sums), axis=0))
     if low.size:
-        frame_ll[:, low], exps[:, low], sums[:, low] = _resummed(terms[low], gmms,
-                                                                 coefficients, peaks)
+        frame_ll[:, low], exps[:, low], sums[:, low] = _resummed(terms[low], coefficients,
+                                                                 peaks, runs)
     return frame_ll, exps, sums
 
 
-def _resummed(terms: np.ndarray, gmms, coefficients, peaks):
+def _resummed(terms: np.ndarray, coefficients, peaks, runs):
     """_mixture_pass for frames its sums cannot hold: each model's log densities are
     shifted by their own maximum at each frame (0 where not finite) before the
     exponentials, so frames far from every component keep their precision, and -inf rows
     and NaN come out as an unshifted log-sum-exp gives them. The frame's maximum and the
     model's peak are added first, so the sum's log is rounded once, at the result's scale."""
     logs = _frame_log_densities(terms, coefficients)
-    shift = np.empty((len(gmms), terms.shape[0]))
+    shift = np.empty((len(peaks), terms.shape[0]))
     sums = np.empty_like(shift)
-    for view, models in _runs(logs, gmms):
+    for models, rows, shape in runs:
+        view = logs[rows].reshape(shape)
         peak = np.max(view, axis=1, out=shift[models])
         peak[~np.isfinite(peak)] = 0.0
         view -= peak[:, None, :]
@@ -287,8 +277,8 @@ def _posteriors(frames: np.ndarray, gmm: DiagonalGmm):
     """Responsibilities (l, L), columns summing to 1, and per-frame log-likelihoods (L,),
     from the mixture's _stack, which every E-step and Baum-Welch call shares."""
     _require_dim(frames, gmm)
-    ref, ((*_, coefficients, peaks),) = _reused(_stack, [gmm])
-    frame_ll, gamma, sums = _mixture_pass(_terms(frames, ref), [gmm], coefficients, peaks)
+    ref, (layout,) = _reused(_stack, [gmm])
+    frame_ll, gamma, sums = _mixture_pass(_terms(frames, ref), *layout)
     gamma /= sums
     return gamma, frame_ll[0]
 
@@ -320,66 +310,70 @@ def mixture_log_likelihood(x, gmm: DiagonalGmm) -> float:
 
 
 def _stack(gmms) -> tuple:
-    """The centre of gmms[0] and one (start, stop, coefficients, peaks) per block of at most
-    BLOCK stacked components (a larger model is its own block), all read-only. A model's peak
-    is the largest of its components' log densities at their own means, which bounds all of
-    its log densities; its coefficients' constant column is less that peak. Callers take it
-    through _reused, so the E-step's [gmm] and LLR's [ubm, *speakers] share the head's slot."""
+    """The centre of gmms[0] and the passes that score gmms, all read-only, laid out once:
+    each block of at most BLOCK stacked components (a larger model is its own block) is cut
+    at the model boundary nearest half its rows (the first, on a tie; one model is not cut),
+    whatever the CPU count, and each half is one (coefficients, peaks, runs) pass of
+    row-slice views of its block. A run (models, rows, shape) is consecutive models with
+    equal component counts: their slices of the pass's peaks and rows, and the (n, l, L)
+    shape of their rows. A model's peak is the largest of its components' log densities at
+    their own means, which bounds all of its log densities; its coefficients' constant
+    column is less that peak. Callers take it through _reused, so the E-step's [gmm] and
+    LLR's [ubm, *speakers] share the head's slot. Every model must have the head's dim."""
     ref = _centre(gmms[0].means)
-    sizes = np.array([gmm.num_components for gmm in gmms])
-    blocks, start = [], 0
+    if any(gmm.dim_k != ref.size for gmm in gmms):
+        raise DimensionMismatch(f"stacked models have dims {sorted({g.dim_k for g in gmms})}")
+    sizes = [gmm.num_components for gmm in gmms]
+    passes, start = [], 0
     while start < len(gmms):
         stop = start + max(1, int(np.searchsorted(np.cumsum(sizes[start:]), BLOCK, "right")))
         block, counts = gmms[start:stop], sizes[start:stop]
+        ends = [0, *itertools.accumulate(counts)]
         variances = np.concatenate([g.variances for g in block])
         log_weights = np.log(np.concatenate([g.weights for g in block]))
         heights = log_weights - 0.5 * (variances.shape[1] * _LOG_2PI
                                        + np.sum(np.log(variances), axis=1))
-        peaks = np.maximum.reduceat(heights, np.cumsum(counts) - counts)
+        peaks = np.maximum.reduceat(heights, ends[:-1])
         coefficients = _coefficients(np.concatenate([g.means for g in block]), variances,
                                      log_weights - np.repeat(peaks, counts), ref)
         coefficients.flags.writeable = peaks.flags.writeable = False
-        blocks.append((start, stop, coefficients, peaks))
+        cut = min(range(1, len(counts)), key=lambda m: abs(2 * ends[m] - ends[-1]), default=0)
+        bounds = sorted({0, cut, len(counts)})
+        for lo, hi in zip(bounds, bounds[1:]):
+            runs, model, row = [], 0, 0
+            for size, run in itertools.groupby(counts[lo:hi]):
+                n = len(list(run))
+                runs.append((slice(model, model + n), slice(row, row + n * size), (n, size, -1)))
+                model, row = model + n, row + n * size
+            passes.append((coefficients[ends[lo]:ends[hi]], peaks[lo:hi], tuple(runs)))
         start = stop
     ref.flags.writeable = False
-    return ref, tuple(blocks)
-
-
-def _halves(block, gmms):
-    """A _stack block as two blocks of row-slice views, cut at the model boundary nearest
-    half its rows (the first, on a tie), whatever the CPU count; one model is not cut."""
-    start, stop, coefficients, peaks = block
-    ends = list(itertools.accumulate(gmm.num_components for gmm in gmms[start:stop - 1]))
-    m = min(range(len(ends)), key=lambda i: abs(2 * ends[i] - len(coefficients)), default=-1)
-    return [block] if m < 0 else [(start, start + m + 1, coefficients[:ends[m]], peaks[:m + 1]),
-                                  (start + m + 1, stop, coefficients[ends[m]:], peaks[m + 1:])]
+    return ref, tuple(passes)
 
 
 def sequence_log_likelihoods(feats: FeatureMatrix, gmms) -> np.ndarray:
     """Sequence log-likelihood of one utterance under each mixture; shape (N,), so (0,)
     for no mixtures.
 
-    One _mixture_pass per _halves of each block of _stack, on one or two threads, over
-    terms built once, about the first model's centre, so the models may differ in component
-    count. Frames are treated as independent.
+    One _mixture_pass per pass of _stack, on one or two threads, over terms built once,
+    about the first model's centre, so the models may differ in component count. A stack's
+    work is counted as frames x N x the head's components, which an LLR stack of speakers
+    adapted from its UBM head holds exactly. Frames are treated as independent.
     """
     feats.require_nonempty()
     if len(gmms) == 0:
         return np.zeros(0)
     frames = feats.frames
-    for gmm in gmms:
-        _require_dim(frames, gmm)
-    ref, blocks = _reused(_stack, gmms)
+    _require_dim(frames, gmms[0])
+    ref, passes = _reused(_stack, gmms)
     terms = _terms(frames, ref)
-    halves = [half for block in blocks for half in _halves(block, gmms)]
 
-    def block_totals(block):
-        start, stop, coefficients, peaks = block
+    def pass_totals(layout):
         # each model's frame log-likelihoods are one contiguous row, which numpy sums pairwise
-        return _mixture_pass(terms, gmms[start:stop], coefficients, peaks)[0].sum(axis=1)
+        return _mixture_pass(terms, *layout)[0].sum(axis=1)
 
-    stacked = sum(coefficients.shape[0] for _, _, coefficients, _ in blocks)
-    return np.concatenate(_in_two_runs(block_totals, halves, frames.shape[0] * stacked))
+    return np.concatenate(_in_two_runs(pass_totals, passes,
+                                       frames.shape[0] * len(gmms) * gmms[0].num_components))
 
 
 def sequence_log_likelihood(feats: FeatureMatrix, gmm: DiagonalGmm) -> float:

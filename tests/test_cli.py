@@ -146,6 +146,14 @@ class TestFeatures:
         broken.write_bytes(b"not a wav")  # a data error outranks it
         assert run("features", short, broken, "--out-dir", tmp_path) == EXIT_DATA
 
+    def test_failed_write_is_reported_per_input(self, tmp_path, make_clip_wav, capsys):
+        a, b = make_clip_wav("a.wav"), make_clip_wav("b.wav", seed=1)
+        (tmp_path / "a.feat").mkdir()  # a directory where a.feat would be written
+        assert run("features", a, b, "--out-dir", tmp_path) == EXIT_DATA
+        assert f"{a}: IoFailure" in capsys.readouterr().err
+        assert (tmp_path / "b.feat").is_file()  # and no temporary file is left behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.feat", "a.wav", "b.feat", "b.wav"]
+
     def test_usage_error_outranks_a_data_error(self, tmp_path, make_clip_wav, capsys):
         wav = make_clip_wav("a.wav", rate=16000)
         broken = tmp_path / "broken.wav"

@@ -309,22 +309,24 @@ def resummed_frames(monkeypatch):
 class TestLogSumExp:
     # _mixture_pass reduces over axis 0 of the kernel output, one row per component, so
     # axis 1 feeds it a.T. keepdims runs one model over the whole axis, as _posteriors
-    # does, against scipy's kept row; otherwise models split the axis into segments.
+    # does, against scipy's kept row; otherwise models split the axis into segments, which
+    # _stack cuts into two passes: [3, 4, 1, 5] | [27] and [3, 8, 5] | [1, 13].
     SEGMENTS = {0: (3, 4, 1, 5, 27),    # [7, 8) is -inf only, [3, 7) holds -inf
                 1: (3, 8, 5, 1, 13)}    # [0, 3) is -inf only in frame 3, [3, 11) holds -inf
-    # consecutive equal sizes form runs [2, 2], [3], [1, 1], [2], [rest], one view each:
-    # [7, 8) is -inf only and shares its run with [8, 9); for axis 1, [0, 2) and [2, 4)
-    # are -inf only in frame 3
+    # consecutive equal sizes form runs [2, 2], [3], [1, 1], [2] in the first pass and
+    # [rest] in the second, one view each: [7, 8) is -inf only and shares its run with
+    # [8, 9); for axis 1, [0, 2) and [2, 4) are -inf only in frame 3
     RUNS = {0: (2, 2, 3, 1, 1, 2, 29), 1: (2, 2, 3, 1, 1, 2, 19)}
 
     @staticmethod
     def scores(monkeypatch, axis, sizes):
-        """_mixture_pass over models of `sizes` on a kernel output of -inf rows, frames
-        holding -inf and tied peaks, with scipy's log-sum-exp of each segment. As _stack's
-        coefficients do, the kernel gives each model's log densities less its peak, here
-        its largest finite one over all frames (0 if none is); terms carry frame indices,
-        so the kernel gives the columns of the frames passed, and the frames lying more
-        than about 600 nats below a model's peak are summed again about their own."""
+        """_mixture_pass over each pass that _stack lays out for models of `sizes`, on a
+        kernel output of -inf rows, frames holding -inf and tied peaks, with scipy's
+        log-sum-exp of each segment. As _stack's coefficients do, the kernel gives each
+        model's log densities less its peak, here its largest finite one over all frames
+        (0 if none is); coefficients carry row indices and terms frame indices, so the
+        kernel gives the pass's rows at the frames passed, and the frames lying more than
+        about 600 nats below a model's peak are summed again about their own."""
         rng = np.random.default_rng(34)
         # on a 2**-30 grid, so the test's own shift by a peak is exact, as the kernel's
         # shifted output is what _mixture_pass is given
@@ -342,11 +344,16 @@ class TestLogSumExp:
         shifted = logs - np.repeat(peaks, sizes)[:, None]
         models = [random_gmm(rng, components=c) for c in sizes]
         for kernel in ("_log_densities", "_frame_log_densities"):
-            monkeypatch.setattr(gmm_module, kernel,
-                                lambda terms, _: shifted[:, terms[:, 0].astype(np.intp)])
+            monkeypatch.setattr(gmm_module, kernel, lambda terms, rows: shifted[
+                rows[:, 0].astype(np.intp)][:, terms[:, 0].astype(np.intp)])
         resummed = resummed_frames(monkeypatch)
         frames = np.arange(float(logs.shape[1]))[:, None]
-        frame_ll, exps, sums = _mixture_pass(frames, models, np.zeros(1), peaks)
+        rows, parts, row, model = np.arange(float(logs.shape[0]))[:, None], [], 0, 0
+        for coefficients, pass_peaks, runs in gmm_module._stack(models)[1]:
+            n, m = len(coefficients), len(pass_peaks)
+            parts.append(_mixture_pass(frames, rows[row:row + n], peaks[model:model + m], runs))
+            row, model = row + n, model + m
+        frame_ll, exps, sums = (np.vstack(part) for part in zip(*parts))
         assert resummed and resummed[0] > 0  # the fallback runs once, on some frames
         assert frame_ll.shape == sums.shape == oracle.shape and exps.shape == logs.shape
         finite = np.isfinite(oracle)
@@ -889,10 +896,10 @@ class TestKernelCache:
     def test_cached_block_is_a_fresh_build(self):
         rng = np.random.default_rng(54)
         model = random_gmm(rng, components=7, dim=5)
-        ref, ((start, stop, coefficients, peaks),) = gmm_module._reused(gmm_module._stack,
-                                                                       [model])
+        ref, ((coefficients, peaks, runs),) = gmm_module._reused(gmm_module._stack, [model])
         centre = gmm_module._centre(model.means)
-        assert (start, stop) == (0, 1) and np.array_equal(ref, centre)
+        assert runs == ((slice(0, 1), slice(0, 7), (1, 7, -1)),)
+        assert np.array_equal(ref, centre)
         # the peak is the largest log density any component reaches, at its own mean
         heights = [np.log(w) + component_log_density(mu, mu, var)
                    for w, mu, var in zip(model.weights, model.means, model.variances)]
@@ -902,19 +909,19 @@ class TestKernelCache:
         assert densities.max() <= peaks[0] + 1e-12
         assert np.array_equal(coefficients, gmm_module._coefficients(
             model.means, model.variances, np.log(model.weights) - peaks[0], centre))
-        assert gmm_module._reused(gmm_module._stack, [model])[1][0][2] is coefficients
-        assert gmm_module._reused(gmm_module._stack, [model])[1][0][3] is peaks
+        assert gmm_module._reused(gmm_module._stack, [model])[1][0][0] is coefficients
+        assert gmm_module._reused(gmm_module._stack, [model])[1][0][1] is peaks
         assert not (ref.flags.writeable or coefficients.flags.writeable or peaks.flags.writeable)
         # _stack itself keeps nothing: each call is a new, equal build
-        (*_, rebuilt, rebuilt_peaks), = gmm_module._stack([model])[1]
+        (rebuilt, rebuilt_peaks, _), = gmm_module._stack([model])[1]
         assert rebuilt is not coefficients and np.array_equal(rebuilt, coefficients)
         assert np.array_equal(rebuilt_peaks, peaks)
 
     def test_with_means_builds_its_own_block(self):
         base = random_gmm(np.random.default_rng(55), components=4, dim=3)
-        (*_, base_coefficients, base_peaks), = gmm_module._reused(gmm_module._stack, [base])[1]
+        (base_coefficients, base_peaks, _), = gmm_module._reused(gmm_module._stack, [base])[1]
         moved = base.with_means(base.means + 1.5)
-        ref, ((*_, coefficients, peaks),) = gmm_module._reused(gmm_module._stack, [moved])
+        ref, ((coefficients, peaks, _),) = gmm_module._reused(gmm_module._stack, [moved])
         assert np.array_equal(ref, gmm_module._centre(moved.means))
         # the peak does not depend on the means
         assert np.array_equal(peaks, base_peaks)
@@ -954,11 +961,10 @@ class TestKernelCache:
         frames = rng.normal(0, 3, (frames_l, 4))
         counts, sums, frame_ll = gmm_module.posterior_sums(frames, model, squares=squares)
         oracle_counts, oracle_sums, oracle_ll = np.zeros(6), np.zeros_like(sums), []
-        ref, ((*_, coefficients, peaks),) = gmm_module._stack([model])  # a new build
+        ref, (layout,) = gmm_module._stack([model])  # a new build
         for start in range(0, frames_l, gmm_module.BLOCK):
             block = frames[start:start + gmm_module.BLOCK]
-            block_ll, exps, totals = _mixture_pass(gmm_module._terms(block, ref), [model],
-                                                   coefficients, peaks)
+            block_ll, exps, totals = _mixture_pass(gmm_module._terms(block, ref), *layout)
             gamma = exps / totals
             oracle_counts += gamma.sum(axis=1)
             oracle_sums += gamma @ (np.hstack([block, block * block]) if squares else block)
@@ -995,17 +1001,18 @@ class TestStackCache:
         for _ in range(4):  # a new list of the same mixtures each time
             sequence_log_likelihoods(FeatureMatrix(rng.normal(0, 2, (30, 3))), list(mixed_models))
         assert calls == [22]
-        ref, blocks = gmm_module._stack(mixed_models)
+        ref, passes = gmm_module._stack(mixed_models)
         assert not ref.flags.writeable
         assert not any(coefficients.flags.writeable or peaks.flags.writeable
-                       for _, _, coefficients, peaks in blocks)
+                       for coefficients, peaks, _ in passes)
 
     def test_cached_equals_fresh_as_block_changes(self, mixed_models, monkeypatch):
-        # 22 components: 7 splits the stack into five blocks, 1 gives every model its own.
-        # BLOCK is read when a stack is built, so each BLOCK scores fresh copies of the models.
+        # 22 components: 7 splits the stack into five blocks, the first cut into two passes,
+        # 1 gives every model its own, and 2048 holds all six in one block, cut after the
+        # third. BLOCK is read when a stack is built, so each BLOCK scores fresh copies.
         feats = FeatureMatrix(np.random.default_rng(60).normal(0, 2, (40, 3)))
         frames = feats.frames
-        for block, count in ((7, 5), (1, 6), (2048, 1)):
+        for block, count in ((7, 6), (1, 6), (2048, 2)):
             monkeypatch.setattr(gmm_module, "BLOCK", block)
             models = [fresh(model) for model in mixed_models]
             built = sequence_log_likelihoods(feats, models)
@@ -1035,6 +1042,16 @@ class TestStackCache:
                        mixed_models):
             assert np.array_equal(sequence_log_likelihoods(feats, models),
                                   sequence_log_likelihoods(feats, [fresh(m) for m in models]))
+
+    def test_mixed_dimensions_raise_when_built(self, mixed_models):
+        # the odd model is checked once, when _stack builds, and nothing is kept
+        models = [*(fresh(model) for model in mixed_models),
+                  random_gmm(np.random.default_rng(64), components=2, dim=4)]
+        with pytest.raises(DimensionMismatch, match=r"dims \[3, 4\]"):
+            gmm_module._stack(models)
+        with pytest.raises(DimensionMismatch, match=r"dims \[3, 4\]"):
+            sequence_log_likelihoods(FeatureMatrix(np.zeros((5, 3))), models)
+        assert "_slot" not in vars(models[0])
 
     def test_threads_scoring_lists_with_one_head(self, mixed_models):
         # each thread alternates lists that share the head, so stores interleave with reads
@@ -1352,12 +1369,13 @@ class TestTwoRuns:
 
     @staticmethod
     def one_pass_per_block(feats, models):
-        """Scores with one _mixture_pass per block of _stack, as if no block were halved."""
-        ref, blocks = gmm_module._reused(gmm_module._stack, models)
+        """Scores with one _mixture_pass over the whole block of 17 models of 64 components,
+        as if _stack had not cut it: its two passes' coefficients and peaks, rejoined."""
+        ref, passes = gmm_module._reused(gmm_module._stack, models)
+        coefficients, peaks = (np.concatenate(part) for part in zip(*(p[:2] for p in passes)))
+        runs = ((slice(0, 17), slice(0, 17 * 64), (17, 64, -1)),)
         terms = gmm_module._terms(feats.frames, ref)
-        return np.concatenate([
-            gmm_module._mixture_pass(terms, models[start:stop], coefficients, peaks)[0].sum(axis=1)
-            for start, stop, coefficients, peaks in blocks])
+        return gmm_module._mixture_pass(terms, coefficients, peaks, runs)[0].sum(axis=1)
 
     def test_llr_trials_at_the_benchmark_shape(self, worker):
         # a UBM and 16 speakers of 64 components, k = 20, 300-frame trials: 1 088 stacked
@@ -1369,8 +1387,11 @@ class TestTwoRuns:
             map_adapt(accumulate_stats(FeatureMatrix(rng.normal(shift, 1.0, (200, 20))), ubm),
                       ubm, speaker_id=str(n)).gmm
             for n, shift in enumerate(np.linspace(-0.5, 0.5, 16))]
-        halves = gmm_module._halves(gmm_module._stack(models)[1][0], models)
-        assert [(start, stop) for start, stop, _, _ in halves] == [(0, 8), (8, 17)]
+        passes = gmm_module._stack(models)[1]
+        assert [(len(peaks), len(coefficients)) for coefficients, peaks, _ in passes] == [
+            (8, 512), (9, 576)]
+        assert [runs for *_, runs in passes] == [((slice(0, 8), slice(0, 512), (8, 64, -1)),),
+                                                 ((slice(0, 9), slice(0, 576), (9, 64, -1)),)]
         for trial in range(10):
             feats = FeatureMatrix(overlapping_frames(80 + trial, 300, 64, 20))
             serial, split = self.both(worker, lambda: sequence_log_likelihoods(feats, models))
