@@ -173,7 +173,7 @@ def _random_gmm(rng: np.random.Generator, components: int, dim: int) -> Diagonal
 def sample_from_gmm(gmm: DiagonalGmm, n: int, rng: np.random.Generator) -> FeatureMatrix:
     comps = rng.choice(gmm.num_components, size=n, p=gmm.weights)
     noise = rng.standard_normal((n, gmm.dim_k))
-    frames = gmm.means[comps] + noise * np.sqrt(gmm.variances[comps])
+    frames = gmm.means[comps] + noise * np.sqrt(gmm.variances)[comps]  # one root per component
     return FeatureMatrix(frames)
 
 

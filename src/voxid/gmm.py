@@ -26,7 +26,7 @@ BLOCK = 2048
 # most 2**-1075, move it by at most l * 2**-175 of itself, far below rounding. A frame
 # where some model's sum is lower is summed again about its own per-frame peaks.
 _FLOOR = 2.0 ** -900
-TWO_RUNS_WORK = 2 ** 18  # frames x components of the smallest pass that _in_two_runs splits
+TWO_RUNS_WORK = 2 ** 17  # frames x components of its products: smallest pass that splits
 KMEANS_FRAMES_PER_COMPONENT = 64  # UBM k-means runs on at most this many frames per component
 
 
@@ -56,12 +56,13 @@ _jobs, _worker = queue.SimpleQueue(), None  # a forked child's inherited worker 
 
 
 def _in_two_runs(work, items, size: int) -> list:
-    """[work(item) for item in items], in order. A pass of at least TWO_RUNS_WORK frames x
-    components, with room for two runs, queues the second half of items for the process's
-    worker thread and runs the first half itself, then waits for the tail on its own reply,
-    also on a raise: numpy releases the GIL around the GEMM, exp and reductions, so the runs
-    overlap. Concurrent callers' tails queue; a pass started on the worker runs every item.
-    Callers combine results in item order, so every sum is the same for any CPU count."""
+    """[work(item) for item in items], in order. A pass whose size, the frames x components
+    of its products, reaches TWO_RUNS_WORK, with room for two runs, queues the second half of
+    items for the process's worker thread and runs the first half itself, then waits for the
+    tail on its own reply, also on a raise: numpy releases the GIL around the GEMM, exp and
+    reductions, so the runs overlap. Concurrent callers' tails queue; a pass started on the
+    worker runs every item. Callers combine results in item order, so every sum is the same
+    for any CPU count."""
     global _worker
     half = len(items) // 2
     if (size < TWO_RUNS_WORK or half == 0 or not _room_for_two_runs()
@@ -286,19 +287,23 @@ def _posteriors(frames: np.ndarray, gmm: DiagonalGmm):
 def posterior_sums(frames: np.ndarray, gmm: DiagonalGmm, squares: bool = False):
     """Soft counts (l,), gamma^T X (gamma^T [X, X^2] with squares) and frame
     log-likelihoods (L,), BLOCK frames at a time; each block's counts and products
-    are added in frame order."""
+    are added in frame order. The work is the kernel and moments products, 2 x frames x l;
+    a one-block pass whose work reaches TWO_RUNS_WORK is cut at ceil(L / 2) frames, by its
+    sizes alone, so _in_two_runs has two items and the bits do not depend on the CPUs."""
     _reused(_stack, [gmm])  # built before a split, so the second run only reads the slot
-    frame_ll = np.empty(frames.shape[0])
+    n = frames.shape[0]
+    work = 2 * n * gmm.num_components
+    step = (n + 1) // 2 if n <= BLOCK and work >= TWO_RUNS_WORK else BLOCK
+    frame_ll = np.empty(n)
 
     def moments(start):
-        block = frames[start:start + BLOCK]
-        gamma, frame_ll[start:start + BLOCK] = _posteriors(block, gmm)
+        block = frames[start:start + step]
+        gamma, frame_ll[start:start + step] = _posteriors(block, gmm)
         return gamma.sum(axis=1), gamma @ (np.hstack([block, block * block]) if squares else block)
 
     counts = np.zeros(gmm.num_components)
     sums = np.zeros((gmm.num_components, frames.shape[1] * (2 if squares else 1)))
-    for block_counts, block_sums in _in_two_runs(moments, range(0, frames.shape[0], BLOCK),
-                                                 frames.shape[0] * gmm.num_components):
+    for block_counts, block_sums in _in_two_runs(moments, range(0, n, step), work):
         counts += block_counts
         sums += block_sums
     return counts, sums, frame_ll

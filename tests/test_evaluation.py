@@ -29,6 +29,7 @@ from voxid.evaluation import (
 )
 from voxid.experiment import (
     ExperimentConfig,
+    _random_gmm,
     attach_ivectors,
     build_world,
     parse_experiment_config,
@@ -715,3 +716,14 @@ class TestExperiment:
         gmm = tiny_gmm(0.0)
         feats = sample_from_gmm(gmm, 25, np.random.default_rng(0))
         assert feats.frames.shape == (25, 1)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sampling_takes_one_root_per_component(self, seed):
+        # sqrt is correctly rounded, so rooting each component's variances once and then
+        # gathering gives the bits of rooting the gathered (n, k) variances
+        gmm = _random_gmm(np.random.default_rng(seed), 64, 20)  # the worlds' UBM draw
+        frames = sample_from_gmm(gmm, 15_000, np.random.default_rng(seed + 10)).frames
+        rng = np.random.default_rng(seed + 10)
+        comps = rng.choice(64, size=15_000, p=gmm.weights)
+        noise = rng.standard_normal((15_000, 20))
+        assert np.array_equal(frames, gmm.means[comps] + noise * np.sqrt(gmm.variances[comps]))

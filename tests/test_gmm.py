@@ -1248,9 +1248,9 @@ class TestReadOnlyArrays:
 
 
 class TestTwoRuns:
-    """A pass of at least TWO_RUNS_WORK frames x components hands its second half of items to
-    the process's one worker thread, and its results are combined in item order whatever the
-    CPU count."""
+    """A pass whose work, the frames x components of its products, reaches TWO_RUNS_WORK hands
+    its second half of items to the process's one worker thread, and its results are combined
+    in item order whatever the CPU count."""
 
     @pytest.fixture
     def worker(self, monkeypatch):
@@ -1626,14 +1626,56 @@ class TestTwoRuns:
         rng = np.random.default_rng(68)
         ubm = Ubm(gmm=random_gmm(rng, components=16, dim=8))
         accumulate_stats(FeatureMatrix(rng.normal(0, 2, (300, 8))), ubm)
-        # the benchmark's 2 000-frame enrollment against a 64-component UBM, k = 20
-        accumulate_stats(FeatureMatrix(rng.normal(0, 2, (2000, 20))),
-                         Ubm(gmm=overlapping_mixture(84, 64, 20)))
-        # the demo configs' UBM: 8 000 frames, 16 components, k = 8
-        em_fit(FeatureMatrix(overlapping_frames(69, 8000, 16, 8)),
-               GmmTrainingConfig(num_components=16, max_iterations=3))
+        # the i-vector benchmark's 1 000-frame enrollment against a 64-component UBM, k = 20:
+        # its E-step's work, 2 x 1 000 x 64, is below TWO_RUNS_WORK
+        accumulate_stats(FeatureMatrix(rng.normal(0, 2, (1000, 20))),
+                         Ubm(gmm=overlapping_mixture(87, 64, 20)))
         assert threading.active_count() == before
         assert splits == []
+
+    def test_enrollments_and_demo_ubms_split(self, worker):
+        # the LLR benchmark's 2 000-frame enrollment against a 64-component UBM, k = 20, is
+        # one block cut at its half; the demo configs' UBM (8 000 frames, 16 components,
+        # k = 8) keeps its four blocks
+        rng = np.random.default_rng(68)
+        feats, ubm = (FeatureMatrix(rng.normal(0, 2, (2000, 20))),
+                      Ubm(gmm=overlapping_mixture(84, 64, 20)))
+        serial, split = self.both(worker, lambda: accumulate_stats(feats, ubm))
+        assert np.array_equal(split.zeroth, serial.zeroth)
+        assert np.array_equal(split.first, serial.first)
+        feats = FeatureMatrix(overlapping_frames(69, 8000, 16, 8))
+        config = GmmTrainingConfig(num_components=16, max_iterations=3)
+        serial, split = self.both(worker, lambda: em_fit_detailed(feats, config))
+        assert serial[1] == split[1]
+        for name in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(serial[0], name), getattr(split[0], name))
+
+    # 2 x 1 024 frames x 64 components is TWO_RUNS_WORK
+    @pytest.mark.parametrize("frames_l, pieces", [(1024, [512, 512]), (1025, [513, 512]),
+                                                  (1023, [1023])])
+    @pytest.mark.parametrize("squares", [False, True])
+    def test_one_block_is_cut_at_its_half_from_the_threshold(self, worker, monkeypatch,
+                                                             frames_l, pieces, squares):
+        assert 2 * 1024 * 64 == gmm_module.TWO_RUNS_WORK
+        rng = np.random.default_rng(frames_l)
+        model, frames = random_gmm(rng, components=64, dim=5), rng.normal(0, 3, (frames_l, 5))
+        posteriors, sizes = gmm_module._posteriors, []
+
+        def sized(block, gmm):
+            sizes.append(block.shape[0])
+            return posteriors(block, gmm)
+
+        monkeypatch.setattr(gmm_module, "_posteriors", sized)
+        results = {}
+        for on in (False, True):
+            splits = worker(on)
+            splits.clear()
+            sizes.clear()
+            results[on] = gmm_module.posterior_sums(frames, model, squares=squares)
+            assert sorted(sizes, reverse=True) == pieces
+            assert splits == (["voxid-pass"] if on and len(pieces) == 2 else [])
+        for ours, reference in zip(results[True], results[False]):
+            assert np.array_equal(ours, reference)
 
     MEASURED_COMPONENTS, MEASURED_DIM = 128, 2
 
