@@ -17,8 +17,8 @@ _LOG_2PI = np.log(2.0 * np.pi)
 
 WEIGHT_SUM_TOL = 1e-12
 DEGENERATE_MASS = 1e-8
-# sequence_log_likelihoods stacks at most BLOCK components, and an E-step takes
-# BLOCK frames at a time, so neither holds more than L * BLOCK or BLOCK * l doubles.
+# _stack blocks at most BLOCK components, and LLR trials and E-steps take BLOCK frames at
+# a time, so a pass holds at most BLOCK x BLOCK doubles (BLOCK x l for a larger model).
 BLOCK = 2048
 # _mixture_pass sums each model's exponentials shifted by the model's peak density. A sum
 # at or above this floor has a largest term of at least 2**-900 / l for l components, far
@@ -228,47 +228,41 @@ def frame_component_log_densities(frames: np.ndarray, gmm: DiagonalGmm) -> np.nd
     return _log_densities(_terms(frames, ref), _coefficients(gmm.means, gmm.variances, 0.0, ref)).T
 
 
-def _mixture_pass(terms: np.ndarray, coefficients, peaks, runs):
+def _mixture_pass(terms: np.ndarray, coefficients, peaks):
     """Frame log-likelihoods (N, L) under the N mixtures of one _stack pass, with the
-    shifted exponentials (sum l, L) and their per-model sums (N, L).
+    shifted exponentials (N l, L) and their per-model sums (N, L).
 
     One kernel call of the pass's coefficients, whose log densities are already less each
     model's peak density, against the frames' _terms: no exponent is above 0, so the
-    exponentials overwrite the kernel's output with nothing to overflow, each model's rows
-    are summed, and its peak is added back to the sums' logs. Frames where some model's
-    sum is below _FLOOR or not finite are summed again by _resummed.
+    exponentials overwrite the kernel's output with nothing to overflow, summed on one
+    (N, l, L) view, and each model's peak is added back to its sums' logs. Frames where
+    some model's sum is below _FLOOR or not finite are summed again by _resummed.
     """
     exps = _log_densities(terms, coefficients)
     np.exp(exps, out=exps)
-    sums = np.empty((len(peaks), terms.shape[0]))
-    for models, rows, shape in runs:
-        np.sum(exps[rows].reshape(shape), axis=1, out=sums[models])
+    sums = np.sum(exps.reshape(len(peaks), len(exps) // len(peaks), -1), axis=1)
     with np.errstate(divide="ignore"):  # a model whose log densities are all -inf gives -inf
         frame_ll = np.log(sums)
     frame_ll += peaks[:, None]
     low = np.flatnonzero(~np.all((sums >= _FLOOR) & np.isfinite(sums), axis=0))
     if low.size:
-        frame_ll[:, low], exps[:, low], sums[:, low] = _resummed(terms[low], coefficients,
-                                                                 peaks, runs)
+        frame_ll[:, low], exps[:, low], sums[:, low] = _resummed(terms[low], coefficients, peaks)
     return frame_ll, exps, sums
 
 
-def _resummed(terms: np.ndarray, coefficients, peaks, runs):
-    """_mixture_pass for frames its sums cannot hold: each model's log densities are
-    shifted by their own maximum at each frame (0 where not finite) before the
-    exponentials, so frames far from every component keep their precision, and -inf rows
-    and NaN come out as an unshifted log-sum-exp gives them. The frame's maximum and the
-    model's peak are added first, so the sum's log is rounded once, at the result's scale."""
+def _resummed(terms: np.ndarray, coefficients, peaks):
+    """_mixture_pass for frames its sums cannot hold: on one (N, l, L) view, each model's
+    log densities are shifted by their own maximum at each frame (0 where not finite)
+    before the exponentials, so frames far from every component keep their precision, and
+    -inf rows and NaN come out as an unshifted log-sum-exp gives them. The frame's maximum
+    and the model's peak are added first, so the sum's log is rounded once, at its scale."""
     logs = _frame_log_densities(terms, coefficients)
-    shift = np.empty((len(peaks), terms.shape[0]))
-    sums = np.empty_like(shift)
-    for models, rows, shape in runs:
-        view = logs[rows].reshape(shape)
-        peak = np.max(view, axis=1, out=shift[models])
-        peak[~np.isfinite(peak)] = 0.0
-        view -= peak[:, None, :]
-        np.exp(view, out=view)
-        np.sum(view, axis=1, out=sums[models])
+    view = logs.reshape(len(peaks), len(logs) // len(peaks), -1)
+    shift = np.max(view, axis=1)
+    shift[~np.isfinite(shift)] = 0.0
+    view -= shift[:, None, :]
+    np.exp(view, out=view)
+    sums = np.sum(view, axis=1)
     shift += peaks[:, None]
     with np.errstate(divide="ignore"):
         return np.log(sums) + shift, logs, sums
@@ -316,42 +310,32 @@ def mixture_log_likelihood(x, gmm: DiagonalGmm) -> float:
 
 def _stack(gmms) -> tuple:
     """The centre of gmms[0] and the passes that score gmms, all read-only, laid out once:
-    each block of at most BLOCK stacked components (a larger model is its own block) is cut
-    at the model boundary nearest half its rows (the first, on a tie; one model is not cut),
-    whatever the CPU count, and each half is one (coefficients, peaks, runs) pass of
-    row-slice views of its block. A run (models, rows, shape) is consecutive models with
-    equal component counts: their slices of the pass's peaks and rows, and the (n, l, L)
-    shape of their rows. A model's peak is the largest of its components' log densities at
-    their own means, which bounds all of its log densities; its coefficients' constant
-    column is less that peak. Callers take it through _reused, so the E-step's [gmm] and
-    LLR's [ubm, *speakers] share the head's slot. Every model must have the head's dim."""
+    each run of consecutive models with equal component count l is taken in blocks of at
+    most max(1, BLOCK // l) models, and a block of n models is cut after its first n // 2
+    (one model is not cut), whatever the CPU count. Each half is one (coefficients, peaks)
+    pass of views of its block, l rows of coefficients for each of its len(peaks) models.
+    A model's peak is the largest of its components' log densities at their own means,
+    which bounds all of its log densities; its coefficients' constant column is less that
+    peak. Callers take it through _reused, so the E-step's [gmm] and LLR's
+    [ubm, *speakers] share the head's slot. Every model must have the head's dim."""
     ref = _centre(gmms[0].means)
     if any(gmm.dim_k != ref.size for gmm in gmms):
         raise DimensionMismatch(f"stacked models have dims {sorted({g.dim_k for g in gmms})}")
-    sizes = [gmm.num_components for gmm in gmms]
-    passes, start = [], 0
-    while start < len(gmms):
-        stop = start + max(1, int(np.searchsorted(np.cumsum(sizes[start:]), BLOCK, "right")))
-        block, counts = gmms[start:stop], sizes[start:stop]
-        ends = [0, *itertools.accumulate(counts)]
-        variances = np.concatenate([g.variances for g in block])
-        log_weights = np.log(np.concatenate([g.weights for g in block]))
-        heights = log_weights - 0.5 * (variances.shape[1] * _LOG_2PI
-                                       + np.sum(np.log(variances), axis=1))
-        peaks = np.maximum.reduceat(heights, ends[:-1])
-        coefficients = _coefficients(np.concatenate([g.means for g in block]), variances,
-                                     log_weights - np.repeat(peaks, counts), ref)
-        coefficients.flags.writeable = peaks.flags.writeable = False
-        cut = min(range(1, len(counts)), key=lambda m: abs(2 * ends[m] - ends[-1]), default=0)
-        bounds = sorted({0, cut, len(counts)})
-        for lo, hi in zip(bounds, bounds[1:]):
-            runs, model, row = [], 0, 0
-            for size, run in itertools.groupby(counts[lo:hi]):
-                n = len(list(run))
-                runs.append((slice(model, model + n), slice(row, row + n * size), (n, size, -1)))
-                model, row = model + n, row + n * size
-            passes.append((coefficients[ends[lo]:ends[hi]], peaks[lo:hi], tuple(runs)))
-        start = stop
+    passes = []
+    for size, run in itertools.groupby(gmms, key=lambda gmm: gmm.num_components):
+        run, step = list(run), max(1, BLOCK // size)
+        for block in (run[start:start + step] for start in range(0, len(run), step)):
+            variances = np.concatenate([g.variances for g in block])
+            log_weights = np.log(np.concatenate([g.weights for g in block]))
+            heights = log_weights - 0.5 * (variances.shape[1] * _LOG_2PI
+                                           + np.sum(np.log(variances), axis=1))
+            peaks = heights.reshape(len(block), size).max(axis=1)
+            coefficients = _coefficients(np.concatenate([g.means for g in block]), variances,
+                                         log_weights - np.repeat(peaks, size), ref)
+            coefficients.flags.writeable = peaks.flags.writeable = False
+            cut = len(block) // 2
+            passes += [(coefficients[lo * size:hi * size], peaks[lo:hi])
+                       for lo, hi in ((0, cut), (cut, len(block))) if lo < hi]
     ref.flags.writeable = False
     return ref, tuple(passes)
 
@@ -360,10 +344,11 @@ def sequence_log_likelihoods(feats: FeatureMatrix, gmms) -> np.ndarray:
     """Sequence log-likelihood of one utterance under each mixture; shape (N,), so (0,)
     for no mixtures.
 
-    One _mixture_pass per pass of _stack, on one or two threads, over terms built once,
-    about the first model's centre, so the models may differ in component count. A stack's
-    work is counted as frames x N x the head's components, which an LLR stack of speakers
-    adapted from its UBM head holds exactly. Frames are treated as independent.
+    Terms built once, about the first model's centre, so the models may differ in
+    component count; then one _mixture_pass per BLOCK frames and pass of _stack, on one or
+    two threads, each writing its frames' log-likelihoods into its pass's (N, L) array,
+    whose rows are summed once. The work is frames x stacked components. Frames are
+    treated as independent.
     """
     feats.require_nonempty()
     if len(gmms) == 0:
@@ -372,13 +357,17 @@ def sequence_log_likelihoods(feats: FeatureMatrix, gmms) -> np.ndarray:
     _require_dim(frames, gmms[0])
     ref, passes = _reused(_stack, gmms)
     terms = _terms(frames, ref)
+    frame_ll = [np.empty((len(peaks), len(terms))) for _, peaks in passes]
 
-    def pass_totals(layout):
-        # each model's frame log-likelihoods are one contiguous row, which numpy sums pairwise
-        return _mixture_pass(terms, *layout)[0].sum(axis=1)
+    def block_pass(item):
+        start, layout, out = item
+        out[:, start:start + BLOCK] = _mixture_pass(terms[start:start + BLOCK], *layout)[0]
 
-    return np.concatenate(_in_two_runs(pass_totals, passes,
-                                       frames.shape[0] * len(gmms) * gmms[0].num_components))
+    _in_two_runs(block_pass, [(start, *item) for start in range(0, len(terms), BLOCK)
+                              for item in zip(passes, frame_ll)],
+                 len(terms) * sum(len(coefficients) for coefficients, _ in passes))
+    # each model's frame log-likelihoods are one contiguous row, which numpy sums pairwise
+    return np.concatenate([out.sum(axis=1) for out in frame_ll])
 
 
 def sequence_log_likelihood(feats: FeatureMatrix, gmm: DiagonalGmm) -> float:

@@ -309,14 +309,16 @@ def resummed_frames(monkeypatch):
 class TestLogSumExp:
     # _mixture_pass reduces over axis 0 of the kernel output, one row per component, so
     # axis 1 feeds it a.T. keepdims runs one model over the whole axis, as _posteriors
-    # does, against scipy's kept row; otherwise models split the axis into segments, which
-    # _stack cuts into two passes: [3, 4, 1, 5] | [27] and [3, 8, 5] | [1, 13].
+    # does, against scipy's kept row; otherwise models split the axis into segments, and
+    # _stack makes each segment, unequal in size to its neighbours, a pass of its own.
     SEGMENTS = {0: (3, 4, 1, 5, 27),    # [7, 8) is -inf only, [3, 7) holds -inf
                 1: (3, 8, 5, 1, 13)}    # [0, 3) is -inf only in frame 3, [3, 11) holds -inf
-    # consecutive equal sizes form runs [2, 2], [3], [1, 1], [2] in the first pass and
-    # [rest] in the second, one view each: [7, 8) is -inf only and shares its run with
-    # [8, 9); for axis 1, [0, 2) and [2, 4) are -inf only in frame 3
-    RUNS = {0: (2, 2, 3, 1, 1, 2, 29), 1: (2, 2, 3, 1, 1, 2, 19)}
+    # _stack takes each run of consecutive equal sizes as one block, cut after half its
+    # models, and each pass is one (models, size, frames) view. Axis 0's passes are [3],
+    # [2], [2], [1, 1], [1, 1], [29]: [7, 8) is -inf only and shares its pass with [8, 9).
+    # Axis 1's are [2, 2], [2, 2], [3], [1, 1], [1, 1], [15]: [0, 2) and [2, 4), -inf only
+    # in frame 3, share the first.
+    RUNS = {0: (3, 2, 2, 1, 1, 1, 1, 29), 1: (2, 2, 2, 2, 3, 1, 1, 1, 1, 15)}
 
     @staticmethod
     def scores(monkeypatch, axis, sizes):
@@ -349,9 +351,9 @@ class TestLogSumExp:
         resummed = resummed_frames(monkeypatch)
         frames = np.arange(float(logs.shape[1]))[:, None]
         rows, parts, row, model = np.arange(float(logs.shape[0]))[:, None], [], 0, 0
-        for coefficients, pass_peaks, runs in gmm_module._stack(models)[1]:
+        for coefficients, pass_peaks in gmm_module._stack(models)[1]:
             n, m = len(coefficients), len(pass_peaks)
-            parts.append(_mixture_pass(frames, rows[row:row + n], peaks[model:model + m], runs))
+            parts.append(_mixture_pass(frames, rows[row:row + n], peaks[model:model + m]))
             row, model = row + n, model + m
         frame_ll, exps, sums = (np.vstack(part) for part in zip(*parts))
         assert resummed and resummed[0] > 0  # the fallback runs once, on some frames
@@ -484,6 +486,23 @@ class TestSequenceLogLikelihoods:
             frames[5::37] -= far
             assert sequence_log_likelihood(FeatureMatrix(frames), model) == (
                 gmm_module.posterior_sums(frames, model)[2].sum())
+
+    def test_memory_is_bounded_by_the_block(self):
+        # a 20 000-frame trial against a UBM and 4 speakers of 64 components, k = 13: one
+        # (320, L) array of exponentials alone would be 49 MiB; BLOCK frames at a time hold
+        # the trial's terms and frame log-likelihoods and a few (rows, BLOCK) blocks
+        rng = np.random.default_rng(70)
+        ubm = random_gmm(rng, components=64, dim=13)
+        models = [ubm, *(ubm.with_means(ubm.means + rng.normal(0, 0.3, (64, 13)))
+                         for _ in range(4))]
+        feats = FeatureMatrix(rng.normal(0, 3, (20_000, 13)))
+        tracemalloc.start()
+        try:
+            sequence_log_likelihoods(feats, models)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
 
     def test_no_mixtures_score_an_empty_array(self):
         assert sequence_log_likelihoods(FeatureMatrix(np.zeros((5, 3))), []).shape == (0,)
@@ -896,9 +915,9 @@ class TestKernelCache:
     def test_cached_block_is_a_fresh_build(self):
         rng = np.random.default_rng(54)
         model = random_gmm(rng, components=7, dim=5)
-        ref, ((coefficients, peaks, runs),) = gmm_module._reused(gmm_module._stack, [model])
+        ref, ((coefficients, peaks),) = gmm_module._reused(gmm_module._stack, [model])
         centre = gmm_module._centre(model.means)
-        assert runs == ((slice(0, 1), slice(0, 7), (1, 7, -1)),)
+        assert len(peaks) == 1 and len(coefficients) == 7
         assert np.array_equal(ref, centre)
         # the peak is the largest log density any component reaches, at its own mean
         heights = [np.log(w) + component_log_density(mu, mu, var)
@@ -913,15 +932,15 @@ class TestKernelCache:
         assert gmm_module._reused(gmm_module._stack, [model])[1][0][1] is peaks
         assert not (ref.flags.writeable or coefficients.flags.writeable or peaks.flags.writeable)
         # _stack itself keeps nothing: each call is a new, equal build
-        (rebuilt, rebuilt_peaks, _), = gmm_module._stack([model])[1]
+        (rebuilt, rebuilt_peaks), = gmm_module._stack([model])[1]
         assert rebuilt is not coefficients and np.array_equal(rebuilt, coefficients)
         assert np.array_equal(rebuilt_peaks, peaks)
 
     def test_with_means_builds_its_own_block(self):
         base = random_gmm(np.random.default_rng(55), components=4, dim=3)
-        (base_coefficients, base_peaks, _), = gmm_module._reused(gmm_module._stack, [base])[1]
+        (base_coefficients, base_peaks), = gmm_module._reused(gmm_module._stack, [base])[1]
         moved = base.with_means(base.means + 1.5)
-        ref, ((coefficients, peaks, _),) = gmm_module._reused(gmm_module._stack, [moved])
+        ref, ((coefficients, peaks),) = gmm_module._reused(gmm_module._stack, [moved])
         assert np.array_equal(ref, gmm_module._centre(moved.means))
         # the peak does not depend on the means
         assert np.array_equal(peaks, base_peaks)
@@ -1000,19 +1019,19 @@ class TestStackCache:
         rng = np.random.default_rng(59)
         for _ in range(4):  # a new list of the same mixtures each time
             sequence_log_likelihoods(FeatureMatrix(rng.normal(0, 2, (30, 3))), list(mixed_models))
-        assert calls == [22]
+        assert calls == [4, 1, 6, 2, 6, 3]  # one build per block, in the first call only
         ref, passes = gmm_module._stack(mixed_models)
         assert not ref.flags.writeable
         assert not any(coefficients.flags.writeable or peaks.flags.writeable
-                       for coefficients, peaks, _ in passes)
+                       for coefficients, peaks in passes)
 
     def test_cached_equals_fresh_as_block_changes(self, mixed_models, monkeypatch):
-        # 22 components: 7 splits the stack into five blocks, the first cut into two passes,
-        # 1 gives every model its own, and 2048 holds all six in one block, cut after the
-        # third. BLOCK is read when a stack is built, so each BLOCK scores fresh copies.
+        # 22 components, no two consecutive models of one size: at BLOCK 7, 1 and 2048
+        # alike, each model is a block and a pass of its own. BLOCK is read when a stack is
+        # built, so each BLOCK scores fresh copies.
         feats = FeatureMatrix(np.random.default_rng(60).normal(0, 2, (40, 3)))
         frames = feats.frames
-        for block, count in ((7, 6), (1, 6), (2048, 2)):
+        for block, count in ((7, 6), (1, 6), (2048, 6)):
             monkeypatch.setattr(gmm_module, "BLOCK", block)
             models = [fresh(model) for model in mixed_models]
             built = sequence_log_likelihoods(feats, models)
@@ -1042,6 +1061,31 @@ class TestStackCache:
                        mixed_models):
             assert np.array_equal(sequence_log_likelihoods(feats, models),
                                   sequence_log_likelihoods(feats, [fresh(m) for m in models]))
+
+    @pytest.mark.parametrize("block, models_per_pass", [(2048, [1, 1, 1, 1, 2]),
+                                                        (128, [1, 1, 1, 1, 1, 1])])
+    def test_runs_of_equal_sizes_are_uniform_passes(self, monkeypatch, block, models_per_pass):
+        # runs [64, 64], [32], [64, 64, 64]: at 2048 each run is one block, cut after half its
+        # models; at 128 a block holds two 64s, so the last run is [64, 64] | [64]
+        monkeypatch.setattr(gmm_module, "BLOCK", block)
+        rng = np.random.default_rng(65)
+        models = [random_gmm(rng, components=c, dim=3) for c in (64, 64, 32, 64, 64, 64)]
+        ref, passes = gmm_module._stack(models)
+        assert [len(peaks) for _, peaks in passes] == models_per_pass
+        sizes = [len(coefficients) // len(peaks) for coefficients, peaks in passes]
+        assert [len(coefficients) for coefficients, _ in passes] == [
+            size * len(peaks) for size, (_, peaks) in zip(sizes, passes)]
+        # the passes hold the models in order, each about its own peak
+        assert [size for size, (_, peaks) in zip(sizes, passes) for _ in peaks] == [
+            model.num_components for model in models]
+        peaks = np.concatenate([peaks for _, peaks in passes])
+        for model, peak, (_, alone) in zip(models, peaks, (gmm_module._stack([m])[1][0]
+                                                           for m in models)):
+            assert peak == alone[0]
+        assert np.array_equal(np.concatenate([coefficients for coefficients, _ in passes]),
+                              np.vstack([gmm_module._coefficients(
+                                  model.means, model.variances, np.log(model.weights) - peak,
+                                  ref) for model, peak in zip(models, peaks)]))
 
     def test_mixed_dimensions_raise_when_built(self, mixed_models):
         # the odd model is checked once, when _stack builds, and nothing is kept
@@ -1372,10 +1416,9 @@ class TestTwoRuns:
         """Scores with one _mixture_pass over the whole block of 17 models of 64 components,
         as if _stack had not cut it: its two passes' coefficients and peaks, rejoined."""
         ref, passes = gmm_module._reused(gmm_module._stack, models)
-        coefficients, peaks = (np.concatenate(part) for part in zip(*(p[:2] for p in passes)))
-        runs = ((slice(0, 17), slice(0, 17 * 64), (17, 64, -1)),)
+        coefficients, peaks = (np.concatenate(part) for part in zip(*passes))
         terms = gmm_module._terms(feats.frames, ref)
-        return gmm_module._mixture_pass(terms, coefficients, peaks, runs)[0].sum(axis=1)
+        return gmm_module._mixture_pass(terms, coefficients, peaks)[0].sum(axis=1)
 
     def test_llr_trials_at_the_benchmark_shape(self, worker):
         # a UBM and 16 speakers of 64 components, k = 20, 300-frame trials: 1 088 stacked
@@ -1388,10 +1431,8 @@ class TestTwoRuns:
                       ubm, speaker_id=str(n)).gmm
             for n, shift in enumerate(np.linspace(-0.5, 0.5, 16))]
         passes = gmm_module._stack(models)[1]
-        assert [(len(peaks), len(coefficients)) for coefficients, peaks, _ in passes] == [
+        assert [(len(peaks), len(coefficients)) for coefficients, peaks in passes] == [
             (8, 512), (9, 576)]
-        assert [runs for *_, runs in passes] == [((slice(0, 8), slice(0, 512), (8, 64, -1)),),
-                                                 ((slice(0, 9), slice(0, 576), (9, 64, -1)),)]
         for trial in range(10):
             feats = FeatureMatrix(overlapping_frames(80 + trial, 300, 64, 20))
             serial, split = self.both(worker, lambda: sequence_log_likelihoods(feats, models))
