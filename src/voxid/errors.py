@@ -111,6 +111,10 @@ class EmptyScoreSet(VoxidDomainError):
     pass
 
 
+class NanScore(VoxidDomainError):
+    pass
+
+
 class InvalidExperimentConfig(VoxidUsageError):
     pass
 

@@ -11,7 +11,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DuplicateSpeakerId, EmptyRegistry, EmptyScoreSet, ModeMismatch
+from .errors import DuplicateSpeakerId, EmptyRegistry, EmptyScoreSet, ModeMismatch, NanScore
 from .features import FeatureMatrix
 from .scoring import (
     DecisionPolicy,
@@ -132,16 +132,19 @@ def identify(trial: Trial, registry: SpeakerRegistry, policy: DecisionPolicy,
 
 
 def _error_rates(target, nontarget):
-    targets = np.sort(np.asarray(list(target), dtype=np.float64))
-    nontargets = np.sort(np.asarray(list(nontarget), dtype=np.float64))
+    targets, nontargets = np.fromiter(target, np.float64), np.fromiter(nontarget, np.float64)
     if targets.size == 0 or nontargets.size == 0:
         raise EmptyScoreSet("need both target and nontarget scores")
-    thresholds = np.unique(np.concatenate([targets, nontargets]))
-    # count / size is exactly (nontargets > t).mean() and (targets <= t).mean()
-    above = nontargets.size - np.searchsorted(nontargets, thresholds, side="right")
-    far = above / nontargets.size
-    frr = np.searchsorted(targets, thresholds, side="right") / targets.size
-    return thresholds, far, frr
+    pooled = np.sort(np.concatenate([targets, nontargets]))
+    if np.isnan(pooled[-1]):  # a sort puts NaN last
+        raise NanScore("a score is NaN, which no threshold sweep can place")
+    # a threshold ends each run of equal pooled scores, at index end; below of the end + 1
+    # scores up to it are targets, so FAR and FRR are exact count / size rates
+    ends = np.flatnonzero(np.append(pooled[1:] != pooled[:-1], True))
+    thresholds = pooled[ends]
+    below = np.cumsum(np.bincount(np.searchsorted(thresholds, targets), minlength=ends.size))
+    far = (nontargets.size - (ends + 1 - below)) / nontargets.size
+    return thresholds, far, below / targets.size
 
 
 def compute_eer(target_scores, nontarget_scores) -> float:
@@ -178,13 +181,15 @@ def summarize(results: list[TrialResult], threshold: float, mode: str) -> EvalRe
         truth = res.true_speaker_id  # a speaker id is a str, so a None truth matches none
         enrolled = accepted_true = accepted_other = False
         for sid, _, norm_s, accepted in res.ranked:
-            if sid == truth:
+            if sid != truth:  # the common case first
+                nontarget_scores.append(norm_s)
+                if accepted:
+                    accepted_other = True
+            else:
                 enrolled = True
                 target_scores.append(norm_s)
-                accepted_true = accepted_true or accepted
-            else:
-                nontarget_scores.append(norm_s)
-                accepted_other = accepted_other or accepted
+                if accepted:
+                    accepted_true = True
         if accepted_other:
             fa += 1
         if enrolled:

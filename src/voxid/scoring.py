@@ -5,6 +5,7 @@ its Bhattacharyya-coefficient interpretation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ class CohortStats:
     std_sigma: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.mean_mu) and math.isfinite(self.std_sigma)):
+            raise DegenerateCohort("cohort mean and standard deviation must be finite")
         if self.std_sigma <= 0.0:
             raise DegenerateCohort("cohort standard deviation must be positive")
 
@@ -68,6 +71,8 @@ def cohort_from_scores(scores) -> CohortStats:
     values = np.asarray(scores if isinstance(scores, np.ndarray) else list(scores), dtype=float)
     if values.size < 2:
         raise DegenerateCohort("need at least two cohort scores")
+    if not np.isfinite(values).all():
+        raise DegenerateCohort("cohort scores must be finite")
     std = float(values.std(ddof=1))
     if std == 0.0:
         raise DegenerateCohort("cohort scores are all equal")

@@ -14,6 +14,8 @@ from voxid.errors import (
     EmptyScoreSet,
     InvalidExperimentConfig,
     ModeMismatch,
+    NanScore,
+    VoxidDomainError,
     ZeroVector,
 )
 from voxid.evaluation import (
@@ -107,6 +109,33 @@ class TestEer:
         with pytest.raises(EmptyScoreSet):
             compute_eer([], [1.0])
 
+    @pytest.mark.parametrize("targets, nontargets", [
+        ([1.0, np.nan], [0.0, 0.5]), ([np.nan], [np.nan]), ([0.0], [1.0, np.nan]),
+        ([np.inf, np.nan], [-np.inf])])
+    def test_nan_score_is_a_domain_error(self, targets, nontargets):
+        # NaN has no place among the thresholds: sorted last, it read as the highest score
+        for sweep in (compute_eer, det_points):
+            with pytest.raises(NanScore, match="NaN"):
+                sweep(targets, nontargets)
+        assert issubclass(NanScore, VoxidDomainError)
+
+    def test_infinite_scores_keep_their_sorted_place(self):
+        assert compute_eer([np.inf], [-np.inf]) == 0.0
+        assert compute_eer([-np.inf], [np.inf]) == 1.0
+        assert det_points([np.inf, 0.0], [-np.inf, 0.0]) == [(0.5, 0.0), (0.0, 0.5), (0.0, 1.0)]
+
+    def test_same_for_any_input_type_and_order(self):
+        rng = np.random.default_rng(36)
+        pool = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, np.inf])
+        for _ in range(50):
+            targets = rng.choice(pool, int(rng.integers(1, 20)))
+            nontargets = rng.choice(pool, int(rng.integers(1, 20)))
+            expected = compute_eer(targets, nontargets)
+            assert expected == brute_force_eer(targets, nontargets)
+            for convert in (list, tuple, lambda a: (float(v) for v in a), np.array,
+                            lambda a: rng.permutation(a), lambda a: rng.permutation(a).tolist()):
+                assert compute_eer(convert(targets), convert(nontargets)) == expected
+
 
 class TestDetPoints:
     def test_perfect_separation_contains_origin(self):
@@ -116,6 +145,16 @@ class TestDetPoints:
     def test_single_pair_sweep(self):
         points = det_points([1.0], [0.0])
         assert points == [(0.0, 0.0), (0.0, 1.0)]
+
+    def test_matches_a_brute_force_sweep_with_ties_and_infinities(self):
+        rng = np.random.default_rng(37)
+        for _ in range(300):
+            pool = np.concatenate([np.round(rng.normal(0, 2, 6)), [-np.inf, np.inf]])
+            targets = rng.choice(pool, int(rng.integers(1, 40)))
+            nontargets = rng.choice(pool, int(rng.integers(1, 40)))
+            expected = [(float((nontargets > t).mean()), float((targets <= t).mean()))
+                        for t in np.unique(np.concatenate([targets, nontargets]))]
+            assert det_points(targets, nontargets) == expected
 
     def test_monotone(self):
         rng = np.random.default_rng(10)
@@ -539,6 +578,29 @@ class TestSummarize:
             assert got == oracle_summary(results)
             assert [type(v) for v in got] == [int, int, float, float]
             assert report.per_trial is results
+
+    def test_matches_the_oracle_on_continuous_and_infinite_scores(self):
+        # the scores of real rankings: mostly distinct, some infinite, sorted high first
+        rng = np.random.default_rng(38)
+        ids = [f"s{i}" for i in range(12)]
+        for _ in range(100):
+            results = []
+            for t in range(int(rng.integers(1, 30))):
+                scores = rng.normal(0, 1, int(rng.integers(1, 15)))
+                scores[rng.random(scores.size) < 0.05] = np.inf
+                scores[rng.random(scores.size) < 0.05] = -np.inf
+                scores = np.sort(scores)[::-1]
+                ranked = [(str(rng.choice(ids)), 0.0, float(s), bool(s > 0.5)) for s in scores]
+                truth = [None, "absent", ranked[0][0], *ids][int(rng.integers(0, 15))]
+                results.append(TrialResult(f"t{t}", truth, ranked))
+            report = summarize(results, 0.5, "cosine")
+            assert (report.false_accepts, report.false_rejects, report.eer,
+                    report.top1_accuracy) == oracle_summary(results)
+
+    def test_nan_score_is_a_domain_error_not_a_perfect_eer(self):
+        results = [TrialResult("t0", "a", [("a", 0.0, np.nan, False), ("b", 0.0, 0.0, False)])]
+        with pytest.raises(NanScore):
+            summarize(results, 0.5, "cosine")
 
     def test_empty_results(self):
         report = summarize([], 1.0, "llr-normalized")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,21 @@ class TestNormalization:
     def test_all_equal_degenerate(self):
         with pytest.raises(DegenerateCohort):
             cohort_from_scores([1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cohort_score_is_degenerate(self, bad):
+        # raised before any reduction, so numpy warns nothing (which -W error would raise)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scores in ([1.0, bad], [bad, bad], np.array([0.0, 1.0, bad])):
+                with pytest.raises(DegenerateCohort, match="finite"):
+                    cohort_from_scores(scores)
+
+    @pytest.mark.parametrize("mu, sigma", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
+                                           (0.0, np.nan), (0.0, np.inf)])
+    def test_cohort_stats_reject_non_finite(self, mu, sigma):
+        with pytest.raises(DegenerateCohort, match="finite"):
+            CohortStats(mu, sigma)
 
     def test_shift_equivariance(self):
         scores = [0.5, 1.5, 4.0]
