@@ -73,10 +73,11 @@ def cohort_from_scores(scores) -> CohortStats:
         raise DegenerateCohort("need at least two cohort scores")
     if not np.isfinite(values).all():
         raise DegenerateCohort("cohort scores must be finite")
-    std = float(values.std(ddof=1))
+    with np.errstate(all="ignore"):  # a spread past float64's range is inf: CohortStats rejects it
+        mean, std = float(values.mean()), float(values.std(ddof=1))
     if std == 0.0:
         raise DegenerateCohort("cohort scores are all equal")
-    return CohortStats(mean_mu=float(values.mean()), std_sigma=std)
+    return CohortStats(mean_mu=mean, std_sigma=std)
 
 
 def cosine_targets(targets) -> tuple[np.ndarray, np.ndarray]:

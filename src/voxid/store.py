@@ -25,6 +25,11 @@ decoder of each version it reads. `save` writes the newest version, and
 files of older versions still load bit for bit. A load reads the file
 once; a binary array decodes as a read-only view of the bytes read (a
 raw section) or decoded (base64), which the model constructors copy once.
+`store` checks only the file layout: each record, its offset and the
+body's end. The model types check every array's rank, shape and
+finiteness, and a load reports their `DimensionMismatch`, like any other
+decode error, as `CorruptArtifact`. A report is saved as its dataclass's
+fields; numpy scalars in it are written as the Python numbers they equal.
 
 A registry (versions 2 to 4) holds the first entry's weights and
 variances once, as "shared"; each entry's model holds its means, plus
@@ -45,8 +50,8 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import dataclasses
 import fcntl
-import functools
 import json
 import math
 import os
@@ -68,7 +73,7 @@ from .gmm import DiagonalGmm
 from .speaker_models import SpeakerModel, Ubm
 from .total_variability import IVector, TotalVariabilityModel
 
-_GMM_NDIM = {"weights": 1, "means": 2, "variances": 2}
+_GMM_FIELDS = ("weights", "means", "variances")
 _MAGIC = b"VOXF1"
 
 
@@ -104,44 +109,41 @@ def _atomic_write(path, data: bytes):
 # --- numeric encoding -------------------------------------------------------
 
 def _enc(value):
-    """Floats become repr strings (bit-exact round-trip); arrays become lists."""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, np.ndarray):
-        return [_enc(v) for v in value.tolist()]
-    if isinstance(value, list):
+    """Floats, numpy's too, become the repr of the Python float they equal (bit-exact
+    round-trip), other numpy scalars the Python numbers they equal. Arrays and tuples
+    become lists; lists and a dataclass's fields are encoded value by value."""
+    if isinstance(value, float):  # numpy's float64 is a float: take float's repr, not numpy's
+        return float.__repr__(value)
+    if isinstance(value, (str, int, type(None))):  # bools are ints
+        return value
+    if isinstance(value, (list, tuple)):
         return [_enc(v) for v in value]
-    return value
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _enc(value.tolist())
+    return {f.name: _enc(getattr(value, f.name)) for f in dataclasses.fields(value)}
 
 
-def _dec(data, ndim: int) -> np.ndarray:
+def _dec(data) -> np.ndarray:
     """A whole (nested) list of decimal strings as one float64 array."""
-    try:
-        array = np.array(data, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise CorruptArtifact(f"bad numeric array: {exc}") from exc
-    if array.ndim != ndim:
-        raise CorruptArtifact(f"expected a {ndim}-D numeric array, found {array.ndim}-D")
-    return array
+    return np.array(data, dtype=np.float64)
 
 
-def _shape(record, ndim: int, key: str) -> list:
-    """The shape of a {shape, key} record: a list of `ndim` non-negative ints."""
+def _shape(record, key: str) -> list:
+    """The shape of a {shape, key} record: a list of non-negative ints."""
     if not isinstance(record, dict):
         raise CorruptArtifact(f"expected a {{shape, {key}}} record, found {type(record).__name__}")
     missing = {"shape", key} - record.keys()
     if missing:
         raise CorruptArtifact(f"record lacks {sorted(missing)}")
     shape = record["shape"]
-    if not (isinstance(shape, list) and len(shape) == ndim
-            and all(type(n) is int and n >= 0 for n in shape)):
-        raise CorruptArtifact(f"expected a {ndim}-D shape, found {shape!r}")
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise CorruptArtifact(f"expected a shape of non-negative ints, found {shape!r}")
     return shape
 
 
-def _dec_f8(record, ndim: int) -> np.ndarray:
+def _dec_f8(record) -> np.ndarray:
     """A {shape, f8} record as one (read-only) float64 array, bit for bit."""
-    shape = _shape(record, ndim, "f8")
+    shape = _shape(record, "f8")
     data = base64.b64decode(record["f8"], validate=True)
     if len(data) != 8 * math.prod(shape):
         raise CorruptArtifact(f"shape {shape} needs {8 * math.prod(shape)} bytes, found {len(data)}")
@@ -168,8 +170,8 @@ class _Sections:
         of 8 bytes, then the body."""
         return b"".join([header, b" " * (-(len(header) + 1) % 8), b"\n", *self.chunks])
 
-    def decode(self, record, ndim: int) -> np.ndarray:
-        shape, at = _shape(record, ndim, "at"), record["at"]
+    def decode(self, record) -> np.ndarray:
+        shape, at = _shape(record, "at"), record["at"]
         if type(at) is not int or at < 0 or at % 8:
             raise CorruptArtifact(f"section offset {at!r} is not a non-negative multiple of 8")
         count = math.prod(shape)
@@ -212,20 +214,19 @@ def _features_from_bytes(data: bytes) -> FeatureMatrix:
 # every array of its kind's version.
 
 def _gmm_payload(gmm: DiagonalGmm, array) -> dict:
-    return {name: array(getattr(gmm, name)) for name in _GMM_NDIM}
+    return {name: array(getattr(gmm, name)) for name in _GMM_FIELDS}
 
 
 def _gmm_from_payload(payload, array, shared=None) -> DiagonalGmm:
     """A payload holding only means takes the weights and variances of `shared`,
     a checked mixture; any other field it lacks is taken from `shared` too."""
-    fields = {name: array(payload[name], ndim)
-              for name, ndim in _GMM_NDIM.items() if name in payload}
+    fields = {name: array(payload[name]) for name in _GMM_FIELDS if name in payload}
     if shared is not None:
         if fields.keys() == {"means"}:
             return shared.with_means(fields["means"])
         fields = {"weights": shared.weights, "variances": shared.variances} | fields
-    if fields.keys() != _GMM_NDIM.keys():
-        raise CorruptArtifact(f"model lacks {sorted(_GMM_NDIM.keys() - fields)}")
+    if len(fields) != len(_GMM_FIELDS):
+        raise CorruptArtifact(f"model lacks {sorted(set(_GMM_FIELDS) - fields.keys())}")
     return DiagonalGmm(**fields)
 
 
@@ -254,9 +255,9 @@ def _tv_payload(tv: TotalVariabilityModel, array) -> dict:
 
 def _tv_from_payload(payload, array) -> TotalVariabilityModel:
     return TotalVariabilityModel(
-        m=array(payload["m"], 1),
-        sigma=array(payload["sigma"], 1),
-        t_matrix=array(payload["t_matrix"], 2),
+        m=array(payload["m"]),
+        sigma=array(payload["sigma"]),
+        t_matrix=array(payload["t_matrix"]),
         num_components=int(payload["num_components"]),
         dim_k=int(payload["dim_k"]),
     )
@@ -288,14 +289,14 @@ def _registry_payload(registry: SpeakerRegistry, array) -> dict:
 
 
 def _registry_from_payload(payload, array) -> SpeakerRegistry:
-    block = {name: array(data, _GMM_NDIM[name]) for name, data in payload.get("shared", {}).items()}
+    block = {name: array(data) for name, data in payload.get("shared", {}).items()}
     # checked once, as one mixture about zero means, which no entry takes
     shared = DiagonalGmm(means=np.zeros_like(block["variances"]), **block) if block else None
     registry = SpeakerRegistry()
     for entry in payload["entries"]:
         ivec = None
         if "ivector" in entry:
-            ivec = IVector(w=array(entry["ivector"], 1))
+            ivec = IVector(w=array(entry["ivector"]))
         registry.add(
             RegistryEntry(
                 speaker_id=str(entry["speaker_id"]),
@@ -307,28 +308,6 @@ def _registry_from_payload(payload, array) -> SpeakerRegistry:
             )
         )
     return registry
-
-
-def _report_payload(report: EvalReport, number) -> dict:
-    return {
-        "mode": report.mode,
-        "threshold": number(report.threshold),
-        "false_accepts": report.false_accepts,
-        "false_rejects": report.false_rejects,
-        "eer": number(report.eer),
-        "top1_accuracy": number(report.top1_accuracy),
-        "per_trial": [
-            {
-                "trial_id": r.trial_id,
-                "true_speaker_id": r.true_speaker_id,
-                "ranked": [
-                    [sid, number(raw), number(norm), accepted]
-                    for sid, raw, norm, accepted in r.ranked
-                ],
-            }
-            for r in report.per_trial
-        ],
-    }
 
 
 def _report_from_payload(payload) -> EvalReport:
@@ -366,10 +345,11 @@ _JSON_KINDS = {
     "speaker_model": (_speaker_payload, _speaker_from_payload, (_dec, _dec_f8, _Sections)),
     "tv_model": (_tv_payload, _tv_from_payload, (_dec, _dec_f8, _Sections)),
     "ivector": (lambda iv, array: {"w": array(iv.w)},
-                lambda payload, array: IVector(w=array(payload["w"], 1)),
+                lambda payload, array: IVector(w=array(payload["w"])),
                 (_dec, _dec_f8, _Sections)),
     "registry": (_registry_payload, _registry_from_payload, (_dec, _dec, _dec_f8, _Sections)),
-    "report": (_report_payload, lambda payload, array: _report_from_payload(payload),
+    "report": (lambda report, number: number(report),
+               lambda payload, array: _report_from_payload(payload),
                (_dec,)),  # no arrays; the encoder writes its numbers as decimals
 }
 
@@ -418,34 +398,31 @@ def _read_artifact(path):
     return document["kind"], document, body
 
 
-def _decode_payload(decode, payload, codec, body):
-    """decode(payload) with one version's array codec; only raw sections have a body."""
-    if codec is not _Sections:
-        if body is not None and bytes(body).strip(b" \t\n\r"):  # JSON's whitespace
-            raise CorruptArtifact("bytes follow the JSON document")
-        return decode(payload, codec)
-    if body is None:
-        raise CorruptArtifact("the envelope of raw sections is not on one line")
-    sections = _Sections(body)
-    artifact = decode(payload, sections.decode)
-    if sections.end != len(body):
-        raise CorruptArtifact(f"the body holds {len(body)} bytes, its sections end at {sections.end}")
-    return artifact
-
-
 def _decode(path, kind: str, document, body):
-    if kind == "features":
-        decoder = functools.partial(_features_from_bytes, body)
-    else:
+    """The artifact a file holds; past the version check, every failure is
+    `CorruptArtifact`. Only raw sections have a body past the envelope's line."""
+    if kind != "features":
         _, decode, codecs = _JSON_KINDS[kind]
         version = document.get("format_version")
         # JSON true and 1.0 compare equal to 1, but are not a version
         if type(version) is not int or not 1 <= version <= len(codecs):
             raise UnsupportedVersion(f"format_version {version!r} unsupported")
-        decoder = functools.partial(_decode_payload, decode, document.get("payload", {}),
-                                    codecs[version - 1], body)
+        codec, payload = codecs[version - 1], document.get("payload", {})
     try:
-        return decoder()
+        if kind == "features":
+            return _features_from_bytes(body)
+        if codec is not _Sections:
+            if body is not None and bytes(body).strip(b" \t\n\r"):  # JSON's whitespace
+                raise CorruptArtifact("bytes follow the JSON document")
+            return decode(payload, codec)
+        if body is None:
+            raise CorruptArtifact("the envelope of raw sections is not on one line")
+        sections = _Sections(body)
+        artifact = decode(payload, sections.decode)
+        if sections.end != len(body):
+            raise CorruptArtifact(f"the body holds {len(body)} bytes, "
+                                  f"its sections end at {sections.end}")
+        return artifact
     except Exception as exc:
         raise CorruptArtifact(f"{path}: invalid {kind} artifact: {exc}") from exc
 

@@ -109,10 +109,12 @@ class TestNormalization:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_cohort_score_is_degenerate(self, bad):
-        # raised before any reduction, so numpy warns nothing (which -W error would raise)
+        # numpy warns nothing (which -W error would raise), also where finite scores spread
+        # past float64's range
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for scores in ([1.0, bad], [bad, bad], np.array([0.0, 1.0, bad])):
+            for scores in ([1.0, bad], [bad, bad], np.array([0.0, 1.0, bad]),
+                           [1e308, -1e308, 1e308]):
                 with pytest.raises(DegenerateCohort, match="finite"):
                     cohort_from_scores(scores)
 

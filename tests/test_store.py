@@ -132,6 +132,30 @@ def test_round_trip(kind, tmp_path):
         assert_equal_artifact(kind, artifact, loaded)
 
 
+def sweep_report(number, integer, boolean):
+    return EvalReport(
+        per_trial=[TrialResult(trial_id="t0", true_speaker_id=None, ranked=[
+            ("a", number(-1.25), number(0.1), boolean(True)),
+            ("b", number(-3.0), number(-2.0), boolean(False)),
+        ])],
+        threshold=number(0.1), mode="cosine", false_accepts=integer(1),
+        false_rejects=integer(0), eer=number(0.5), top1_accuracy=number(0.0),
+    )
+
+
+@pytest.mark.parametrize("number", [np.float64, np.float32, np.float16])
+def test_report_numpy_scalars_save_as_python_numbers(number, tmp_path):
+    """A threshold swept over np.linspace is a numpy float; a report holding numpy
+    scalars saves the bytes of one holding the Python numbers they equal, and loads
+    back as that report."""
+    report = sweep_report(number, np.int64, np.bool_)
+    plain = sweep_report(lambda v: float(number(v)), int, bool)
+    store.save(report, "report", tmp_path / "numpy.json")
+    store.save(plain, "report", tmp_path / "plain.json")
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    assert store.load(tmp_path / "numpy.json", "report") == plain
+
+
 def test_deterministic_bytes(tmp_path):
     rng = np.random.default_rng(18)
     a = tmp_path / "a.json"
@@ -543,6 +567,110 @@ def test_written_format_versions(tmp_path):
         assert (body == b"") == (kind in ("gmm", "report"))
 
 
+def golden_artifacts():
+    """One small artifact of each JSON kind, from literal values."""
+    gmm = DiagonalGmm(weights=np.array([0.25, 0.75]),
+                      means=np.array([[-1.5, 0.1], [2.0, 1e-300]]),
+                      variances=np.array([[0.5, 3.0], [1.0, 2.5]]))
+    registry = SpeakerRegistry()
+    registry.add(RegistryEntry(speaker_id="a", cluster_id="c0", model=SpeakerModel("a", gmm),
+                               ivector=IVector(np.array([0.1, -2.0])), language_tag="Bengali"))
+    adapted = gmm.with_means(np.array([[0.5, 0.5], [-0.25, 3.0]]))
+    registry.add(RegistryEntry(speaker_id="b", cluster_id="c1", is_impostor=True,
+                               model=SpeakerModel("b", adapted)))
+    own = DiagonalGmm(weights=gmm.weights, means=gmm.means,
+                      variances=np.array([[1.0, 1.0], [0.125, 4.0]]))
+    registry.add(RegistryEntry(speaker_id="c", cluster_id="c0", model=SpeakerModel("c", own)))
+    return {
+        "gmm": gmm,
+        "ubm": Ubm(gmm=gmm),
+        "speaker_model": SpeakerModel(speaker_id="spk", gmm=gmm),
+        "tv_model": TotalVariabilityModel(m=np.array([0.5, -0.5]), sigma=np.array([1.0, 2.0]),
+                                          t_matrix=np.array([[0.25], [-0.125]]),
+                                          num_components=2, dim_k=1),
+        "ivector": IVector(w=np.array([0.1, -2.0])),
+        "registry": registry,
+        "report": EvalReport(
+            per_trial=[TrialResult(trial_id="t0", true_speaker_id="a",
+                                   ranked=[("a", 1.5, 2.25, True), ("b", -0.1, -0.5, False)]),
+                       TrialResult(trial_id="t1", true_speaker_id=None,
+                                   ranked=[("b", 1e-05, 0.75, True), ("a", -3.0, -1.0, False)])],
+            threshold=0.5, mode="llr-normalized", false_accepts=1, false_rejects=0, eer=0.25,
+            top1_accuracy=1.0),
+    }
+
+
+# What `save` writes of each golden artifact: the first line, then the body's float64
+# sections in hex, one array a line (0.25 is 000000000000d03f).
+GOLDEN = {
+    "gmm": (
+        b'{"format_version":1,"kind":"gmm","payload":{"means":[["-1.5","0.1"],["2.0","1e-300"]],'
+        b'"variances":[["0.5","3.0"],["1.0","2.5"]],"weights":["0.25","0.75"]}}\n',
+        ""),
+    "ubm": (
+        b'{"format_version":3,"kind":"ubm","payload":{"means":{"at":16,"shape":[2,2]},'
+        b'"variances":{"at":48,"shape":[2,2]},"weights":{"at":0,"shape":[2]}}}       \n',
+        "000000000000d03f 000000000000e83f"
+        "000000000000f8bf 9a9999999999b93f 0000000000000040 59f3f8c21f6ea501"
+        "000000000000e03f 0000000000000840 000000000000f03f 0000000000000440"),
+    "speaker_model": (
+        b'{"format_version":3,"kind":"speaker_model","payload":{"means":{"at":16,"shape":[2,2]},'
+        b'"speaker_id":"spk","variances":{"at":48,"shape":[2,2]},'
+        b'"weights":{"at":0,"shape":[2]}}}  \n',
+        "000000000000d03f 000000000000e83f"
+        "000000000000f8bf 9a9999999999b93f 0000000000000040 59f3f8c21f6ea501"
+        "000000000000e03f 0000000000000840 000000000000f03f 0000000000000440"),
+    "tv_model": (
+        b'{"format_version":3,"kind":"tv_model","payload":{"dim_k":1,"m":{"at":0,"shape":[2]},'
+        b'"num_components":2,"sigma":{"at":16,"shape":[2]},'
+        b'"t_matrix":{"at":32,"shape":[2,1]}}}      \n',
+        "000000000000e03f 000000000000e0bf"
+        "000000000000f03f 0000000000000040"
+        "000000000000d03f 000000000000c0bf"),
+    "ivector": (
+        b'{"format_version":3,"kind":"ivector","payload":{"w":{"at":0,"shape":[2]}}}     \n',
+        "9a9999999999b93f 00000000000000c0"),
+    "registry": (
+        b'{"format_version":4,"kind":"registry","payload":{"entries":['
+        b'{"cluster_id":"c0","is_impostor":false,"ivector":{"at":80,"shape":[2]},'
+        b'"language_tag":"Bengali","model":{"means":{"at":48,"shape":[2,2]},"speaker_id":"a"},'
+        b'"speaker_id":"a"},'
+        b'{"cluster_id":"c1","is_impostor":true,"language_tag":"",'
+        b'"model":{"means":{"at":96,"shape":[2,2]},"speaker_id":"b"},"speaker_id":"b"},'
+        b'{"cluster_id":"c0","is_impostor":false,"language_tag":"",'
+        b'"model":{"means":{"at":128,"shape":[2,2]},"speaker_id":"c",'
+        b'"variances":{"at":160,"shape":[2,2]}},"speaker_id":"c"}],'
+        b'"shared":{"variances":{"at":16,"shape":[2,2]},'
+        b'"weights":{"at":0,"shape":[2]}}}}     \n',
+        "000000000000d03f 000000000000e83f"
+        "000000000000e03f 0000000000000840 000000000000f03f 0000000000000440"
+        "000000000000f8bf 9a9999999999b93f 0000000000000040 59f3f8c21f6ea501"
+        "9a9999999999b93f 00000000000000c0"
+        "000000000000e03f 000000000000e03f 000000000000d0bf 0000000000000840"
+        "000000000000f8bf 9a9999999999b93f 0000000000000040 59f3f8c21f6ea501"
+        "000000000000f03f 000000000000f03f 000000000000c03f 0000000000001040"),
+    "report": (
+        b'{"format_version":1,"kind":"report","payload":{"eer":"0.25","false_accepts":1,'
+        b'"false_rejects":0,"mode":"llr-normalized","per_trial":['
+        b'{"ranked":[["a","1.5","2.25",true],["b","-0.1","-0.5",false]],'
+        b'"trial_id":"t0","true_speaker_id":"a"},'
+        b'{"ranked":[["b","1e-05","0.75",true],["a","-3.0","-1.0",false]],'
+        b'"trial_id":"t1","true_speaker_id":null}],"threshold":"0.5","top1_accuracy":"1.0"}}\n',
+        ""),
+}
+
+
+@pytest.mark.parametrize("kind", GOLDEN)
+def test_golden_bytes(kind, tmp_path):
+    """Each kind keeps its file format to the byte, whatever codec writes it, and reads
+    those bytes back."""
+    header, body = GOLDEN[kind]
+    artifact = golden_artifacts()[kind]
+    store.save(artifact, kind, tmp_path / kind)
+    assert (tmp_path / kind).read_bytes() == header + bytes.fromhex(body)
+    assert_equal_artifact(kind, artifact, store.load(tmp_path / kind, kind))
+
+
 @pytest.mark.parametrize("kind", ["ubm", "speaker_model", "tv_model", "ivector"])
 def test_v1_model_loads_bit_identical(kind, tmp_path):
     rng = np.random.default_rng(48)
@@ -653,6 +781,17 @@ def test_digit_string_is_not_an_array(kind, field, tmp_path):
     path.write_text(json.dumps(document))
     with pytest.raises(CorruptArtifact):
         store.load(path, kind)
+
+
+def test_v1_gmm_with_three_dimensional_means_is_corrupt(tmp_path):
+    """A decimal array takes whatever rank its lists have; the model it builds rejects
+    means of shape (l, 1, k)."""
+    path = tmp_path / "g.json"
+    document = v1_document("gmm", random_gmm(np.random.default_rng(53)))
+    document["payload"]["means"] = [[row] for row in document["payload"]["means"]]
+    path.write_text(json.dumps(document))
+    with pytest.raises(CorruptArtifact, match="shapes"):
+        store.load(path, "gmm")
 
 
 def test_decode_matches_float_bit_for_bit(tmp_path):
@@ -868,6 +1007,7 @@ SECTION_WHERE = ["ubm/weights", "ubm/means", "ubm/variances", "speaker_model/mea
 
 
 @pytest.mark.parametrize("how", ["null", "digit-string", "base64-record", "wrong-rank",
+                                 "rank-0", "two-more-axes",
                                  "negative-shape", "missing-shape", "missing-at",
                                  "negative-at", "float-at", "string-at", "unaligned-at",
                                  "at-past-the-end", "nan", "inf"])
@@ -884,6 +1024,10 @@ def test_bad_section_record_is_corrupt(where, how, tmp_path):
     elif how == "wrong-rank":  # same byte count: (l, k) as (l*k,), (l,) as (l, 1)
         shape = record["shape"]
         record["shape"] = [shape[0] * shape[1]] if len(shape) == 2 else shape + [1]
+    elif how == "rank-0":  # one number, the section's first
+        record["shape"] = []
+    elif how == "two-more-axes":  # same byte count: (l, k) as (l, k, 1, 1), (l,) as (l, 1, 1)
+        record["shape"] = record["shape"] + [1, 1]
     elif how == "negative-shape":
         record["shape"] = [-n for n in record["shape"]]
     elif how in ("missing-shape", "missing-at"):
