@@ -114,9 +114,10 @@ def identify(trial: Trial, registry: SpeakerRegistry, policy: DecisionPolicy,
     else:
         if trial.test_ivector is None:
             raise ModeMismatch("cosine mode needs a test i-vector")
-        if any(e.ivector is None for e in registry.entries):
+        ivectors = [e.ivector for e in registry.entries]
+        if None in ivectors:
             raise ModeMismatch("registry entries lack i-vectors")
-        raw = decision = cosine_scores([e.ivector for e in registry.entries], trial.test_ivector)
+        raw = decision = cosine_scores(ivectors, trial.test_ivector)
     # plain str, float and bool, so reports encode as JSON and repr as Python floats;
     # a cosine score is its own decision score, and one float object serves both fields
     raw_s = raw.tolist()

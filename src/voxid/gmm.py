@@ -193,17 +193,26 @@ def _require_dim(frames: np.ndarray, gmm: DiagonalGmm):
 
 
 def _coefficients(means, variances, log_weights, ref) -> np.ndarray:
-    """[-1/(2 var), mu/var, log w + const] about ref; shape (l, 2k+1)."""
+    """[-1/(2 var), mu/var, log w + const] about ref; one (l, 2k+1) array, filled in place."""
+    k = means.shape[1]
     mu, precision = means - ref, 1.0 / variances
-    const = log_weights - 0.5 * (means.shape[1] * _LOG_2PI
-                                 + np.sum(np.log(variances) + mu * mu * precision, axis=1))
-    return np.hstack([-0.5 * precision, mu * precision, const[:, None]])
+    coefficients = np.empty((len(means), 2 * k + 1))
+    coefficients[:, -1] = log_weights - 0.5 * (
+        k * _LOG_2PI + np.sum(np.log(variances) + mu * mu * precision, axis=1))
+    np.multiply(precision, -0.5, out=coefficients[:, :k])
+    np.multiply(mu, precision, out=coefficients[:, k:-1])
+    return coefficients
 
 
 def _terms(frames, ref) -> np.ndarray:
-    """[(x - ref)^2, x - ref, 1]; shape (L, 2k+1). The shift keeps cancellation small."""
-    x = frames - ref
-    return np.hstack([x * x, x, np.ones((x.shape[0], 1))])
+    """[(x - ref)^2, x - ref, 1]; one (L, 2k+1) array, filled in place. The shift keeps
+    cancellation small."""
+    k = frames.shape[1]
+    terms = np.empty((len(frames), 2 * k + 1))
+    x = np.subtract(frames, ref, out=terms[:, k:-1])
+    np.square(x, out=terms[:, :k])
+    terms[:, -1] = 1.0
+    return terms
 
 
 def _log_densities(terms, coefficients) -> np.ndarray:
@@ -236,16 +245,17 @@ def _mixture_pass(terms: np.ndarray, coefficients, peaks):
     model's peak density, against the frames' _terms: no exponent is above 0, so the
     exponentials overwrite the kernel's output with nothing to overflow, summed on one
     (N, l, L) view, and each model's peak is added back to its sums' logs. Frames where
-    some model's sum is below _FLOOR or not finite are summed again by _resummed.
+    some model's sum is below _FLOOR or not finite are summed again by _resummed; one
+    minimum of the sums finds the rare pass that holds such a frame.
     """
     exps = _log_densities(terms, coefficients)
     np.exp(exps, out=exps)
     sums = np.sum(exps.reshape(len(peaks), len(exps) // len(peaks), -1), axis=1)
-    with np.errstate(divide="ignore"):  # a model whose log densities are all -inf gives -inf
-        frame_ll = np.log(sums)
+    fits = sums.min(initial=np.inf) >= _FLOOR  # no sum is above l; a NaN fails, no frames fit
+    frame_ll = np.log(sums if fits else np.fmax(sums, _FLOOR))  # low frames' logs are replaced
     frame_ll += peaks[:, None]
-    low = np.flatnonzero(~np.all((sums >= _FLOOR) & np.isfinite(sums), axis=0))
-    if low.size:
+    if not fits:
+        low = np.flatnonzero(~np.all((sums >= _FLOOR) & np.isfinite(sums), axis=0))
         frame_ll[:, low], exps[:, low], sums[:, low] = _resummed(terms[low], coefficients, peaks)
     return frame_ll, exps, sums
 
@@ -285,7 +295,7 @@ def posterior_sums(frames: np.ndarray, gmm: DiagonalGmm, squares: bool = False):
     a one-block pass whose work reaches TWO_RUNS_WORK is cut at ceil(L / 2) frames, by its
     sizes alone, so _in_two_runs has two items and the bits do not depend on the CPUs."""
     _reused(_stack, [gmm])  # built before a split, so the second run only reads the slot
-    n = frames.shape[0]
+    n, k = frames.shape
     work = 2 * n * gmm.num_components
     step = (n + 1) // 2 if n <= BLOCK and work >= TWO_RUNS_WORK else BLOCK
     frame_ll = np.empty(n)
@@ -293,10 +303,15 @@ def posterior_sums(frames: np.ndarray, gmm: DiagonalGmm, squares: bool = False):
     def moments(start):
         block = frames[start:start + step]
         gamma, frame_ll[start:start + step] = _posteriors(block, gmm)
-        return gamma.sum(axis=1), gamma @ (np.hstack([block, block * block]) if squares else block)
+        x = block
+        if squares:  # [X, X^2], one array filled in place
+            x = np.empty((len(block), 2 * k))
+            x[:, :k] = block
+            np.square(block, out=x[:, k:])
+        return gamma.sum(axis=1), gamma @ x
 
     counts = np.zeros(gmm.num_components)
-    sums = np.zeros((gmm.num_components, frames.shape[1] * (2 if squares else 1)))
+    sums = np.zeros((gmm.num_components, k * (2 if squares else 1)))
     for block_counts, block_sums in _in_two_runs(moments, range(0, n, step), work):
         counts += block_counts
         sums += block_sums
@@ -387,8 +402,12 @@ def frame_responsibilities(frames: np.ndarray, gmm: DiagonalGmm) -> np.ndarray:
 
 
 def _centred_block(frames: np.ndarray, ref: np.ndarray, start: int) -> np.ndarray:
-    """[x - ref, 1] for the BLOCK frames from start."""
-    return np.pad(frames[start:start + BLOCK] - ref, ((0, 0), (0, 1)), constant_values=1.0)
+    """[x - ref, 1] for the BLOCK frames from start; one array, filled in place."""
+    block = frames[start:start + BLOCK]
+    centred = np.empty((len(block), block.shape[1] + 1))
+    np.subtract(block, ref, out=centred[:, :-1])
+    centred[:, -1] = 1.0
+    return centred
 
 
 def _nearest(frames: np.ndarray, centers: np.ndarray, ref: np.ndarray, blocks=None) -> np.ndarray:

@@ -311,6 +311,8 @@ def _registry_from_payload(payload, array) -> SpeakerRegistry:
 
 
 def _report_from_payload(payload) -> EvalReport:
+    if any(type(t.get("true_speaker_id")) not in (str, type(None)) for t in payload["per_trial"]):
+        raise CorruptArtifact("a true_speaker_id is neither a string nor null")
     trials = [
         TrialResult(
             trial_id=str(t["trial_id"]),

@@ -119,10 +119,10 @@ def init_tv(ubm: Ubm, rank_R: int, rng_seed: int = 0) -> TotalVariabilityModel:
     )
 
 
-def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
+def _cholesky(a: np.ndarray, what: str, finite: bool) -> np.ndarray:
     """Lower Cholesky factor from a's lower triangle; an F-ordered a is factored in place."""
     from scipy.linalg.lapack import dpotrf  # imported where used: LLR paths never load scipy.linalg
-    if not np.isfinite(a).all():
+    if not finite:
         raise NumericalFailure(f"{what} is not finite")
     factor, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
     if info != 0:
@@ -156,11 +156,13 @@ def _e_step(counts: np.ndarray, f_centered: np.ndarray, tv: TotalVariabilityMode
     for start in range(0, counts.shape[0], BLOCK):
         n = counts[start:start + BLOCK]
         block = moments[:n.shape[0]]
-        block[:, flat] = np.matmul(n, tv.precision_blocks, out=packed[:n.shape[0]])
+        block[:, flat] = product = np.matmul(n, tv.precision_blocks, out=packed[:n.shape[0]])
+        finite = np.isfinite(product).all(axis=1)  # then so is I + the unpacked product
         block[:, ::r + 1] += 1.0
         w = (f_centered[start:start + BLOCK] / tv.sigma) @ tv.t_matrix
         for j, precision in enumerate(block):
-            factor = _cholesky(precision.reshape(r, r, order="F"), "posterior precision")
+            factor = _cholesky(precision.reshape(r, r, order="F"), "posterior precision",
+                               finite[j])
             w[j] = dpotrs(factor, w[j], lower=1)[0]
         yield n, block, w
 
@@ -212,9 +214,10 @@ def train_tv(stats_set, tv: TotalVariabilityModel, iterations: int = 10
         del model  # frees the precision blocks before the M-step
         t = f_centered.T @ np.concatenate(ws)  # B, solved into T component by component
         t[idle_rows] = kept
+        finite = np.isfinite(acc).all(axis=0)  # one pass, not one per unpacked A_c
         for j in np.flatnonzero(occupied):
             unpacked[flat] = acc[:, j]
-            factor = _cholesky(unpacked.reshape(r, r, order="F"), f"M-step A_{j}")
+            factor = _cholesky(unpacked.reshape(r, r, order="F"), f"M-step A_{j}", finite[j])
             t[j * k:(j + 1) * k] = dpotrs(factor, t[j * k:(j + 1) * k].T, lower=1)[0].T
         model = TotalVariabilityModel(tv.m, tv.sigma, t, c, k)
         del t  # the model holds its own copy, so the next E-step holds one T

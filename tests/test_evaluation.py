@@ -252,6 +252,13 @@ class TestIdentify:
         with pytest.raises(ModeMismatch):
             identify(Trial(trial_id="t", test_ivector=IVector(np.ones(2))),
                      registry, policy)
+        # one entry of several lacks its i-vector
+        registry = SpeakerRegistry()
+        for sid, iv in [("s0", IVector(np.ones(2))), ("s1", None), ("s2", IVector(np.ones(2)))]:
+            registry.add(RegistryEntry(speaker_id=sid, cluster_id="c0", ivector=iv,
+                                       model=SpeakerModel(speaker_id=sid, gmm=tiny_gmm(0.0))))
+        with pytest.raises(ModeMismatch, match="lack i-vectors"):
+            identify(Trial(trial_id="t", test_ivector=IVector(np.ones(2))), registry, policy)
 
     def test_duplicate_speaker(self):
         registry = registry_of([0.0])

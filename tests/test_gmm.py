@@ -298,6 +298,55 @@ class TestExpandedKernel:
         assert len(pairs) == len({p for p, _ in pairs}) == len({lab for _, lab in pairs}) == 6
 
 
+class TestFilledArrays:
+    """Each kernel array is one allocation filled in place: every element equals the one the
+    np.hstack or np.pad of its columns' expressions gives, bit for bit."""
+
+    @staticmethod
+    def frames(frames_l, dim):
+        frames = np.random.default_rng(frames_l + dim).normal(0, 3, (frames_l, dim))
+        frames[::7] = 1e3
+        frames[3::7] = -1e3
+        return frames
+
+    @pytest.mark.parametrize("frames_l", [1, 300, 2049])
+    @pytest.mark.parametrize("dim", [1, 20])
+    def test_terms_coefficients_and_centred_blocks(self, frames_l, dim):
+        rng = np.random.default_rng(71)
+        frames = self.frames(frames_l, dim)
+        ref = rng.normal(0, 1, dim)
+        x = frames - ref
+        assert np.array_equal(gmm_module._terms(frames, ref),
+                              np.hstack([x * x, x, np.ones((frames_l, 1))]))
+        for start in range(0, frames_l, gmm_module.BLOCK):
+            assert np.array_equal(gmm_module._centred_block(frames, ref, start), np.pad(
+                frames[start:start + gmm_module.BLOCK] - ref, ((0, 0), (0, 1)),
+                constant_values=1.0))
+        # the frames as one component's means each
+        variances = rng.uniform(0.01, 100.0, (frames_l, dim))
+        log_weights = rng.normal(-3, 1, frames_l)
+        mu, precision = frames - ref, 1.0 / variances
+        const = log_weights - 0.5 * (dim * np.log(2.0 * np.pi)
+                                     + np.sum(np.log(variances) + mu * mu * precision, axis=1))
+        assert np.array_equal(gmm_module._coefficients(frames, variances, log_weights, ref),
+                              np.hstack([-0.5 * precision, mu * precision, const[:, None]]))
+
+    @pytest.mark.parametrize("frames_l", [1, 300, 2049])
+    @pytest.mark.parametrize("dim", [1, 20])
+    def test_squares_moments(self, frames_l, dim):
+        model = random_gmm(np.random.default_rng(72), components=6, dim=dim)
+        frames = self.frames(frames_l, dim)
+        counts, sums, _ = gmm_module.posterior_sums(frames, model, squares=True)
+        oracle_counts, oracle_sums = np.zeros(6), np.zeros((6, 2 * dim))
+        for start in range(0, frames_l, gmm_module.BLOCK):  # below TWO_RUNS_WORK: no cut
+            block = frames[start:start + gmm_module.BLOCK]
+            gamma = gmm_module._posteriors(block, model)[0]
+            oracle_counts += gamma.sum(axis=1)
+            oracle_sums += gamma @ np.hstack([block, block * block])
+        assert np.array_equal(counts, oracle_counts)
+        assert np.array_equal(sums, oracle_sums)
+
+
 def resummed_frames(monkeypatch):
     """The number of frames each gmm._resummed call is given, filled as passes run."""
     calls, resum = [], gmm_module._resummed
@@ -389,6 +438,43 @@ class TestLogSumExp:
         assert np.allclose(densities, difference_form(frames, model), rtol=1e-12, atol=0.0)
         assert np.allclose(gamma.sum(axis=1), 1.0, rtol=1e-14, atol=0.0)
         assert np.allclose(responsibilities(frames[2], model), gamma[2], rtol=1e-12, atol=0.0)
+
+
+def test_floor_is_one_minimum_over_the_pass(monkeypatch):
+    """Three 4-component models in one pass over 9 frames: model 1's sum is exactly _FLOOR at
+    frame 2, model 2's just below it at frame 5, and model 0's is NaN at frame 7. Only frames
+    5 and 7 are summed again, and every output equals the per-frame mask's."""
+    rng = np.random.default_rng(73)
+    logs = np.round(rng.uniform(-3, 0, (12, 9)) * 2.0 ** 20) * 2.0 ** -20
+    at = -900 * np.log(2.0)
+    monkeypatch.setattr(gmm_module, "_FLOOR", np.exp(at))  # a sum one exponential reaches
+    logs[4:8, 2] = [at, -np.inf, -np.inf, -np.inf]
+    logs[8:12, 5] = [np.nextafter(at, -np.inf), -np.inf, -np.inf, -np.inf]
+    logs[1, 7] = np.nan
+    for kernel in ("_log_densities", "_frame_log_densities"):
+        monkeypatch.setattr(gmm_module, kernel, lambda terms, rows: logs[
+            rows[:, 0].astype(np.intp)][:, terms[:, 0].astype(np.intp)])
+    terms, rows = np.arange(9.0)[:, None], np.arange(12.0)[:, None]
+    peaks = np.array([-1.0, 0.5, 2.0])
+    # the mask form: every frame's logs, then the frames some model's sum fails summed again
+    exps = np.exp(logs)
+    sums = exps.reshape(3, 4, -1).sum(axis=1)
+    assert sums[1, 2] == gmm_module._FLOOR and 0.0 < sums[2, 5] < gmm_module._FLOOR
+    with np.errstate(divide="ignore"):
+        frame_ll = np.log(sums) + peaks[:, None]
+    low = np.flatnonzero(~np.all((sums >= gmm_module._FLOOR) & np.isfinite(sums), axis=0))
+    frame_ll[:, low], exps[:, low], sums[:, low] = gmm_module._resummed(terms[low], rows, peaks)
+    calls = resummed_frames(monkeypatch)
+    for got, expected in zip(_mixture_pass(terms, rows, peaks), (frame_ll, exps, sums)):
+        assert np.array_equal(got, expected, equal_nan=True)
+    assert calls == [2] and low.tolist() == [5, 7]
+    assert np.isnan(frame_ll[:, 7]).any() and np.isfinite(frame_ll[:, :7]).all()
+    # a pass whose least sum is exactly _FLOOR, or that has no frames, sums nothing again
+    for frames_l in (5, 0):
+        for got, expected in zip(_mixture_pass(terms[:frames_l], rows, peaks),
+                                 (frame_ll, exps, sums)):
+            assert np.array_equal(got, expected[:, :frames_l])
+    assert calls == [2]
 
 
 def kmeans_with_loop_update(frames, n_clusters, rng):

@@ -832,6 +832,24 @@ def test_json_null_is_corrupt(where, tmp_path):
         store.load(path, kind)
 
 
+@pytest.mark.parametrize("truth", [["a", "b"], 1, 1.5, True, None, "b"],
+                         ids=["list", "int", "float", "true", "null", "string"])
+def test_report_true_speaker_id_is_a_string_or_null(truth, tmp_path):
+    report = golden_artifacts()["report"]
+    path = tmp_path / "r.json"
+    store.save(report, "report", path)
+    document, _ = read_artifact(path)
+    document["payload"]["per_trial"][0]["true_speaker_id"] = truth
+    write_artifact(path, document)
+    if truth is not None and type(truth) is not str:
+        with pytest.raises(CorruptArtifact, match="true_speaker_id"):
+            store.load(path, "report")
+        return
+    loaded = store.load(path, "report")
+    assert [t.true_speaker_id for t in loaded.per_trial] == [truth, None]
+    assert loaded.per_trial[1:] == report.per_trial[1:]
+
+
 def test_inspect_prints_the_format_version(tmp_path, capsys):
     rng = np.random.default_rng(47)
     registry = adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 2)

@@ -317,6 +317,20 @@ class TestExtraction:
             with pytest.raises(NumericalFailure):
                 train_tv([stats], tv, iterations=1)
 
+    def test_one_overflowing_precision_in_a_block_is_a_numerical_failure(self):
+        ubm = make_ubm()
+        base = init_tv(ubm, 2)
+        tv = TotalVariabilityModel(m=base.m, sigma=base.sigma, t_matrix=1e3 * base.t_matrix,
+                                   num_components=4, dim_k=3)
+        rng = np.random.default_rng(19)
+        stats = [BaumWelchStats(n, rng.normal(0, 2, (4, 3)) * n[:, None])
+                 for n in rng.uniform(0.5, 20, (BLOCK, 4))]
+        assert len(extract_ivectors(stats, tv)) == BLOCK
+        stats[4] = BaumWelchStats(np.full(4, 1e308), np.ones((4, 3)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure, match="^posterior precision is not finite$"):
+                extract_ivectors(stats, tv)
+
     def test_dimension_mismatch(self):
         ubm = make_ubm()
         tv = init_tv(ubm, 2)
