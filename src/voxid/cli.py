@@ -63,9 +63,16 @@ def _report(exc, where="") -> int:
 
 # --- flat key = value config files -------------------------------------------
 
+def _relevance(value: str) -> float:
+    relevance = float(value)
+    if not 0.0 <= relevance < np.inf:  # as map_adapt requires, before any work is done
+        raise ValueError(f"relevance must be finite and >= 0, got {value}")
+    return relevance
+
+
 # rng_seed comes from --seed; relevance is map_adapt's argument, not a config field
 _CONFIG_KEYS = {**settings_keys(MfccConfig, GmmTrainingConfig, exclude=("rng_seed",)),
-                "relevance": float}
+                "relevance": _relevance}
 
 
 def _config_from(cls, settings: dict, **fixed):

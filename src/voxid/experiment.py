@@ -67,6 +67,9 @@ class ExperimentConfig:
         for name, low in _MINIMUM.items():
             if not low <= getattr(self, name) < np.inf:
                 raise InvalidExperimentConfig(f"{name} must be finite and >= {low}")
+        if self.mode == "llr" and self.num_true_speakers + self.num_impostors < 2:
+            raise InvalidExperimentConfig("num_true_speakers + num_impostors must be >= 2: "
+                                          "llr mode normalises over a cohort of them")
         if not self.thresholds:
             raise InvalidExperimentConfig("need at least one threshold")
         if len(set(self.thresholds)) != len(self.thresholds):
@@ -81,8 +84,8 @@ class ExperimentConfig:
             if self.enroll_frames < self.tv_chunk_frames:
                 raise InvalidExperimentConfig("tv_chunk_frames exceeds enroll_frames: "
                                               "no full piece to train the TV model on")
-            if self.cosine_target_true > self.num_true_speakers:
-                raise InvalidExperimentConfig("target list larger than speaker pool")
+            if not 1 <= self.cosine_target_true <= self.num_true_speakers:  # a trial per target
+                raise InvalidExperimentConfig("cosine_target_true must be in [1, num_true_speakers]")
             if self.cosine_target_impostors > self.num_impostors:
                 raise InvalidExperimentConfig("not enough impostors for target list")
 

@@ -165,8 +165,8 @@ class GmmTrainingConfig:
             raise ValueError("num_components must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (self.convergence_tol > 0.0 and self.variance_floor > 0.0):
-            raise ValueError("convergence_tol and variance_floor must be positive")
+        if not (0.0 < self.convergence_tol < np.inf and 0.0 < self.variance_floor < np.inf):
+            raise ValueError("convergence_tol and variance_floor must be finite and positive")
 
 
 def component_log_density(x, mean, variance) -> float:

@@ -21,15 +21,19 @@ ways, all bit-exact on the round trip:
   version 2 and `registry` version 3 stored every array.
 
 `_JSON_KINDS` has one row per kind: its payload codecs and the array
-decoder of each version it reads. `save` writes the newest version, and
-files of older versions still load bit for bit. A load reads the file
-once; a binary array decodes as a read-only view of the bytes read (a
-raw section) or decoded (base64), which the model constructors copy once.
+decoder of each version it reads. A payload is its dataclass's fields by
+name: `_enc` writes every kind but the registry, a mixture field in its
+parent's place, and `_model` reads each model kind back, converting each
+field by its annotation. The registry shares one block among its entries,
+and the report's numbers are decimal strings parsed by type, so each has
+a decoder of its own. `save` writes the newest version, and files of
+older versions still load bit for bit. A load reads the file once; a
+binary array decodes as a read-only view of the bytes read (a raw
+section) or decoded (base64), which the model constructors copy once.
 `store` checks only the file layout: each record, its offset and the
 body's end. The model types check every array's rank, shape and
 finiteness, and a load reports their `DimensionMismatch`, like any other
-decode error, as `CorruptArtifact`. A report is saved as its dataclass's
-fields; numpy scalars in it are written as the Python numbers they equal.
+decode error, as `CorruptArtifact`.
 
 A registry (versions 2 to 4) holds the first entry's weights and
 variances once, as "shared"; each entry's model holds its means, plus
@@ -52,6 +56,7 @@ import base64
 import contextlib
 import dataclasses
 import fcntl
+import functools
 import json
 import math
 import os
@@ -108,19 +113,29 @@ def _atomic_write(path, data: bytes):
 
 # --- numeric encoding -------------------------------------------------------
 
-def _enc(value):
+def _enc(value, array=None):
     """Floats, numpy's too, become the repr of the Python float they equal (bit-exact
-    round-trip), other numpy scalars the Python numbers they equal. Arrays and tuples
-    become lists; lists and a dataclass's fields are encoded value by value."""
+    round-trip), other numpy scalars the Python numbers they equal. Arrays go through
+    `array`, or become lists; lists and tuples are encoded value by value, and a dataclass
+    as its fields by name, a mixture field's in its parent's place."""
     if isinstance(value, float):  # numpy's float64 is a float: take float's repr, not numpy's
         return float.__repr__(value)
     if isinstance(value, (str, int, type(None))):  # bools are ints
         return value
-    if isinstance(value, (list, tuple)):
-        return [_enc(v) for v in value]
+    if isinstance(value, np.ndarray) and array is not None:
+        return array(value)
     if isinstance(value, (np.ndarray, np.generic)):
         return _enc(value.tolist())
-    return {f.name: _enc(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_enc(v, array) for v in value]
+    payload = {}
+    for f in dataclasses.fields(value):
+        field = getattr(value, f.name)
+        if isinstance(field, DiagonalGmm):
+            payload |= _enc(field, array)
+        else:
+            payload[f.name] = _enc(field, array)
+    return payload
 
 
 def _dec(data) -> np.ndarray:
@@ -209,17 +224,21 @@ def _features_from_bytes(data: bytes) -> FeatureMatrix:
 
 # --- per-kind payload codecs -------------------------------------------------
 
-# Each codec below takes `array`, the one function that encodes (`_enc` or
-# `_Sections.encode`) or decodes (`_dec`, `_dec_f8` or `_Sections.decode`)
-# every array of its kind's version.
+# Each codec takes `array`, the one function that encodes (`_enc` or `_Sections.encode`)
+# or decodes (`_dec`, `_dec_f8` or `_Sections.decode`) every array of its kind's version.
 
-def _gmm_payload(gmm: DiagonalGmm, array) -> dict:
-    return {name: array(getattr(gmm, name)) for name in _GMM_FIELDS}
+def _model(cls, payload, array):
+    """`cls` from its fields by name, each converted by its annotation string: an array by
+    `array`, an int or a str as itself; a mixture field is read from the same payload."""
+    convert = {"np.ndarray": array, "int": int, "str": str}
+    return cls(**{f.name: _model(DiagonalGmm, payload, array) if f.type == "DiagonalGmm"
+                  else convert[f.type](payload[f.name]) for f in dataclasses.fields(cls)})
 
 
-def _gmm_from_payload(payload, array, shared=None) -> DiagonalGmm:
-    """A payload holding only means takes the weights and variances of `shared`,
-    a checked mixture; any other field it lacks is taken from `shared` too."""
+def _gmm_from_payload(payload, array, shared) -> DiagonalGmm:
+    """A registry entry's mixture. A payload holding only means takes the weights and
+    variances of `shared`, a checked mixture; any other field it lacks is taken from
+    `shared` too, if there is one."""
     fields = {name: array(payload[name]) for name in _GMM_FIELDS if name in payload}
     if shared is not None:
         if fields.keys() == {"means"}:
@@ -228,39 +247,6 @@ def _gmm_from_payload(payload, array, shared=None) -> DiagonalGmm:
     if len(fields) != len(_GMM_FIELDS):
         raise CorruptArtifact(f"model lacks {sorted(set(_GMM_FIELDS) - fields.keys())}")
     return DiagonalGmm(**fields)
-
-
-def _speaker_payload(model: SpeakerModel, array) -> dict:
-    payload = _gmm_payload(model.gmm, array)
-    payload["speaker_id"] = model.speaker_id
-    return payload
-
-
-def _speaker_from_payload(payload, array, shared=None) -> SpeakerModel:
-    return SpeakerModel(
-        speaker_id=str(payload.get("speaker_id", "")),
-        gmm=_gmm_from_payload(payload, array, shared),
-    )
-
-
-def _tv_payload(tv: TotalVariabilityModel, array) -> dict:
-    return {
-        "m": array(tv.m),
-        "sigma": array(tv.sigma),
-        "t_matrix": array(tv.t_matrix),
-        "num_components": tv.num_components,
-        "dim_k": tv.dim_k,
-    }
-
-
-def _tv_from_payload(payload, array) -> TotalVariabilityModel:
-    return TotalVariabilityModel(
-        m=array(payload["m"]),
-        sigma=array(payload["sigma"]),
-        t_matrix=array(payload["t_matrix"]),
-        num_components=int(payload["num_components"]),
-        dim_k=int(payload["dim_k"]),
-    )
 
 
 def _registry_payload(registry: SpeakerRegistry, array) -> dict:
@@ -301,7 +287,8 @@ def _registry_from_payload(payload, array) -> SpeakerRegistry:
             RegistryEntry(
                 speaker_id=str(entry["speaker_id"]),
                 cluster_id=str(entry["cluster_id"]),
-                model=_speaker_from_payload(entry["model"], array, shared),
+                model=SpeakerModel(speaker_id=str(entry["model"].get("speaker_id", "")),
+                                   gmm=_gmm_from_payload(entry["model"], array, shared)),
                 ivector=ivec,
                 language_tag=str(entry.get("language_tag", "")),
                 is_impostor=bool(entry.get("is_impostor", False)),
@@ -310,7 +297,9 @@ def _registry_from_payload(payload, array) -> SpeakerRegistry:
     return registry
 
 
-def _report_from_payload(payload) -> EvalReport:
+def _report_from_payload(payload, array) -> EvalReport:
+    """A report; it holds no arrays, so `array` goes unused. Its numbers are decimal
+    strings, each parsed as its field's type."""
     if any(type(t.get("true_speaker_id")) not in (str, type(None)) for t in payload["per_trial"]):
         raise CorruptArtifact("a true_speaker_id is neither a string nor null")
     trials = [
@@ -339,20 +328,15 @@ def _report_from_payload(payload) -> EvalReport:
 # codec of each version it reads, from version 1 on: a decoder of arrays held
 # in the JSON, or `_Sections`. `save` writes the last version: raw sections,
 # or decimal strings where that version's codec is `_dec`.
+_MODEL_CODECS = (_dec, _dec_f8, _Sections)
 _JSON_KINDS = {
-    "gmm": (_gmm_payload, _gmm_from_payload, (_dec,)),
-    "ubm": (lambda ubm, array: _gmm_payload(ubm.gmm, array),
-            lambda payload, array: Ubm(gmm=_gmm_from_payload(payload, array)),
-            (_dec, _dec_f8, _Sections)),
-    "speaker_model": (_speaker_payload, _speaker_from_payload, (_dec, _dec_f8, _Sections)),
-    "tv_model": (_tv_payload, _tv_from_payload, (_dec, _dec_f8, _Sections)),
-    "ivector": (lambda iv, array: {"w": array(iv.w)},
-                lambda payload, array: IVector(w=array(payload["w"])),
-                (_dec, _dec_f8, _Sections)),
+    "gmm": (_enc, functools.partial(_model, DiagonalGmm), (_dec,)),
+    "ubm": (_enc, functools.partial(_model, Ubm), _MODEL_CODECS),
+    "speaker_model": (_enc, functools.partial(_model, SpeakerModel), _MODEL_CODECS),
+    "tv_model": (_enc, functools.partial(_model, TotalVariabilityModel), _MODEL_CODECS),
+    "ivector": (_enc, functools.partial(_model, IVector), _MODEL_CODECS),
     "registry": (_registry_payload, _registry_from_payload, (_dec, _dec, _dec_f8, _Sections)),
-    "report": (lambda report, number: number(report),
-               lambda payload, array: _report_from_payload(payload),
-               (_dec,)),  # no arrays; the encoder writes its numbers as decimals
+    "report": (_enc, _report_from_payload, (_dec,)),  # no arrays; numbers as decimals
 }
 
 KINDS = ("features", *_JSON_KINDS)

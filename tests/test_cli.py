@@ -210,17 +210,21 @@ class TestEnroll:
                    "--ubm", ubm, feats[0])
         assert code == EXIT_DOMAIN
 
-    @pytest.mark.parametrize("relevance", ["nan", "inf"])
+    @pytest.mark.parametrize("relevance", ["nan", "inf", "-1"])
     def test_non_finite_relevance_enrolls_nobody(self, workspace, capsys, relevance):
+        """A relevance map_adapt refuses is a usage error of its config line, raised
+        before the UBM or any features are read."""
         tmp, feats, ubm, registry = workspace
         before = registry.read_bytes()
         config = tmp / f"{relevance}.conf"
         config.write_text(f"relevance = {relevance}\n")
-        code = run("--config", config, "enroll", "--speaker-id", "spk9", "--registry",
-                   registry, "--ubm", ubm, feats[0])
-        assert code == EXIT_DOMAIN
-        assert "NegativeRelevance" in capsys.readouterr().err
+        for target in (registry, tmp / "new-registry.json"):
+            code = run("--config", config, "enroll", "--speaker-id", "spk9", "--registry",
+                       target, "--ubm", ubm, feats[0])
+            assert code == EXIT_USAGE
+            assert f"{config}:1:" in capsys.readouterr().err
         assert registry.read_bytes() == before
+        assert not (tmp / "new-registry.json").exists()
 
     def test_listed_after_enroll(self, workspace, capsys):
         _, _, _, registry = workspace
@@ -489,6 +493,8 @@ def test_apply_cmvn_words(tmp_path, make_clip_wav, word, normalised):
     ("relevance = inf", "relevance"),
     ("mode = cosine\ntv_chunk_frames = 50\nthresholds = 1.5", "thresholds"),
     ("mode = cosine", "tv_chunk_frames"),
+    ("mode = cosine\ntv_chunk_frames = 50\ncosine_target_true = 0", "cosine_target_true"),
+    ("num_true_speakers = 1\nnum_impostors = 0", "num_true_speakers"),
 ])
 def test_evaluate_rejects_bad_counts_and_sizes(tmp_path, capsys, line, name):
     config = tmp_path / "bad.conf"
@@ -503,6 +509,7 @@ def test_evaluate_rejects_bad_counts_and_sizes(tmp_path, capsys, line, name):
 
 
 @pytest.mark.parametrize("line", ["variance_floor = nan", "convergence_tol = nan",
+                                  "variance_floor = inf", "convergence_tol = inf",
                                   "max_iterations = -3"])
 def test_train_ubm_rejects_bad_training_config(tmp_path, capsys, line):
     feat = tmp_path / "a.feat"

@@ -850,6 +850,46 @@ def test_report_true_speaker_id_is_a_string_or_null(truth, tmp_path):
     assert loaded.per_trial[1:] == report.per_trial[1:]
 
 
+@pytest.mark.parametrize("count", [3, 3.0, "3", True], ids=["int", "float", "string", "true"])
+def test_tv_model_int_fields_convert_as_int(count, tmp_path):
+    """A model's int field reads as int() reads its JSON value; true reads as 1, which
+    the model's layout then rejects."""
+    tv = random_artifact("tv_model", np.random.default_rng(55))
+    path = tmp_path / "tv.json"
+    store.save(tv, "tv_model", path)
+    document, body = read_artifact(path)
+    document["payload"]["num_components"] = count
+    write_artifact(path, document, body)
+    if count is True:
+        with pytest.raises(CorruptArtifact, match="layout"):
+            store.load(path, "tv_model")
+        return
+    loaded = store.load(path, "tv_model")
+    assert type(loaded.num_components) is int and loaded.num_components == 3
+    assert_equal_artifact("tv_model", tv, loaded)
+
+
+@pytest.mark.parametrize("speaker_id", [5, "absent"])
+def test_speaker_model_speaker_id_is_a_string_field(speaker_id, tmp_path):
+    """A speaker model's speaker_id reads as str() reads its JSON value; a payload without
+    one is corrupt, as every file `save` writes has it."""
+    model = random_artifact("speaker_model", np.random.default_rng(56))
+    path = tmp_path / "s.json"
+    store.save(model, "speaker_model", path)
+    document, body = read_artifact(path)
+    if speaker_id == "absent":
+        del document["payload"]["speaker_id"]
+        write_artifact(path, document, body)
+        with pytest.raises(CorruptArtifact, match="speaker_id"):
+            store.load(path, "speaker_model")
+        return
+    document["payload"]["speaker_id"] = speaker_id
+    write_artifact(path, document, body)
+    loaded = store.load(path, "speaker_model")
+    assert loaded.speaker_id == "5"
+    assert np.array_equal(loaded.gmm.means, model.gmm.means)
+
+
 def test_inspect_prints_the_format_version(tmp_path, capsys):
     rng = np.random.default_rng(47)
     registry = adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 2)
