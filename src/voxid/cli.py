@@ -36,7 +36,7 @@ from .experiment import (EXPERIMENT_KEYS, ExperimentConfig, read_settings, run_e
                          settings_keys)
 from .features import MfccConfig, extract_mfcc
 from .gmm import GmmTrainingConfig, em_fit_detailed
-from .scoring import DecisionPolicy
+from .scoring import BACKENDS, DecisionPolicy
 from .speaker_models import DEFAULT_RELEVANCE, Ubm, accumulate_stats, map_adapt, pool_features
 from .total_variability import extract_ivector, init_tv, train_tv
 
@@ -240,17 +240,14 @@ def cmd_ivector(args, settings):
 
 def cmd_identify(args, settings):
     registry = store.load(args.registry, "registry")
-    mode = "llr-normalized" if args.mode == "llr" else args.mode
-    policy = DecisionPolicy(threshold=args.threshold, mode=mode)
-
-    if mode == "cosine":
-        ubm = None
-        trial = Trial(trial_id="cli", test_ivector=store.load(args.test, "ivector"))
-    else:
+    policy = DecisionPolicy(threshold=args.threshold, mode=args.mode)
+    kind, _, _ = BACKENDS[policy.mode]
+    ubm = None
+    if kind == "features":  # features are scored against the UBM
         if not args.ubm:
-            raise VoxidUsageError("--ubm is required in LLR mode")
+            raise VoxidUsageError(f"--ubm is required in {policy.mode} mode")
         ubm = store.load(args.ubm, "ubm")
-        trial = Trial(trial_id="cli", test_features=store.load(args.test, "features"))
+    trial = Trial(trial_id="cli", **{f"test_{kind}": store.load(args.test, kind)})
     result = identify(trial, registry, policy, ubm=ubm)
 
     print(f"{'speaker':<12} {'raw':>14} {'score':>10} decision")
@@ -259,7 +256,7 @@ def cmd_identify(args, settings):
         print(f"{sid:<12} {raw:>14.4f} {norm:>10.4f} {verdict}")
 
     if args.json or args.csv:
-        report = summarize([result], args.threshold, mode)
+        report = summarize([result], args.threshold, policy.mode)
         if args.json:
             store.save(report, "report", args.json)
         if args.csv:
@@ -354,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("test")
     p.add_argument("--registry", required=True)
     p.add_argument("--ubm")
-    p.add_argument("--mode", choices=["llr", "llr-normalized", "cosine"], default="llr")
+    p.add_argument("--mode", choices=["llr", *BACKENDS], default="llr")
     p.add_argument("--threshold", type=float, default=1.0)
     p.add_argument("--json")
     p.add_argument("--csv")

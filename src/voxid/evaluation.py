@@ -13,14 +13,7 @@ import numpy as np
 
 from .errors import DuplicateSpeakerId, EmptyRegistry, EmptyScoreSet, ModeMismatch, NanScore
 from .features import FeatureMatrix
-from .scoring import (
-    DecisionPolicy,
-    cohort_from_scores,
-    cosine_scores,
-    decide,
-    llr_scores,
-    normalize_score,
-)
+from .scoring import BACKENDS, DecisionPolicy, decide
 from .speaker_models import SpeakerModel, Ubm
 from .total_variability import IVector
 
@@ -98,28 +91,19 @@ def identify(trial: Trial, registry: SpeakerRegistry, policy: DecisionPolicy,
              ubm: Ubm | None = None) -> TrialResult:
     """Score a trial against every registry entry, rank and decide.
 
-    LLR mode: raw log-likelihood ratios against all models, z-normalised
-    against those raw scores themselves. Cosine mode: cosine of the trial
-    i-vector against each registered i-vector; the cosine score is used
-    directly as the decision score.
+    The policy's mode names the `scoring.BACKENDS` row that scores the trial's
+    test artifact against the whole registry: cohort-normalised LLR of its
+    features, or cosine of its i-vector.
     """
     if not registry.entries:
         raise EmptyRegistry("no enrolled speakers")
-
-    if policy.mode == "llr-normalized":
-        if trial.test_features is None or ubm is None:
-            raise ModeMismatch("LLR mode needs test features and a UBM")
-        raw = llr_scores(trial.test_features, [e.model for e in registry.entries], ubm)
-        decision = normalize_score(raw, cohort_from_scores(raw))
-    else:
-        if trial.test_ivector is None:
-            raise ModeMismatch("cosine mode needs a test i-vector")
-        ivectors = [e.ivector for e in registry.entries]
-        if None in ivectors:
-            raise ModeMismatch("registry entries lack i-vectors")
-        raw = decision = cosine_scores(ivectors, trial.test_ivector)
+    kind, score, _ = BACKENDS[policy.mode]
+    test = getattr(trial, f"test_{kind}")
+    if test is None:
+        raise ModeMismatch(f"{policy.mode} mode needs the trial's test_{kind}")
+    raw, decision = score(test, registry.entries, ubm)
     # plain str, float and bool, so reports encode as JSON and repr as Python floats;
-    # a cosine score is its own decision score, and one float object serves both fields
+    # a score that is its own decision score is one float object in both fields
     raw_s = raw.tolist()
     norm_s = raw_s if decision is raw else decision.tolist()
     ranked = list(zip([e.speaker_id for e in registry.entries], raw_s, norm_s,

@@ -10,7 +10,7 @@ the CLI's --config share the flat "key = value" parser and key rule here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -74,10 +74,9 @@ class ExperimentConfig:
             raise InvalidExperimentConfig("need at least one threshold")
         if len(set(self.thresholds)) != len(self.thresholds):
             raise InvalidExperimentConfig(f"thresholds repeat a value: {self.thresholds}")
-        mode = "llr-normalized" if self.mode == "llr" else "cosine"
         for t in self.thresholds:
             try:
-                DecisionPolicy(threshold=t, mode=mode)
+                DecisionPolicy(threshold=t, mode=self.mode)
             except ValueError as exc:
                 raise InvalidExperimentConfig(f"thresholds: {exc}") from exc
         if self.mode == "cosine":
@@ -271,16 +270,16 @@ def _redecide(results, policy: DecisionPolicy):
 def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
     """Build the synthetic world, run all trials, report once per threshold."""
     world = build_world(config)
-
+    policy = DecisionPolicy(threshold=config.thresholds[0], mode=config.mode)
     if config.mode == "llr":
-        mode, targets = "llr-normalized", world.registry
+        targets = world.registry
         trials = [
             Trial(trial_id=f"trial-{sid}", test_features=world.test_sets[sid],
                   true_speaker_id=sid)
             for sid in sorted(world.test_sets)
         ]
     else:
-        mode, world = "cosine", attach_ivectors(world)
+        world = attach_ivectors(world)
         true_ids = sorted(world.test_sets)[: config.cosine_target_true]
         imp_ids = sorted(
             e.speaker_id for e in world.registry.entries if e.is_impostor
@@ -292,9 +291,6 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
         trials = [Trial(trial_id=f"trial-{sid}", true_speaker_id=sid, test_ivector=ivector)
                   for sid, ivector in zip(true_ids, extract_ivectors(tests, world.tv_model))]
 
-    policy = DecisionPolicy(threshold=config.thresholds[0], mode=mode)
     results = [identify(trial, targets, policy, ubm=world.ubm) for trial in trials]
-    return [
-        summarize(_redecide(results, DecisionPolicy(threshold=t, mode=mode)), t, mode)
-        for t in config.thresholds
-    ]
+    return [summarize(_redecide(results, replace(policy, threshold=t)), t, policy.mode)
+            for t in config.thresholds]

@@ -1,6 +1,7 @@
 """Scoring backends: UBM-normalized log-likelihood ratios with cohort
 z-style normalization, and cosine scoring of latent-factor vectors with
-its Bhattacharyya-coefficient interpretation.
+its Bhattacharyya-coefficient interpretation. `BACKENDS` has one row per
+scoring mode, and no other module tests a mode.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 from .errors import (
     DegenerateCohort,
     DimensionMismatch,
+    ModeMismatch,
     NotADistribution,
     ZeroVector,
 )
@@ -37,15 +39,18 @@ class CohortStats:
 @dataclass(frozen=True)
 class DecisionPolicy:
     threshold: float
-    mode: str  # "llr-normalized" | "cosine"
+    mode: str  # a BACKENDS key, or "llr" for "llr-normalized"
 
     def __post_init__(self):
-        if self.mode not in ("llr-normalized", "cosine"):
+        if self.mode == "llr":  # the short name that configs and the CLI accept
+            object.__setattr__(self, "mode", "llr-normalized")
+        if self.mode not in BACKENDS:
             raise ValueError(f"unknown scoring mode {self.mode!r}")
         if not np.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold}")
-        if self.mode == "cosine" and not -1.0 <= self.threshold <= 1.0:
-            raise ValueError("cosine threshold must lie in [-1, 1]")
+        _, _, (low, high) = BACKENDS[self.mode]
+        if not low <= self.threshold <= high:
+            raise ValueError(f"{self.mode} threshold must lie in [{low:g}, {high:g}]")
 
 
 def llr_scores(feats: FeatureMatrix, speakers, ubm: Ubm) -> np.ndarray:
@@ -111,6 +116,31 @@ def cosine_scores(targets, test: IVector) -> np.ndarray:
 def cosine_score(target: IVector, test: IVector) -> float:
     """Cosine of the angle between two latent-factor vectors, in [-1, 1]."""
     return float(cosine_scores([target], test)[0])
+
+
+def _llr(feats: FeatureMatrix, entries, ubm: Ubm | None):
+    if ubm is None:
+        raise ModeMismatch("LLR mode needs a UBM")
+    raw = llr_scores(feats, [e.model for e in entries], ubm)
+    return raw, normalize_score(raw, cohort_from_scores(raw))
+
+
+def _cosine(test: IVector, entries, ubm):
+    ivectors = [e.ivector for e in entries]
+    if None in ivectors:
+        raise ModeMismatch("registry entries lack i-vectors")
+    raw = cosine_scores(ivectors, test)
+    return raw, raw  # a cosine score is its own decision score
+
+
+# One row per scoring mode, keyed by the report's `mode`: the test artifact kind it
+# scores (a `store` kind, and the `Trial` field `test_<kind>`); its scorer
+# `(test, entries, ubm) -> (raw, decision)`, score arrays over the registry entries in
+# order; and the closed range its thresholds must lie in.
+BACKENDS = {
+    "llr-normalized": ("features", _llr, (-np.inf, np.inf)),
+    "cosine": ("ivector", _cosine, (-1.0, 1.0)),
+}
 
 
 def bhattacharyya_coefficient(p, q) -> float:

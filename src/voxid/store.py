@@ -287,7 +287,7 @@ def _registry_from_payload(payload, array) -> SpeakerRegistry:
             RegistryEntry(
                 speaker_id=str(entry["speaker_id"]),
                 cluster_id=str(entry["cluster_id"]),
-                model=SpeakerModel(speaker_id=str(entry["model"].get("speaker_id", "")),
+                model=SpeakerModel(speaker_id=str(entry["model"]["speaker_id"]),
                                    gmm=_gmm_from_payload(entry["model"], array, shared)),
                 ivector=ivec,
                 language_tag=str(entry.get("language_tag", "")),

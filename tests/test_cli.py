@@ -324,6 +324,48 @@ class TestIdentify:
         run("identify", feats[0], "--registry", registry, "--ubm", ubm, "--csv", b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_llr_and_llr_normalized_write_the_same_reports(self, workspace, tmp_path):
+        _, feats, ubm, registry = workspace
+        written = {}
+        for mode in ("llr", "llr-normalized"):
+            report, table = tmp_path / f"{mode}.json", tmp_path / f"{mode}.csv"
+            assert run("identify", feats[0], "--registry", registry, "--ubm", ubm,
+                       "--mode", mode, "--json", report, "--csv", table) == EXIT_OK
+            written[mode] = report.read_bytes(), table.read_bytes()
+        assert written["llr"] == written["llr-normalized"]
+        assert store.load(tmp_path / "llr.json", "report").mode == "llr-normalized"
+
+    @pytest.mark.parametrize("mode", ["llr", "llr-normalized"])
+    def test_llr_without_ubm_is_a_usage_error(self, workspace, capsys, mode):
+        _, feats, _, registry = workspace
+        assert run("identify", feats[0], "--registry", registry, "--mode", mode) == EXIT_USAGE
+        assert "VoxidUsageError: --ubm is required" in capsys.readouterr().err
+
+    def test_cosine_of_a_feature_file_is_the_wrong_kind(self, workspace, capsys):
+        _, feats, ubm, registry = workspace
+        code = run("identify", feats[0], "--registry", registry, "--ubm", ubm,
+                   "--mode", "cosine")
+        assert code == EXIT_DATA
+        assert "WrongKind" in capsys.readouterr().err
+
+    def test_cosine_threshold_outside_its_range(self, workspace, tmp_path, capsys):
+        _, feats, ubm, registry = workspace
+        tv, iv = tmp_path / "tv.json", tmp_path / "iv.json"
+        assert run("train-tv", *feats, "--ubm", ubm, "--rank", 2, "--output", tv) == EXIT_OK
+        assert run("ivector", feats[0], "--ubm", ubm, "--tv", tv, "--output", iv) == EXIT_OK
+        code = run("identify", iv, "--registry", registry, "--mode", "cosine",
+                   "--threshold", "1.5")
+        assert code == EXIT_USAGE
+        assert "cosine threshold must lie in [-1, 1]" in capsys.readouterr().err
+
+    def test_unknown_mode_is_a_usage_error(self, workspace, capsys):
+        _, feats, ubm, registry = workspace
+        code = run("identify", feats[0], "--registry", registry, "--ubm", ubm,
+                   "--mode", "bogus")
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert all(mode in err for mode in ("bogus", "llr", "llr-normalized", "cosine"))
+
 
 class TestEvaluate:
     CONFIG = (

@@ -406,6 +406,65 @@ class TestIdentify:
             zip([e.speaker_id for e in registry.entries], cosine_scores(copies, test).tolist()))
 
 
+def raw_llr(feats, entries, ubm):
+    """Raw LLR as its own decision score: a backend made of public scoring functions."""
+    if ubm is None:
+        raise ModeMismatch("raw LLR needs a UBM")
+    raw = llr_scores(feats, [e.model for e in entries], ubm)
+    return raw, raw
+
+
+class TestBackendTable:
+    """A new scoring mode is one `scoring.BACKENDS` row: the decision policy, identify and
+    summarize take it with no other edit."""
+
+    @pytest.fixture
+    def raw_llr_row(self, monkeypatch):
+        monkeypatch.setitem(scoring.BACKENDS, "raw-llr", ("features", raw_llr, (-50.0, 50.0)))
+
+    def test_policy_takes_the_row_and_its_threshold_range(self, raw_llr_row):
+        for threshold in (-50.0, 0.0, 50.0):
+            assert DecisionPolicy(threshold=threshold, mode="raw-llr").mode == "raw-llr"
+        for threshold in (-50.5, 50.5, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                DecisionPolicy(threshold=threshold, mode="raw-llr")
+
+    def test_identify_and_summarize_run_through_the_row(self, raw_llr_row):
+        rng = np.random.default_rng(38)
+        centers = [-6.0, 0.0, 6.0]
+        registry, ubm = registry_of(centers), Ubm(gmm=tiny_gmm(0.0))
+        policy = DecisionPolicy(threshold=0.0, mode="raw-llr")
+        trials = [Trial(trial_id=f"t{i}", true_speaker_id=f"s{i}",
+                        test_features=FeatureMatrix(rng.normal(c, 1.0, (50, 1))))
+                  for i, c in enumerate(centers)]
+        results = [identify(trial, registry, policy, ubm=ubm) for trial in trials]
+        for trial, result in zip(trials, results):
+            expected = llr_scores(trial.test_features, [e.model for e in registry.entries], ubm)
+            got = {sid: (raw, norm, accepted) for sid, raw, norm, accepted in result.ranked}
+            for entry, score in zip(registry.entries, expected.tolist()):
+                assert got[entry.speaker_id] == (score, score, score > 0.0)
+            assert result.ranked[0][0] == trial.true_speaker_id
+        report = summarize(results, policy.threshold, policy.mode)
+        assert report.mode == "raw-llr" and report.top1_accuracy == 1.0
+        pooled = [(sid == r.true_speaker_id, raw) for r in results for sid, raw, _, _ in r.ranked]
+        assert report.eer == compute_eer([s for target, s in pooled if target],
+                                         [s for target, s in pooled if not target])
+
+    def test_missing_inputs_are_mode_mismatches(self, raw_llr_row):
+        registry = registry_of([0.0, 1.0])
+        policy = DecisionPolicy(threshold=0.0, mode="raw-llr")
+        with pytest.raises(ModeMismatch, match="test_features"):
+            identify(Trial(trial_id="t", test_ivector=IVector(np.ones(2))), registry, policy,
+                     ubm=Ubm(gmm=tiny_gmm(0.0)))
+        with pytest.raises(ModeMismatch, match="UBM"):
+            identify(Trial(trial_id="t", test_features=FeatureMatrix(np.zeros((5, 1)))),
+                     registry, policy)
+
+    def test_a_mode_without_a_row_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown scoring mode"):
+            DecisionPolicy(threshold=0.0, mode="raw-llr")
+
+
 class TestRegistryIndex:
     """SpeakerRegistry finds ids through an index instead of scanning every entry."""
 

@@ -312,3 +312,12 @@ class TestDecide:
     def test_cosine_threshold_range(self):
         with pytest.raises(ValueError):
             DecisionPolicy(threshold=1.5, mode="cosine")
+
+    def test_cosine_threshold_range_message(self):
+        for threshold in (-1.5, 1.5):
+            with pytest.raises(ValueError, match=r"^cosine threshold must lie in \[-1, 1\]$"):
+                DecisionPolicy(threshold=threshold, mode="cosine")
+
+    def test_llr_names_the_llr_normalized_backend(self):
+        assert DecisionPolicy(threshold=1.0, mode="llr") == self.policy
+        assert DecisionPolicy(threshold=1.0, mode="llr").mode == "llr-normalized"

@@ -890,6 +890,27 @@ def test_speaker_model_speaker_id_is_a_string_field(speaker_id, tmp_path):
     assert np.array_equal(loaded.gmm.means, model.gmm.means)
 
 
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
+def test_registry_model_without_speaker_id_is_corrupt(version, tmp_path):
+    """A registry entry's model lacking its speaker_id is corrupt in every registry
+    version, as a lone speaker model is: no file `save` writes lacks one."""
+    rng = np.random.default_rng(57)
+    registry = adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 2)
+    path = tmp_path / "r.json"
+    if version == 4:
+        store.save(registry, "registry", path)
+        document, body = read_artifact(path)
+    else:
+        document = (v1_registry_document, v2_registry_document,
+                    v3_registry_document)[version - 1](registry)
+        body = b""
+    assert document["format_version"] == version
+    del document["payload"]["entries"][1]["model"]["speaker_id"]
+    write_artifact(path, document, body)
+    with pytest.raises(CorruptArtifact, match="speaker_id"):
+        store.load(path, "registry")
+
+
 def test_inspect_prints_the_format_version(tmp_path, capsys):
     rng = np.random.default_rng(47)
     registry = adapted_registry(Ubm(gmm=random_gmm(rng, 4, 3)), rng, 2)
