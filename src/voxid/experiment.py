@@ -25,9 +25,9 @@ from .evaluation import (
     summarize,
 )
 from .features import FeatureMatrix
-from .gmm import DiagonalGmm, GmmTrainingConfig
+from .gmm import DiagonalGmm, GmmTrainingConfig, em_fit
 from .scoring import DecisionPolicy, decide
-from .speaker_models import accumulate_stats, map_adapt, train_ubm
+from .speaker_models import Ubm, accumulate_stats, map_adapt
 from .total_variability import extract_ivectors, init_tv, train_tv
 
 
@@ -67,6 +67,8 @@ class ExperimentConfig:
         for name, low in _MINIMUM.items():
             if not low <= getattr(self, name) < np.inf:
                 raise InvalidExperimentConfig(f"{name} must be finite and >= {low}")
+        if self.ubm_frames < self.ubm_components:
+            raise InvalidExperimentConfig("ubm_frames must be >= ubm_components")
         if self.mode == "llr" and self.num_true_speakers + self.num_impostors < 2:
             raise InvalidExperimentConfig("num_true_speakers + num_impostors must be >= 2: "
                                           "llr mode normalises over a cohort of them")
@@ -80,6 +82,8 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise InvalidExperimentConfig(f"thresholds: {exc}") from exc
         if self.mode == "cosine":
+            if self.tv_rank >= self.ubm_components * self.feature_dim:
+                raise InvalidExperimentConfig("tv_rank must be < ubm_components * feature_dim")
             if self.enroll_frames < self.tv_chunk_frames:
                 raise InvalidExperimentConfig("tv_chunk_frames exceeds enroll_frames: "
                                               "no full piece to train the TV model on")
@@ -187,8 +191,7 @@ class SyntheticWorld:
     ubm: object
     registry: SpeakerRegistry
     test_sets: dict  # speaker_id -> FeatureMatrix
-    enroll_sets: dict  # speaker_id -> FeatureMatrix
-    enroll_stats: dict  # speaker_id -> BaumWelchStats of enroll_sets against the UBM
+    enroll_stats: dict  # speaker_id -> BaumWelchStats of its enrollment against the UBM
     enroll_pieces: dict  # speaker_id -> [BaumWelchStats] of its pieces, summing to enroll_stats
     tv_model: object = None
 
@@ -197,15 +200,11 @@ def build_world(config: ExperimentConfig) -> SyntheticWorld:
     rng = np.random.default_rng(config.seed)
     base = _random_gmm(rng, config.ubm_components, config.feature_dim)
 
-    pooled = sample_from_gmm(base, config.ubm_frames, rng)
-    gmm_config = GmmTrainingConfig(
-        num_components=config.ubm_components, rng_seed=config.seed
-    )
-    ubm = train_ubm([pooled], gmm_config)
+    gmm_config = GmmTrainingConfig(num_components=config.ubm_components, rng_seed=config.seed)
+    ubm = Ubm(gmm=em_fit(sample_from_gmm(base, config.ubm_frames, rng), gmm_config))
 
     registry = SpeakerRegistry()
     test_sets = {}
-    enroll_sets = {}
     enroll_stats = {}
     enroll_pieces = {}
     # Cosine mode's TV training pieces also sum to the MAP statistics: one UBM pass a frame.
@@ -229,15 +228,13 @@ def build_world(config: ExperimentConfig) -> SyntheticWorld:
                 is_impostor=is_impostor,
             )
         )
-        enroll_sets[sid] = enroll
         enroll_stats[sid] = stats
         enroll_pieces[sid] = pieces
         if not is_impostor:
             test_sets[sid] = sample_from_gmm(truth, config.test_frames, rng)
     return SyntheticWorld(
         config=config, ubm=ubm, registry=registry,
-        test_sets=test_sets, enroll_sets=enroll_sets, enroll_stats=enroll_stats,
-        enroll_pieces=enroll_pieces,
+        test_sets=test_sets, enroll_stats=enroll_stats, enroll_pieces=enroll_pieces,
     )
 
 

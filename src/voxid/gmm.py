@@ -47,9 +47,12 @@ def _serve():  # the worker's loop: each (work, items, reply) job's (error, resu
     while True:
         work, items, reply = _jobs.get()
         try:
-            reply.put((None, [work(item) for item in items]))
+            outcome = None, [work(item) for item in items]
         except BaseException as error:
-            reply.put((error, None))
+            outcome = error, None
+        del work, items  # free the job's frames before its caller resumes, not at the next job
+        reply.put(outcome)
+        del reply, outcome  # nor hold its results while waiting for the next
 
 
 _jobs, _worker = queue.SimpleQueue(), None  # a forked child's inherited worker is not alive

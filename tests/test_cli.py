@@ -537,6 +537,8 @@ def test_apply_cmvn_words(tmp_path, make_clip_wav, word, normalised):
     ("mode = cosine", "tv_chunk_frames"),
     ("mode = cosine\ntv_chunk_frames = 50\ncosine_target_true = 0", "cosine_target_true"),
     ("num_true_speakers = 1\nnum_impostors = 0", "num_true_speakers"),
+    ("ubm_frames = 10", "ubm_frames"),  # fewer frames than the 16 components
+    ("mode = cosine\ntv_chunk_frames = 50\ntv_rank = 128", "tv_rank"),  # 16 x 8 supervector
 ])
 def test_evaluate_rejects_bad_counts_and_sizes(tmp_path, capsys, line, name):
     config = tmp_path / "bad.conf"

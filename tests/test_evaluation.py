@@ -730,6 +730,15 @@ class TestExperiment:
                                        cosine_target_true=4, cosine_target_impostors=3,
                                        **common),
         }
+        paper = dict(
+            seed=1, num_true_speakers=100, num_impostors=10, num_clusters=3, feature_dim=39,
+            ubm_components=256, ubm_frames=100_000, enroll_frames=3000, test_frames=1000,
+            speaker_spread=0.1, relevance=16.0,
+        )
+        expected["paper-llr"] = ExperimentConfig(mode="llr", thresholds=(2.1, 4.0), **paper)
+        expected["paper-cosine"] = ExperimentConfig(
+            mode="cosine", thresholds=(0.19, 0.29), tv_rank=100, tv_iterations=3,
+            tv_chunk_frames=1000, cosine_target_true=100, cosine_target_impostors=10, **paper)
         for stage, config in expected.items():
             path = DEMOS / f"experiment-{stage}.conf"
             assert parse_experiment_config(path.read_text()) == config
@@ -775,10 +784,10 @@ class TestExperiment:
     def test_cosine_stage_accumulates_each_utterance_once(self, monkeypatch):
         import voxid.experiment as experiment_module
 
-        calls = []
+        seen = []  # the frames of each pass, in call order
 
         def counting(feats, ubm):
-            calls.append(feats.count_L)
+            seen.append(feats.frames)
             return accumulate_stats(feats, ubm)
 
         monkeypatch.setattr(experiment_module, "accumulate_stats", counting)
@@ -790,23 +799,46 @@ class TestExperiment:
         )
         run_experiment(cfg)
         # one pass per 100-frame enrollment piece, 3 per enrollment, and one per trial
-        assert sorted(calls) == [100] * 21
+        assert [len(frames) for frames in seen] == [100] * 21
+        seen.clear()
         world = build_world(cfg)
-        for sid, stats in world.enroll_stats.items():
-            frames = world.enroll_sets[sid].frames
+        # the world keeps no frames: each enrollment is its three pieces, passed in order
+        assert len(seen) == 3 * len(world.enroll_stats)
+        for i, stats in enumerate(world.enroll_stats.values()):
+            frames = np.vstack(seen[3 * i:3 * i + 3])
             pieces = [accumulate_stats(FeatureMatrix(frames[start:start + 100]), world.ubm)
                       for start in (0, 100, 200)]
             assert np.array_equal(stats.zeroth, sum(piece.zeroth for piece in pieces))
             assert np.array_equal(stats.first, sum(piece.first for piece in pieces))
-            whole = accumulate_stats(world.enroll_sets[sid], world.ubm)
+            whole = accumulate_stats(FeatureMatrix(frames), world.ubm)
             assert np.max(np.abs(stats.zeroth - whole.zeroth)) < 1e-12
             assert np.max(np.abs(stats.first - whole.first)) < 1e-12
         # in LLR mode the whole enrollment is the one piece
+        seen.clear()
         world = build_world(replace(cfg, mode="llr"))
-        for sid, stats in world.enroll_stats.items():
-            whole = accumulate_stats(world.enroll_sets[sid], world.ubm)
+        assert len(seen) == len(world.enroll_stats)
+        for frames, stats in zip(seen, world.enroll_stats.values()):
+            assert len(frames) == 300
+            whole = accumulate_stats(FeatureMatrix(frames), world.ubm)
             assert np.array_equal(stats.zeroth, whole.zeroth)
             assert np.array_equal(stats.first, whole.first)
+
+    def test_world_holds_no_frames_past_their_last_reader(self):
+        cfg = ExperimentConfig(
+            mode="llr", num_true_speakers=4, num_impostors=2, feature_dim=8,
+            ubm_components=4, ubm_frames=40_000, enroll_frames=20_000, test_frames=100,
+        )
+        enroll_bytes = 6 * cfg.enroll_frames * cfg.feature_dim * 8
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            world = build_world(cfg)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # statistics, models and test frames stay; the enrollment and UBM frames do not
+        assert len(world.enroll_stats) == 6
+        assert after - before < enroll_bytes / 4
 
     def test_short_last_piece_enrolls_but_trains_no_tv(self, monkeypatch):
         import voxid.experiment as experiment_module

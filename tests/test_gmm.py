@@ -8,6 +8,7 @@ import threading
 import tracemalloc
 import types
 import warnings
+import weakref
 from copy import copy, deepcopy
 
 import numpy as np
@@ -1564,6 +1565,14 @@ class TestTwoRuns:
             gmm_module.posterior_sums(frames, model)
         # the worker ran its two blocks to the end before the error left the pass
         assert splits == ["voxid-pass"] and finished == [gmm_module.BLOCK] * 2
+
+    def test_worker_holds_no_finished_pass(self, worker):
+        model, frames = self.split_size(75)
+        splits, probe = worker(True), weakref.ref(frames)
+        gmm_module.posterior_sums(frames, model)
+        del frames
+        # the worker, waiting for its next job, keeps none of this one's frames alive
+        assert splits == ["voxid-pass"] and probe() is None
 
     def test_one_worker_per_process(self, worker):
         model, frames = self.split_size(74)
