@@ -404,41 +404,34 @@ def frame_responsibilities(frames: np.ndarray, gmm: DiagonalGmm) -> np.ndarray:
     return _posteriors(frames, gmm)[0].T
 
 
-def _centred_block(frames: np.ndarray, ref: np.ndarray, start: int) -> np.ndarray:
-    """[x - ref, 1] for the BLOCK frames from start; one array, filled in place."""
-    block = frames[start:start + BLOCK]
-    centred = np.empty((len(block), block.shape[1] + 1))
-    np.subtract(block, ref, out=centred[:, :-1])
-    centred[:, -1] = 1.0
-    return centred
-
-
-def _nearest(frames: np.ndarray, centers: np.ndarray, ref: np.ndarray, blocks=None) -> np.ndarray:
-    """Nearest-centre labels, one product per block of [x - ref, 1] rows with
-    [-2 (c - ref); ||c - ref||^2], whose last row adds the norms (||x - ref||^2 drops out).
-    Each block is built when its turn comes, unless the _centred_block list of frames
-    built once for many passes is given."""
+def _nearest(frames: np.ndarray, centers: np.ndarray, ref: np.ndarray, terms=None) -> np.ndarray:
+    """Nearest-centre labels, one product per BLOCK frames of their _terms' [x - ref, 1]
+    columns with [-2 (c - ref); ||c - ref||^2], whose last row adds the norms
+    (||x - ref||^2 drops out). Each block's terms are built when its turn comes, unless the
+    frames' terms, built once for many passes, are given."""
+    k = frames.shape[1]
     centred = centers - ref
     coefficients = np.vstack([-2.0 * centred.T, np.sum(centred * centred, axis=1)])
 
     def labels(start):
-        terms = _centred_block(frames, ref, start) if blocks is None else blocks[start // BLOCK]
-        return np.argmin(terms @ coefficients, axis=1)
+        block = (_terms(frames[start:start + BLOCK], ref) if terms is None
+                 else terms[start:start + BLOCK])
+        return np.argmin(block[:, k:] @ coefficients, axis=1)
 
     return np.concatenate(_in_two_runs(labels, range(0, frames.shape[0], BLOCK),
                                        frames.shape[0] * centers.shape[0]))
 
 
-def _cluster_sums(labels: np.ndarray, rows: np.ndarray, n_clusters: int) -> np.ndarray:
-    """Per-cluster sums (C, k) of the frames whose coordinate rows (k, n) are `rows`,
-    each sum added in frame order."""
+def _cluster_sums(labels: np.ndarray, rows, n_clusters: int) -> np.ndarray:
+    """Per-cluster sums (C, k) of the frames whose k coordinate rows of n values `rows`
+    yields, each sum added in frame order."""
     return np.stack([np.bincount(labels, weights=row, minlength=n_clusters) for row in rows],
                     axis=1)
 
 
 def _kmeans_pp(frames: np.ndarray, n_clusters: int, rng: np.random.Generator):
     """k-means++ seeding, whose distances add up the contiguous rows of one (k, n) copy of the
-    frames, then Lloyd steps over [x - ref, 1] blocks built once, whose centre sums read the
+    frames, then Lloyd steps over the frames' _terms, built once, whose centre sums read the
     same copy; returns labels, centers."""
     n = frames.shape[0]
     centers = np.empty((n_clusters, frames.shape[1]))
@@ -453,10 +446,10 @@ def _kmeans_pp(frames: np.ndarray, n_clusters: int, rng: np.random.Generator):
         np.minimum(d2, dist, out=d2)
 
     ref = frames.mean(axis=0)  # Lloyd's distances are taken about the frames' mean
-    blocks = [_centred_block(frames, ref, start) for start in range(0, n, BLOCK)]
+    terms = _terms(frames, ref)
     labels = np.zeros(n, dtype=np.intp)
     for _ in range(25):
-        new_labels = _nearest(frames, centers, ref, blocks)
+        new_labels = _nearest(frames, centers, ref, terms)
         if np.array_equal(new_labels, labels) and _ > 0:
             break
         labels = new_labels
@@ -484,10 +477,10 @@ def _initial_model(frames: np.ndarray, config: GmmTrainingConfig, global_var) ->
     weights /= weights.sum()
     means = np.where((counts > 0)[:, None], _cluster_sums(labels, frames.T, n_clusters) / sizes,
                      centers)
-    deviations = frames - means[labels]  # np.var's two passes, each in frame order
+    # np.var's two passes, each in frame order, one coordinate's squared deviations at a time
+    squares = (np.square(column - mean[labels]) for column, mean in zip(frames.T, means.T))
     variances = np.where((counts >= 2)[:, None], np.maximum(
-        _cluster_sums(labels, (deviations * deviations).T, n_clusters) / sizes,
-        config.variance_floor), global_var)
+        _cluster_sums(labels, squares, n_clusters) / sizes, config.variance_floor), global_var)
     return DiagonalGmm(weights=weights, means=means, variances=variances)
 
 

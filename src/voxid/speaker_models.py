@@ -60,7 +60,8 @@ class Supervector:
 
 
 def pool_features(pooled) -> FeatureMatrix:
-    """Concatenate feature matrices of one dimension into one.
+    """Concatenate feature matrices of one dimension into one; a lone matrix is returned
+    as it is, not copied.
 
     `pooled` is either a sequence of FeatureMatrix (concatenated in the
     given order) or a mapping of utterance id -> FeatureMatrix, in which
@@ -76,7 +77,7 @@ def pool_features(pooled) -> FeatureMatrix:
     dims = sorted({fm.dim_k for fm in items})
     if len(dims) > 1:
         raise DimensionMismatch(f"feature dimensions differ: {dims}")
-    return FeatureMatrix(np.vstack([fm.frames for fm in items]))
+    return items[0] if len(items) == 1 else FeatureMatrix(np.vstack([fm.frames for fm in items]))
 
 
 def train_ubm(pooled, config: GmmTrainingConfig) -> Ubm:

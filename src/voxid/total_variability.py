@@ -32,15 +32,14 @@ BUILD = 8
 
 
 @cache
-def _lower_triangle(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lower_triangle(r: int) -> np.ndarray:
     """For rank r: the flat positions, in an F-ordered r x r matrix, of its lower triangle
-    in LAPACK's 'L' packed order, and each packed entry's column and row. Built once per
-    rank and read-only, as every caller shares them."""
+    in LAPACK's 'L' packed order. Built once per rank and read-only, as every caller shares
+    them."""
     col, row = np.triu_indices(r)  # every (col, row >= col), column by column
     flat = row + r * col
-    for a in (flat, col, row):
-        a.flags.writeable = False
-    return flat, col, row
+    flat.flags.writeable = False
+    return flat
 
 
 @dataclass(frozen=True, eq=False)  # models compare and hash by identity
@@ -78,7 +77,7 @@ class TotalVariabilityModel:
         c, r = self.num_components, self.rank_R
         t = self.t_matrix.reshape(c, self.dim_k, r)
         scale = np.sqrt(self.sigma).reshape(c, self.dim_k, 1)
-        flat = _lower_triangle(r)[0]
+        flat = _lower_triangle(r)
         blocks = np.empty((c, flat.size))
         squares = np.empty((min(BUILD, c), r, r))
         for start in range(0, c, BUILD):
@@ -137,19 +136,22 @@ def _stacked(stats_set, tv: TotalVariabilityModel):
     if not stats_list or any(stats.first.shape != shape for stats in stats_list):
         raise DimensionMismatch("stats collection empty or not dimensioned against this model")
     counts = np.array([stats.zeroth for stats in stats_list])
-    f_centered = np.array([stats.first.reshape(-1) for stats in stats_list])
-    f_centered -= np.repeat(counts, tv.dim_k, axis=1) * tv.m
-    return counts, f_centered
+    f_centered = np.array([stats.first for stats in stats_list])
+    m = tv.m.reshape(shape)
+    for start in range(0, len(counts), BLOCK):  # N m, BLOCK utterances at a time
+        f_centered[start:start + BLOCK] -= counts[start:start + BLOCK, :, None] * m
+    return counts, f_centered.reshape(len(counts), -1)
 
 
 def _e_step(counts: np.ndarray, f_centered: np.ndarray, tv: TotalVariabilityModel):
     """Posteriors of w, yielded as (counts, block, w) for each BLOCK utterances: block's row j,
     read as an F-ordered R x R matrix, holds the Cholesky factor of utterance j's posterior
-    precision I + sum_c N_c U_c in its lower triangle, factored in place, and 0 above it; the
-    next block reuses the rows. w[j] is the posterior mean."""
+    precision I + sum_c N_c U_c in its lower triangle, factored in place; its upper triangle
+    is scratch that no LAPACK call reads. The next block reuses the rows. w[j] is the
+    posterior mean."""
     from scipy.linalg.lapack import dpotrs
     r = tv.rank_R
-    flat = _lower_triangle(r)[0]
+    flat = _lower_triangle(r)
     size = min(BLOCK, counts.shape[0])
     packed = np.empty((size, flat.size))
     moments = np.zeros((size, r * r))
@@ -194,7 +196,7 @@ def train_tv(stats_set, tv: TotalVariabilityModel, iterations: int = 10
     counts, f_centered = _stacked(stats_set, tv)
     c, k, r = tv.num_components, tv.dim_k, tv.rank_R
     model = TotalVariabilityModel(tv.m, tv.sigma, tv.t_matrix, c, k)  # leaves tv uncached
-    flat, col, row = _lower_triangle(r)
+    flat = _lower_triangle(r)
     acc = np.empty((flat.size, c), order="F")  # column c is A_c, packed
     moments = np.empty((min(BLOCK, counts.shape[0]), flat.size))  # L_u^-1 + w_u w_u^T, packed
     unpacked = np.zeros(r * r)  # one A_c at a time; its upper triangle stays 0
@@ -204,10 +206,12 @@ def train_tv(stats_set, tv: TotalVariabilityModel, iterations: int = 10
         acc[:] = 0.0
         ws = []
         for n, block, w in _e_step(counts, f_centered, model):
-            for factor in block:
-                dpotri(factor.reshape(r, r, order="F"), lower=1, overwrite_c=1)  # now L_u^-1
-            packed = np.multiply(w[:, col], w[:, row], out=moments[:len(w)])
-            packed += block[:, flat]
+            for factor, w_u in zip(block, w):
+                square = factor.reshape(r, r, order="F")
+                dpotri(square, lower=1, overwrite_c=1)  # now L_u^-1
+                square += np.multiply.outer(w_u, w_u)
+            # packed as precision_blocks packs: mode="clip" writes into out without a buffer
+            packed = np.take(block, flat, axis=1, out=moments[:len(w)], mode="clip")
             acc = dgemm(1.0, packed.T, n.T, beta=1.0, c=acc, trans_b=1, overwrite_c=1)
             ws.append(w)
         kept = model.t_matrix[idle_rows]

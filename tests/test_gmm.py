@@ -317,12 +317,9 @@ class TestFilledArrays:
         frames = self.frames(frames_l, dim)
         ref = rng.normal(0, 1, dim)
         x = frames - ref
+        # k-means' centred blocks are the last k + 1 columns, [x - ref, 1]
         assert np.array_equal(gmm_module._terms(frames, ref),
                               np.hstack([x * x, x, np.ones((frames_l, 1))]))
-        for start in range(0, frames_l, gmm_module.BLOCK):
-            assert np.array_equal(gmm_module._centred_block(frames, ref, start), np.pad(
-                frames[start:start + gmm_module.BLOCK] - ref, ((0, 0), (0, 1)),
-                constant_values=1.0))
         # the frames as one component's means each
         variances = rng.uniform(0.01, 100.0, (frames_l, dim))
         log_weights = rng.normal(-3, 1, frames_l)
@@ -756,6 +753,20 @@ class TestSubsampledInitialisation:
         model, oracle = initial_model(frames, config), loop_initial_model(frames, config)
         for name in ("weights", "means", "variances"):
             assert np.array_equal(getattr(model, name), getattr(oracle, name))
+
+    def test_memory_is_bounded_by_the_frames(self):
+        # each coordinate's squared deviations are one L-vector, and the k-means sample is
+        # 1 024 frames: one (L, k) temporary alone would reach the bound
+        frames = overlapping_frames(53, 40_000, 16, 20)
+        config = GmmTrainingConfig(num_components=16, rng_seed=8)
+        global_var = np.maximum(frames.var(axis=0), config.variance_floor)
+        tracemalloc.start()
+        try:
+            gmm_module._initial_model(frames, config, global_var)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < frames.nbytes
 
     def test_fit_quality_close_to_full_kmeans(self, monkeypatch):
         base = overlapping_mixture(45, 64, 20)
@@ -1468,9 +1479,8 @@ class TestTwoRuns:
     def test_nearest(self, worker):
         frames = overlapping_frames(65, 4 * gmm_module.BLOCK + 9, 12, 6)
         centers, ref = frames[::250], frames.mean(axis=0)  # 33 centres
-        blocks = [gmm_module._centred_block(frames, ref, start)
-                  for start in range(0, frames.shape[0], gmm_module.BLOCK)]
-        for given in (None, blocks):  # the full pass, and Lloyd's blocks built once
+        terms = gmm_module._terms(frames, ref)
+        for given in (None, terms):  # the full pass, and Lloyd's terms built once
             serial, split = self.both(worker, lambda: gmm_module._nearest(frames, centers, ref,
                                                                          given))
             assert np.array_equal(split, serial)

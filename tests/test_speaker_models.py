@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,21 @@ class TestTrainUbm:
         ubm = train_ubm([feats], config)
         direct = em_fit(feats, config)
         assert np.array_equal(ubm.gmm.means, direct.means)
+
+    def test_single_utterance_is_fitted_without_a_copy(self):
+        feats = FeatureMatrix(np.random.default_rng(5).normal(0, 1, (40_000, 20)))
+        config = GmmTrainingConfig(num_components=8, max_iterations=1, rng_seed=0)
+        assert pool_features([feats]) is feats
+        peaks = []
+        for fit in (lambda: em_fit(feats, config), lambda: train_ubm([feats], config)):
+            tracemalloc.start()
+            try:
+                fit()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a pooled copy of the frames would be held through the whole fit
+        assert peaks[1] - peaks[0] < feats.frames.nbytes / 2
 
     def test_mapping_order_insensitive(self):
         rng = np.random.default_rng(2)

@@ -107,6 +107,26 @@ def test_precision_blocks_build_holds_no_full_stack():
     assert peak < 0.75 * c * r * r * 8
 
 
+def test_stacked_holds_its_output_and_one_block_of_products():
+    c, k, utterances = 64, 20, 300
+    tv = init_tv(make_ubm(components=c, dim=k, seed=48), 10, rng_seed=49)
+    rng = np.random.default_rng(50)
+    stats_set = [BaumWelchStats(n, rng.normal(0, 1, (c, k)) * n[:, None])
+                 for n in rng.uniform(1, 20, (utterances, c))]
+    tracemalloc.start()
+    try:
+        counts, f_centered = total_variability._stacked(stats_set, tv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    whole = np.array([s.first.reshape(-1) for s in stats_set]) - np.repeat(counts, k, axis=1) * tv.m
+    assert np.array_equal(f_centered, whole)
+    # the (U, C) counts and (U, C*k) statistics, one BLOCK's N m products and 2**18 bytes
+    # for the lists of U arrays and the product's ufunc buffers (about 124 kB with numpy's
+    # default buffer size); two (U, C*k) products would add 3 MB
+    assert peak < counts.nbytes + f_centered.nbytes + BLOCK * c * k * 8 + 2 ** 18
+
+
 class TestReadOnlyArrays:
     """A TV model and an i-vector copy every array they are given, once, into new bytes,
     and hold float64 arrays that cannot be made writeable. Models compare and hash by
