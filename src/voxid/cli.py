@@ -18,12 +18,7 @@ import numpy as np
 
 from . import store
 from .audio import read_wav
-from .errors import (
-    VoxidDataError,
-    VoxidDomainError,
-    VoxidError,
-    VoxidUsageError,
-)
+from .errors import IoFailure, VoxidDataError, VoxidDomainError, VoxidError, VoxidUsageError
 from .evaluation import (
     RegistryEntry,
     SpeakerRegistry,
@@ -68,6 +63,13 @@ def _relevance(value: str) -> float:
     if not 0.0 <= relevance < np.inf:  # as map_adapt requires, before any work is done
         raise ValueError(f"relevance must be finite and >= 0, got {value}")
     return relevance
+
+
+def _seed(value: str) -> int:
+    seed = int(value)
+    if seed < 0:  # numpy's generators take none, so refuse it before any work is done
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return seed
 
 
 # rng_seed comes from --seed; relevance is map_adapt's argument, not a config field
@@ -195,19 +197,11 @@ def cmd_enroll(args, settings):
     if args.tv:
         tv = store.load(args.tv, "tv_model")
         ivector = extract_ivector(stats, tv)
-    entry = RegistryEntry(
-        speaker_id=args.speaker_id,
-        cluster_id=args.cluster,
-        model=model,
-        ivector=ivector,
-        language_tag=args.language,
-        is_impostor=args.impostor,
-    )
+    entry = RegistryEntry(speaker_id=args.speaker_id, cluster_id=args.cluster, model=model,
+                          ivector=ivector, language_tag=args.language, is_impostor=args.impostor)
     with store.locked(args.registry):  # concurrent enrolls must not lose entries
-        if os.path.exists(args.registry):
-            registry = store.load(args.registry, "registry")
-        else:
-            registry = SpeakerRegistry()
+        registry = (store.load(args.registry, "registry") if os.path.exists(args.registry)
+                    else SpeakerRegistry())
         registry.add(entry)
         store.save(registry, "registry", args.registry)
     if args.verbose:
@@ -221,9 +215,7 @@ def cmd_train_tv(args, settings):
         raise VoxidUsageError(f"need rank >= 1 and iterations >= 0, got {rank} and {iterations}")
     ubm = store.load(args.ubm, "ubm")
     tv = init_tv(ubm, rank, rng_seed=args.seed)
-    stats_set = [
-        accumulate_stats(store.load(p, "features"), ubm) for p in args.inputs
-    ]
+    stats_set = [accumulate_stats(store.load(p, "features"), ubm) for p in args.inputs]
     tv = train_tv(stats_set, tv, iterations=iterations)
     store.save(tv, "tv_model", args.output)
     return EXIT_OK
@@ -270,6 +262,9 @@ def cmd_identify(args, settings):
 
 def cmd_evaluate(args, settings):
     config = ExperimentConfig(**read_settings(args.config_file, EXPERIMENT_KEYS))
+    directory = os.path.dirname(os.path.abspath(f"{args.output_prefix}-t"))
+    if not os.path.isdir(directory):  # found before the run, not after it
+        raise IoFailure(f"cannot write {args.output_prefix}-t* reports: no directory {directory}")
     reports = run_experiment(config)
     for report in reports:
         digits = np.format_float_positional(report.threshold, trim="-")  # shortest round trip
@@ -312,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     leaves it unchanged, and callers must not change it either."""
     parser = argparse.ArgumentParser(prog="voxid", description=__doc__)
     parser.add_argument("--config", help="flat key = value settings file")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -31,9 +31,9 @@ from .speaker_models import Ubm, accumulate_stats, map_adapt
 from .total_variability import extract_ivectors, init_tv, train_tv
 
 
-# Smallest allowed value of each count, size, rank and scale; all must be finite.
+# Smallest allowed value of the seed and each count, size, rank and scale; all finite.
 _MINIMUM = dict.fromkeys(
-    ("num_impostors", "tv_iterations", "cosine_target_true", "cosine_target_impostors",
+    ("seed", "num_impostors", "tv_iterations", "cosine_target_true", "cosine_target_impostors",
      "speaker_spread", "relevance"), 0
 ) | dict.fromkeys(("num_true_speakers", "num_clusters", "feature_dim", "ubm_components",
                    "ubm_frames", "enroll_frames", "test_frames", "tv_rank",
@@ -185,14 +185,14 @@ def sample_from_gmm(gmm: DiagonalGmm, n: int, rng: np.random.Generator) -> Featu
 
 @dataclass
 class SyntheticWorld:
-    """Everything the two stages share: UBM, registry and held-out tests."""
+    """Everything the two stages share: UBM, registry and held-out tests, each held once in
+    the form its stage reads."""
 
     config: ExperimentConfig
     ubm: object
     registry: SpeakerRegistry
-    test_sets: dict  # speaker_id -> FeatureMatrix
-    enroll_stats: dict  # speaker_id -> BaumWelchStats of its enrollment against the UBM
-    enroll_pieces: dict  # speaker_id -> [BaumWelchStats] of its pieces, summing to enroll_stats
+    test_sets: dict  # true speaker_id -> test FeatureMatrix (llr) or its BaumWelchStats (cosine)
+    enroll_pieces: dict  # cosine only: speaker_id -> [BaumWelchStats] of its enrollment's pieces
     tv_model: object = None
 
 
@@ -205,10 +205,10 @@ def build_world(config: ExperimentConfig) -> SyntheticWorld:
 
     registry = SpeakerRegistry()
     test_sets = {}
-    enroll_stats = {}
     enroll_pieces = {}
     # Cosine mode's TV training pieces also sum to the MAP statistics: one UBM pass a frame.
-    piece = config.tv_chunk_frames if config.mode == "cosine" else config.enroll_frames
+    cosine = config.mode == "cosine"
+    piece = config.tv_chunk_frames if cosine else config.enroll_frames
     total = config.num_true_speakers + config.num_impostors
     for idx in range(total):
         is_impostor = idx >= config.num_true_speakers
@@ -218,24 +218,17 @@ def build_world(config: ExperimentConfig) -> SyntheticWorld:
         enroll = sample_from_gmm(truth, config.enroll_frames, rng)
         pieces = [accumulate_stats(FeatureMatrix(enroll.frames[start:start + piece]), ubm)
                   for start in range(0, config.enroll_frames, piece)]
-        stats = sum(pieces[1:], pieces[0])
-        model = map_adapt(stats, ubm, relevance=config.relevance, speaker_id=sid)
-        registry.add(
-            RegistryEntry(
-                speaker_id=sid,
-                cluster_id=f"cluster{idx % config.num_clusters}",
-                model=model,
-                is_impostor=is_impostor,
-            )
-        )
-        enroll_stats[sid] = stats
-        enroll_pieces[sid] = pieces
+        model = map_adapt(sum(pieces[1:], pieces[0]), ubm, relevance=config.relevance,
+                          speaker_id=sid)
+        registry.add(RegistryEntry(speaker_id=sid, cluster_id=f"cluster{idx % config.num_clusters}",
+                                   model=model, is_impostor=is_impostor))
+        if cosine:
+            enroll_pieces[sid] = pieces
         if not is_impostor:
-            test_sets[sid] = sample_from_gmm(truth, config.test_frames, rng)
-    return SyntheticWorld(
-        config=config, ubm=ubm, registry=registry,
-        test_sets=test_sets, enroll_stats=enroll_stats, enroll_pieces=enroll_pieces,
-    )
+            test = sample_from_gmm(truth, config.test_frames, rng)
+            test_sets[sid] = accumulate_stats(test, ubm) if cosine else test
+    return SyntheticWorld(config=config, ubm=ubm, registry=registry, test_sets=test_sets,
+                          enroll_pieces=enroll_pieces)
 
 
 def attach_ivectors(world: SyntheticWorld) -> SyntheticWorld:
@@ -247,7 +240,8 @@ def attach_ivectors(world: SyntheticWorld) -> SyntheticWorld:
     tv = init_tv(world.ubm, config.tv_rank, rng_seed=config.seed)
     tv = train_tv(stats_set, tv, iterations=config.tv_iterations)
     entries = world.registry.entries
-    ivectors = extract_ivectors([world.enroll_stats[e.speaker_id] for e in entries], tv)
+    pieces = (world.enroll_pieces[e.speaker_id] for e in entries)
+    ivectors = extract_ivectors([sum(p[1:], p[0]) for p in pieces], tv)
     for entry, ivector in zip(entries, ivectors):
         entry.ivector = ivector
     world.tv_model = tv
@@ -284,9 +278,9 @@ def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
         targets = SpeakerRegistry()
         for sid in true_ids + imp_ids:
             targets.add(world.registry.get(sid))
-        tests = (accumulate_stats(world.test_sets[sid], world.ubm) for sid in true_ids)
+        tests = extract_ivectors([world.test_sets[sid] for sid in true_ids], world.tv_model)
         trials = [Trial(trial_id=f"trial-{sid}", true_speaker_id=sid, test_ivector=ivector)
-                  for sid, ivector in zip(true_ids, extract_ivectors(tests, world.tv_model))]
+                  for sid, ivector in zip(true_ids, tests)]
 
     results = [identify(trial, targets, policy, ubm=world.ubm) for trial in trials]
     return [summarize(_redecide(results, replace(policy, threshold=t)), t, policy.mode)

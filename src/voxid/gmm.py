@@ -429,6 +429,16 @@ def _cluster_sums(labels: np.ndarray, rows, n_clusters: int) -> np.ndarray:
                     axis=1)
 
 
+def _cluster_moments(frames: np.ndarray, labels: np.ndarray, n_clusters: int):
+    """Per-cluster frame counts, means and variances, 0 where a cluster is empty: np.var's
+    two passes, each in frame order, one coordinate's squared deviations at a time."""
+    counts = np.bincount(labels, minlength=n_clusters)
+    sizes = np.maximum(counts, 1)[:, None]
+    means = _cluster_sums(labels, frames.T, n_clusters) / sizes
+    squares = (np.square(column - mean[labels]) for column, mean in zip(frames.T, means.T))
+    return counts, means, _cluster_sums(labels, squares, n_clusters) / sizes
+
+
 def _kmeans_pp(frames: np.ndarray, n_clusters: int, rng: np.random.Generator):
     """k-means++ seeding, whose distances add up the contiguous rows of one (k, n) copy of the
     frames, then Lloyd steps over the frames' _terms, built once, whose centre sums read the
@@ -471,16 +481,12 @@ def _initial_model(frames: np.ndarray, config: GmmTrainingConfig, global_var) ->
         labels = _nearest(frames, centers, ref)
     else:
         labels, centers = _kmeans_pp(frames, n_clusters, rng)
-    counts = np.bincount(labels, minlength=n_clusters)
-    sizes = np.maximum(counts, 1)[:, None]
-    weights = sizes[:, 0] / n
+    counts, means, variances = _cluster_moments(frames, labels, n_clusters)
+    weights = np.maximum(counts, 1) / n
     weights /= weights.sum()
-    means = np.where((counts > 0)[:, None], _cluster_sums(labels, frames.T, n_clusters) / sizes,
-                     centers)
-    # np.var's two passes, each in frame order, one coordinate's squared deviations at a time
-    squares = (np.square(column - mean[labels]) for column, mean in zip(frames.T, means.T))
-    variances = np.where((counts >= 2)[:, None], np.maximum(
-        _cluster_sums(labels, squares, n_clusters) / sizes, config.variance_floor), global_var)
+    means = np.where((counts > 0)[:, None], means, centers)
+    variances = np.where((counts >= 2)[:, None],
+                         np.maximum(variances, config.variance_floor), global_var)
     return DiagonalGmm(weights=weights, means=means, variances=variances)
 
 
@@ -493,7 +499,9 @@ def em_fit_detailed(feats: FeatureMatrix, config: GmmTrainingConfig):
             f"{frames.shape[0]} frames < {config.num_components} components"
         )
 
-    global_var = np.maximum(frames.var(axis=0), config.variance_floor)
+    # the frames' variances as one cluster's: np.var's bits for k > 1, with no (L, k) temporary
+    _, _, spread = _cluster_moments(frames, np.zeros(frames.shape[0], dtype=np.intp), 1)
+    global_var = np.maximum(spread[0], config.variance_floor)
     model = _initial_model(frames, config, global_var)
     n, k = frames.shape
     history: list[float] = []

@@ -412,6 +412,20 @@ class TestEvaluate:
         assert "InvalidExperimentConfig" in err and "thresholds" in err
         assert not list(tmp_path.glob("r-t*"))
 
+    def test_missing_output_directory_fails_before_the_run(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def not_run(config):
+            raise AssertionError("run_experiment was called")
+
+        monkeypatch.setattr(cli, "run_experiment", not_run)
+        config = tmp_path / "exp.conf"
+        config.write_text(self.CONFIG)
+        missing = tmp_path / "missing"
+        assert run("evaluate", config, "--output-prefix", missing / "r") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("IoFailure: ") and f"no directory {missing}" in err
+        assert ".voxid-" not in err
+
 
 @pytest.mark.parametrize("line", ["relevance 16", "bogus = 1", "relevance = lots",
                                   "apply_cmvn = ture"],
@@ -533,6 +547,7 @@ def test_apply_cmvn_words(tmp_path, make_clip_wav, word, normalised):
     ("relevance = -1", "relevance"),
     ("relevance = nan", "relevance"),
     ("relevance = inf", "relevance"),
+    ("seed = -1", "seed"),
     ("mode = cosine\ntv_chunk_frames = 50\nthresholds = 1.5", "thresholds"),
     ("mode = cosine", "tv_chunk_frames"),
     ("mode = cosine\ntv_chunk_frames = 50\ncosine_target_true = 0", "cosine_target_true"),
@@ -564,6 +579,13 @@ def test_train_ubm_rejects_bad_training_config(tmp_path, capsys, line):
     assert run("--config", config, "train-ubm", feat, "--output", ubm) == EXIT_USAGE
     assert not ubm.exists()
     assert line.split()[0] in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    # refused as it is parsed, before the command reads its (here missing) inputs
+    argv = ("--seed", "-1", "train-ubm", tmp_path / "none.feat", "--output", tmp_path / "u.json")
+    assert run(*argv) == EXIT_USAGE
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_usage_error_on_unknown_command():

@@ -53,8 +53,8 @@ from voxid.scoring import (
     llr_scores,
     normalize_score,
 )
-from voxid.speaker_models import SpeakerModel, Ubm, accumulate_stats
-from voxid.total_variability import IVector, train_tv
+from voxid.speaker_models import SpeakerModel, Ubm, accumulate_stats, map_adapt
+from voxid.total_variability import IVector, extract_ivectors, train_tv
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -798,30 +798,42 @@ class TestExperiment:
             cosine_target_impostors=1,
         )
         run_experiment(cfg)
-        # one pass per 100-frame enrollment piece, 3 per enrollment, and one per trial
-        assert [len(frames) for frames in seen] == [100] * 21
+        # one pass per 100-frame enrollment piece, 3 per enrollment, and one per true
+        # speaker's test, the fourth true speaker's too, though no trial reads it
+        assert [len(frames) for frames in seen] == [100] * 22
         seen.clear()
         world = build_world(cfg)
-        # the world keeps no frames: each enrollment is its three pieces, passed in order
-        assert len(seen) == 3 * len(world.enroll_stats)
-        for i, stats in enumerate(world.enroll_stats.values()):
-            frames = np.vstack(seen[3 * i:3 * i + 3])
-            pieces = [accumulate_stats(FeatureMatrix(frames[start:start + 100]), world.ubm)
-                      for start in (0, 100, 200)]
-            assert np.array_equal(stats.zeroth, sum(piece.zeroth for piece in pieces))
-            assert np.array_equal(stats.first, sum(piece.first for piece in pieces))
-            whole = accumulate_stats(FeatureMatrix(frames), world.ubm)
+        # the world keeps no frames: each enrollment is its three pieces, passed in order,
+        # and each true speaker's test is its statistics, passed after its enrollment
+        assert len(seen) == 3 * len(world.enroll_pieces) + len(world.test_sets) == 22
+        for sid, pieces in world.enroll_pieces.items():
+            frames = np.vstack(seen[:3])
+            for piece, start in zip(pieces, (0, 100, 200)):
+                expected = accumulate_stats(FeatureMatrix(frames[start:start + 100]), world.ubm)
+                assert np.array_equal(piece.zeroth, expected.zeroth)
+                assert np.array_equal(piece.first, expected.first)
+            stats, whole = sum(pieces[1:], pieces[0]), accumulate_stats(FeatureMatrix(frames),
+                                                                        world.ubm)
             assert np.max(np.abs(stats.zeroth - whole.zeroth)) < 1e-12
             assert np.max(np.abs(stats.first - whole.first)) < 1e-12
-        # in LLR mode the whole enrollment is the one piece
+            del seen[:3]
+            if sid in world.test_sets:
+                test = accumulate_stats(FeatureMatrix(seen.pop(0)), world.ubm)
+                assert np.array_equal(world.test_sets[sid].zeroth, test.zeroth)
+                assert np.array_equal(world.test_sets[sid].first, test.first)
+        assert not seen
+        # in LLR mode the whole enrollment is the one piece, and its MAP means are those
+        # of the whole enrollment's statistics, bit for bit
         seen.clear()
         world = build_world(replace(cfg, mode="llr"))
-        assert len(seen) == len(world.enroll_stats)
-        for frames, stats in zip(seen, world.enroll_stats.values()):
+        entries = world.registry.entries
+        assert len(seen) == len(entries) == 6
+        for frames, entry in zip(seen, entries):
             assert len(frames) == 300
             whole = accumulate_stats(FeatureMatrix(frames), world.ubm)
-            assert np.array_equal(stats.zeroth, whole.zeroth)
-            assert np.array_equal(stats.first, whole.first)
+            model = map_adapt(whole, world.ubm, relevance=cfg.relevance,
+                              speaker_id=entry.speaker_id)
+            assert np.array_equal(entry.model.gmm.means, model.gmm.means)
 
     def test_world_holds_no_frames_past_their_last_reader(self):
         cfg = ExperimentConfig(
@@ -836,9 +848,30 @@ class TestExperiment:
             after, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # statistics, models and test frames stay; the enrollment and UBM frames do not
-        assert len(world.enroll_stats) == 6
+        # models and test frames stay; the enrollment frames and statistics and the UBM
+        # frames do not
+        assert len(world.registry.entries) == 6 and world.enroll_pieces == {}
         assert after - before < enroll_bytes / 4
+
+    def test_cosine_world_holds_tests_as_statistics(self):
+        cfg = ExperimentConfig(
+            mode="cosine", num_true_speakers=4, num_impostors=2, feature_dim=8,
+            ubm_components=4, ubm_frames=4_000, enroll_frames=1_000, test_frames=40_000,
+            tv_rank=2, tv_chunk_frames=500, cosine_target_impostors=2, thresholds=(0.5,),
+        )
+        test_bytes = 4 * cfg.test_frames * cfg.feature_dim * 8
+        bound = test_bytes / 4  # set before measuring
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            world = build_world(cfg)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # each true speaker's test is its (C,) and (C, k) statistics, not its frames
+        assert after - before < bound
+        assert len(world.test_sets) == 4
+        assert all(stats.first.shape == (4, 8) for stats in world.test_sets.values())
 
     def test_short_last_piece_enrolls_but_trains_no_tv(self, monkeypatch):
         import voxid.experiment as experiment_module
@@ -857,9 +890,15 @@ class TestExperiment:
             cosine_target_impostors=1,
         )
         world = attach_ivectors(build_world(cfg))
-        for sid, pieces in world.enroll_pieces.items():
+        entries, sums = world.registry.entries, []
+        for entry in entries:
+            pieces = world.enroll_pieces[entry.speaker_id]
             assert [p.zeroth.sum() for p in pieces] == pytest.approx([100.0, 100.0, 50.0])
-            assert world.enroll_stats[sid].zeroth.sum() == pytest.approx(250.0)
+            sums.append(sum(pieces[1:], pieces[0]))
+            assert sums[-1].zeroth.sum() == pytest.approx(250.0)
+        # each registry i-vector is its whole enrollment's, short last piece included
+        for entry, expected in zip(entries, extract_ivectors(sums, world.tv_model)):
+            assert np.array_equal(entry.ivector.w, expected.w)
         assert trained_on == pytest.approx([100.0] * 2 * 6)
 
     def test_world_cluster_assignment(self):

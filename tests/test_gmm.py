@@ -225,6 +225,27 @@ class TestEmFit:
         model = em_fit(FeatureMatrix(data), config)
         assert np.all(model.variances >= 1e-3)
 
+    # k > 1 only: np.var sums a lone column pairwise, where the floor's walk, like every
+    # per-coordinate sum in _initial_model, adds the frames in order
+    @pytest.mark.parametrize("frames_l, dim", [(20_000, 39), (2_049, 13), (7, 3), (1, 4)])
+    def test_global_variance_floor_is_np_var_bit_for_bit(self, monkeypatch, frames_l, dim):
+        rng = np.random.default_rng(frames_l)
+        frames = rng.normal(rng.uniform(-20.0, 20.0, dim), rng.uniform(0.01, 5.0, dim),
+                            (frames_l, dim))
+        frames[:, 1] = 3.7  # a constant column's variance is the floor
+        passed = []
+
+        def spy(frames, config, global_var):
+            passed.append(global_var)
+            return initial(frames, config, global_var)
+
+        initial = gmm_module._initial_model
+        monkeypatch.setattr(gmm_module, "_initial_model", spy)
+        for floor in (1e-3, 1e-300):  # at 1e-300 only the constant column is floored
+            config = GmmTrainingConfig(num_components=1, max_iterations=1, variance_floor=floor)
+            em_fit(FeatureMatrix(frames), config)
+            assert np.array_equal(passed.pop(), np.maximum(frames.var(axis=0), floor))
+
 
 def test_density_integrates_to_one():
     # numerical quadrature of a 1-D component over +-8 sigma
