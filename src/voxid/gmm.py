@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import os
+import queue
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -23,7 +26,62 @@ BLOCK = 2048
 # most 2**-1075, move it by at most l * 2**-175 of itself, far below rounding. A frame
 # where some model's sum is lower is summed again about its own per-frame peaks.
 _FLOOR = 2.0 ** -900
+TWO_RUNS_WORK = 2 ** 17  # frames x components of its products: smallest pass that splits
 KMEANS_FRAMES_PER_COMPONENT = 64  # UBM k-means runs on at most this many frames per component
+
+
+def _room_for_two_runs() -> bool:
+    """Whether the CPUs this process may use (taskset and cpusets restrict them) hold both
+    runs' BLAS threads. Each BLAS call takes the count OpenBLAS read from the first of these
+    variables set to a positive number, else every CPU. On a 2-core Xeon VM with two-thread
+    BLAS, a paper-size UBM trained in 2.7 s split into two runs and in 2.2 s unsplit."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            return (cpus or 1) >= 2 * int(value)
+    return False
+
+
+def _serve():  # the worker's loop: each (work, items, reply) job's (error, results)
+    while True:
+        work, items, reply = _jobs.get()
+        try:
+            outcome = None, [work(item) for item in items]
+        except BaseException as error:
+            outcome = error, None
+        del work, items  # free the job's frames before its caller resumes, not at the next job
+        reply.put(outcome)
+        del reply, outcome  # nor hold its results while waiting for the next
+
+
+_jobs, _worker = queue.SimpleQueue(), None  # a forked child's inherited worker is not alive
+
+
+def _in_two_runs(work, items, size: int) -> list:
+    """[work(item) for item in items], in order. A pass whose size, the frames x components
+    of its products, reaches TWO_RUNS_WORK, with room for two runs, queues the second half of
+    items for the process's worker thread and runs the first half itself, then waits for the
+    tail on its own reply, also on a raise: numpy releases the GIL around the GEMM, exp and
+    reductions, so the runs overlap. Concurrent callers' tails queue; a pass started on the
+    worker runs every item. Callers combine results in item order, so every sum is the same
+    for any CPU count."""
+    global _worker
+    half = len(items) // 2
+    if (size < TWO_RUNS_WORK or half == 0 or not _room_for_two_runs()
+            or threading.current_thread() is _worker):
+        return [work(item) for item in items]
+    if _worker is None or not _worker.is_alive():  # racing first splits may start two
+        (_worker := threading.Thread(target=_serve, name="voxid-pass", daemon=True)).start()
+    reply = queue.SimpleQueue()  # a tail whose wait was cut short lands here, read by no one
+    _jobs.put((work, items[half:], reply))  # items call private functions, which no tracer wraps
+    try:
+        head = [work(item) for item in items[:half]]
+    finally:
+        error, tail = reply.get()
+    if error is not None:
+        raise error
+    return head + tail
 
 
 def _read_only(values) -> np.ndarray:
@@ -236,22 +294,30 @@ def _posteriors(frames: np.ndarray, gmm: DiagonalGmm):
 def posterior_sums(frames: np.ndarray, gmm: DiagonalGmm, squares: bool = False):
     """Soft counts (l,), gamma^T X (gamma^T [X, X^2] with squares) and frame
     log-likelihoods (L,), BLOCK frames at a time; each block's counts and products
-    are added in frame order."""
+    are added in frame order. The work is the kernel and moments products, 2 x frames x l;
+    a one-block pass whose work reaches TWO_RUNS_WORK is cut at ceil(L / 2) frames, by its
+    sizes alone, so _in_two_runs has two items and the bits do not depend on the CPUs."""
+    _reused(_stack, [gmm])  # built before a split, so the second run only reads the slot
     n, k = frames.shape
+    work = 2 * n * gmm.num_components
+    step = (n + 1) // 2 if n <= BLOCK and work >= TWO_RUNS_WORK else BLOCK
     frame_ll = np.empty(n)
-    counts = np.zeros(gmm.num_components)
-    sums = np.zeros((gmm.num_components, k * (2 if squares else 1)))
-    for start in range(0, n, BLOCK):
-        block = frames[start:start + BLOCK]
-        gamma, frame_ll[start:start + BLOCK] = _posteriors(block, gmm)
+
+    def moments(start):
+        block = frames[start:start + step]
+        gamma, frame_ll[start:start + step] = _posteriors(block, gmm)
         x = block
         if squares:  # [X, X^2], one array filled in place
             x = np.empty((len(block), 2 * k))
             x[:, :k] = block
             np.square(block, out=x[:, k:])
-        counts += gamma.sum(axis=1)
-        sums += gamma @ x
-        del gamma, x  # freed before the next block's posteriors are made
+        return gamma.sum(axis=1), gamma @ x
+
+    counts = np.zeros(gmm.num_components)
+    sums = np.zeros((gmm.num_components, k * (2 if squares else 1)))
+    for block_counts, block_sums in _in_two_runs(moments, range(0, n, step), work):
+        counts += block_counts
+        sums += block_sums
     return counts, sums, frame_ll
 
 
@@ -263,8 +329,9 @@ def mixture_log_likelihood(x, gmm: DiagonalGmm) -> float:
 def _stack(gmms) -> tuple:
     """The centre of gmms[0] and the passes that score gmms, all read-only, laid out once:
     each run of consecutive models with equal component count l is taken in blocks of at
-    most max(1, BLOCK // l) models. Each block is one (coefficients, peaks) pass, l rows
-    of coefficients for each of its len(peaks) models.
+    most max(1, BLOCK // l) models, and a block of n models is cut after its first n // 2
+    (one model is not cut), whatever the CPU count. Each half is one (coefficients, peaks)
+    pass of views of its block, l rows of coefficients for each of its len(peaks) models.
     A model's peak is the largest of its components' log densities at their own means,
     which bounds all of its log densities; its coefficients' constant column is less that
     peak. Callers take it through _reused, so the E-step's [gmm] and LLR's
@@ -284,7 +351,9 @@ def _stack(gmms) -> tuple:
             coefficients = _coefficients(np.concatenate([g.means for g in block]), variances,
                                          log_weights - np.repeat(peaks, size), ref)
             coefficients.flags.writeable = peaks.flags.writeable = False
-            passes.append((coefficients, peaks))
+            cut = len(block) // 2
+            passes += [(coefficients[lo * size:hi * size], peaks[lo:hi])
+                       for lo, hi in ((0, cut), (cut, len(block))) if lo < hi]
     ref.flags.writeable = False
     return ref, tuple(passes)
 
@@ -294,9 +363,10 @@ def sequence_log_likelihoods(feats: FeatureMatrix, gmms) -> np.ndarray:
     for no mixtures.
 
     Terms built once, about the first model's centre, so the models may differ in
-    component count; then one _mixture_pass per BLOCK frames and pass of _stack, each
-    writing its frames' log-likelihoods into its pass's (N, L) array, whose rows are
-    summed once. Frames are treated as independent.
+    component count; then one _mixture_pass per BLOCK frames and pass of _stack, on one or
+    two threads, each writing its frames' log-likelihoods into its pass's (N, L) array,
+    whose rows are summed once. The work is frames x stacked components. Frames are
+    treated as independent.
     """
     feats.require_nonempty()
     if len(gmms) == 0:
@@ -306,9 +376,14 @@ def sequence_log_likelihoods(feats: FeatureMatrix, gmms) -> np.ndarray:
     ref, passes = _reused(_stack, gmms)
     terms = _terms(frames, ref)
     frame_ll = [np.empty((len(peaks), len(terms))) for _, peaks in passes]
-    for start in range(0, len(terms), BLOCK):
-        for layout, out in zip(passes, frame_ll):
-            out[:, start:start + BLOCK] = _mixture_pass(terms[start:start + BLOCK], *layout)[0]
+
+    def block_pass(item):
+        start, layout, out = item
+        out[:, start:start + BLOCK] = _mixture_pass(terms[start:start + BLOCK], *layout)[0]
+
+    _in_two_runs(block_pass, [(start, *item) for start in range(0, len(terms), BLOCK)
+                              for item in zip(passes, frame_ll)],
+                 len(terms) * sum(len(coefficients) for coefficients, _ in passes))
     # each model's frame log-likelihoods are one contiguous row, which numpy sums pairwise
     return np.concatenate([out.sum(axis=1) for out in frame_ll])
 
@@ -337,12 +412,14 @@ def _nearest(frames: np.ndarray, centers: np.ndarray, ref: np.ndarray, terms=Non
     k = frames.shape[1]
     centred = centers - ref
     coefficients = np.vstack([-2.0 * centred.T, np.sum(centred * centred, axis=1)])
-    labels = np.empty(frames.shape[0], dtype=np.intp)
-    for start in range(0, frames.shape[0], BLOCK):
+
+    def labels(start):
         block = (_terms(frames[start:start + BLOCK], ref) if terms is None
                  else terms[start:start + BLOCK])
-        labels[start:start + BLOCK] = np.argmin(block[:, k:] @ coefficients, axis=1)
-    return labels
+        return np.argmin(block[:, k:] @ coefficients, axis=1)
+
+    return np.concatenate(_in_two_runs(labels, range(0, frames.shape[0], BLOCK),
+                                       frames.shape[0] * centers.shape[0]))
 
 
 def _cluster_sums(labels: np.ndarray, rows, n_clusters: int) -> np.ndarray:

@@ -1,7 +1,14 @@
+import multiprocessing
+import os
 import pickle
+import queue
+import subprocess
 import sys
 import threading
 import tracemalloc
+import types
+import warnings
+import weakref
 from copy import copy, deepcopy
 
 import numpy as np
@@ -350,7 +357,7 @@ class TestFilledArrays:
         frames = self.frames(frames_l, dim)
         counts, sums, _ = gmm_module.posterior_sums(frames, model, squares=True)
         oracle_counts, oracle_sums = np.zeros(6), np.zeros((6, 2 * dim))
-        for start in range(0, frames_l, gmm_module.BLOCK):
+        for start in range(0, frames_l, gmm_module.BLOCK):  # below TWO_RUNS_WORK: no cut
             block = frames[start:start + gmm_module.BLOCK]
             gamma = gmm_module._posteriors(block, model)[0]
             oracle_counts += gamma.sum(axis=1)
@@ -651,7 +658,7 @@ class TestFarFrames:
         frames = self.frames(43, 90)
         calls = resummed_frames(monkeypatch)
         scores = sequence_log_likelihoods(FeatureMatrix(frames), models)
-        assert calls == [30]  # the far frames, and only they, in the stack's one pass
+        assert calls == [30, 30]  # the far frames, and only they, in each half of the stack
         for score, model in zip(scores, models):
             oracle = self.oracle(frames, model)[0].sum()
             assert abs(score - oracle) <= 1e-12 * abs(oracle)
@@ -1174,11 +1181,11 @@ class TestStackCache:
             assert np.array_equal(sequence_log_likelihoods(feats, models),
                                   sequence_log_likelihoods(feats, [fresh(m) for m in models]))
 
-    @pytest.mark.parametrize("block, models_per_pass", [(2048, [2, 1, 3]),
-                                                        (128, [2, 1, 2, 1])])
+    @pytest.mark.parametrize("block, models_per_pass", [(2048, [1, 1, 1, 1, 2]),
+                                                        (128, [1, 1, 1, 1, 1, 1])])
     def test_runs_of_equal_sizes_are_uniform_passes(self, monkeypatch, block, models_per_pass):
-        # runs [64, 64], [32], [64, 64, 64]: at 2048 each run is one block and one pass; at
-        # 128 a block holds two 64s, so the last run is [64, 64] | [64]
+        # runs [64, 64], [32], [64, 64, 64]: at 2048 each run is one block, cut after half its
+        # models; at 128 a block holds two 64s, so the last run is [64, 64] | [64]
         monkeypatch.setattr(gmm_module, "BLOCK", block)
         rng = np.random.default_rng(65)
         models = [random_gmm(rng, components=c, dim=3) for c in (64, 64, 32, 64, 64, 64)]
@@ -1403,92 +1410,487 @@ class TestReadOnlyArrays:
         assert not np.shares_memory(model.means, model.variances)
 
 
-def llr_world(ubm, seed):
-    """A registry of 16 speakers MAP-adapted from 2 000-frame enrollments on ubm (k = 20),
-    as the LLR benchmark builds one, and its normalised-LLR policy."""
-    rng = np.random.default_rng(seed)
-    registry = SpeakerRegistry()
-    for n, shift in enumerate(np.linspace(-0.5, 0.5, 16)):
-        stats = accumulate_stats(FeatureMatrix(rng.normal(shift, 1.0, (2000, 20))), ubm)
-        registry.add(RegistryEntry(speaker_id=str(n), cluster_id="c",
-                                   model=map_adapt(stats, ubm, speaker_id=str(n))))
-    return registry, DecisionPolicy(threshold=1.0, mode="llr-normalized")
+class TestTwoRuns:
+    """A pass whose work, the frames x components of its products, reaches TWO_RUNS_WORK hands
+    its second half of items to the process's one worker thread, and its results are combined
+    in item order whatever the CPU count."""
 
+    @pytest.fixture
+    def worker(self, monkeypatch):
+        """Forces the split on (True) or off (False); returns the list that gets one entry,
+        the worker's name, for each pass that ran an item on another thread than its caller."""
+        splits, in_two_runs = [], gmm_module._in_two_runs
 
-def test_no_pass_starts_a_thread(monkeypatch):
-    # with BLAS held to one thread, UBM training, Baum-Welch statistics and an LLR trial at
-    # the LLR benchmark's shapes (C = 64, k = 20) run every pass on the calling thread
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    before = threading.enumerate()
-    frames = overlapping_frames(88, 15000, 64, 20)
-    ubm = Ubm(gmm=em_fit(FeatureMatrix(frames),
-                         GmmTrainingConfig(num_components=64, max_iterations=2)))
-    registry, policy = llr_world(ubm, 89)  # 16 statistics calls of 2 000 frames
-    result = identify(Trial(trial_id="t", test_features=FeatureMatrix(frames[:300])),
-                      registry, policy, ubm=ubm)
-    assert len(result.ranked) == 16
-    assert threading.enumerate() == before
+        def recorded(work, items, size):
+            names = set()
 
+            def traced(item):
+                names.add(threading.current_thread().name)
+                return work(item)
 
-def test_concurrent_callers_get_the_serial_bits():
-    # four library threads alternate Baum-Welch statistics and LLR trials on one shared UBM,
-    # so the E-step's [ubm] and the trials' [ubm, *speakers] stacks replace each other in
-    # the UBM's one slot while passes run; every call gets the one-thread bits
-    ubm = Ubm(gmm=overlapping_mixture(72, 64, 20))
-    registry, policy = llr_world(ubm, 73)
-    rng = np.random.default_rng(74)
-    feats = FeatureMatrix(rng.normal(0, 1, (2000, 20)))
-    trial = Trial(trial_id="t", test_features=FeatureMatrix(rng.normal(0, 1, (300, 20))))
-    stats = accumulate_stats(feats, ubm)
-    ranked = identify(trial, registry, policy, ubm=ubm).ranked
-    mismatches = []
+            try:
+                return in_two_runs(traced, items, size)
+            finally:
+                splits.extend(names - {threading.current_thread().name})
 
-    def callers():
-        for _ in range(20):
-            ours = accumulate_stats(feats, ubm)
-            if not (np.array_equal(ours.zeroth, stats.zeroth)
-                    and np.array_equal(ours.first, stats.first)):
-                mismatches.append("statistics")
-            if identify(trial, registry, policy, ubm=ubm).ranked != ranked:
-                mismatches.append("identify")
+        monkeypatch.setattr(gmm_module, "_in_two_runs", recorded)
+        return lambda on: monkeypatch.setattr(gmm_module, "_room_for_two_runs",
+                                              lambda: on) or splits
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=callers) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert mismatches == []
+    @staticmethod
+    def pass_threads():
+        return [thread for thread in threading.enumerate() if thread.name.startswith("voxid")]
 
+    def both(self, worker, call):
+        """call() with the worker forced off, then on; asserts the pass split only when on."""
+        splits = worker(False)
+        splits.clear()
+        serial = call()
+        assert splits == []
+        worker(True)
+        split = call()
+        assert splits and set(splits) == {"voxid-pass"}
+        assert len(self.pass_threads()) == 1
+        return serial, split
 
-def test_memory_does_not_grow_with_the_frames(monkeypatch):
-    # an E-step pass and a one-iteration em_fit over 128 components hold one block at a time
-    components, dim, block = 128, 2, gmm_module.BLOCK
-    rng = np.random.default_rng(70)
-    model = DiagonalGmm(weights=np.full(components, 1 / components),
-                        means=rng.normal(0, 1, (components, dim)),
-                        variances=rng.uniform(0.5, 1.5, (components, dim)))
-    monkeypatch.setattr(gmm_module, "_initial_model", lambda *args: model)
-    config = GmmTrainingConfig(num_components=components, max_iterations=1)
-    frames = rng.normal(0, 1, (20 * block, dim))
-    gmm_module.posterior_sums(frames, model)  # its stack is built before measuring
+    @staticmethod
+    def split_size(seed):
+        """A model and frames whose posterior_sums pass, 8 192 x 32, splits into two runs of
+        two blocks each."""
+        rng = np.random.default_rng(seed)
+        return random_gmm(rng, components=32, dim=3), rng.normal(0, 2, (4 * gmm_module.BLOCK, 3))
 
-    def peak(call, frames_l):
+    @pytest.mark.parametrize("cpus, env, room", [
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
+        (2, {"OPENBLAS_NUM_THREADS": "2"}, False),
+        (4, {"OPENBLAS_NUM_THREADS": "2"}, True),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+        (2, {"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        (64, {}, False)])  # unset, each BLAS call may take every CPU
+    def test_room_for_two_runs(self, monkeypatch, cpus, env, room):
+        monkeypatch.setattr(gmm_module.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert gmm_module._room_for_two_runs() is room
+
+    def test_em_fit(self, worker):
+        # 4 * BLOCK + 300 frames x 32 components: the full nearest-centre pass and every
+        # E-step split
+        feats = FeatureMatrix(overlapping_frames(64, 4 * gmm_module.BLOCK + 300, 8, 5))
+        config = GmmTrainingConfig(num_components=32, max_iterations=3, rng_seed=5)
+        serial, split = self.both(worker, lambda: em_fit_detailed(feats, config))
+        assert serial[1] == split[1]
+        for name in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(serial[0], name), getattr(split[0], name))
+
+    @pytest.mark.parametrize("frames_l", [4 * gmm_module.BLOCK, 5 * gmm_module.BLOCK + 7])
+    @pytest.mark.parametrize("squares", [False, True])
+    def test_posterior_sums(self, worker, frames_l, squares):
+        rng = np.random.default_rng(frames_l)
+        model, frames = random_gmm(rng, components=32, dim=4), rng.normal(0, 3, (frames_l, 4))
+        serial, split = self.both(
+            worker, lambda: gmm_module.posterior_sums(frames, model, squares=squares))
+        for ours, reference in zip(split, serial):
+            assert np.array_equal(ours, reference)
+
+    def test_nearest(self, worker):
+        frames = overlapping_frames(65, 4 * gmm_module.BLOCK + 9, 12, 6)
+        centers, ref = frames[::250], frames.mean(axis=0)  # 33 centres
+        terms = gmm_module._terms(frames, ref)
+        for given in (None, terms):  # the full pass, and Lloyd's terms built once
+            serial, split = self.both(worker, lambda: gmm_module._nearest(frames, centers, ref,
+                                                                         given))
+            assert np.array_equal(split, serial)
+            assert np.array_equal(split, rowwise_nearest(frames, centers, ref))
+
+    def test_lloyd_passes_at_the_benchmark_shape(self, worker):
+        # a 4 096 x 20 k-means sample with C = 64: each Lloyd pass is 2**18 frames x centres
+        # and splits, and so does every E-step of a UBM trained on 6 000 frames
+        frames = overlapping_frames(75, 6000, 64, 20)
+        sample = frames[:gmm_module.KMEANS_FRAMES_PER_COMPONENT * 64]
+        serial, split = self.both(
+            worker, lambda: _kmeans_pp(sample, 64, np.random.default_rng(76)))
+        assert np.array_equal(split[0], serial[0]) and np.array_equal(split[1], serial[1])
+        config = GmmTrainingConfig(num_components=64, max_iterations=2, rng_seed=77)
+        serial, split = self.both(worker, lambda: em_fit_detailed(FeatureMatrix(frames), config))
+        assert serial[1] == split[1]
+        for name in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(serial[0], name), getattr(split[0], name))
+
+    def test_sequence_log_likelihoods(self, worker):
+        # 33 models of 256 components: five blocks of _stack, nine halves
+        rng = np.random.default_rng(66)
+        models = [random_gmm(rng, components=256, dim=3) for _ in range(33)]
+        feats = FeatureMatrix(rng.normal(0, 2, (50, 3)))
+        serial, split = self.both(worker, lambda: sequence_log_likelihoods(feats, models))
+        assert np.array_equal(split, serial)
+
+    @staticmethod
+    def one_pass_per_block(feats, models):
+        """Scores with one _mixture_pass over the whole block of 17 models of 64 components,
+        as if _stack had not cut it: its two passes' coefficients and peaks, rejoined."""
+        ref, passes = gmm_module._reused(gmm_module._stack, models)
+        coefficients, peaks = (np.concatenate(part) for part in zip(*passes))
+        terms = gmm_module._terms(feats.frames, ref)
+        return gmm_module._mixture_pass(terms, coefficients, peaks)[0].sum(axis=1)
+
+    def test_llr_trials_at_the_benchmark_shape(self, worker):
+        # a UBM and 16 speakers of 64 components, k = 20, 300-frame trials: 1 088 stacked
+        # components in one block, halved after the eighth model; split, serial and one pass
+        # over the whole block give the same bits
+        rng = np.random.default_rng(78)
+        ubm = Ubm(gmm=overlapping_mixture(79, 64, 20))
+        models = [ubm.gmm] + [
+            map_adapt(accumulate_stats(FeatureMatrix(rng.normal(shift, 1.0, (200, 20))), ubm),
+                      ubm, speaker_id=str(n)).gmm
+            for n, shift in enumerate(np.linspace(-0.5, 0.5, 16))]
+        passes = gmm_module._stack(models)[1]
+        assert [(len(peaks), len(coefficients)) for coefficients, peaks in passes] == [
+            (8, 512), (9, 576)]
+        for trial in range(10):
+            feats = FeatureMatrix(overlapping_frames(80 + trial, 300, 64, 20))
+            serial, split = self.both(worker, lambda: sequence_log_likelihoods(feats, models))
+            assert np.array_equal(split, serial)
+            assert np.array_equal(split, self.one_pass_per_block(feats, models))
+
+    def test_worker_error_reaches_the_caller(self, worker, monkeypatch):
+        model, frames = self.split_size(67)
+        worker(True)
+        expected = gmm_module.posterior_sums(frames, model)
+        posteriors, caller = gmm_module._posteriors, threading.get_ident()
+
+        def failing(block, gmm):
+            if threading.get_ident() != caller:
+                raise DimensionMismatch("raised on the worker thread")
+            return posteriors(block, gmm)
+
+        monkeypatch.setattr(gmm_module, "_posteriors", failing)
+        with pytest.raises(DimensionMismatch, match="worker thread"):
+            gmm_module.posterior_sums(frames, model)
+        monkeypatch.setattr(gmm_module, "_posteriors", posteriors)
+        # the worker serves the next pass, which gives the same bits
+        splits = worker(True)
+        splits.clear()
+        for ours, reference in zip(gmm_module.posterior_sums(frames, model), expected):
+            assert np.array_equal(ours, reference)
+        assert splits == ["voxid-pass"] and len(self.pass_threads()) == 1
+
+    def test_caller_error_waits_for_the_tail(self, worker, monkeypatch):
+        model, frames = self.split_size(73)
+        splits, posteriors, caller = worker(True), gmm_module._posteriors, threading.get_ident()
+        finished = []
+
+        def failing(block, gmm):
+            if threading.get_ident() == caller:
+                raise DimensionMismatch("raised on the calling thread")
+            result = posteriors(block, gmm)
+            finished.append(block.shape[0])
+            return result
+
+        monkeypatch.setattr(gmm_module, "_posteriors", failing)
+        with pytest.raises(DimensionMismatch, match="calling thread"):
+            gmm_module.posterior_sums(frames, model)
+        # the worker ran its two blocks to the end before the error left the pass
+        assert splits == ["voxid-pass"] and finished == [gmm_module.BLOCK] * 2
+
+    def test_worker_holds_no_finished_pass(self, worker):
+        model, frames = self.split_size(75)
+        splits, probe = worker(True), weakref.ref(frames)
+        gmm_module.posterior_sums(frames, model)
+        del frames
+        # the worker, waiting for its next job, keeps none of this one's frames alive
+        assert splits == ["voxid-pass"] and probe() is None
+
+    def test_one_worker_per_process(self, worker):
+        model, frames = self.split_size(74)
+        splits = worker(True)
+        gmm_module.posterior_sums(frames, model)
+        (thread,) = self.pass_threads()
+        assert thread.daemon
+        for _ in range(3):
+            gmm_module.posterior_sums(frames, model)
+        # every split ran on the one worker, which waits for the next pass
+        assert splits == ["voxid-pass"] * 4 and self.pass_threads() == [thread]
+
+    def test_an_interrupted_wait_leaves_its_tail_on_its_own_reply(self, worker, monkeypatch):
+        # a wait for the tail cut short (as by Ctrl-C) leaves the late tail on that pass's
+        # reply, which no later pass reads: the next pass splits on the same worker and gets
+        # the serial bits
+        model, frames = self.split_size(85)
+        splits = worker(True)
+        expected = gmm_module.posterior_sums(frames, model)
+        thread, replies = gmm_module._worker, []
+
+        class Interrupted(Exception):
+            pass
+
+        class CutShort(queue.SimpleQueue):
+            def get(self):
+                replies.append(self)
+                raise Interrupted
+
+        monkeypatch.setattr(gmm_module, "queue", types.SimpleNamespace(SimpleQueue=CutShort))
+        with pytest.raises(Interrupted):
+            gmm_module.posterior_sums(frames, model)
+        monkeypatch.setattr(gmm_module, "queue", queue)
+        splits.clear()
+        for ours, reference in zip(gmm_module.posterior_sums(frames, model), expected):
+            assert np.array_equal(ours, reference)
+        assert splits == ["voxid-pass"] and self.pass_threads() == [thread]
+        # the late tail, its two blocks, waits on the interrupted pass's own reply
+        error, tail = queue.SimpleQueue.get(replies[0], timeout=60)
+        assert error is None and len(tail) == 2 and replies[0].empty()
+
+    def test_a_pass_from_a_work_item_runs_serially(self, worker, monkeypatch):
+        # a split-size pass started by an item on the worker cannot queue on its own thread
+        model, frames = self.split_size(82)
+        splits = worker(True)
+        expected = gmm_module.posterior_sums(frames, model)
+        posteriors, nested = gmm_module._posteriors, []
+
+        def nesting(block, gmm):
+            if threading.current_thread().name == "voxid-pass" and not nested:
+                nested.append(len(splits))  # the first item on the worker nests, once
+                nested.append(gmm_module.posterior_sums(frames, model))
+                nested.append(splits[nested[0]:])
+            return posteriors(block, gmm)
+
+        monkeypatch.setattr(gmm_module, "_posteriors", nesting)
+        outer = []
+        thread = threading.Thread(target=lambda: outer.append(
+            gmm_module.posterior_sums(frames, model)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        _, result, inner_splits = nested
+        assert inner_splits == []
+        for ours, reference in zip(result, expected):
+            assert np.array_equal(ours, reference)
+        for ours, reference in zip(outer[0], expected):
+            assert np.array_equal(ours, reference)
+
+    def test_a_pass_from_a_work_item_on_the_caller_queues_behind_its_tail(self, worker,
+                                                                          monkeypatch):
+        # a split-size pass started by an item on the caller's thread queues its tail behind
+        # the outer pass's tail, which the worker finishes first
+        model, frames = self.split_size(86)
+        splits = worker(True)
+        expected = gmm_module.posterior_sums(frames, model)
+        posteriors, nested = gmm_module._posteriors, []
+
+        def nesting(block, gmm):
+            if threading.current_thread().name == "caller" and not nested:
+                nested.append(None)  # the first item on the caller nests, once
+                nested[0] = gmm_module.posterior_sums(frames, model)
+            return posteriors(block, gmm)
+
+        monkeypatch.setattr(gmm_module, "_posteriors", nesting)
+        splits.clear()
+        outer = []
+        thread = threading.Thread(target=lambda: outer.append(
+            gmm_module.posterior_sums(frames, model)), name="caller")
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert splits == ["voxid-pass"] * 2  # the inner pass split, then the outer one
+        for result in (nested[0], outer[0]):
+            for ours, reference in zip(result, expected):
+                assert np.array_equal(ours, reference)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    def test_forked_child_starts_its_own_worker(self, worker):
+        # a child forked after its parent split a pass inherits no worker thread, starts its
+        # own on its first split, and finishes with the parent's bits
+        model, frames = self.split_size(71)
+        worker(True)
+        expected = gmm_module.posterior_sums(frames, model)
+        assert len(self.pass_threads()) == 1
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+
+        def child():
+            inherited = self.pass_threads()
+            send.send((gmm_module.posterior_sums(frames, model), inherited,
+                       [thread.name for thread in self.pass_threads()]))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # forking a threaded process
+            process = context.Process(target=child)
+            process.start()
+        try:
+            assert receive.poll(60)
+            result, inherited, started = receive.recv()
+            assert inherited == [] and started == ["voxid-pass"]
+            for ours, reference in zip(result, expected):
+                assert np.array_equal(ours, reference)
+        finally:
+            process.join(timeout=60)
+            if process.is_alive():
+                process.kill()
+        assert process.exitcode == 0
+
+    def test_a_process_with_a_worker_exits_promptly(self):
+        # the worker is a daemon waiting for work: it neither holds the process open nor
+        # warns at exit
+        code = (
+            "import numpy as np, threading\n"
+            "from voxid import gmm\n"
+            "gmm._room_for_two_runs = lambda: True\n"
+            "rng = np.random.default_rng(83)\n"
+            "w = rng.uniform(0.5, 1.0, 32)\n"
+            "model = gmm.DiagonalGmm(w / w.sum(), rng.normal(0, 1, (32, 3)),\n"
+            "                        rng.uniform(0.5, 1.5, (32, 3)))\n"
+            "gmm.posterior_sums(rng.normal(0, 2, (4 * gmm.BLOCK, 3)), model)\n"
+            "assert [t.name for t in threading.enumerate() if t.name.startswith('voxid')]"
+            " == ['voxid-pass']\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gmm_module.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+
+    def test_concurrent_callers_get_the_serial_bits(self, worker):
+        # four callers split at once: every pass queues its tail on the one worker, and every
+        # pass equals the serial pass
+        model, frames = self.split_size(72)
+        worker(False)
+        expected = gmm_module.posterior_sums(frames, model)
+        splits = worker(True)
+        gmm_module.posterior_sums(frames, model)  # the worker is started before the callers
+        (pass_thread,) = self.pass_threads()
+        splits.clear()
+        mismatches = []
+
+        def split_passes():
+            for _ in range(20):
+                result = gmm_module.posterior_sums(frames, model)
+                if not all(np.array_equal(a, b) for a, b in zip(result, expected)):
+                    mismatches.append(result)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=split_passes) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert splits == ["voxid-pass"] * 80 and self.pass_threads() == [pass_thread]
+
+    def test_small_passes_start_no_thread(self, worker):
+        splits = worker(True)
+        before = threading.active_count()
+        rng = np.random.default_rng(68)
+        ubm = Ubm(gmm=random_gmm(rng, components=16, dim=8))
+        accumulate_stats(FeatureMatrix(rng.normal(0, 2, (300, 8))), ubm)
+        # the i-vector benchmark's 1 000-frame enrollment against a 64-component UBM, k = 20:
+        # its E-step's work, 2 x 1 000 x 64, is below TWO_RUNS_WORK
+        accumulate_stats(FeatureMatrix(rng.normal(0, 2, (1000, 20))),
+                         Ubm(gmm=overlapping_mixture(87, 64, 20)))
+        assert threading.active_count() == before
+        assert splits == []
+
+    def test_enrollments_and_demo_ubms_split(self, worker):
+        # the LLR benchmark's 2 000-frame enrollment against a 64-component UBM, k = 20, is
+        # one block cut at its half; the demo configs' UBM (8 000 frames, 16 components,
+        # k = 8) keeps its four blocks
+        rng = np.random.default_rng(68)
+        feats, ubm = (FeatureMatrix(rng.normal(0, 2, (2000, 20))),
+                      Ubm(gmm=overlapping_mixture(84, 64, 20)))
+        serial, split = self.both(worker, lambda: accumulate_stats(feats, ubm))
+        assert np.array_equal(split.zeroth, serial.zeroth)
+        assert np.array_equal(split.first, serial.first)
+        feats = FeatureMatrix(overlapping_frames(69, 8000, 16, 8))
+        config = GmmTrainingConfig(num_components=16, max_iterations=3)
+        serial, split = self.both(worker, lambda: em_fit_detailed(feats, config))
+        assert serial[1] == split[1]
+        for name in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(serial[0], name), getattr(split[0], name))
+
+    # 2 x 1 024 frames x 64 components is TWO_RUNS_WORK
+    @pytest.mark.parametrize("frames_l, pieces", [(1024, [512, 512]), (1025, [513, 512]),
+                                                  (1023, [1023])])
+    @pytest.mark.parametrize("squares", [False, True])
+    def test_one_block_is_cut_at_its_half_from_the_threshold(self, worker, monkeypatch,
+                                                             frames_l, pieces, squares):
+        assert 2 * 1024 * 64 == gmm_module.TWO_RUNS_WORK
+        rng = np.random.default_rng(frames_l)
+        model, frames = random_gmm(rng, components=64, dim=5), rng.normal(0, 3, (frames_l, 5))
+        posteriors, sizes = gmm_module._posteriors, []
+
+        def sized(block, gmm):
+            sizes.append(block.shape[0])
+            return posteriors(block, gmm)
+
+        monkeypatch.setattr(gmm_module, "_posteriors", sized)
+        results = {}
+        for on in (False, True):
+            splits = worker(on)
+            splits.clear()
+            sizes.clear()
+            results[on] = gmm_module.posterior_sums(frames, model, squares=squares)
+            assert sorted(sizes, reverse=True) == pieces
+            assert splits == (["voxid-pass"] if on and len(pieces) == 2 else [])
+        for ours, reference in zip(results[True], results[False]):
+            assert np.array_equal(ours, reference)
+
+    MEASURED_COMPONENTS, MEASURED_DIM = 128, 2
+
+    def measured_passes(self, worker, monkeypatch):
+        """An E-step pass and a one-iteration em_fit over MEASURED_COMPONENTS components, each
+        as a function of the frames, and 20 * BLOCK frames; the split's imports come first."""
+        components, dim = self.MEASURED_COMPONENTS, self.MEASURED_DIM
+        rng = np.random.default_rng(70)
+        model = DiagonalGmm(weights=np.full(components, 1 / components),
+                            means=rng.normal(0, 1, (components, dim)),
+                            variances=rng.uniform(0.5, 1.5, (components, dim)))
+        monkeypatch.setattr(gmm_module, "_initial_model", lambda *args: model)
+        config = GmmTrainingConfig(num_components=components, max_iterations=1)
+        frames = rng.normal(0, 1, (20 * gmm_module.BLOCK, dim))
+        worker(True)
+        gmm_module.posterior_sums(frames, model)  # the worker is started before measuring
+        return (lambda x: gmm_module.posterior_sums(x, model),
+                lambda x: em_fit(FeatureMatrix(x), config)), frames
+
+    @staticmethod
+    def peak(call, frames):
         tracemalloc.start()
         try:
-            call(frames[:frames_l])
+            call(frames)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    for call in (lambda x: gmm_module.posterior_sums(x, model),
-                 lambda x: em_fit(FeatureMatrix(x), config)):
-        peaks = [peak(call, frames_l) for frames_l in (10 * block, 20 * block)]
-        # the extra frames' log-likelihoods, and one (C, BLOCK) block to spare; a pass
-        # that kept every block's posteriors would add ten such blocks
-        assert peaks[1] - peaks[0] < 10 * block * 8 + components * block * 8
+    def test_memory_does_not_grow_with_the_frames(self, worker, monkeypatch):
+        calls, frames = self.measured_passes(worker, monkeypatch)
+        block, components = gmm_module.BLOCK, self.MEASURED_COMPONENTS
+        worker(False)  # one run, so the peak is the same on every pass
+        for call in calls:
+            peaks = [self.peak(call, frames[:frames_l]) for frames_l in (10 * block, 20 * block)]
+            # the extra frames' log-likelihoods, and one (C, BLOCK) block to spare; a pass
+            # that kept every block's posteriors would add ten such blocks
+            assert peaks[1] - peaks[0] < 10 * block * 8 + components * block * 8
+
+    def test_a_split_pass_holds_one_more_block(self, worker, monkeypatch):
+        calls, frames = self.measured_passes(worker, monkeypatch)
+        block, components, dim = gmm_module.BLOCK, self.MEASURED_COMPONENTS, self.MEASURED_DIM
+        # each run holds one block at a time, so a split pass holds at most one more block's
+        # working set than the serial pass. It peaks in _mixture_pass at (C + 2k + 5) rows of
+        # BLOCK doubles: the posteriors (C), the terms (2k + 1), and the peaks, sums, their
+        # logs and the log-likelihoods (4); the moments after it hold C + 3k rows. On top
+        # come the job and its results on the worker's queues. A pass that kept every
+        # block's posteriors would add ten (C, BLOCK) blocks
+        working_set = (components + 2 * dim + 5) * block * 8
+        for call in calls:
+            serial, split = self.both(worker, lambda: self.peak(call, frames))
+            assert split < serial + working_set + 160 * 1024
