@@ -9,11 +9,10 @@ operates on.
 
 import numpy as np
 
-from voxid.evaluation import RegistryEntry, SpeakerRegistry, Trial, identify, summarize
+from voxid.evaluation import RegistryEntry, SpeakerRegistry, Trial, evaluate_trials
 from voxid.experiment import sample_from_gmm
 from voxid.features import FeatureMatrix
 from voxid.gmm import DiagonalGmm, GmmTrainingConfig
-from voxid.scoring import DecisionPolicy
 from voxid.speaker_models import accumulate_stats, map_adapt, train_ubm
 
 rng = np.random.default_rng(7)
@@ -40,20 +39,16 @@ for i in range(N_SPEAKERS):
     registry.add(RegistryEntry(speaker_id=sid, cluster_id=f"c{i % 2}", model=model))
 print(f"enrolled {len(registry)} speakers in 2 clusters\n")
 
-policy = DecisionPolicy(threshold=1.0, mode="llr-normalized")
-results = []
-for sid, truth in truths.items():
-    test = sample_from_gmm(truth, 800, rng)
-    trial = Trial(trial_id=f"test-{sid}", test_features=test, true_speaker_id=sid)
-    result = identify(trial, registry, policy, ubm=ubm)
-    results.append(result)
-    print(f"test utterance from {sid}:")
+trials = [Trial(trial_id=f"test-{sid}", test_features=sample_from_gmm(truth, 800, rng),
+                true_speaker_id=sid) for sid, truth in truths.items()]
+report = evaluate_trials(trials, registry, "llr-normalized", [1.0], ubm=ubm)[0]
+for result in report.per_trial:
+    print(f"test utterance from {result.true_speaker_id}:")
     for rank_sid, _, norm, accepted in result.ranked:
         bar = "#" * max(0, int(10 * norm))
         mark = " <-- accept" if accepted else ""
         print(f"  {rank_sid:<11} {norm:6.2f} {bar}{mark}")
     print()
 
-report = summarize(results, policy.threshold, policy.mode)
 print(f"top-1 accuracy {report.top1_accuracy:.2f}, "
       f"false accepts {report.false_accepts}, false rejects {report.false_rejects}")

@@ -14,7 +14,6 @@ from .gmm import (
 from .speaker_models import (
     BaumWelchStats,
     SpeakerModel,
-    Supervector,
     Ubm,
     accumulate_stats,
     build_supervector,
@@ -48,6 +47,7 @@ from .evaluation import (
     Trial,
     compute_eer,
     det_points,
+    evaluate_trials,
     identify,
     summarize,
 )

@@ -19,14 +19,7 @@ import numpy as np
 from . import store
 from .audio import read_wav
 from .errors import IoFailure, VoxidDataError, VoxidDomainError, VoxidError, VoxidUsageError
-from .evaluation import (
-    RegistryEntry,
-    SpeakerRegistry,
-    Trial,
-    identify,
-    report_to_csv,
-    summarize,
-)
+from .evaluation import RegistryEntry, SpeakerRegistry, Trial, evaluate_trials, report_to_csv
 from .experiment import (EXPERIMENT_KEYS, ExperimentConfig, read_settings, run_experiment,
                          settings_keys)
 from .features import MfccConfig, extract_mfcc
@@ -240,19 +233,18 @@ def cmd_identify(args, settings):
             raise VoxidUsageError(f"--ubm is required in {policy.mode} mode")
         ubm = store.load(args.ubm, "ubm")
     trial = Trial(trial_id="cli", **{f"test_{kind}": store.load(args.test, kind)})
-    result = identify(trial, registry, policy, ubm=ubm)
+    [report] = evaluate_trials([trial], registry, policy.mode, [policy.threshold], ubm=ubm)
+    [result] = report.per_trial
 
     print(f"{'speaker':<12} {'raw':>14} {'score':>10} decision")
     for sid, raw, norm, accepted in result.ranked:
         verdict = "accept" if accepted else "reject"
         print(f"{sid:<12} {raw:>14.4f} {norm:>10.4f} {verdict}")
 
-    if args.json or args.csv:
-        report = summarize([result], args.threshold, policy.mode)
-        if args.json:
-            store.save(report, "report", args.json)
-        if args.csv:
-            _write_text(args.csv, report_to_csv(report))
+    if args.json:
+        store.save(report, "report", args.json)
+    if args.csv:
+        _write_text(args.csv, report_to_csv(report))
     if args.svg:
         labels = [sid for sid, _, _, _ in result.ranked]
         scores = [norm for _, _, norm, _ in result.ranked]

@@ -1,5 +1,6 @@
 """Speaker registry, identification trials, threshold sweeps and
-FA/FR/EER bookkeeping.
+FA/FR/EER bookkeeping. `evaluate_trials` is the one path from trials to
+reports: score once, then decide and summarise at each threshold.
 """
 
 from __future__ import annotations
@@ -197,6 +198,24 @@ def summarize(results: list[TrialResult], threshold: float, mode: str) -> EvalRe
         eer=eer,
         top1_accuracy=top1,
     )
+
+
+def evaluate_trials(trials, registry: SpeakerRegistry, mode: str, thresholds,
+                    ubm: Ubm | None = None) -> list[EvalReport]:
+    """Score each trial once against the registry in one mode, then decide every trial's
+    ranking at each threshold and summarise it: one report per threshold, in order."""
+    policies = [DecisionPolicy(threshold=t, mode=mode) for t in thresholds]
+    if not policies:
+        raise ValueError("need at least one threshold")
+    results = [identify(trial, registry, policies[0], ubm=ubm) for trial in trials]
+    reports = []
+    for policy in policies:
+        decided = [TrialResult(res.trial_id, res.true_speaker_id,
+                               [(sid, raw, norm, decide(norm, policy))
+                                for sid, raw, norm, _ in res.ranked])
+                   for res in results]
+        reports.append(summarize(decided, policy.threshold, policy.mode))
+    return reports
 
 
 def report_to_csv(report: EvalReport) -> str:

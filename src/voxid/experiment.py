@@ -10,23 +10,15 @@ the CLI's --config share the flat "key = value" parser and key rule here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import InvalidExperimentConfig, VoxidUsageError
-from .evaluation import (
-    EvalReport,
-    RegistryEntry,
-    SpeakerRegistry,
-    Trial,
-    TrialResult,
-    identify,
-    summarize,
-)
+from .evaluation import EvalReport, RegistryEntry, SpeakerRegistry, Trial, evaluate_trials
 from .features import FeatureMatrix
 from .gmm import DiagonalGmm, GmmTrainingConfig, em_fit
-from .scoring import DecisionPolicy, decide
+from .scoring import DecisionPolicy
 from .speaker_models import Ubm, accumulate_stats, map_adapt
 from .total_variability import extract_ivectors, init_tv, train_tv
 
@@ -185,32 +177,26 @@ def sample_from_gmm(gmm: DiagonalGmm, n: int, rng: np.random.Generator) -> Featu
 
 @dataclass
 class SyntheticWorld:
-    """Everything the two stages share: UBM, registry and held-out tests, each held once in
-    the form its stage reads."""
+    """What a stage scores: the UBM, the registry its trials score against (in cosine mode
+    the target list) and the held-out trials, each test in the form its backend reads."""
 
     config: ExperimentConfig
     ubm: object
     registry: SpeakerRegistry
-    test_sets: dict  # true speaker_id -> test FeatureMatrix (llr) or its BaumWelchStats (cosine)
-    enroll_pieces: dict  # cosine only: speaker_id -> [BaumWelchStats] of its enrollment's pieces
+    trials: list[Trial]
     tv_model: object = None
 
 
-def build_world(config: ExperimentConfig) -> SyntheticWorld:
-    rng = np.random.default_rng(config.seed)
-    base = _random_gmm(rng, config.ubm_components, config.feature_dim)
-
-    gmm_config = GmmTrainingConfig(num_components=config.ubm_components, rng_seed=config.seed)
-    ubm = Ubm(gmm=em_fit(sample_from_gmm(base, config.ubm_frames, rng), gmm_config))
-
+def _draw_speakers(config: ExperimentConfig, base: DiagonalGmm, ubm: Ubm, rng):
+    """Enroll every speaker and draw each true speaker's test: the registry, speaker_id -> test
+    (llr: frames, cosine: statistics) and, in cosine mode, speaker_id -> piece statistics."""
     registry = SpeakerRegistry()
     test_sets = {}
     enroll_pieces = {}
     # Cosine mode's TV training pieces also sum to the MAP statistics: one UBM pass a frame.
     cosine = config.mode == "cosine"
     piece = config.tv_chunk_frames if cosine else config.enroll_frames
-    total = config.num_true_speakers + config.num_impostors
-    for idx in range(total):
+    for idx in range(config.num_true_speakers + config.num_impostors):
         is_impostor = idx >= config.num_true_speakers
         sid = f"imp{idx - config.num_true_speakers:02d}" if is_impostor else f"spk{idx:02d}"
         offset = rng.normal(0.0, config.speaker_spread, size=base.means.shape)
@@ -227,61 +213,46 @@ def build_world(config: ExperimentConfig) -> SyntheticWorld:
         if not is_impostor:
             test = sample_from_gmm(truth, config.test_frames, rng)
             test_sets[sid] = accumulate_stats(test, ubm) if cosine else test
-    return SyntheticWorld(config=config, ubm=ubm, registry=registry, test_sets=test_sets,
-                          enroll_pieces=enroll_pieces)
+    return registry, test_sets, enroll_pieces
 
 
-def attach_ivectors(world: SyntheticWorld) -> SyntheticWorld:
-    """Train the variability model on full-length enrollment pieces, set registry i-vectors."""
-    config = world.config
-    full = config.enroll_frames // config.tv_chunk_frames  # the short last piece trains no T
-    stats_set = [stats for sid in sorted(world.enroll_pieces)
-                 for stats in world.enroll_pieces[sid][:full]]
-    tv = init_tv(world.ubm, config.tv_rank, rng_seed=config.seed)
+def build_world(config: ExperimentConfig) -> SyntheticWorld:
+    rng = np.random.default_rng(config.seed)
+    base = _random_gmm(rng, config.ubm_components, config.feature_dim)
+
+    gmm_config = GmmTrainingConfig(num_components=config.ubm_components, rng_seed=config.seed)
+    ubm = Ubm(gmm=em_fit(sample_from_gmm(base, config.ubm_frames, rng), gmm_config))
+    # drawn in a call of its own, so no speaker's frames stay alive through TV training
+    registry, test_sets, enroll_pieces = _draw_speakers(config, base, ubm, rng)
+    if config.mode != "cosine":
+        trials = [Trial(trial_id=f"trial-{sid}", test_features=test_sets[sid],
+                        true_speaker_id=sid) for sid in sorted(test_sets)]
+        return SyntheticWorld(config=config, ubm=ubm, registry=registry, trials=trials)
+
+    # Train the variability model on full-length pieces (the short last piece trains no T),
+    # set every entry's i-vector (enroll_pieces is in registry order), then pick the targets.
+    full = config.enroll_frames // config.tv_chunk_frames
+    stats_set = [stats for sid in sorted(enroll_pieces) for stats in enroll_pieces[sid][:full]]
+    tv = init_tv(ubm, config.tv_rank, rng_seed=config.seed)
     tv = train_tv(stats_set, tv, iterations=config.tv_iterations)
-    entries = world.registry.entries
-    pieces = (world.enroll_pieces[e.speaker_id] for e in entries)
-    ivectors = extract_ivectors([sum(p[1:], p[0]) for p in pieces], tv)
-    for entry, ivector in zip(entries, ivectors):
+    ivectors = extract_ivectors([sum(p[1:], p[0]) for p in enroll_pieces.values()], tv)
+    for entry, ivector in zip(registry.entries, ivectors):
         entry.ivector = ivector
-    world.tv_model = tv
-    return world
-
-
-def _redecide(results, policy: DecisionPolicy):
-    out = []
-    for res in results:
-        ranked = [
-            (sid, raw, norm, decide(norm, policy)) for sid, raw, norm, _ in res.ranked
-        ]
-        out.append(TrialResult(res.trial_id, res.true_speaker_id, ranked))
-    return out
+    true_ids = sorted(test_sets)[: config.cosine_target_true]
+    imp_ids = sorted(
+        e.speaker_id for e in registry.entries if e.is_impostor
+    )[: config.cosine_target_impostors]
+    targets = SpeakerRegistry()
+    for sid in true_ids + imp_ids:
+        targets.add(registry.get(sid))
+    tests = extract_ivectors([test_sets[sid] for sid in true_ids], tv)
+    trials = [Trial(trial_id=f"trial-{sid}", true_speaker_id=sid, test_ivector=ivector)
+              for sid, ivector in zip(true_ids, tests)]
+    return SyntheticWorld(config=config, ubm=ubm, registry=targets, trials=trials, tv_model=tv)
 
 
 def run_experiment(config: ExperimentConfig) -> list[EvalReport]:
-    """Build the synthetic world, run all trials, report once per threshold."""
+    """Build the synthetic world, score its trials once, report once per threshold."""
     world = build_world(config)
-    policy = DecisionPolicy(threshold=config.thresholds[0], mode=config.mode)
-    if config.mode == "llr":
-        targets = world.registry
-        trials = [
-            Trial(trial_id=f"trial-{sid}", test_features=world.test_sets[sid],
-                  true_speaker_id=sid)
-            for sid in sorted(world.test_sets)
-        ]
-    else:
-        world = attach_ivectors(world)
-        true_ids = sorted(world.test_sets)[: config.cosine_target_true]
-        imp_ids = sorted(
-            e.speaker_id for e in world.registry.entries if e.is_impostor
-        )[: config.cosine_target_impostors]
-        targets = SpeakerRegistry()
-        for sid in true_ids + imp_ids:
-            targets.add(world.registry.get(sid))
-        tests = extract_ivectors([world.test_sets[sid] for sid in true_ids], world.tv_model)
-        trials = [Trial(trial_id=f"trial-{sid}", true_speaker_id=sid, test_ivector=ivector)
-                  for sid, ivector in zip(true_ids, tests)]
-
-    results = [identify(trial, targets, policy, ubm=world.ubm) for trial in trials]
-    return [summarize(_redecide(results, replace(policy, threshold=t)), t, policy.mode)
-            for t in config.thresholds]
+    return evaluate_trials(world.trials, world.registry, config.mode, config.thresholds,
+                           ubm=world.ubm)

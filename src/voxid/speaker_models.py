@@ -51,14 +51,6 @@ class BaumWelchStats:
         return BaumWelchStats(self.zeroth + other.zeroth, self.first + other.first)
 
 
-@dataclass(frozen=True)
-class Supervector:
-    values: np.ndarray  # (C*k,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-
 def pool_features(pooled) -> FeatureMatrix:
     """Concatenate feature matrices of one dimension into one; a lone matrix is returned
     as it is, not copied.
@@ -115,10 +107,10 @@ def map_adapt(stats: BaumWelchStats, ubm: Ubm, relevance: float = DEFAULT_RELEVA
     return SpeakerModel(speaker_id=speaker_id, gmm=gmm.with_means(means))
 
 
-def build_supervector(model) -> Supervector:
-    """Concatenate component means in component order."""
+def build_supervector(model) -> np.ndarray:
+    """Component means concatenated in component order, shape (C*k,)."""
     gmm = model.gmm if hasattr(model, "gmm") else model
-    return Supervector(values=gmm.means.reshape(-1).copy())
+    return gmm.means.reshape(-1).copy()
 
 
 def variance_supervector(ubm: Ubm) -> np.ndarray:

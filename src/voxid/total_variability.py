@@ -105,7 +105,7 @@ class IVector:
 
 def init_tv(ubm: Ubm, rank_R: int, rng_seed: int = 0) -> TotalVariabilityModel:
     """Seeded random initialization of the variability matrix."""
-    m = build_supervector(ubm).values
+    m = build_supervector(ubm)
     sigma = variance_supervector(ubm)
     ck = m.size
     if rank_R >= ck:

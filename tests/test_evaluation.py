@@ -25,6 +25,7 @@ from voxid.evaluation import (
     TrialResult,
     compute_eer,
     det_points,
+    evaluate_trials,
     identify,
     report_to_csv,
     summarize,
@@ -32,7 +33,6 @@ from voxid.evaluation import (
 from voxid.experiment import (
     ExperimentConfig,
     _random_gmm,
-    attach_ivectors,
     build_world,
     parse_experiment_config,
     run_experiment,
@@ -627,6 +627,23 @@ def oracle_summary(results):
     return fa, fr, eer, top1
 
 
+def llr_case():
+    """Three one-dimensional speakers, a trial from each, and the UBM they score against."""
+    rng = np.random.default_rng(14)
+    trials = [Trial(trial_id=f"t{i}", true_speaker_id=f"s{i}",
+                    test_features=FeatureMatrix(rng.normal(center, 1.5, (40, 1))))
+              for i, center in enumerate([-6.0, 0.0, 6.0])]
+    return trials, registry_of([-6.0, 0.0, 6.0]), "llr-normalized", Ubm(gmm=tiny_gmm(0.0))
+
+
+def cosine_case():
+    """Three enrolled i-vectors and a trial near each."""
+    registry = registry_of([0.0] * 3, ivectors=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    trials = [Trial(trial_id=f"t{i}", true_speaker_id=f"s{i}", test_ivector=IVector(np.array(w)))
+              for i, w in enumerate([[1.0, 0.2], [0.1, 1.0], [0.7, 0.8]])]
+    return trials, registry, "cosine", None
+
+
 class TestSummarize:
     def test_matches_the_oracle_on_random_rankings(self):
         # repeated ids, None truths, truths not enrolled, empty rankings and tied scores
@@ -674,23 +691,12 @@ class TestSummarize:
         assert report.top1_accuracy == 0.0
 
     def test_threshold_monotonicity(self):
-        rng = np.random.default_rng(14)
-        registry = registry_of([-6.0, 0.0, 6.0])
-        ubm = Ubm(gmm=tiny_gmm(0.0))
-        results = []
-        for i, center in enumerate([-6.0, 0.0, 6.0]):
-            feats = FeatureMatrix(rng.normal(center, 1.5, (40, 1)))
-            policy = DecisionPolicy(threshold=0.0, mode="llr-normalized")
-            results.append(identify(
-                Trial(trial_id=f"t{i}", test_features=feats,
-                      true_speaker_id=f"s{i}"),
-                registry, policy, ubm=ubm))
+        trials, registry, mode, ubm = llr_case()
         prev_fa, prev_fr = None, None
-        from voxid.experiment import _redecide
-
-        for threshold in (-1.0, 0.0, 1.0, 2.0):
-            policy = DecisionPolicy(threshold=threshold, mode="llr-normalized")
-            report = summarize(_redecide(results, policy), threshold, policy.mode)
+        thresholds = (-1.0, 0.0, 1.0, 2.0)
+        reports = evaluate_trials(trials, registry, mode, thresholds, ubm=ubm)
+        assert [report.threshold for report in reports] == list(thresholds)
+        for report in reports:
             if prev_fa is not None:
                 assert report.false_accepts <= prev_fa
                 assert report.false_rejects >= prev_fr
@@ -707,6 +713,51 @@ class TestSummarize:
         lines = csv_text.strip().split("\n")
         assert lines[0] == "trial_id,speaker_id,raw_score,normalized_score,decision"
         assert len(lines) == 3
+
+
+class TestEvaluateTrials:
+    @pytest.mark.parametrize("case, thresholds", [(llr_case, (0.0, 1.0)),
+                                                  (cosine_case, (0.5, 0.9))],
+                             ids=["llr", "cosine"])
+    def test_each_report_summarizes_identify_at_its_threshold(self, case, thresholds):
+        trials, registry, mode, ubm = case()
+        reports = evaluate_trials(trials, registry, mode, thresholds, ubm=ubm)
+        assert len(reports) == 2
+        for report, threshold in zip(reports, thresholds):
+            policy = DecisionPolicy(threshold=threshold, mode=mode)
+            results = [identify(trial, registry, policy, ubm=ubm) for trial in trials]
+            assert report == summarize(results, threshold, mode)
+        decisions = [[[accepted for *_, accepted in res.ranked] for res in report.per_trial]
+                     for report in reports]
+        assert decisions[0] != decisions[1]
+
+    @pytest.mark.parametrize("case", [llr_case, cosine_case], ids=["llr", "cosine"])
+    @pytest.mark.parametrize("thresholds", [(0.5,), (0.1, 0.5, 0.9)], ids=["one", "three"])
+    def test_scores_each_trial_once_whatever_the_thresholds(self, monkeypatch, case,
+                                                             thresholds):
+        trials, registry, mode, ubm = case()
+        kind, score, limits = scoring.BACKENDS[mode]
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return score(*args)
+
+        monkeypatch.setitem(scoring.BACKENDS, mode, (kind, counting, limits))
+        reports = evaluate_trials(trials, registry, mode, thresholds, ubm=ubm)
+        assert len(reports) == len(thresholds)
+        assert len(calls) == len(trials)
+
+    def test_no_threshold_is_refused_before_any_scoring(self, monkeypatch):
+        trials, registry, mode, ubm = llr_case()
+        kind, _, limits = scoring.BACKENDS[mode]
+
+        def refusing(*args):
+            raise AssertionError("a trial was scored")
+
+        monkeypatch.setitem(scoring.BACKENDS, mode, (kind, refusing, limits))
+        with pytest.raises(ValueError, match="threshold"):
+            evaluate_trials(trials, registry, mode, [], ubm=ubm)
 
 
 class TestExperiment:
@@ -785,10 +836,12 @@ class TestExperiment:
         import voxid.experiment as experiment_module
 
         seen = []  # the frames of each pass, in call order
+        passed = []  # the statistics each pass returned, in call order
 
         def counting(feats, ubm):
             seen.append(feats.frames)
-            return accumulate_stats(feats, ubm)
+            passed.append(accumulate_stats(feats, ubm))
+            return passed[-1]
 
         monkeypatch.setattr(experiment_module, "accumulate_stats", counting)
         cfg = ExperimentConfig(
@@ -802,12 +855,16 @@ class TestExperiment:
         # speaker's test, the fourth true speaker's too, though no trial reads it
         assert [len(frames) for frames in seen] == [100] * 22
         seen.clear()
+        passed.clear()
         world = build_world(cfg)
         # the world keeps no frames: each enrollment is its three pieces, passed in order,
         # and each true speaker's test is its statistics, passed after its enrollment
-        assert len(seen) == 3 * len(world.enroll_pieces) + len(world.test_sets) == 22
-        for sid, pieces in world.enroll_pieces.items():
-            frames = np.vstack(seen[:3])
+        assert len(seen) == len(passed) == 3 * 6 + 4 == 22
+        assert all(trial.test_features is None for trial in world.trials)
+        sids = [f"spk{i:02d}" for i in range(4)] + ["imp00", "imp01"]
+        sums, tests = [], {}
+        for sid in sids:
+            frames, pieces = np.vstack(seen[:3]), passed[:3]
             for piece, start in zip(pieces, (0, 100, 200)):
                 expected = accumulate_stats(FeatureMatrix(frames[start:start + 100]), world.ubm)
                 assert np.array_equal(piece.zeroth, expected.zeroth)
@@ -816,12 +873,24 @@ class TestExperiment:
                                                                         world.ubm)
             assert np.max(np.abs(stats.zeroth - whole.zeroth)) < 1e-12
             assert np.max(np.abs(stats.first - whole.first)) < 1e-12
-            del seen[:3]
-            if sid in world.test_sets:
+            sums.append(stats)
+            del seen[:3], passed[:3]
+            if sid.startswith("spk"):
+                tests[sid] = passed.pop(0)
                 test = accumulate_stats(FeatureMatrix(seen.pop(0)), world.ubm)
-                assert np.array_equal(world.test_sets[sid].zeroth, test.zeroth)
-                assert np.array_equal(world.test_sets[sid].first, test.first)
-        assert not seen
+                assert np.array_equal(tests[sid].zeroth, test.zeroth)
+                assert np.array_equal(tests[sid].first, test.first)
+        assert not seen and not passed
+        # each target's i-vector is its whole enrollment's, extracted with every entry's in
+        # registry order, and each trial's is its test statistics'
+        ivectors = dict(zip(sids, extract_ivectors(sums, world.tv_model)))
+        assert [e.speaker_id for e in world.registry.entries] == [*sids[:3], "imp00"]
+        for entry in world.registry.entries:
+            assert np.array_equal(entry.ivector.w, ivectors[entry.speaker_id].w)
+        assert [trial.true_speaker_id for trial in world.trials] == sids[:3]
+        expected = extract_ivectors([tests[sid] for sid in sids[:3]], world.tv_model)
+        for trial, ivector in zip(world.trials, expected, strict=True):
+            assert np.array_equal(trial.test_ivector.w, ivector.w)
         # in LLR mode the whole enrollment is the one piece, and its MAP means are those
         # of the whole enrollment's statistics, bit for bit
         seen.clear()
@@ -850,10 +919,10 @@ class TestExperiment:
             tracemalloc.stop()
         # models and test frames stay; the enrollment frames and statistics and the UBM
         # frames do not
-        assert len(world.registry.entries) == 6 and world.enroll_pieces == {}
+        assert len(world.registry.entries) == 6
         assert after - before < enroll_bytes / 4
 
-    def test_cosine_world_holds_tests_as_statistics(self):
+    def test_cosine_world_holds_tests_as_ivectors(self):
         cfg = ExperimentConfig(
             mode="cosine", num_true_speakers=4, num_impostors=2, feature_dim=8,
             ubm_components=4, ubm_frames=4_000, enroll_frames=1_000, test_frames=40_000,
@@ -861,6 +930,7 @@ class TestExperiment:
         )
         test_bytes = 4 * cfg.test_frames * cfg.feature_dim * 8
         bound = test_bytes / 4  # set before measuring
+        build_world(replace(cfg, test_frames=100))  # the TV path's first-use imports
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
@@ -868,10 +938,11 @@ class TestExperiment:
             after, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # each true speaker's test is its (C,) and (C, k) statistics, not its frames
+        # each true speaker's trial holds its rank-R i-vector, not its frames or statistics
         assert after - before < bound
-        assert len(world.test_sets) == 4
-        assert all(stats.first.shape == (4, 8) for stats in world.test_sets.values())
+        assert len(world.trials) == 4
+        assert all(trial.test_features is None and trial.test_ivector.w.shape == (2,)
+                   for trial in world.trials)
 
     def test_short_last_piece_enrolls_but_trains_no_tv(self, monkeypatch):
         import voxid.experiment as experiment_module
@@ -882,23 +953,34 @@ class TestExperiment:
             trained_on.extend(float(stats.zeroth.sum()) for stats in stats_set)
             return train_tv(stats_set, tv, iterations)
 
+        passed = []  # the statistics of each UBM pass, in call order
+
+        def accumulating(feats, ubm):
+            passed.append(accumulate_stats(feats, ubm))
+            return passed[-1]
+
         monkeypatch.setattr(experiment_module, "train_tv", recording)
+        monkeypatch.setattr(experiment_module, "accumulate_stats", accumulating)
         cfg = ExperimentConfig(
             mode="cosine", num_true_speakers=4, num_impostors=2, ubm_components=4,
             ubm_frames=800, enroll_frames=250, test_frames=100, tv_rank=2,
             tv_iterations=1, tv_chunk_frames=100, cosine_target_true=3,
             cosine_target_impostors=1,
         )
-        world = attach_ivectors(build_world(cfg))
-        entries, sums = world.registry.entries, []
-        for entry in entries:
-            pieces = world.enroll_pieces[entry.speaker_id]
+        world = build_world(cfg)
+        sids, sums = [f"spk{i:02d}" for i in range(4)] + ["imp00", "imp01"], []
+        for sid in sids:
+            pieces = passed[:3]
             assert [p.zeroth.sum() for p in pieces] == pytest.approx([100.0, 100.0, 50.0])
             sums.append(sum(pieces[1:], pieces[0]))
             assert sums[-1].zeroth.sum() == pytest.approx(250.0)
-        # each registry i-vector is its whole enrollment's, short last piece included
-        for entry, expected in zip(entries, extract_ivectors(sums, world.tv_model)):
-            assert np.array_equal(entry.ivector.w, expected.w)
+            del passed[:3 + sid.startswith("spk")]  # a true speaker's test follows
+        assert not passed
+        # each target's i-vector is its whole enrollment's, short last piece included
+        ivectors = dict(zip(sids, extract_ivectors(sums, world.tv_model)))
+        assert len(world.registry.entries) == 4
+        for entry in world.registry.entries:
+            assert np.array_equal(entry.ivector.w, ivectors[entry.speaker_id].w)
         assert trained_on == pytest.approx([100.0] * 2 * 6)
 
     def test_world_cluster_assignment(self):

@@ -233,12 +233,12 @@ class TestSupervector:
             variances=[[1.0, 1.0], [1.0, 1.0]],
         )
         sv = build_supervector(Ubm(gmm=gmm))
-        assert np.array_equal(sv.values, [1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(sv, [1.0, 2.0, 3.0, 4.0])
 
     def test_length(self):
         rng = np.random.default_rng(8)
         ubm = simple_ubm(components=16, dim=13)
-        assert build_supervector(ubm).values.size == 16 * 13
+        assert build_supervector(ubm).size == 16 * 13
 
     def test_variance_layout_matches(self):
         ubm = simple_ubm(components=3, dim=4)

@@ -57,7 +57,7 @@ class TestInit:
     def test_m_is_ubm_supervector(self):
         ubm = make_ubm()
         tv = init_tv(ubm, 2)
-        assert np.array_equal(tv.m, build_supervector(ubm).values)
+        assert np.array_equal(tv.m, build_supervector(ubm))
 
 
 def unpacked(packed, r):
@@ -447,7 +447,7 @@ class TestTraining:
         rng = np.random.default_rng(21)
         t_true = rng.standard_normal((24, 2))
         tv_true = TotalVariabilityModel(
-            m=build_supervector(ubm).values,
+            m=build_supervector(ubm),
             sigma=ubm.gmm.variances.reshape(-1),
             t_matrix=t_true, num_components=6, dim_k=4,
         )
