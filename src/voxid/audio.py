@@ -93,8 +93,6 @@ def read_wav(path) -> AudioClip:
         )
     if channels < 1:
         raise MalformedContainer("zero channels declared")
-    if rate not in SUPPORTED_RATES:
-        raise UnsupportedSampleRate(f"sample rate {rate} not in {SUPPORTED_RATES}")
 
     frame_bytes = 2 * channels
     if len(pcm) % frame_bytes != 0:

@@ -138,8 +138,6 @@ def _write_text(path, text: str):
 # --- commands -----------------------------------------------------------------
 
 def cmd_features(args, settings):
-    if not args.inputs:
-        raise VoxidUsageError("no input audio files given")
     config = _config_from(MfccConfig, settings)
     outputs = [_derive_output(path, args.out_dir, ".feat") for path in args.inputs]
     first = {}  # checked before any write, so a clash loses no features
@@ -169,8 +167,6 @@ def _derive_output(path, out_dir, suffix):
 
 
 def cmd_train_ubm(args, settings):
-    if not args.inputs:
-        raise VoxidUsageError("no feature files given")
     config = _config_from(GmmTrainingConfig, settings, rng_seed=args.seed)
     pooled = pool_features([store.load(p, "features") for p in args.inputs])
     gmm, history = em_fit_detailed(pooled, config)
@@ -304,11 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("features", help="extract MFCC features from WAV files")
-    p.add_argument("inputs", nargs="*")
+    p.add_argument("inputs", nargs="+")
     p.add_argument("--out-dir")
 
     p = sub.add_parser("train-ubm", help="train the background model")
-    p.add_argument("inputs", nargs="*")
+    p.add_argument("inputs", nargs="+")
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("enroll", help="MAP-adapt and register a speaker")

@@ -1,4 +1,4 @@
-"""Synthetic two-stage evaluation protocol at desk scale.
+"""Synthetic two-stage evaluation protocol, from desk to paper size.
 
 Stage 1: enrolled speaker models in clusters with planted impostors,
 identification by cohort-normalized log-likelihood ratio at one or more
@@ -19,7 +19,7 @@ from .evaluation import EvalReport, RegistryEntry, SpeakerRegistry, Trial, evalu
 from .features import FeatureMatrix
 from .gmm import DiagonalGmm, GmmTrainingConfig, em_fit
 from .scoring import DecisionPolicy
-from .speaker_models import Ubm, accumulate_stats, map_adapt
+from .speaker_models import DEFAULT_RELEVANCE, Ubm, accumulate_stats, map_adapt
 from .total_variability import extract_ivectors, init_tv, train_tv
 
 
@@ -45,7 +45,7 @@ class ExperimentConfig:
     enroll_frames: int = 3000     # ~30 s at a 10 ms shift
     test_frames: int = 1000       # ~10 s
     speaker_spread: float = 1.0   # std of the per-speaker mean offsets
-    relevance: float = 16.0
+    relevance: float = DEFAULT_RELEVANCE
     thresholds: tuple = (1.0,)
     tv_rank: int = 8
     tv_iterations: int = 5
@@ -180,7 +180,6 @@ class SyntheticWorld:
     """What a stage scores: the UBM, the registry its trials score against (in cosine mode
     the target list) and the held-out trials, each test in the form its backend reads."""
 
-    config: ExperimentConfig
     ubm: object
     registry: SpeakerRegistry
     trials: list[Trial]
@@ -227,7 +226,7 @@ def build_world(config: ExperimentConfig) -> SyntheticWorld:
     if config.mode != "cosine":
         trials = [Trial(trial_id=f"trial-{sid}", test_features=test_sets[sid],
                         true_speaker_id=sid) for sid in sorted(test_sets)]
-        return SyntheticWorld(config=config, ubm=ubm, registry=registry, trials=trials)
+        return SyntheticWorld(ubm=ubm, registry=registry, trials=trials)
 
     # Train the variability model on full-length pieces (the short last piece trains no T),
     # set every entry's i-vector (enroll_pieces is in registry order), then pick the targets.
@@ -242,13 +241,11 @@ def build_world(config: ExperimentConfig) -> SyntheticWorld:
     imp_ids = sorted(
         e.speaker_id for e in registry.entries if e.is_impostor
     )[: config.cosine_target_impostors]
-    targets = SpeakerRegistry()
-    for sid in true_ids + imp_ids:
-        targets.add(registry.get(sid))
+    targets = SpeakerRegistry([registry.get(sid) for sid in true_ids + imp_ids])
     tests = extract_ivectors([test_sets[sid] for sid in true_ids], tv)
     trials = [Trial(trial_id=f"trial-{sid}", true_speaker_id=sid, test_ivector=ivector)
               for sid, ivector in zip(true_ids, tests)]
-    return SyntheticWorld(config=config, ubm=ubm, registry=targets, trials=trials, tv_model=tv)
+    return SyntheticWorld(ubm=ubm, registry=targets, trials=trials, tv_model=tv)
 
 
 def run_experiment(config: ExperimentConfig) -> list[EvalReport]:

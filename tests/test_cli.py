@@ -11,13 +11,27 @@ import pytest
 
 from voxid import cli, store
 from voxid.cli import EXIT_DATA, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main, score_bar_svg
+from voxid.evaluation import Trial, evaluate_trials
 from voxid.features import FeatureMatrix
 
-from test_store import read_artifact, v1_document, write_artifact
+from test_store import random_artifact, read_artifact, v1_document, write_artifact
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def riff(*chunks):
+    """RIFF/WAVE bytes of (id, payload) chunks, each declaring its payload's length."""
+    body = b"WAVE" + b"".join(cid + struct.pack("<I", len(data)) + data for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def pcm_format(rate=8000, channels=1):
+    return struct.pack("<HHIIHH", 1, channels, rate, 2 * channels * rate, 2 * channels, 16)
+
+
+PCM = struct.pack("<4h", 0, 1, 2, 3)
 
 
 @pytest.fixture
@@ -77,17 +91,36 @@ class TestFeatures:
         assert run("features", wav, "--out-dir", tmp_path) == EXIT_OK
         assert (tmp_path / "a.feat").exists()
 
-    def test_unsupported_rate(self, tmp_path):
-        pcm = struct.pack("<4h", 0, 1, 2, 3)
-        fmt = struct.pack("<HHIIHH", 1, 1, 44100, 88200, 2, 16)
-        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-        body += b"data" + struct.pack("<I", len(pcm)) + pcm
+    def test_unsupported_rate(self, tmp_path, capsys):
         bad = tmp_path / "bad.wav"
-        bad.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        bad.write_bytes(riff((b"fmt ", pcm_format(rate=44100)), (b"data", PCM)))
         assert run("features", bad, "--out-dir", tmp_path) == EXIT_DATA
+        assert (f"{bad}: UnsupportedSampleRate: sample rate 44100 not in (4000, 8000, 16000)"
+                in capsys.readouterr().err)
 
-    def test_empty_input_list(self):
+    @pytest.mark.parametrize("content, needle", [
+        # the data chunk declares 16 bytes and holds 8 of them
+        (riff((b"fmt ", pcm_format()), (b"data", PCM + PCM))[:-8], "chunk b'data' truncated"),
+        (riff((b"fmt ", pcm_format())), "missing fmt or data chunk"),
+        (riff((b"data", PCM)), "missing fmt or data chunk"),
+        (riff((b"fmt ", pcm_format()[:14]), (b"data", PCM)), "fmt chunk too short"),
+        (riff((b"fmt ", pcm_format(channels=0)), (b"data", PCM)), "zero channels declared"),
+        (None, "cannot read"),
+    ], ids=["truncated-chunk", "no-data-chunk", "no-fmt-chunk", "short-fmt-chunk",
+            "zero-channels", "unreadable"])
+    def test_malformed_wav_is_a_data_error(self, tmp_path, capsys, content, needle):
+        wav = tmp_path / "bad.wav"
+        if content is None:
+            wav.mkdir()  # a directory, which open() refuses
+        else:
+            wav.write_bytes(content)
+        assert run("features", wav, "--out-dir", tmp_path) == EXIT_DATA
+        assert f"{wav}: MalformedContainer: {needle}" in capsys.readouterr().err
+        assert not (tmp_path / "bad.feat").exists()
+
+    def test_empty_input_list(self, capsys):
         assert run("features") == EXIT_USAGE
+        assert "the following arguments are required: inputs" in capsys.readouterr().err
 
     def test_inputs_that_would_write_one_file(self, tmp_path, make_clip_wav, capsys):
         # a/x.wav and b/x.wav both derive out/x.feat: refused before either is written
@@ -175,6 +208,22 @@ class TestTrainUbm:
         assert run("--config", config, "train-ubm", *feats, "--output", again) == EXIT_OK
         assert ubm.read_bytes() == again.read_bytes()
 
+    def test_no_inputs(self, tmp_path, capsys):
+        out = tmp_path / "ubm.json"
+        assert run("train-ubm", "--output", out) == EXIT_USAGE
+        assert "the following arguments are required: inputs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        feat = tmp_path / "a.feat"
+        store.save(FeatureMatrix(np.random.default_rng(0).normal(size=(400, 5))), "features", feat)
+        out = tmp_path / "ubm.json"
+        assert run("--config", tmp_path / "missing.conf", "train-ubm", feat,
+                   "--output", out) == EXIT_USAGE
+        assert f"VoxidUsageError: cannot read config {tmp_path / 'missing.conf'}" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_too_few_frames(self, workspace, tmp_path):
         _, feats, _, _ = workspace
         config = tmp_path / "big.conf"
@@ -246,6 +295,27 @@ class TestTvAndIvector:
         assert run("ivector", feats[0], "--ubm", ubm, "--tv", tv,
                    "--output", iv2) == EXIT_OK
         assert iv1.read_bytes() == iv2.read_bytes()
+
+    def test_cosine_chain(self, workspace, capsys):
+        """train-tv, enroll --tv, ivector and identify --mode cosine print the rows that
+        evaluate_trials gives on the saved registry and i-vector."""
+        work, feats, ubm, _ = workspace
+        tv, registry, ivec = work / "tv.json", work / "tv-registry.json", work / "s0.ivec"
+        assert run("train-tv", *feats, "--ubm", ubm, "--rank", 2, "--output", tv) == EXIT_OK
+        for i in range(2):
+            assert run("enroll", "--speaker-id", f"spk{i}", "--registry", registry,
+                       "--ubm", ubm, "--tv", tv, feats[i]) == EXIT_OK
+        assert run("ivector", feats[0], "--ubm", ubm, "--tv", tv, "--output", ivec) == EXIT_OK
+        capsys.readouterr()
+        assert run("identify", ivec, "--registry", registry, "--mode", "cosine",
+                   "--threshold", 0.5) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        trial = Trial(trial_id="cli", test_ivector=store.load(ivec, "ivector"))
+        [report] = evaluate_trials([trial], store.load(registry, "registry"), "cosine", [0.5])
+        [result] = report.per_trial
+        assert result.ranked[0][0] == "spk0" and len(result.ranked) == 2
+        assert rows == [f"{sid:<12} {raw:>14.4f} {norm:>10.4f} {'accept' if ok else 'reject'}"
+                        for sid, raw, norm, ok in result.ranked]
 
     def test_rank_too_large(self, workspace, tmp_path):
         _, feats, ubm, _ = workspace
@@ -551,6 +621,7 @@ def test_apply_cmvn_words(tmp_path, make_clip_wav, word, normalised):
     ("mode = cosine\ntv_chunk_frames = 50\nthresholds = 1.5", "thresholds"),
     ("mode = cosine", "tv_chunk_frames"),
     ("mode = cosine\ntv_chunk_frames = 50\ncosine_target_true = 0", "cosine_target_true"),
+    ("mode = cosine\ntv_chunk_frames = 50\ncosine_target_impostors = 4", "not enough impostors"),
     ("num_true_speakers = 1\nnum_impostors = 0", "num_true_speakers"),
     ("ubm_frames = 10", "ubm_frames"),  # fewer frames than the 16 components
     ("mode = cosine\ntv_chunk_frames = 50\ntv_rank = 128", "tv_rank"),  # 16 x 8 supervector
@@ -621,6 +692,29 @@ def test_consecutive_calls_share_no_state(workspace, tmp_path, make_clip_wav, ca
     cli.build_parser.cache_clear()  # a fresh parser, as a new process builds
     assert after == train_ubm("fresh.json")
     assert seeded != after
+
+
+# the line `inspect` prints for each kind of test_store.random_artifact
+INSPECT_LINES = {
+    "features": "frames: 10 x 4",
+    "gmm": "components: 3, dim: 2",
+    "ubm": "components: 3, dim: 2",
+    "speaker_model": "components: 3, dim: 2",
+    "tv_model": "rank: 2, supervector: 6",
+    "ivector": "rank: 4",
+    "registry": "  b cluster=c1 (impostor)",
+    "report": "trials: 1, top1: 1.000",
+}
+
+
+@pytest.mark.parametrize("kind", store.KINDS)
+def test_inspect_describes_every_kind(tmp_path, capsys, kind):
+    path = tmp_path / ("a.feat" if kind == "features" else "a.json")
+    store.save(random_artifact(kind, np.random.default_rng(0)), kind, path)
+    assert run("inspect", path) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"kind: {kind}"
+    assert INSPECT_LINES[kind] in out
 
 
 def test_inspect_unknown_file(tmp_path):

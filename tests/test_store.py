@@ -181,6 +181,15 @@ def test_wrong_kind(tmp_path):
         store.load(path, "ubm")
 
 
+@pytest.mark.parametrize("document", [{"format_version": 1, "payload": {}}, [1, 2]],
+                         ids=["no-kind", "not-an-object"])
+def test_json_without_an_envelope_is_corrupt(document, tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(CorruptArtifact, match="lacks an artifact envelope"):
+        store.load(path, "ubm")
+
+
 def test_unsupported_version(tmp_path):
     # one past the newest version each JSON kind reads
     past_newest = {"gmm": 2, "ubm": 4, "speaker_model": 4, "tv_model": 4, "ivector": 4,

@@ -351,6 +351,13 @@ class TestExtraction:
             with pytest.raises(NumericalFailure, match="^posterior precision is not finite$"):
                 extract_ivectors(stats, tv)
 
+    def test_indefinite_precision_is_a_numerical_failure(self):
+        # eigenvalues 3 and -1: finite, but with no Cholesky factor
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]], order="F")
+        with pytest.raises(NumericalFailure,
+                           match="^posterior precision is not positive definite"):
+            total_variability._cholesky(indefinite, "posterior precision", finite=True)
+
     def test_dimension_mismatch(self):
         ubm = make_ubm()
         tv = init_tv(ubm, 2)
